@@ -17,9 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-import sympy as sp
-
-from algebroids.scalars import Chart, ChartError, Scalar, random_point
+from algebroids.scalars import Chart, ChartError, Scalar
 
 __all__ = [
     "Algebroid",
@@ -147,26 +145,6 @@ class Algebroid:
 
     def anchor_vf(self, a: int) -> VectorField:
         return VectorField(self.chart, list(self.anchor[a]))
-
-    def generic_anchor_rank(self, seed: int = 42) -> int:
-        """Rank of the anchor matrix at one random rational point.
-
-        A diagnostic only; rank can drop on special loci, so this is a
-        generic value, never a global claim.
-        """
-        import random
-
-        rng = random.Random(seed)
-        point = random_point(self.chart, rng)
-        rows = []
-        for a in range(self.rank):
-            rows.append([self.anchor[a][i].eval(point).to_sympy()
-                         if hasattr(self.anchor[a][i].eval(point), "to_sympy")
-                         else self.anchor[a][i].eval(point)
-                         for i in range(self.chart.dim)])
-        if self.chart.dim == 0:
-            return 0
-        return sp.Matrix(rows).rank()
 
     def __repr__(self):
         return (f"Algebroid(rank={self.rank}, chart={self.chart.name!r}, "

@@ -19,7 +19,7 @@ to (1/2) trace(block^k) when the connection is metric compatible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List
 
 import sympy as sp
 
@@ -30,13 +30,11 @@ from algebroids.connections import (
     curvature_operator,
 )
 from algebroids.eforms import EForm, d_E, wedge
-from algebroids.jstruct import (
-    ComplexFrame,
-    EndoField,
-    IntegrabilityError,
-    adapted_complex_frame,
-)
+from algebroids.jstruct import ComplexFrame, IntegrabilityError
 from algebroids.scalars import Scalar
+
+if TYPE_CHECKING:
+    from algebroids.constructions import Fixture
 
 __all__ = [
     "BlockCurvature",
@@ -101,18 +99,19 @@ class BlockCurvature:
                  for b in range(self.m)] for a in range(self.m)]
 
 
-def block_curvature(conn: Connection, J: EndoField,
-                    F: Optional[ComplexFrame] = None) -> BlockCurvature:
-    """Extract R^b_a, R^{b*}_a by expanding (J R)(e_p, e_q) u_a.
+def block_curvature(fx: Fixture) -> BlockCurvature:
+    """Extract R^b_a, R^{b*}_a of the Levi-Civita connection by expanding
+    (J R)(e_p, e_q) u_a.
 
-    Requires an almost complex connection; the commutation J R = R J and
-    the displayed block pattern on (J R) u_{a*} are re-verified.
+    Requires the Levi-Civita connection to be almost complex; the
+    commutation J R = R J and the displayed block pattern on (J R) u_{a*}
+    are re-verified.
     """
-    A = conn.algebroid
+    A, J = fx.algebroid, fx.J
+    conn = fx.levi_civita
     if not almost_complex_check(conn, J).ok:
         raise IntegrabilityError("connection is not almost complex (nabla J != 0)")
-    if F is None:
-        F = adapted_complex_frame(A, J)
+    F = fx.frame
     m = F.m
     chart = A.chart
     us = _real_generators(F)

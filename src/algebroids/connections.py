@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import sympy as sp
 
@@ -32,14 +32,11 @@ from algebroids.algebroid import (
     bracket,
 )
 from algebroids.eforms import EForm, d_E, evaluate
-from algebroids.jstruct import (
-    ComplexFrame,
-    EndoField,
-    IntegrabilityError,
-    adapted_complex_frame,
-    nijenhuis,
-)
+from algebroids.jstruct import ComplexFrame, EndoField, IntegrabilityError
 from algebroids.scalars import Chart, ChartError, Scalar, is_zero, random_point
+
+if TYPE_CHECKING:
+    from algebroids.constructions import Fixture
 
 __all__ = [
     "Metric",
@@ -52,6 +49,8 @@ __all__ = [
     "metric_compat_check",
     "almost_complex_check",
     "hermitian_check",
+    "HermitianError",
+    "require_hermitian",
     "fundamental_form",
     "kahler_report",
     "HermitianComponents",
@@ -304,6 +303,15 @@ def hermitian_check(g: Metric, J: EndoField) -> CheckReport:
     return CheckReport(residuals)
 
 
+class HermitianError(ValueError):
+    """An operation needing a Hermitian metric received a non-Hermitian one."""
+
+
+def require_hermitian(g: Metric, J: EndoField) -> None:
+    if not hermitian_check(g, J).ok:
+        raise HermitianError("metric is not Hermitian for this J")
+
+
 def fundamental_form(g: Metric, J: EndoField) -> EForm:
     """Phi(s1,s2) = g(s1, J s2), re-verified antisymmetric and J-invariant."""
     A = g.algebroid
@@ -349,7 +357,7 @@ class KahlerReport:
         return "kahler"
 
 
-def kahler_report(A: Algebroid, J: EndoField, g: Metric) -> KahlerReport:
+def kahler_report(fx: Fixture) -> KahlerReport:
     """Kahler trichotomy plus the covariant-derivative identity
 
     2 g((D_{s1}J)s2, s3) = dPhi(s1, Js2, Js3) - dPhi(s1, s2, s3)
@@ -358,12 +366,12 @@ def kahler_report(A: Algebroid, J: EndoField, g: Metric) -> KahlerReport:
     checked on all frame triples (it is an identity, so a nonzero residual
     means an implementation bug and raises).
     """
-    if not hermitian_check(g, J).ok:
-        raise ValueError("metric is not Hermitian for this J")
-    N = nijenhuis(A, J)
+    A, J, g = fx.algebroid, fx.J, fx.g
+    require_hermitian(g, J)
+    N = fx.nijenhuis
     phi = fundamental_form(g, J)
     dphi = d_E(phi)
-    D = levi_civita(A, g)
+    D = fx.levi_civita
     ac = almost_complex_check(D, J)
 
     frame = A.frame
@@ -434,14 +442,7 @@ def hermitian_components(g: Metric, F: ComplexFrame) -> HermitianComponents:
     )
 
 
-def _hermitian_pair(hc: HermitianComponents, g: Metric, F: ComplexFrame,
-                    mu: int, nu: int) -> Scalar:
-    """g(F_mu, F_nu) for arbitrary complex-frame indices."""
-    return g.value(F.sections[mu], F.sections[nu]).normalize()
-
-
-def levi_civita_complex_frame(A: Algebroid, J: EndoField, g: Metric,
-                              F: Optional[ComplexFrame] = None) -> Connection:
+def levi_civita_complex_frame(fx: Fixture) -> Connection:
     """Levi-Civita coefficients over the complex frame.
 
     The four displayed coefficient families (and their conjugates) are
@@ -450,10 +451,9 @@ def levi_civita_complex_frame(A: Algebroid, J: EndoField, g: Metric,
     residual is recorded on the returned connection under
     ``formula_vs_transform`` rather than silently patched.
     """
-    if F is None:
-        F = adapted_complex_frame(A, J)
-    if not hermitian_check(g, J).ok:
-        raise ValueError("metric is not Hermitian for this J")
+    A, g = fx.algebroid, fx.g
+    F = fx.frame
+    require_hermitian(g, fx.J)
     hc = hermitian_components(g, F)
     CA = F.as_algebroid()
     chart = A.chart
@@ -544,7 +544,7 @@ def levi_civita_complex_frame(A: Algebroid, J: EndoField, g: Metric,
     conn = Connection(CA, gamma, frame_tag="complex")
 
     # cross-check against the transformed real-frame Levi-Civita
-    D = levi_civita(A, g)
+    D = fx.levi_civita
     mismatches = []
     for mu in range(two_m):
         for nu in range(two_m):

@@ -24,6 +24,7 @@ suite, plus the syntax ``prolong(<name>)`` and ``product(<a>,<b>)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import sympy as sp
@@ -37,8 +38,27 @@ from algebroids.algebroid import (
     validate_structure,
     vf_bracket,
 )
-from algebroids.connections import Connection, Metric, cov_deriv, levi_civita
-from algebroids.jstruct import EndoField, almost_complex_structure
+from algebroids.connections import (
+    Connection,
+    Metric,
+    cov_deriv,
+    levi_civita,
+    levi_civita_complex_frame,
+)
+from algebroids.jstruct import (
+    ComplexFrame,
+    EndoField,
+    NijenhuisTensor,
+    adapted_complex_frame,
+    almost_complex_structure,
+    nijenhuis,
+)
+from algebroids.prodgeom import (
+    ProductConnection,
+    SecondFundamentalForm,
+    product_connection,
+    second_fundamental,
+)
 from algebroids.scalars import Chart, Scalar
 
 __all__ = [
@@ -249,11 +269,8 @@ class Prolongation:
                 G[r + a][b] = gab
         return G
 
-    def sasaki_metric(self, g: Metric, conn: Optional[Connection] = None
-                      ) -> Metric:
+    def sasaki_metric(self, g: Metric, conn: Connection) -> Metric:
         """g_L(H,H) = g_L(V,V) = g, g_L(H,V) = 0 over the (X, V) frame."""
-        if conn is None:
-            conn = levi_civita(self.base, g)
         r = self.r
         chart = self.chart
 
@@ -624,6 +641,17 @@ def projector_restriction(chart: Chart, rho0, Pi, lift,
 
 @dataclass
 class Fixture:
+    """An algebroid with its optional J and metric, and everything derived
+    from them.
+
+    The derived objects are cached properties: each is built on first use
+    and then shared by every caller holding this Fixture.  Each property
+    calls its builder through this module's global name (inside a method,
+    ``nijenhuis`` is the module-level function, not the property), so
+    replacing a builder in this module's namespace, as call tracing does,
+    sees every build.
+    """
+
     name: str
     algebroid: Algebroid
     J: Optional[EndoField] = None
@@ -631,6 +659,33 @@ class Fixture:
     restriction: Optional[ProjectorRestriction] = None
     prolongation: Optional[Prolongation] = None
     product: Optional[ProductAlgebroid] = None
+
+    @cached_property
+    def frame(self) -> ComplexFrame:
+        """The adapted complex frame of J."""
+        return adapted_complex_frame(self.algebroid, self.J)
+
+    @cached_property
+    def nijenhuis(self) -> NijenhuisTensor:
+        return nijenhuis(self.algebroid, self.J)
+
+    @cached_property
+    def levi_civita(self) -> Connection:
+        """The Levi-Civita connection of g over the real frame."""
+        return levi_civita(self.algebroid, self.g)
+
+    @cached_property
+    def complex_levi_civita(self) -> Connection:
+        """The Levi-Civita connection of g over the complex frame."""
+        return levi_civita_complex_frame(self)
+
+    @cached_property
+    def product_connection(self) -> ProductConnection:
+        return product_connection(self)
+
+    @cached_property
+    def second_fundamental(self) -> SecondFundamentalForm:
+        return second_fundamental(self)
 
 
 def _flat_r2() -> Fixture:

@@ -216,14 +216,8 @@ def evaluate(w: EForm, sections: Sequence[Section]) -> Scalar:
     return acc
 
 
-def d_E(w: EForm, frame=None) -> EForm:
-    """Chevalley-Eilenberg differential over the active frame.
-
-    For the real frame, anchors and structure functions come straight from
-    the algebroid.  A complex frame (from jstruct) passes itself through
-    ``frame`` and supplies its own anchors and structure functions via the
-    algebroid it induces; callers normally use ComplexFrame.d_E instead.
-    """
+def d_E(w: EForm) -> EForm:
+    """Chevalley-Eilenberg differential over the active frame."""
     A = w.algebroid
     m = w.frame_size
     p = w.degree

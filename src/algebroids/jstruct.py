@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import sympy as sp
 
@@ -31,6 +31,9 @@ from algebroids.algebroid import (
 )
 from algebroids.eforms import EForm, d_E
 from algebroids.scalars import Chart, ChartError, Scalar
+
+if TYPE_CHECKING:
+    from algebroids.constructions import Fixture
 
 __all__ = [
     "EndoField",
@@ -489,10 +492,9 @@ class NNReport:
         return self.nijenhuis_zero
 
 
-def newlander_nirenberg_report(A: Algebroid, J: EndoField,
-                               F: Optional[ComplexFrame] = None) -> NNReport:
-    if F is None:
-        F = adapted_complex_frame(A, J)
+def newlander_nirenberg_report(fx: Fixture) -> NNReport:
+    A = fx.algebroid
+    F = fx.frame
     CA = F.as_algebroid()
     m = F.m
     witnesses = {}
@@ -536,7 +538,7 @@ def newlander_nirenberg_report(A: Algebroid, J: EndoField,
                     no_leak_2 = False
                     witnesses.setdefault("leak_degree2", ((mu, nu), (pp, qq)))
 
-    N = nijenhuis(A, J)
+    N = fx.nijenhuis
     n_zero = N.is_structurally_zero()
     if not n_zero:
         for c in range(A.rank):
@@ -599,8 +601,7 @@ class MatchedPairReport:
         return self.mp1_ok and self.mp2_ok and self.mp3_ok
 
 
-def matched_pair_check(A: Algebroid, J: EndoField,
-                       F: Optional[ComplexFrame] = None) -> MatchedPairReport:
+def matched_pair_check(fx: Fixture) -> MatchedPairReport:
     """Verify the two mutual actions satisfy the matched-pair identities.
 
     E1 is the +i eigenbundle with basis f_a, E2 the -i eigenbundle with
@@ -609,9 +610,9 @@ def matched_pair_check(A: Algebroid, J: EndoField,
     which agree with the plain bracket on eigen-sections once J is
     integrable.
     """
-    if F is None:
-        F = adapted_complex_frame(A, J)
-    if not nijenhuis(A, J).is_structurally_zero():
+    A, J = fx.algebroid, fx.J
+    F = fx.frame
+    if not fx.nijenhuis.is_structurally_zero():
         raise IntegrabilityError("matched pair requires integrable J")
     p10, p01 = projectors(J)
     m = F.m

@@ -43,6 +43,13 @@ KNOWN_FUNCTIONS = {
     "exp": sp.exp,
     "log": sp.log,
     "sqrt": sp.sqrt,
+    "tan": sp.tan,
+    "sinh": sp.sinh,
+    "cosh": sp.cosh,
+    "tanh": sp.tanh,
+    "atan": sp.atan,
+    "asin": sp.asin,
+    "acos": sp.acos,
 }
 
 DEFAULT_SAMPLES = 8
@@ -422,8 +429,6 @@ def is_zero(
     if s.is_structurally_zero():
         return ZeroStatus(structurally_zero=True)
     rng = random.Random(seed)
-    failures = 0
-    all_zero = True
     max_attempts = samples * 4
     tested = 0
     attempt = 0
@@ -433,7 +438,6 @@ def is_zero(
         try:
             value = s.eval(point)
         except PoleError:
-            failures += 1
             continue
         tested += 1
         magnitude = abs(complex(value))
@@ -446,7 +450,7 @@ def is_zero(
         # keep sampling; value is (numerically) zero here
     if tested == 0:
         raise PoleError("every sampled point hit a pole; cannot test for zero")
-    return ZeroStatus(structurally_zero=False, all_samples_zero=all_zero)
+    return ZeroStatus(structurally_zero=False, all_samples_zero=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,18 @@
-"""Shared fixture catalog cache.
+"""Shared fixture catalog memo.
 
 Building the catalog fixtures (especially the stereographic sphere
-restriction) and the derived objects (Levi-Civita connections, adapted
-complex frames, product connections) is the dominant cost of the suite,
-and many tests need the same objects.  A session-scoped memo keeps every
-derived object tied to a single Fixture instance per name, which also
-matters for correctness: charts compare by identity, so scalars from two
+restriction) and their derived objects is the dominant cost of the suite,
+and many tests need the same objects.  One session-scoped Fixture per name
+lets every test share the derived objects cached on it.  It also matters
+for correctness: charts compare by identity, so scalars from two
 independently built copies of the same fixture cannot be mixed.
 """
 
+import functools
+
 import pytest
 
-from algebroids.connections import levi_civita, levi_civita_complex_frame
-from algebroids.constructions import CATALOG_NAMES, fixture, prolong
-from algebroids.jstruct import adapted_complex_frame, nijenhuis
-from algebroids.prodgeom import product_connection, second_fundamental
+from algebroids.constructions import CATALOG_NAMES, fixture
 
 # every catalog fixture carries both J and a metric
 HERMITIAN_NAMES = list(CATALOG_NAMES)
@@ -26,60 +24,7 @@ SEED = 42
 SAMPLES = 8
 
 
-class FixtureCache:
-    def __init__(self):
-        self._store = {}
-
-    def _memo(self, key, builder):
-        if key not in self._store:
-            self._store[key] = builder()
-        return self._store[key]
-
-    def fx(self, name):
-        return self._memo(("fx", name), lambda: fixture(name))
-
-    def lc(self, name):
-        f = self.fx(name)
-        return self._memo(("lc", name),
-                          lambda: levi_civita(f.algebroid, f.g))
-
-    def frame(self, name):
-        f = self.fx(name)
-        return self._memo(("frame", name),
-                          lambda: adapted_complex_frame(f.algebroid, f.J))
-
-    def lc_complex(self, name):
-        f = self.fx(name)
-        return self._memo(
-            ("lcc", name),
-            lambda: levi_civita_complex_frame(f.algebroid, f.J, f.g,
-                                              self.frame(name)))
-
-    def nijenhuis(self, name):
-        f = self.fx(name)
-        return self._memo(("nij", name),
-                          lambda: nijenhuis(f.algebroid, f.J))
-
-    def product_conn(self, name):
-        f = self.fx(name)
-        return self._memo(
-            ("prod", name),
-            lambda: product_connection(f.algebroid, f.J, f.g,
-                                       self.frame(name),
-                                       self.lc_complex(name)))
-
-    def second_fundamental(self, name):
-        f = self.fx(name)
-        return self._memo(
-            ("sf", name),
-            lambda: second_fundamental(f.algebroid, f.J, f.g,
-                                       prod=self.product_conn(name)))
-
-    def prolongation(self, name):
-        return self._memo(("prolong", name),
-                          lambda: prolong(self.fx(name).algebroid))
-
-
 @pytest.fixture(scope="session")
-def cache():
-    return FixtureCache()
+def catalog():
+    """fixture(name), built once per name for the whole session."""
+    return functools.cache(fixture)

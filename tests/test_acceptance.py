@@ -28,7 +28,7 @@ from algebroids.connections import (
     holomorphic_sectional,
     kahler_report,
 )
-from algebroids.constructions import CATALOG_NAMES
+from algebroids.constructions import CATALOG_NAMES, Fixture, prolong
 from algebroids.eforms import EForm, d_E
 from algebroids.jstruct import IntegrabilityError, matched_pair_check, nijenhuis
 from algebroids.prodgeom import identity_suite, mean_curvature
@@ -66,11 +66,11 @@ def criterion(n):
 
 
 @criterion(1)
-def test_criterion_01_structure_equations(cache):
+def test_criterion_01_structure_equations(catalog):
     for name in CATALOG_NAMES:
-        rep = validate_structure(cache.fx(name).algebroid)
+        rep = validate_structure(catalog(name).algebroid)
         assert rep.valid, f"{name} fails structure equations"
-    broken = validate_structure(cache.fx("heis_broken").algebroid)
+    broken = validate_structure(catalog("heis_broken").algebroid)
     assert not broken.valid
     # Jacobi residual of the triple (e1, e2, e3) must be exactly -e3
     res = broken.jacobi_residual(0, 1, 2)
@@ -99,9 +99,9 @@ def _random_form(algebroid, degree, rng, linear):
 
 
 @criterion(2)
-def test_criterion_02_differential_squares_to_zero(cache):
+def test_criterion_02_differential_squares_to_zero(catalog):
     for name in CATALOG_NAMES:
-        A = cache.fx(name).algebroid
+        A = catalog(name).algebroid
         # coordinate-dependent coefficients exercise the Leibniz terms;
         # where the anchor/structure functions already carry the
         # coordinate dependence (the sphere restriction), constant random
@@ -115,7 +115,7 @@ def test_criterion_02_differential_squares_to_zero(cache):
                 assert d_E(d_E(w)).normalized().is_structurally_zero(), \
                     f"d^2 != 0 on {name} at degree {degree}"
     # the broken bracket must produce a d^2 witness on some basis 1-form
-    broken = cache.fx("heis_broken").algebroid
+    broken = catalog("heis_broken").algebroid
     witnesses = []
     for a in range(broken.rank):
         w = EForm(broken, 1, {(a,): 1})
@@ -126,14 +126,14 @@ def test_criterion_02_differential_squares_to_zero(cache):
 
 
 @criterion(3)
-def test_criterion_03_nijenhuis_double_computation(cache):
+def test_criterion_03_nijenhuis_double_computation(catalog):
     # nijenhuis() computes the tensor by frame evaluation and by the
     # coefficient formula and raises on any disagreement
     for name in CATALOG_NAMES:
-        cache.nijenhuis(name)
-    fx = cache.fx("heis_j")
+        catalog(name).nijenhuis
+    fx = catalog("heis_j")
     A, J = fx.algebroid, fx.J
-    N = cache.nijenhuis("heis_j")
+    N = fx.nijenhuis
     e1, e2, e3 = A.frame_section(0), A.frame_section(1), A.frame_section(2)
     val = N.value(e1, e2)
     # brute-force oracle straight from the defining formula
@@ -147,13 +147,11 @@ def test_criterion_03_nijenhuis_double_computation(cache):
 
 
 @criterion(4)
-def test_criterion_04_newlander_nirenberg_equivalence(cache):
+def test_criterion_04_newlander_nirenberg_equivalence(catalog):
     from algebroids.jstruct import newlander_nirenberg_report
 
     for name in HERMITIAN_NAMES:
-        fx = cache.fx(name)
-        rep = newlander_nirenberg_report(fx.algebroid, fx.J,
-                                         cache.frame(name))
+        rep = newlander_nirenberg_report(catalog(name))
         assert rep.all_agree, f"five statuses disagree on {name}"
         expect = name != "heis_j"
         assert rep.integrable is expect, f"unexpected verdict on {name}"
@@ -161,28 +159,28 @@ def test_criterion_04_newlander_nirenberg_equivalence(cache):
 
 
 @criterion(5)
-def test_criterion_05_levi_civita_certification(cache):
+def test_criterion_05_levi_civita_certification(catalog):
     # levi_civita re-verifies T = 0 and nabla g = 0 and raises on failure
     for name in HERMITIAN_NAMES:
-        cache.lc(name)
-    conn = cache.lc("warped_r4")
-    chart = cache.fx("warped_r4").algebroid.chart
+        catalog(name).levi_civita
+    warped = catalog("warped_r4")
+    conn = warped.levi_civita
+    chart = warped.algebroid.chart
     x3 = chart.scalar("x3")
     want = (x3 / (1 + x3 ** 2)).normalize()
     assert (conn.gamma[0][2][0] - want).normalize().is_structurally_zero()
     # complex-frame coefficients agree with the transformed real ones
     for name in HERMITIAN_NAMES:
-        connF = cache.lc_complex(name)
+        connF = catalog(name).complex_levi_civita
         assert connF.formula_vs_transform == [], \
             f"complex-frame mismatch on {name}"
 
 
 @criterion(6)
-def test_criterion_06_kahler_trichotomy(cache):
+def test_criterion_06_kahler_trichotomy(catalog):
     reports = {}
     for name in HERMITIAN_NAMES:
-        fx = cache.fx(name)
-        rep = kahler_report(fx.algebroid, fx.J, fx.g)
+        rep = kahler_report(catalog(name))
         reports[name] = rep
         assert rep.equivalence_holds, f"biconditional fails on {name}"
         assert rep.vii5_ok
@@ -191,7 +189,7 @@ def test_criterion_06_kahler_trichotomy(cache):
     warped = reports["warped_r4"]
     assert warped.status == "hermitian-non-kahler"
     # hand oracle: d_E Phi = f'(x3) e3^e1^e2 = 2 x3 e1^e2^e3
-    chart = cache.fx("warped_r4").algebroid.chart
+    chart = catalog("warped_r4").algebroid.chart
     dphi = warped.dphi.normalized()
     assert set(dphi.components) == {(0, 1, 2)}
     want = chart.scalar("2 * x3")
@@ -199,9 +197,9 @@ def test_criterion_06_kahler_trichotomy(cache):
 
 
 @criterion(7)
-def test_criterion_07_constant_curvature_sphere(cache):
-    fx = cache.fx("conformal_sphere_chart")
-    conn = cache.lc("conformal_sphere_chart")
+def test_criterion_07_constant_curvature_sphere(catalog):
+    fx = catalog("conformal_sphere_chart")
+    conn = fx.levi_civita
     rng = random.Random(SEED)
     for direction in (fx.algebroid.frame_section(0),
                       fx.algebroid.frame_section(1)):
@@ -214,11 +212,10 @@ def test_criterion_07_constant_curvature_sphere(cache):
 
 
 @criterion(8)
-def test_criterion_08_chern_forms(cache):
+def test_criterion_08_chern_forms(catalog):
     kahler_names = ["flat_r2", "flat_r4", "conformal_sphere_chart"]
     for name in kahler_names:
-        fx = cache.fx(name)
-        bc = block_curvature(cache.lc(name), fx.J, cache.frame(name))
+        bc = block_curvature(catalog(name))
         for k in (1, 2):
             rep = chern_form(bc, k, "both")
             assert rep.closed, f"chern form not closed: {name}, k={k}"
@@ -228,37 +225,31 @@ def test_criterion_08_chern_forms(cache):
             if name.startswith("flat"):
                 assert rep.form.is_structurally_zero()
     # nontrivial curvature actually exercises the equality somewhere
-    fx = cache.fx("conformal_sphere_chart")
-    bc = block_curvature(cache.lc("conformal_sphere_chart"), fx.J,
-                         cache.frame("conformal_sphere_chart"))
+    bc = block_curvature(catalog("conformal_sphere_chart"))
     assert not chern_form(bc, 1, "both").form.is_structurally_zero()
     # a non-almost-complex Levi-Civita is rejected, not silently accepted
-    warped = cache.fx("warped_r4")
     with pytest.raises(IntegrabilityError):
-        block_curvature(cache.lc("warped_r4"), warped.J,
-                        cache.frame("warped_r4"))
+        block_curvature(catalog("warped_r4"))
 
 
 @criterion(9)
-def test_criterion_09_product_geometry_suite(cache):
+def test_criterion_09_product_geometry_suite(catalog):
     for name in HERMITIAN_NAMES:
-        fx = cache.fx(name)
-        prod = cache.product_conn(name)
-        assert prod.ok, f"product connection checks fail on {name}"
-        sf = cache.second_fundamental(name)
+        fx = catalog(name)
+        assert fx.product_connection.ok, \
+            f"product connection checks fail on {name}"
+        sf = fx.second_fundamental
         assert sf.ok, f"second fundamental checks fail on {name}"
         assert sf.m11_ok, f"metric duality fails on {name}"
-        mc = mean_curvature(fx.algebroid, fx.J, fx.g, sf,
-                            samples=SAMPLES, seed=SEED)
+        mc = mean_curvature(fx, samples=SAMPLES, seed=SEED)
         assert mc.zero, f"mean curvature nonzero on {name}"
-        n_zero = cache.nijenhuis(name).is_structurally_zero()
+        n_zero = fx.nijenhuis.is_structurally_zero()
         assert sf.b_zero == n_zero, f"B=0 iff N=0 fails on {name}"
-    assert not cache.second_fundamental("heis_j").b_zero
-    assert cache.second_fundamental("warped_r4").b_zero
+    assert not catalog("heis_j").second_fundamental.b_zero
+    assert catalog("warped_r4").second_fundamental.b_zero
     # reconstruction of N from the alternation of B, with the reported
     # proportionality constant
-    heis = cache.fx("heis_j")
-    suite = identity_suite(heis.algebroid, heis.J, heis.g)
+    suite = identity_suite(catalog("heis_j"))
     assert suite.m19_ok
     assert suite.m19_constant is not None
     assert (suite.m19_constant - (-8)).normalize().is_structurally_zero()
@@ -266,32 +257,32 @@ def test_criterion_09_product_geometry_suite(cache):
 
 
 @criterion(10)
-def test_criterion_10_matched_pair(cache):
+def test_criterion_10_matched_pair(catalog):
     for name in INTEGRABLE_NAMES:
-        fx = cache.fx(name)
-        rep = matched_pair_check(fx.algebroid, fx.J, cache.frame(name))
+        rep = matched_pair_check(catalog(name))
         assert rep.ok, f"matched-pair identities fail on {name}"
-    heis = cache.fx("heis_j")
     with pytest.raises(IntegrabilityError):
-        matched_pair_check(heis.algebroid, heis.J, cache.frame("heis_j"))
+        matched_pair_check(catalog("heis_j"))
 
 
 @criterion(11)
-def test_criterion_11_constructions(cache):
-    for name in CATALOG_NAMES:
-        p = cache.prolongation(name)
+def test_criterion_11_constructions(catalog):
+    prolongations = {name: prolong(catalog(name).algebroid)
+                     for name in CATALOG_NAMES}
+    for name, p in prolongations.items():
         assert validate_structure(p.algebroid).valid, \
             f"prolongation of {name} is invalid"
         assert all(r.is_structurally_zero()
                    for _, r in p.lift_law_residuals)
     # Hermitian / Kahler transfer on the flat plane
-    flat = cache.fx("flat_r2")
-    p = cache.prolongation("flat_r2")
-    D = cache.lc("flat_r2")
+    flat = catalog("flat_r2")
+    p = prolongations["flat_r2"]
+    D = flat.levi_civita
     JL = p.adapted_complex_structure(D)
     gL = p.sasaki_metric(flat.g, D)
     assert hermitian_check(gL, JL).ok
-    assert kahler_report(p.algebroid, JL, gL).status == "kahler"
+    lifted = Fixture("prolong(flat_r2)", p.algebroid, JL, gL)
+    assert kahler_report(lifted).status == "kahler"
     Jc = p.complete_lift_endo(flat.J)
     sq = Jc.compose(Jc)
     for a in range(p.algebroid.rank):
@@ -302,7 +293,7 @@ def test_criterion_11_constructions(cache):
     assert nijenhuis(p.algebroid, Jc).is_structurally_zero()
     # sphere restriction: flatness residual zero (structurally, and at
     # sampled points), restricted J integrable
-    s3 = cache.fx("s3_projector")
+    s3 = catalog("s3_projector")
     res = s3.restriction
     assert res.flat
     rng = random.Random(SEED)
@@ -312,7 +303,7 @@ def test_criterion_11_constructions(cache):
         for comp in comps:
             for point in points:
                 assert abs(complex(comp.eval(point))) < TOLERANCE
-    assert cache.nijenhuis("s3_projector").is_structurally_zero()
+    assert s3.nijenhuis.is_structurally_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -7,26 +7,22 @@ from algebroids.eforms import d_E
 from algebroids.jstruct import IntegrabilityError
 
 
-def test_block_curvature_requires_almost_complex_connection(cache):
-    warped = cache.fx("warped_r4")
+def test_block_curvature_requires_almost_complex_connection(catalog):
     with pytest.raises(IntegrabilityError):
-        block_curvature(cache.lc("warped_r4"), warped.J,
-                        cache.frame("warped_r4"))
+        block_curvature(catalog("warped_r4"))
 
 
-def test_flat_chern_forms_vanish(cache):
-    fx = cache.fx("flat_r4")
-    bc = block_curvature(cache.lc("flat_r4"), fx.J, cache.frame("flat_r4"))
+def test_flat_chern_forms_vanish(catalog):
+    bc = block_curvature(catalog("flat_r4"))
     for k in (1, 2):
         rep = chern_form(bc, k, "both")
         assert rep.form.is_structurally_zero()
         assert rep.closed
 
 
-def test_sphere_first_chern_form(cache):
-    fx = cache.fx("conformal_sphere_chart")
-    bc = block_curvature(cache.lc("conformal_sphere_chart"), fx.J,
-                         cache.frame("conformal_sphere_chart"))
+def test_sphere_first_chern_form(catalog):
+    fx = catalog("conformal_sphere_chart")
+    bc = block_curvature(fx)
     rep = chern_form(bc, 1, "both")
     assert not rep.form.is_structurally_zero()
     assert rep.closed
@@ -40,18 +36,15 @@ def test_sphere_first_chern_form(cache):
     assert rep2.form.is_structurally_zero()
 
 
-def test_iphi_cross_check(cache):
-    fx = cache.fx("conformal_sphere_chart")
-    conn = cache.lc("conformal_sphere_chart")
-    bc = block_curvature(conn, fx.J, cache.frame("conformal_sphere_chart"))
-    phi = iphi(bc, conn)  # raises on any inconsistency
+def test_iphi_cross_check(catalog):
+    fx = catalog("conformal_sphere_chart")
+    bc = block_curvature(fx)
+    phi = iphi(bc, fx.levi_civita)  # raises on any inconsistency
     assert len(phi) == bc.m
 
 
-def test_source_selection(cache):
-    fx = cache.fx("conformal_sphere_chart")
-    bc = block_curvature(cache.lc("conformal_sphere_chart"), fx.J,
-                         cache.frame("conformal_sphere_chart"))
+def test_source_selection(catalog):
+    bc = block_curvature(catalog("conformal_sphere_chart"))
     a = chern_form(bc, 1, "iphi").form
     b = chern_form(bc, 1, "block").form
     assert (a - b).normalized().is_structurally_zero()
@@ -61,9 +54,7 @@ def test_source_selection(cache):
         chern_form(bc, 1, "bogus")
 
 
-def test_chern_form_closed_under_d(cache):
-    fx = cache.fx("conformal_sphere_chart")
-    bc = block_curvature(cache.lc("conformal_sphere_chart"), fx.J,
-                         cache.frame("conformal_sphere_chart"))
+def test_chern_form_closed_under_d(catalog):
+    bc = block_curvature(catalog("conformal_sphere_chart"))
     form = chern_form(bc, 1, "both").form
     assert d_E(form).normalized().is_structurally_zero()

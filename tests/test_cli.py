@@ -2,10 +2,12 @@
 
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from algebroids import connections, jstruct
 from algebroids.cli import (
     DocumentError,
     document_to_fixture,
@@ -89,6 +91,19 @@ def test_exit_code_precondition_failures(tmp_path):
                     "[lift]\nrow = 1\nrow = 0\nrow = 0\nrow = 0\n")
     code, _, _ = run_cli(["restrict", "heis_j", "--projector", str(proj)])
     assert code == 3
+    # a metric that is not J-invariant fails the one Hermitian guard
+    _, text, _ = run_cli(["emit", "heis_j"])
+    doc = tmp_path / "non_hermitian.alg"
+    doc.write_text(text.split("[metric]")[0]
+                   + "[metric]\nrow = 1, 0, 0, 0\nrow = 0, 2, 0, 0\n"
+                   "row = 0, 0, 3, 0\nrow = 0, 0, 0, 4\n")
+    for argv in (["kahler-report", str(doc)],
+                 ["levi-civita", str(doc), "--complex-frame"],
+                 ["identity-suite", str(doc)],
+                 ["second-fundamental", str(doc)]):
+        code, out, err = run_cli(argv)
+        assert code == 3 and "not Hermitian" in err, argv
+        assert out == ""
 
 
 def test_exit_code_document_errors(tmp_path):
@@ -100,6 +115,9 @@ def test_exit_code_document_errors(tmp_path):
     assert code == 2
     code, _, err = run_cli(["sectional", "flat_r2", "--direction", "1"])
     assert code == 2 and "2 components" in err
+    code, out, err = run_cli(["chern", "flat_r2", "--order", "0"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_fixtures_list():
@@ -147,3 +165,39 @@ def test_deterministic_reports():
     second = run_cli(argv)
     assert first == second
     assert first[0] == 0
+
+
+def test_each_derived_builder_runs_once_per_command(monkeypatch):
+    # count calls through every module namespace that bound a builder, so
+    # a rebuild anywhere in the library is seen
+    builders = {"levi_civita": connections.levi_civita,
+                "adapted_complex_frame": jstruct.adapted_complex_frame,
+                "nijenhuis": jstruct.nijenhuis}
+    calls = dict.fromkeys(builders, 0)
+
+    def counted(name, builder):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return builder(*args, **kwargs)
+        return wrapper
+
+    for name, builder in builders.items():
+        wrapper = counted(name, builder)
+        for modname, module in list(sys.modules.items()):
+            if (modname.startswith("algebroids")
+                    and getattr(module, name, None) is builder):
+                monkeypatch.setattr(module, name, wrapper)
+
+    expected = {
+        ("second-fundamental", "heis_j"):
+            {"levi_civita": 1, "adapted_complex_frame": 1, "nijenhuis": 0},
+        ("identity-suite", "heis_j"):
+            {"levi_civita": 1, "adapted_complex_frame": 0, "nijenhuis": 1},
+        ("kahler-report", "warped_r4"):
+            {"levi_civita": 1, "adapted_complex_frame": 0, "nijenhuis": 1},
+    }
+    for argv, want in expected.items():
+        calls.update(dict.fromkeys(calls, 0))
+        code, _, _ = run_cli(list(argv))
+        assert code == 0, argv
+        assert calls == want, argv

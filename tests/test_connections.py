@@ -32,35 +32,35 @@ def test_metric_symmetry_and_degeneracy():
         Metric(A, [[1, 1], [1, 1]])
 
 
-def test_levi_civita_flat_is_trivial(cache):
-    conn = cache.lc("flat_r4")
+def test_levi_civita_flat_is_trivial(catalog):
+    conn = catalog("flat_r4").levi_civita
     assert all(conn.gamma[c][a][b].is_structurally_zero()
                for c in range(4) for a in range(4) for b in range(4))
 
 
-def test_levi_civita_heis_coefficient(cache):
+def test_levi_civita_heis_coefficient(catalog):
     # constant structure [e1,e2] = 2 e3 with the identity metric
-    conn = cache.lc("heis_j")
+    conn = catalog("heis_j").levi_civita
     assert (conn.gamma[2][0][1] - 1).normalize().is_structurally_zero()
     assert (conn.gamma[2][1][0] + 1).normalize().is_structurally_zero()
     assert torsion(conn)[2][0][1].is_structurally_zero()
 
 
-def test_levi_civita_warped_coefficient(cache):
-    conn = cache.lc("warped_r4")
-    chart = cache.fx("warped_r4").algebroid.chart
+def test_levi_civita_warped_coefficient(catalog):
+    fx = catalog("warped_r4")
+    conn = fx.levi_civita
+    chart = fx.algebroid.chart
     want = chart.scalar("x3 / (1 + x3^2)")
     assert (conn.gamma[0][2][0] - want).normalize().is_structurally_zero()
 
 
-def test_metric_compatibility_report(cache):
-    fx = cache.fx("conformal_sphere_chart")
-    conn = cache.lc("conformal_sphere_chart")
-    assert metric_compat_check(conn, fx.g).ok
+def test_metric_compatibility_report(catalog):
+    fx = catalog("conformal_sphere_chart")
+    assert metric_compat_check(fx.levi_civita, fx.g).ok
 
 
-def test_hermitian_and_fundamental_form(cache):
-    fx = cache.fx("warped_r4")
+def test_hermitian_and_fundamental_form(catalog):
+    fx = catalog("warped_r4")
     assert hermitian_check(fx.g, fx.J).ok
     phi = fundamental_form(fx.g, fx.J)
     chart = fx.algebroid.chart
@@ -72,33 +72,29 @@ def test_hermitian_and_fundamental_form(cache):
     assert (val - want).normalize().is_structurally_zero()
 
 
-def test_kahler_report_statuses(cache):
-    flat = cache.fx("flat_r2")
-    assert kahler_report(flat.algebroid, flat.J, flat.g).status == "kahler"
-    warped = cache.fx("warped_r4")
-    rep = kahler_report(warped.algebroid, warped.J, warped.g)
+def test_kahler_report_statuses(catalog):
+    assert kahler_report(catalog("flat_r2")).status == "kahler"
+    rep = kahler_report(catalog("warped_r4"))
     assert rep.status == "hermitian-non-kahler"
     assert rep.equivalence_holds and rep.vii5_ok
-    heis = cache.fx("heis_j")
-    assert kahler_report(heis.algebroid, heis.J, heis.g).status \
-        == "non-integrable"
+    assert kahler_report(catalog("heis_j")).status == "non-integrable"
 
 
-def test_curvature_antisymmetry_and_flatness(cache):
-    R = curvature_components(cache.lc("flat_r4"))
+def test_curvature_antisymmetry_and_flatness(catalog):
+    R = curvature_components(catalog("flat_r4").levi_civita)
     assert all(R[d][a][b][c].is_structurally_zero()
                for d in range(4) for a in range(4)
                for b in range(4) for c in range(4))
-    R = curvature_components(cache.lc("conformal_sphere_chart"))
+    R = curvature_components(catalog("conformal_sphere_chart").levi_civita)
     for d in range(2):
         for c in range(2):
             res = (R[d][0][1][c] + R[d][1][0][c]).normalize()
             assert res.is_structurally_zero()
 
 
-def test_riemann4_symmetries(cache):
-    fx = cache.fx("conformal_sphere_chart")
-    conn = cache.lc("conformal_sphere_chart")
+def test_riemann4_symmetries(catalog):
+    fx = catalog("conformal_sphere_chart")
+    conn = fx.levi_civita
     A = fx.algebroid
     e1, e2 = A.frame_section(0), A.frame_section(1)
     r = riemann4(fx.g, conn, e1, e2, e1, e2)
@@ -107,29 +103,27 @@ def test_riemann4_symmetries(cache):
     assert (r + swap).normalize().is_structurally_zero()
 
 
-def test_holomorphic_sectional_degenerate_plane(cache):
-    fx = cache.fx("flat_r2")
-    conn = cache.lc("flat_r2")
+def test_holomorphic_sectional_degenerate_plane(catalog):
+    fx = catalog("flat_r2")
+    conn = fx.levi_civita
     with pytest.raises(ZeroDivisionError):
         holomorphic_sectional(fx.g, conn, fx.J, fx.algebroid.zero_section())
 
 
-def test_complex_frame_levi_civita_cross_check(cache):
+def test_complex_frame_levi_civita_cross_check(catalog):
     for name in ("flat_r2", "heis_j"):
-        connF = cache.lc_complex(name)
+        connF = catalog(name).complex_levi_civita
         assert connF.formula_vs_transform == []
 
 
-def test_kahler_complex_curvature_families(cache):
-    fx = cache.fx("conformal_sphere_chart")
-    connF = cache.lc_complex("conformal_sphere_chart")
-    rep = kahler_complex_curvature(connF, cache.frame(
-        "conformal_sphere_chart"))
+def test_kahler_complex_curvature_families(catalog):
+    fx = catalog("conformal_sphere_chart")
+    rep = kahler_complex_curvature(fx.complex_levi_civita, fx.frame)
     assert rep.ok
 
 
-def test_orthonormal_adapted_frame_exact(cache):
-    fx = cache.fx("conformal_sphere_chart")
+def test_orthonormal_adapted_frame_exact(catalog):
+    fx = catalog("conformal_sphere_chart")
     frame = orthonormal_adapted_frame(fx.algebroid, fx.J, fx.g)
     assert frame is not None
     for x in range(2):
@@ -139,8 +133,8 @@ def test_orthonormal_adapted_frame_exact(cache):
             assert val.is_structurally_zero()
 
 
-def test_levi_civita_almost_complex_only_when_kahler(cache):
-    flat = cache.fx("flat_r2")
-    assert almost_complex_check(cache.lc("flat_r2"), flat.J).ok
-    warped = cache.fx("warped_r4")
-    assert not almost_complex_check(cache.lc("warped_r4"), warped.J).ok
+def test_levi_civita_almost_complex_only_when_kahler(catalog):
+    flat = catalog("flat_r2")
+    assert almost_complex_check(flat.levi_civita, flat.J).ok
+    warped = catalog("warped_r4")
+    assert not almost_complex_check(warped.levi_civita, warped.J).ok

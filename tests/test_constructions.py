@@ -10,6 +10,7 @@ from algebroids.constructions import (
     fixture,
     fixture_names,
     projector_restriction,
+    prolong,
 )
 from algebroids.jstruct import EndoField
 from algebroids.scalars import Chart
@@ -34,8 +35,8 @@ def test_composite_fixture_syntax():
     assert sq.is_structurally_zero()
 
 
-def test_function_lifts(cache):
-    p = cache.prolongation("flat_r2")
+def test_function_lifts(catalog):
+    p = prolong(catalog("flat_r2").algebroid)
     fv = p.function_vertical_lift("x1 * x2")
     assert (fv - p.chart.scalar("x1 * x2")).normalize().is_structurally_zero()
     # with the identity anchor, x1^c is the first fibre coordinate
@@ -43,15 +44,15 @@ def test_function_lifts(cache):
     assert (fc - p.chart.scalar(p.y[0])).normalize().is_structurally_zero()
 
 
-def test_lift_bracket_laws(cache):
-    p = cache.prolongation("heis_j")
+def test_lift_bracket_laws(catalog):
+    p = prolong(catalog("heis_j").algebroid)
     assert all(res.is_structurally_zero()
                for _, res in p.lift_law_residuals)
 
 
-def test_complete_lift_endo_laws(cache):
-    p = cache.prolongation("heis_j")
-    fx = cache.fx("heis_j")
+def test_complete_lift_endo_laws(catalog):
+    fx = catalog("heis_j")
+    p = prolong(fx.algebroid)
     Jc = p.complete_lift_endo(fx.J)
     sq = Jc.compose(Jc) + EndoField.identity(p.algebroid)
     assert sq.is_structurally_zero()
@@ -62,10 +63,10 @@ def test_complete_lift_endo_laws(cache):
         assert res.normalized().is_structurally_zero()
 
 
-def test_complete_lift_metric_flat(cache):
-    p = cache.prolongation("flat_r2")
-    g = cache.fx("flat_r2").g
-    G = p.complete_lift_metric(g)
+def test_complete_lift_metric_flat(catalog):
+    fx = catalog("flat_r2")
+    p = prolong(fx.algebroid)
+    G = p.complete_lift_metric(fx.g)
     r = p.r
     for a in range(r):
         for b in range(r):
@@ -75,10 +76,10 @@ def test_complete_lift_metric_flat(cache):
             assert (G[a][r + b] - want).normalize().is_structurally_zero()
 
 
-def test_sasaki_metric_and_adapted_structure(cache):
-    p = cache.prolongation("flat_r2")
-    fx = cache.fx("flat_r2")
-    conn = cache.lc("flat_r2")
+def test_sasaki_metric_and_adapted_structure(catalog):
+    fx = catalog("flat_r2")
+    p = prolong(fx.algebroid)
+    conn = fx.levi_civita
     gL = p.sasaki_metric(fx.g, conn)
     # flat base: the horizontal correction vanishes and g_L is the identity
     for a in range(2 * p.r):
@@ -91,10 +92,11 @@ def test_sasaki_metric_and_adapted_structure(cache):
     assert hermitian_check(gL, JL).ok
 
 
-def test_complete_lift_connection_laws(cache):
-    p = cache.prolongation("heis_j")
-    base = cache.fx("heis_j").algebroid
-    conn = cache.lc("heis_j")
+def test_complete_lift_connection_laws(catalog):
+    fx = catalog("heis_j")
+    base = fx.algebroid
+    p = prolong(base)
+    conn = fx.levi_civita
     Dc = p.complete_lift_connection(conn)
     for a in range(base.rank):
         for b in range(base.rank):
@@ -109,9 +111,9 @@ def test_complete_lift_connection_laws(cache):
             assert res.normalized().is_structurally_zero()
 
 
-def test_direct_product_blocks(cache):
-    f1 = cache.fx("flat_r2")
-    f2 = cache.fx("heis_j")
+def test_direct_product_blocks(catalog):
+    f1 = catalog("flat_r2")
+    f2 = catalog("heis_j")
     prod = direct_product(f1.algebroid, f2.algebroid,
                           f1.J, f2.J, f1.g, f2.g)
     assert validate_structure(prod.algebroid).valid
@@ -149,10 +151,10 @@ def test_projector_restriction_identity():
                .is_structurally_zero() for a in range(2) for i in range(2))
 
 
-def test_sphere_restriction_fixture(cache):
-    fx = cache.fx("s3_projector")
+def test_sphere_restriction_fixture(catalog):
+    fx = catalog("s3_projector")
     res = fx.restriction
     assert res.validation.valid
     assert res.flat
     assert res.J_commutes is False
-    assert cache.nijenhuis("s3_projector").is_structurally_zero()
+    assert fx.nijenhuis.is_structurally_zero()

@@ -19,14 +19,14 @@ from algebroids.jstruct import (
 )
 
 
-def test_almost_complex_structure_verified(cache):
-    fx = cache.fx("flat_r2")
+def test_almost_complex_structure_verified(catalog):
+    fx = catalog("flat_r2")
     with pytest.raises(ValueError):
         almost_complex_structure(fx.algebroid, [[1, 0], [0, 1]])
 
 
-def test_endofield_compose_apply(cache):
-    fx = cache.fx("flat_r2")
+def test_endofield_compose_apply(catalog):
+    fx = catalog("flat_r2")
     J = fx.J
     s = fx.algebroid.section(["x1", "x2"])
     twice = J.apply(J.apply(s))
@@ -35,9 +35,9 @@ def test_endofield_compose_apply(cache):
     assert sq.is_structurally_zero()
 
 
-def test_nijenhuis_heis_oracle(cache):
-    fx = cache.fx("heis_j")
-    N = cache.nijenhuis("heis_j")
+def test_nijenhuis_heis_oracle(catalog):
+    fx = catalog("heis_j")
+    N = fx.nijenhuis
     A = fx.algebroid
     val = N.value(A.frame_section(0), A.frame_section(1))
     want = A.frame_section(2).scale(-2)
@@ -45,8 +45,8 @@ def test_nijenhuis_heis_oracle(cache):
     assert not N.is_structurally_zero()
 
 
-def test_nijenhuis_antisymmetry(cache):
-    N = cache.nijenhuis("heis_j")
+def test_nijenhuis_antisymmetry(catalog):
+    N = catalog("heis_j").nijenhuis
     m = 4
     for c in range(m):
         for a in range(m):
@@ -55,9 +55,9 @@ def test_nijenhuis_antisymmetry(cache):
                 assert res.normalize().is_structurally_zero()
 
 
-def test_complex_frame_eigen_and_conjugation(cache):
-    F = cache.frame("heis_j")
-    fx = cache.fx("heis_j")
+def test_complex_frame_eigen_and_conjugation(catalog):
+    fx = catalog("heis_j")
+    F = fx.frame
     for mu, f in enumerate(F.sections):
         eig = sp.I if mu < F.m else -sp.I
         res = fx.J.apply(f) - f.scale(fx.algebroid.chart.scalar(eig))
@@ -67,17 +67,18 @@ def test_complex_frame_eigen_and_conjugation(cache):
     assert F.conj_index(F.m) == 0
 
 
-def test_complex_frame_expand_rebuild(cache):
-    F = cache.frame("warped_r4")
-    A = cache.fx("warped_r4").algebroid
+def test_complex_frame_expand_rebuild(catalog):
+    fx = catalog("warped_r4")
+    F = fx.frame
+    A = fx.algebroid
     s = A.section(["x3", "1", "0", "x1"])
     coeffs = F.expand(s)
     back = F.rebuild(coeffs)
     assert (back - s).normalized().is_structurally_zero()
 
 
-def test_projectors_split_identity(cache):
-    fx = cache.fx("flat_r4")
+def test_projectors_split_identity(catalog):
+    fx = catalog("flat_r4")
     p10, p01 = projectors(fx.J)
     s = fx.algebroid.section(["x1", "0", "x2", "1"])
     total = p10.apply(s) + p01.apply(s)
@@ -88,8 +89,8 @@ def test_projectors_split_identity(cache):
     assert res.normalized().is_structurally_zero()
 
 
-def test_bigrade_and_split(cache):
-    F = cache.frame("flat_r2")
+def test_bigrade_and_split(catalog):
+    F = catalog("flat_r2").frame
     w = F.form(1, {(0,): "x1", (1,): "x2"})
     pieces = bigrade(w, F)
     assert set(pieces) == {(1, 0), (0, 1)}
@@ -98,20 +99,16 @@ def test_bigrade_and_split(cache):
     assert out["d_second"].is_structurally_zero()
 
 
-def test_newlander_nirenberg_statuses(cache):
-    fx = cache.fx("heis_j")
-    rep = newlander_nirenberg_report(fx.algebroid, fx.J,
-                                     cache.frame("heis_j"))
+def test_newlander_nirenberg_statuses(catalog):
+    rep = newlander_nirenberg_report(catalog("heis_j"))
     assert rep.statuses == [False] * 5
     assert rep.all_agree and not rep.integrable
-    fx = cache.fx("flat_r2")
-    rep = newlander_nirenberg_report(fx.algebroid, fx.J,
-                                     cache.frame("flat_r2"))
+    rep = newlander_nirenberg_report(catalog("flat_r2"))
     assert rep.statuses == [True] * 5
 
 
-def test_automorphism_check(cache):
-    fx = cache.fx("flat_r2")
+def test_automorphism_check(catalog):
+    fx = catalog("flat_r2")
     # constant sections are automorphisms of the constant J
     rep = infinitesimal_automorphism_check(
         fx.algebroid.section(["1", "2"]), fx.algebroid, fx.J)
@@ -122,23 +119,21 @@ def test_automorphism_check(cache):
     assert not rep.ok
 
 
-def test_matched_pair_requires_integrability(cache):
-    heis = cache.fx("heis_j")
+def test_matched_pair_requires_integrability(catalog):
     with pytest.raises(IntegrabilityError):
-        matched_pair_check(heis.algebroid, heis.J, cache.frame("heis_j"))
-    flat = cache.fx("flat_r2")
-    rep = matched_pair_check(flat.algebroid, flat.J, cache.frame("flat_r2"))
+        matched_pair_check(catalog("heis_j"))
+    rep = matched_pair_check(catalog("flat_r2"))
     assert rep.ok
 
 
-def test_eigenbundle_bracket_closure_iff_integrable(cache):
+def test_eigenbundle_bracket_closure_iff_integrable(catalog):
     # the +i eigenbundle of the integrable flat structure is closed
-    F = cache.frame("flat_r2")
+    F = catalog("flat_r2").frame
     CA = F.as_algebroid()
     br = bracket(F.sections[0], F.sections[0])
     assert br.normalized().is_structurally_zero()
     # on heis the (1,0) x (1,0) bracket leaks into the barred part
-    F = cache.frame("heis_j")
+    F = catalog("heis_j").frame
     CA = F.as_algebroid()
     leak = [CA.C[lam][0][1] for lam in range(F.m, 2 * F.m)]
     assert any(not c.is_structurally_zero() for c in leak)

@@ -2,27 +2,28 @@
 
 import pytest
 
+from algebroids.constructions import Fixture
 from algebroids.prodgeom import identity_suite, mean_curvature
 
 
-def test_product_connection_properties(cache):
+def test_product_connection_properties(catalog):
     for name in ("flat_r2", "heis_j"):
-        prod = cache.product_conn(name)
+        prod = catalog(name).product_connection
         assert prod.forms_agree
         assert prod.parallel_ok
         assert prod.torsion_ok
         assert prod.ok
 
 
-def test_second_fundamental_flat_vanishes(cache):
-    sf = cache.second_fundamental("flat_r2")
+def test_second_fundamental_flat_vanishes(catalog):
+    sf = catalog("flat_r2").second_fundamental
     assert sf.b_zero
     assert sf.ok
     assert sf.verbatim_duality_ok
 
 
-def test_second_fundamental_heis_nonzero(cache):
-    sf = cache.second_fundamental("heis_j")
+def test_second_fundamental_heis_nonzero(catalog):
+    sf = catalog("heis_j").second_fundamental
     assert not sf.b_zero
     assert sf.ok
     assert sf.m11_ok
@@ -32,27 +33,24 @@ def test_second_fundamental_heis_nonzero(cache):
     assert not sf.verbatim_duality_ok
 
 
-def test_b_zero_iff_integrable(cache):
-    assert cache.second_fundamental("warped_r4").b_zero
-    assert not cache.second_fundamental("heis_j").b_zero
-    assert cache.nijenhuis("warped_r4").is_structurally_zero()
-    assert not cache.nijenhuis("heis_j").is_structurally_zero()
+def test_b_zero_iff_integrable(catalog):
+    assert catalog("warped_r4").second_fundamental.b_zero
+    assert not catalog("heis_j").second_fundamental.b_zero
+    assert catalog("warped_r4").nijenhuis.is_structurally_zero()
+    assert not catalog("heis_j").nijenhuis.is_structurally_zero()
 
 
-def test_mean_curvature_zero(cache):
+def test_mean_curvature_zero(catalog):
     for name in ("flat_r2", "heis_j", "warped_r4"):
-        fx = cache.fx(name)
-        rep = mean_curvature(fx.algebroid, fx.J, fx.g,
-                             cache.second_fundamental(name),
-                             samples=4, seed=42)
+        rep = mean_curvature(catalog(name), samples=4, seed=42)
         assert rep.verbatim_zero
         assert rep.k_form_zero
         assert rep.zero
 
 
-def test_identity_suite_heis_constants(cache):
-    fx = cache.fx("heis_j")
-    rep = identity_suite(fx.algebroid, fx.J, fx.g)
+def test_identity_suite_heis_constants(catalog):
+    fx = catalog("heis_j")
+    rep = identity_suite(fx)
     assert rep.ok
     assert rep.im_re_ok and rep.m18_ok and rep.p01_pairing_zero
     chart = fx.algebroid.chart
@@ -66,19 +64,19 @@ def test_identity_suite_heis_constants(cache):
     assert rep.geodesic_iff_hermitian
 
 
-def test_identity_suite_flat_degenerate_constants(cache):
-    fx = cache.fx("flat_r2")
-    rep = identity_suite(fx.algebroid, fx.J, fx.g)
+def test_identity_suite_flat_degenerate_constants(catalog):
+    rep = identity_suite(catalog("flat_r2"))
     assert rep.ok
     # everything vanishes, so no proportionality constant is reportable
     assert rep.m19_constant is None
     assert rep.b_zero and rep.n_zero
 
 
-def test_identity_suite_rejects_non_hermitian(cache):
-    heis = cache.fx("heis_j")
+def test_identity_suite_rejects_non_hermitian(catalog):
+    heis = catalog("heis_j")
     with pytest.raises(ValueError):
-        identity_suite(heis.algebroid, heis.J, _non_hermitian_metric(heis))
+        identity_suite(Fixture("heis_j", heis.algebroid, heis.J,
+                               _non_hermitian_metric(heis)))
 
 
 def _non_hermitian_metric(fx):

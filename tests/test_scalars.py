@@ -119,3 +119,23 @@ def test_conjugate_and_parts(chart):
         .is_structurally_zero()
     assert (s.imag_part() - chart.scalar("x2")).normalize() \
         .is_structurally_zero()
+
+
+@pytest.mark.parametrize("func, derivative", [
+    ("tan", "tan(x1)^2 + 1"),
+    ("sinh", "cosh(x1)"),
+    ("cosh", "sinh(x1)"),
+    ("tanh", "1 - tanh(x1)^2"),
+    ("atan", "1 / (1 + x1^2)"),
+    ("asin", "1 / sqrt(1 - x1^2)"),
+    ("acos", "-1 / sqrt(1 - x1^2)"),
+])
+def test_documented_functions(chart, func, derivative):
+    s = parse_scalar(f"{func}(x1)", chart)
+    text = print_scalar(s)
+    assert func in text
+    again = parse_scalar(text, chart)
+    assert print_scalar(again) == text
+    assert (s - again).normalize().is_structurally_zero()
+    d = s.diff(chart.coords[0]) - parse_scalar(derivative, chart)
+    assert d.normalize().is_structurally_zero()
