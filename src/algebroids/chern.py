@@ -19,9 +19,8 @@ to (1/2) trace(block^k) when the connection is metric compatible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING, List
-
-import sympy as sp
 
 from algebroids.algebroid import Algebroid, Section
 from algebroids.connections import (
@@ -31,7 +30,7 @@ from algebroids.connections import (
 )
 from algebroids.eforms import EForm, d_E, wedge
 from algebroids.jstruct import ComplexFrame, IntegrabilityError
-from algebroids.scalars import Scalar
+from algebroids.scalars import Scalar, ScalarMatrix, i
 
 if TYPE_CHECKING:
     from algebroids.constructions import Fixture
@@ -43,21 +42,6 @@ __all__ = [
     "iphi",
     "chern_form",
 ]
-
-
-def _real_generators(F: ComplexFrame) -> List[Section]:
-    """The real sections u_a with f_a = u_a - i J u_a."""
-    A = F.algebroid
-    half = sp.Rational(1, 2)
-    out = []
-    for a in range(F.m):
-        f = F.sections[a]
-        fbar = F.sections[a + F.m]
-        out.append(Section(A, [
-            ((f.components[b] + fbar.components[b]) * half).normalize()
-            for b in range(A.rank)
-        ]))
-    return out
 
 
 @dataclass
@@ -88,13 +72,11 @@ class BlockCurvature:
 
     def iphi_matrix(self):
         """i Phi = R + i R* entrywise."""
-        i = sp.I
         return [[self.R[a][b] + self.Rstar[a][b].scale(i)
                  for b in range(self.m)] for a in range(self.m)]
 
     def phi_matrix(self):
         """Phi^b_a = R^{b*}_a - i R^b_a entrywise."""
-        i = sp.I
         return [[self.Rstar[a][b] - self.R[a][b].scale(i)
                  for b in range(self.m)] for a in range(self.m)]
 
@@ -113,19 +95,12 @@ def block_curvature(fx: Fixture) -> BlockCurvature:
         raise IntegrabilityError("connection is not almost complex (nabla J != 0)")
     F = fx.frame
     m = F.m
-    chart = A.chart
-    us = _real_generators(F)
-    frame = us + [J.apply(u) for u in us]
+    frame = F.generators + [J.apply(u) for u in F.generators]
 
     # inverse of the adapted-frame change matrix (columns = adapted sections)
-    P = sp.Matrix([[frame[mu].components[b].norm_expr for mu in range(2 * m)]
-                   for b in range(A.rank)])
-    Pinv = P.inv()
-
-    def expand(s: Section) -> List[Scalar]:
-        col = Pinv * sp.Matrix([c.norm_expr for c in s.components])
-        return [chart.scalar(sp.cancel(sp.together(col[mu])))
-                for mu in range(2 * m)]
+    Pinv = ScalarMatrix(A.chart, [[frame[mu].components[b]
+                                   for mu in range(2 * m)]
+                                  for b in range(A.rank)]).inverse()
 
     Rmat = [[EForm(A, 2) for _ in range(m)] for _ in range(m)]
     Rstar = [[EForm(A, 2) for _ in range(m)] for _ in range(m)]
@@ -140,12 +115,12 @@ def block_curvature(fx: Fixture) -> BlockCurvature:
                 if not res.normalized().is_structurally_zero():
                     raise RuntimeError("J R != R J despite nabla J = 0")
             for a in range(m):
-                coeffs = expand(J.apply(rop[a]))
+                coeffs = Pinv.apply(J.apply(rop[a]).components)
                 for b in range(m):
                     Rmat[a][b][(p, q)] = coeffs[b]
                     Rstar[a][b][(p, q)] = coeffs[m + b]
                 # displayed pattern on the starred basis vector
-                star = expand(J.apply(rop[m + a]))
+                star = Pinv.apply(J.apply(rop[m + a]).components)
                 for b in range(m):
                     res1 = (star[b] + coeffs[m + b]).normalize()
                     res2 = (star[m + b] - coeffs[b]).normalize()
@@ -264,7 +239,7 @@ def chern_form(bc: BlockCurvature, k: int, source: str = "both") -> ChernReport:
     if source not in ("iphi", "block", "both"):
         raise ValueError("source must be iphi, block or both")
     A = bc.algebroid
-    half = sp.Rational(1, 2)
+    half = Fraction(1, 2)
 
     t_iphi = re = im = None
     if source in ("iphi", "both"):

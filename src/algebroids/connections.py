@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
-
-import sympy as sp
 
 from algebroids.algebroid import (
     Algebroid,
@@ -33,7 +32,13 @@ from algebroids.algebroid import (
 )
 from algebroids.eforms import EForm, d_E, evaluate
 from algebroids.jstruct import ComplexFrame, EndoField, IntegrabilityError
-from algebroids.scalars import Chart, ChartError, Scalar, is_zero, random_point
+from algebroids.scalars import (
+    ChartError,
+    Scalar,
+    ScalarMatrix,
+    is_zero,
+    perfect_square_root,
+)
 
 if TYPE_CHECKING:
     from algebroids.constructions import Fixture
@@ -59,7 +64,6 @@ __all__ = [
     "kahler_complex_curvature",
     "riemann4",
     "holomorphic_sectional",
-    "perfect_square_root",
     "orthonormal_adapted_frame",
 ]
 
@@ -78,17 +82,12 @@ class Metric:
             for b in range(a + 1, m):
                 if not (self.matrix[a][b] - self.matrix[b][a]).normalize().is_structurally_zero():
                     raise ValueError("metric is not symmetric")
-        det = sp.Matrix([[e.norm_expr for e in row] for row in self.matrix]).det()
-        det = chart.scalar(sp.cancel(sp.together(det)))
-        status = is_zero(det)
+        M = ScalarMatrix(chart, self.matrix)
+        status = is_zero(M.det())
         if status.structurally_zero or status.all_samples_zero:
             raise ValueError("metric is structurally singular")
         self.det_witness = status.witness
-        inv = sp.Matrix([[e.norm_expr for e in row] for row in self.matrix]).inv()
-        self.inverse = tuple(
-            tuple(chart.scalar(sp.cancel(sp.together(inv[a, b]))) for b in range(m))
-            for a in range(m)
-        )
+        self.inverse = M.inverse().rows()
 
     def value(self, s1: Section, s2: Section) -> Scalar:
         acc = self.algebroid.chart.zero
@@ -99,9 +98,6 @@ class Metric:
 
     def entry(self, a: int, b: int) -> Scalar:
         return self.matrix[a][b]
-
-    def inv_entry(self, a: int, b: int) -> Scalar:
-        return self.inverse[a][b]
 
 
 class Connection:
@@ -409,15 +405,8 @@ class HermitianComponents:
     h: tuple
     hinv: tuple
 
-    def g_ab_bar(self, a: int, b: int) -> Scalar:
-        return self.h[a][b]
-
-    def g_bar_inv(self, b: int, c: int) -> Scalar:
-        return self.hinv[b][c]
-
 
 def hermitian_components(g: Metric, F: ComplexFrame) -> HermitianComponents:
-    chart = g.algebroid.chart
     m = F.m
     f = F.sections[:m]
     fbar = F.sections[m:]
@@ -431,14 +420,10 @@ def hermitian_components(g: Metric, F: ComplexFrame) -> HermitianComponents:
             sym = (h[a][b] - h[b][a].conjugate()).normalize()
             if not sym.is_structurally_zero():
                 raise ValueError("Hermitian symmetry g_ab_bar = conj(g_ba_bar) fails")
-    M = sp.Matrix([[e.norm_expr for e in row] for row in h])
-    Minv = M.inv()
-    hinv = [[chart.scalar(sp.cancel(sp.together(Minv[b, c]))) for c in range(m)]
-            for b in range(m)]
     return HermitianComponents(
         F,
         tuple(tuple(row) for row in h),
-        tuple(tuple(row) for row in hinv),
+        ScalarMatrix(g.algebroid.chart, h).inverse().rows(),
     )
 
 
@@ -469,7 +454,7 @@ def levi_civita_complex_frame(fx: Fixture) -> Connection:
 
     h, hinv = hc.h, hc.hinv
     C = CA.C
-    half = sp.Rational(1, 2)
+    half = Fraction(1, 2)
 
     gamma = [[[chart.zero] * two_m for _ in range(two_m)] for _ in range(two_m)]
 
@@ -682,20 +667,6 @@ def holomorphic_sectional(g: Metric, conn: Connection, J: EndoField,
 
 # ---------------------------------------------------------------------------
 # orthonormal frames
-
-
-def perfect_square_root(s: Scalar) -> Optional[Scalar]:
-    """Exact square root staying in the rational fragment, if one exists."""
-    expr = s.norm_expr
-    candidate = sp.cancel(sp.together(sp.radsimp(sp.sqrt(sp.factor(expr)))))
-    if candidate.has(sp.Pow):
-        for p in candidate.atoms(sp.Pow):
-            if not p.exp.is_Integer:
-                return None
-    check = sp.cancel(sp.together(candidate ** 2 - expr))
-    if check != 0:
-        return None
-    return s.chart.scalar(candidate)
 
 
 def orthonormal_adapted_frame(A: Algebroid, J: EndoField, g: Metric

@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import sympy as sp
-
 from algebroids.algebroid import (
     Algebroid,
     Section,
@@ -59,7 +57,7 @@ from algebroids.prodgeom import (
     product_connection,
     second_fundamental,
 )
-from algebroids.scalars import Chart, Scalar
+from algebroids.scalars import Chart, Scalar, ScalarMatrix
 
 __all__ = [
     "Prolongation",
@@ -73,25 +71,6 @@ __all__ = [
     "fixture_names",
     "CATALOG_NAMES",
 ]
-
-
-def _relift(chart: Chart, s: Scalar) -> Scalar:
-    """Re-express a scalar on a chart containing the same coordinates."""
-    return chart.scalar(s.expr)
-
-
-def _mat_mul(A, B, chart: Chart):
-    n, k, m = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = chart.zero
-            for t in range(k):
-                acc = acc + A[i][t] * B[t][j]
-            row.append(acc.normalize())
-        out.append(row)
-    return out
 
 
 class Prolongation:
@@ -115,7 +94,7 @@ class Prolongation:
 
         anchor = []
         for a in range(r):
-            anchor.append([_relift(chart, base.anchor[a][i]) for i in range(n)]
+            anchor.append([base.anchor[a][i].on_chart(chart) for i in range(n)]
                           + [chart.zero] * r)
         for a in range(r):
             row = [chart.zero] * (n + r)
@@ -128,7 +107,7 @@ class Prolongation:
                 for c in range(r):
                     val = base.C[c][a][b]
                     if not val.is_structurally_zero():
-                        cdict[(a, b, c)] = _relift(chart, val)
+                        cdict[(a, b, c)] = val.on_chart(chart)
         labels = [f"X{a + 1}" for a in range(r)] + [f"V{a + 1}" for a in range(r)]
         self.algebroid = Algebroid(chart, 2 * r, anchor, cdict,
                                    frame_labels=labels)
@@ -144,7 +123,7 @@ class Prolongation:
     # ---- lifts -----------------------------------------------------------
 
     def function_vertical_lift(self, f) -> Scalar:
-        return _relift(self.chart, self.base.chart.scalar(f))
+        return self.base.chart.scalar(f).on_chart(self.chart)
 
     def function_complete_lift(self, f) -> Scalar:
         """f^c = sum_a y^a rho(e_a) f."""
@@ -152,18 +131,18 @@ class Prolongation:
         acc = self.chart.zero
         for a in range(self.r):
             df = self.base.anchor_vf(a).apply(f)
-            acc = acc + self.chart.scalar(self.y[a]) * _relift(self.chart, df)
+            acc = acc + self.chart.scalar(self.y[a]) * df.on_chart(self.chart)
         return acc.normalize()
 
     def vertical_lift(self, s: Section) -> Section:
         comps = [self.chart.zero] * self.r \
-            + [_relift(self.chart, c) for c in s.components]
+            + [c.on_chart(self.chart) for c in s.components]
         return Section(self.algebroid, comps)
 
     def complete_lift(self, s: Section) -> Section:
         """s^c = s^a X_a + (rho(e_f)(s^a) - C^a_{bf} s^b) y^f V_a."""
         base = self.base
-        comps = [_relift(self.chart, c) for c in s.components]
+        comps = [c.on_chart(self.chart) for c in s.components]
         vert = []
         for a in range(self.r):
             acc = self.chart.zero
@@ -172,20 +151,20 @@ class Prolongation:
                 for b in range(self.r):
                     term = term - base.C[a][b][f] * s.components[b]
                 acc = acc + self.chart.scalar(self.y[f]) \
-                    * _relift(self.chart, term)
+                    * term.on_chart(self.chart)
             vert.append(acc.normalize())
         return Section(self.algebroid, comps + vert)
 
     def horizontal_lift(self, s: Section, conn: Connection) -> Section:
         """s^h = s^a H_a with H_a = X_a - Gamma^b_{af} y^f V_b."""
-        comps = [_relift(self.chart, c) for c in s.components]
+        comps = [c.on_chart(self.chart) for c in s.components]
         vert = []
         for b in range(self.r):
             acc = self.chart.zero
             for a in range(self.r):
                 for f in range(self.r):
                     acc = acc - comps[a] * self.chart.scalar(self.y[f]) \
-                        * _relift(self.chart, conn.gamma[b][a][f])
+                        * conn.gamma[b][a][f].on_chart(self.chart)
             vert.append(acc.normalize())
         return Section(self.algebroid, comps + vert)
 
@@ -226,17 +205,17 @@ class Prolongation:
             for f in range(r):
                 yf = self.chart.scalar(self.y[f])
                 for b in range(r):
-                    cf = _relift(self.chart, base.C[b][a][f])
+                    cf = base.C[b][a][f].on_chart(self.chart)
                     if cf.is_structurally_zero():
                         continue
                     for d in range(r):
                         col[r + d] = col[r + d] + yf * cf \
-                            * _relift(self.chart, J.entry(d, b))
+                            * J.entry(d, b).on_chart(self.chart)
             cols.append([c.normalize() for c in col])
         for a in range(r):
             col = [self.chart.zero] * (2 * r)
             for b in range(r):
-                col[r + b] = _relift(self.chart, J.entry(b, a))
+                col[r + b] = J.entry(b, a).on_chart(self.chart)
             cols.append(col)
         matrix = [[cols[mu][lam] for mu in range(2 * r)]
                   for lam in range(2 * r)]
@@ -259,12 +238,12 @@ class Prolongation:
                 for f in range(r):
                     yf = self.chart.scalar(self.y[f])
                     for d in range(r):
-                        acc = acc + yf * _relift(self.chart, base.C[d][a][f]) \
-                            * _relift(self.chart, g.entry(d, b))
-                        acc = acc + yf * _relift(self.chart, base.C[d][b][f]) \
-                            * _relift(self.chart, g.entry(a, d))
+                        acc = acc + yf * base.C[d][a][f].on_chart(self.chart) \
+                            * g.entry(d, b).on_chart(self.chart)
+                        acc = acc + yf * base.C[d][b][f].on_chart(self.chart) \
+                            * g.entry(a, d).on_chart(self.chart)
                 G[a][b] = acc.normalize()
-                gab = _relift(self.chart, g.entry(a, b))
+                gab = g.entry(a, b).on_chart(self.chart)
                 G[a][r + b] = gab
                 G[r + a][b] = gab
         return G
@@ -275,10 +254,10 @@ class Prolongation:
         chart = self.chart
 
         def gam(b, a, f):
-            return _relift(chart, conn.gamma[b][a][f])
+            return conn.gamma[b][a][f].on_chart(chart)
 
         def gv(a, b):
-            return _relift(chart, g.entry(a, b))
+            return g.entry(a, b).on_chart(chart)
 
         # X_a = H_a + Gamma^b_{af} y^f V_b
         w = [[sum((self.chart.scalar(self.y[f]) * gam(b, a, f)
@@ -306,7 +285,7 @@ class Prolongation:
         chart = self.chart
 
         def gam(b, a, f):
-            return _relift(chart, conn.gamma[b][a][f])
+            return conn.gamma[b][a][f].on_chart(chart)
 
         w = [[sum((self.chart.scalar(self.y[f]) * gam(b, a, f)
                    for f in range(r)), chart.zero) for b in range(r)]
@@ -347,7 +326,7 @@ class Prolongation:
         zero = chart.zero
 
         def gam(d, a, b):
-            return _relift(chart, conn.gamma[d][a][b])
+            return conn.gamma[d][a][b].on_chart(chart)
 
         gamma_u = [[[zero] * two_r for _ in range(two_r)]
                    for _ in range(two_r)]
@@ -369,23 +348,21 @@ class Prolongation:
                 acc = zero
                 for f in range(r):
                     acc = acc + self.chart.scalar(self.y[f]) \
-                        * _relift(chart, base.C[b][a][f])
+                        * base.C[b][a][f].on_chart(chart)
                 Q[r + b][a] = acc.normalize()
-        Qs = sp.Matrix([[Q[i][j].norm_expr for j in range(two_r)]
-                        for i in range(two_r)])
-        Qinv = Qs.inv()
+        Qinv = ScalarMatrix(chart, Q).inverse()
 
         # anchors of the lift frame
         def rho_u(kappa: int) -> VectorField:
             comps = [zero] * chart.dim
             if kappa < r:
                 for i in range(self.n):
-                    comps[i] = _relift(chart, base.anchor[kappa][i])
+                    comps[i] = base.anchor[kappa][i].on_chart(chart)
                 for b in range(r):
                     acc = zero
                     for f in range(r):
                         acc = acc - self.chart.scalar(self.y[f]) \
-                            * _relift(chart, base.C[b][kappa][f])
+                            * base.C[b][kappa][f].on_chart(chart)
                     comps[self.n + b] = acc
             else:
                 comps[self.n + (kappa - r)] = chart.one
@@ -413,10 +390,9 @@ class Prolongation:
                             if gl.is_structurally_zero():
                                 continue
                             tu[lam] = tu[lam] + qk * qs * gl
-                col = Qinv * sp.Matrix([t.norm_expr for t in tu])
+                col = Qinv.apply(tu)
                 for tau in range(two_r):
-                    gamma_new[tau][mu][nu] = chart.scalar(
-                        sp.cancel(sp.together(col[tau])))
+                    gamma_new[tau][mu][nu] = col[tau]
         return Connection(A, gamma_new)
 
 
@@ -440,15 +416,14 @@ class ProductAlgebroid:
 
     def inject1(self, s: Section) -> Section:
         chart = self.algebroid.chart
-        comps = [chart.scalar(c.expr) for c in s.components] \
+        comps = [c.on_chart(chart) for c in s.components] \
             + [chart.zero] * self.A2.rank
         return Section(self.algebroid, comps)
 
     def inject2(self, s: Section) -> Section:
         chart = self.algebroid.chart
         comps = [chart.zero] * self.A1.rank \
-            + [chart.scalar(c.expr.subs(self.rename, simultaneous=True))
-               for c in s.components]
+            + [c.on_chart(chart, self.rename) for c in s.components]
         return Section(self.algebroid, comps)
 
 
@@ -472,10 +447,10 @@ def direct_product(A1: Algebroid, A2: Algebroid,
     rename = {A2.chart.coords[j]: chart.coord(new2[j]) for j in range(d2)}
 
     def lift1(s: Scalar) -> Scalar:
-        return chart.scalar(s.expr)
+        return s.on_chart(chart)
 
     def lift2(s: Scalar) -> Scalar:
-        return chart.scalar(s.expr.subs(rename, simultaneous=True))
+        return s.on_chart(chart, rename)
 
     anchor = []
     for a in range(r1):
@@ -559,7 +534,8 @@ def projector_restriction(chart: Chart, rho0, Pi, lift,
     Pi = [[chart.scalar(v) for v in row] for row in Pi]
     lift = [[chart.scalar(v) for v in row] for row in lift]
     # idempotency
-    Pi2 = _mat_mul(Pi, Pi, chart)
+    PiM = ScalarMatrix(chart, Pi)
+    Pi2 = (PiM @ PiM).rows()
     for i in range(rank):
         for j in range(rank):
             if not (Pi2[i][j] - Pi[i][j]).normalize().is_structurally_zero():
@@ -622,10 +598,9 @@ def projector_restriction(chart: Chart, rho0, Pi, lift,
     if ambient_J is not None:
         J = almost_complex_structure(A, ambient_J)
         commutes = True
-        PiJ = _mat_mul(Pi, [[J.entry(i, j) for j in range(rank)]
-                            for i in range(rank)], chart)
-        JPi = _mat_mul([[J.entry(i, j) for j in range(rank)]
-                        for i in range(rank)], Pi, chart)
+        JM = ScalarMatrix(chart, [[J.entry(i, j) for j in range(rank)]
+                                  for i in range(rank)])
+        PiJ, JPi = (PiM @ JM).rows(), (JM @ PiM).rows()
         for i in range(rank):
             for j in range(rank):
                 if not (PiJ[i][j] - JPi[i][j]).normalize() \
@@ -745,22 +720,22 @@ def _conformal_sphere_chart() -> Fixture:
 
 def _s3_projector() -> Fixture:
     chart = Chart("s3_projector", ["u1", "u2", "u3"])
-    u = list(chart.coords)
+    u = [chart.scalar(c) for c in chart.coords]
     q = 1 + u[0] ** 2 + u[1] ** 2 + u[2] ** 2
-    n = sp.Matrix([2 * u[0], 2 * u[1], 2 * u[2], q - 2]) / q
-    Pi = sp.eye(4) - n * n.T
-    P = n.jacobian(sp.Matrix(u))            # 4 x 3 lift
+    n = [2 * u[0] / q, 2 * u[1] / q, 2 * u[2] / q, (q - 2) / q]
+    Pi = [[int(a == b) - n[a] * n[b] for b in range(4)] for a in range(4)]
+    P = [[n[a].diff(c) for c in chart.coords] for a in range(4)]  # 4 x 3 lift
     # Jacobian of the stereographic chart map at n(u)
-    rho0 = sp.zeros(3, 4)
-    for i in range(3):
-        rho0[i, i] = q / 2
-        rho0[i, 3] = u[i] * q / 2
+    rho0 = [[chart.zero] * 4 for _ in range(3)]
+    for a in range(3):
+        rho0[a][a] = q / 2
+        rho0[a][3] = u[a] * q / 2
     Jmat = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
     restriction = projector_restriction(
         chart,
-        [[sp.cancel(rho0[i, j]) for j in range(4)] for i in range(3)],
-        [[sp.cancel(Pi[i, j]) for j in range(4)] for i in range(4)],
-        [[sp.cancel(P[i, j]) for j in range(3)] for i in range(4)],
+        [[e.normalize() for e in row] for row in rho0],
+        [[e.normalize() for e in row] for row in Pi],
+        [[e.normalize() for e in row] for row in P],
         ambient_J=Jmat,
     )
     A = restriction.algebroid
@@ -801,7 +776,8 @@ def fixture(name: str) -> Fixture:
         parts = _split_product_args(inner)
         if len(parts) != 2:
             raise KeyError(f"product takes two fixture names: {name!r}")
-        f1, f2 = fixture(parts[0]), fixture(parts[1])
+        f1 = fixture(parts[0])
+        f2 = f1 if parts[1] == parts[0] else fixture(parts[1])
         prod = direct_product(f1.algebroid, f2.algebroid,
                               f1.J, f2.J, f1.g, f2.g)
         return Fixture(name, prod.algebroid, J=prod.J, g=prod.g,

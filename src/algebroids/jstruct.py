@@ -16,10 +16,9 @@ conjugate of index mu is (mu + m) mod 2m.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
-
-import sympy as sp
 
 from algebroids.algebroid import (
     Algebroid,
@@ -30,7 +29,7 @@ from algebroids.algebroid import (
     vf_bracket,
 )
 from algebroids.eforms import EForm, d_E
-from algebroids.scalars import Chart, ChartError, Scalar
+from algebroids.scalars import Chart, ChartError, Scalar, ScalarMatrix, i
 
 if TYPE_CHECKING:
     from algebroids.constructions import Fixture
@@ -151,9 +150,9 @@ def almost_complex_structure(algebroid: Algebroid, matrix) -> EndoField:
 def projectors(J: EndoField) -> Tuple[EndoField, EndoField]:
     """p10 = (I - iJ)/2 and p01 = (I + iJ)/2 over the real frame."""
     I = EndoField.identity(J.algebroid)
-    half = sp.Rational(1, 2)
-    p10 = (I - J.scale(sp.I)).scale(half)
-    p01 = (I + J.scale(sp.I)).scale(half)
+    half = Fraction(1, 2)
+    p10 = (I - J.scale(i)).scale(half)
+    p01 = (I + J.scale(i)).scale(half)
     return p10, p01
 
 
@@ -250,7 +249,8 @@ def nijenhuis(A: Algebroid, J: EndoField) -> NijenhuisTensor:
 
 
 class ComplexFrame:
-    """The +-i eigenframe (f_1..f_m, fbar_1..fbar_m) of J.
+    """The +-i eigenframe (f_1..f_m, fbar_1..fbar_m) of J, with
+    f_a = u_a - i J u_a for the real ``generators`` u_a.
 
     Each frame section is stored by its complex components over the real
     frame.  The induced algebroid over the same chart carries the complex
@@ -265,12 +265,13 @@ class ComplexFrame:
         self.m = algebroid.rank // 2
         if len(generators) != self.m:
             raise ValueError("need rank/2 generating sections")
+        self.generators = list(generators)
         chart = algebroid.chart
         self.sections: List[Section] = []
         for u in generators:
             Ju = J.apply(u)
             f = Section(algebroid, [
-                (u.components[b] - sp.I * Ju.components[b]).normalize()
+                (u.components[b] - i * Ju.components[b]).normalize()
                 for b in range(algebroid.rank)
             ])
             self.sections.append(f)
@@ -278,25 +279,18 @@ class ComplexFrame:
             self.sections.append(f.conjugate())
 
         # change-of-frame matrix: column mu holds F_mu in the real frame
-        P = sp.Matrix([
-            [self.sections[mu].components[b].norm_expr
-             for mu in range(2 * self.m)]
+        P = ScalarMatrix(chart, [
+            [self.sections[mu].components[b] for mu in range(2 * self.m)]
             for b in range(algebroid.rank)
         ])
-        det = sp.cancel(sp.together(P.det()))
-        if det == 0:
+        if P.det().is_structurally_zero():
             raise ValueError("complex frame is degenerate")
-        Pinv = P.inv()
-        self._P = P
-        self._Pinv = sp.Matrix([
-            [sp.cancel(sp.together(Pinv[r, c])) for c in range(2 * self.m)]
-            for r in range(2 * self.m)
-        ])
+        self._Pinv = P.inverse()
         self._complex_algebroid: Optional[Algebroid] = None
 
         # J f_a = i f_a and J fbar_a = -i fbar_a must hold structurally
         for mu, f in enumerate(self.sections):
-            eig = sp.I if mu < self.m else -sp.I
+            eig = i if mu < self.m else -i
             res = J.apply(f) - f.scale(chart.scalar(eig))
             if not res.is_structurally_zero():
                 raise RuntimeError("eigenframe property failed")
@@ -307,11 +301,7 @@ class ComplexFrame:
     def expand(self, s: Section) -> List[Scalar]:
         """Coefficients of a (complexified) real-frame section over the
         complex frame."""
-        chart = self.algebroid.chart
-        col = sp.Matrix([c.norm_expr for c in s.components])
-        out = self._Pinv * col
-        return [chart.scalar(sp.cancel(sp.together(out[mu])))
-                for mu in range(2 * self.m)]
+        return self._Pinv.apply(s.components)
 
     def rebuild(self, coeffs: Sequence[Scalar]) -> Section:
         """Real-frame section from complex-frame coefficients."""
@@ -347,9 +337,6 @@ class ComplexFrame:
         self._complex_algebroid = out
         return out
 
-    def structure_function(self, lam: int, mu: int, nu: int) -> Scalar:
-        return self.as_algebroid().C[lam][mu][nu]
-
     def conjugation_symmetry_ok(self) -> bool:
         """conj(C^lam_munu) = C^lambar_mubar nubar structurally."""
         CA = self.as_algebroid()
@@ -374,13 +361,6 @@ class ComplexFrame:
             raise ChartError("form does not live over this complex frame")
         return d_E(w)
 
-    def conjugate_form(self, w: EForm) -> EForm:
-        """Conjugate a complex-frame form: bar the indices, conjugate values."""
-        out = self.form(w.degree)
-        for key, val in w.components.items():
-            out[tuple(self.conj_index(k) for k in key)] = val.conjugate()
-        return out
-
 
 def adapted_complex_frame(A: Algebroid, J: EndoField) -> ComplexFrame:
     """Greedy selection of u_1..u_m with (u_1, Ju_1, ..., u_m, Ju_m) a frame.
@@ -392,21 +372,17 @@ def adapted_complex_frame(A: Algebroid, J: EndoField) -> ComplexFrame:
         raise ValueError("rank must be even")
     m = A.rank // 2
     chosen: List[Section] = []
-    columns: List[List[sp.Expr]] = []
+    columns: List[List[Scalar]] = []
 
     def independent(cols) -> bool:
-        M = sp.Matrix(cols).T
-        return M.rank(iszerofunc=lambda e: sp.cancel(sp.together(e)) == 0) == len(cols)
+        return ScalarMatrix(A.chart, zip(*cols)).rank() == len(cols)
 
     for a in range(A.rank):
         if len(chosen) == m:
             break
         u = A.frame_section(a)
         Ju = J.apply(u)
-        cand = columns + [
-            [c.norm_expr for c in u.components],
-            [c.norm_expr for c in Ju.components],
-        ]
+        cand = columns + [list(u.components), list(Ju.components)]
         if independent(cand):
             chosen.append(u)
             columns = cand

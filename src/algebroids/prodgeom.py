@@ -24,9 +24,8 @@ formulas for Re B; the constants are found from the data, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
-
-import sympy as sp
 
 from algebroids.algebroid import Algebroid, Section, anchor_push, bracket
 from algebroids.connections import (
@@ -41,7 +40,7 @@ from algebroids.connections import (
 )
 from algebroids.eforms import EForm, evaluate
 from algebroids.jstruct import ComplexFrame, EndoField, projectors
-from algebroids.scalars import Scalar, random_point
+from algebroids.scalars import ComplexRational, Scalar, i, random_point
 
 if TYPE_CHECKING:
     from algebroids.constructions import Fixture
@@ -64,7 +63,7 @@ def _complex_J(CA: Algebroid, m: int) -> EndoField:
     rows = []
     for b in range(2 * m):
         row = [chart.zero] * (2 * m)
-        row[b] = chart.scalar(sp.I if b < m else -sp.I)
+        row[b] = chart.scalar(i if b < m else -i)
         rows.append(row)
     return EndoField(CA, rows)
 
@@ -170,7 +169,7 @@ def product_connection(fx: Fixture) -> ProductConnection:
     tilde = Connection(CA, gamma, frame_tag="complex")
 
     # the correction form D + (1/2)(DJ)J must agree
-    half = sp.Rational(1, 2)
+    half = Fraction(1, 2)
     two_forms = []
     for mu in range(two_m):
         for nu in range(two_m):
@@ -293,7 +292,7 @@ def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
     JC = _complex_J(CA, m)
     frame = CA.frame
     hmat = _h_matrix(fx.g, F)
-    half = sp.Rational(1, 2)
+    half = Fraction(1, 2)
 
     def D(s1, s2):
         return cov_deriv(connF, s1, s2)
@@ -502,9 +501,8 @@ def mean_curvature(fx: Fixture, samples: int = 10,
         rows = numeric_orthonormal_adapted_frame(A, J, g, point)
         total = [0j] * A.rank
         for row in rows:
-            u = Section(A, [A.chart.scalar(sp.nsimplify(complex(x).real,
-                                                        rational=True))
-                            for x in row])
+            u = Section(A, [A.chart.scalar(
+                ComplexRational.from_float(complex(x).real)) for x in row])
             bu = Breal(u, u)
             for c in range(A.rank):
                 total[c] += complex(bu.components[c].eval(point))

@@ -11,17 +11,21 @@ sin^2 + cos^2 = 1) zero testing falls back to randomized rational-point
 evaluation and reports a probabilistic status.
 
 Expressions are backed by sympy; the grammar, printer and normal form are
-pinned here so the text format is independent of sympy's own parser.
+pinned here so the text format is independent of sympy's own parser.  This
+is the only module that imports sympy: the rest of the package works through
+``Scalar``, ``ScalarMatrix`` (exact linear algebra) and the constant ``i``.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, List, Mapping, Optional, Union
 
 import sympy as sp
+from sympy.printing.precedence import PRECEDENCE
 from sympy.printing.str import StrPrinter
 
 __all__ = [
@@ -31,7 +35,10 @@ __all__ = [
     "ComplexRational",
     "Chart",
     "Scalar",
+    "ScalarMatrix",
     "ZeroStatus",
+    "i",
+    "perfect_square_root",
     "parse_scalar",
     "is_zero",
     "random_point",
@@ -75,6 +82,22 @@ class PoleError(ArithmeticError):
     """Evaluation hit a pole."""
 
 
+def _coercing(op):
+    """Binary ComplexRational operator on a coerced operand; any other
+    operand type gets NotImplemented, so Python tries its reflected
+    operator (``i * scalar`` runs ``Scalar.__rmul__``)."""
+
+    @functools.wraps(op)
+    def wrapper(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = ComplexRational(Fraction(other))
+        elif not isinstance(other, ComplexRational):
+            return NotImplemented
+        return op(self, other)
+
+    return wrapper
+
+
 @dataclass(frozen=True)
 class ComplexRational:
     """Exact complex number with rational real and imaginary parts."""
@@ -94,11 +117,16 @@ class ComplexRational:
             raise ValueError(f"not a complex rational: {value}")
         return ComplexRational(Fraction(re.p, re.q), Fraction(im.p, im.q))
 
+    @staticmethod
+    def from_float(value: float) -> "ComplexRational":
+        """nsimplify's rational for a float: 0.1 -> 1/10, not Fraction(0.1)."""
+        return ComplexRational.from_sympy(value)
+
     def to_sympy(self) -> sp.Expr:
         return sp.Rational(self.re) + sp.Rational(self.im) * sp.I
 
+    @_coercing
     def __add__(self, other):
-        other = _coerce_cr(other)
         return ComplexRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -106,14 +134,16 @@ class ComplexRational:
     def __neg__(self):
         return ComplexRational(-self.re, -self.im)
 
+    @_coercing
     def __sub__(self, other):
-        return self + (-_coerce_cr(other))
+        return self + (-other)
 
+    @_coercing
     def __rsub__(self, other):
-        return _coerce_cr(other) + (-self)
+        return other + (-self)
 
+    @_coercing
     def __mul__(self, other):
-        other = _coerce_cr(other)
         return ComplexRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -121,15 +151,16 @@ class ComplexRational:
 
     __rmul__ = __mul__
 
+    @_coercing
     def __truediv__(self, other):
-        other = _coerce_cr(other)
         d = other.re * other.re + other.im * other.im
         if d == 0:
             raise ZeroDivisionError("division by zero ComplexRational")
         return self * ComplexRational(other.re / d, -other.im / d)
 
+    @_coercing
     def __rtruediv__(self, other):
-        return _coerce_cr(other) / self
+        return other / self
 
     def conjugate(self) -> "ComplexRational":
         return ComplexRational(self.re, -self.im)
@@ -152,12 +183,8 @@ class ComplexRational:
         return f"{self.re} {sign} {abs(self.im)}*i"
 
 
-def _coerce_cr(value) -> ComplexRational:
-    if isinstance(value, ComplexRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return ComplexRational(Fraction(value))
-    raise TypeError(f"cannot coerce {value!r} to ComplexRational")
+# the imaginary unit
+i = ComplexRational.of(0, 1)
 
 
 class Chart:
@@ -264,11 +291,6 @@ class Scalar:
     def is_constant(self) -> bool:
         return not self.norm_expr.free_symbols
 
-    def constant_value(self) -> ComplexRational:
-        if not self.is_constant():
-            raise ValueError("scalar is not constant")
-        return ComplexRational.from_sympy(self.norm_expr)
-
     # -- arithmetic ------------------------------------------------------
 
     def _coerce(self, other) -> "Scalar":
@@ -317,6 +339,15 @@ class Scalar:
             raise ChartError(f"{sym} is not a coordinate of chart {self.chart.name!r}")
         return Scalar(self.chart, sp.diff(self.expr, sym))
 
+    def on_chart(self, chart: Chart, rename: Optional[Mapping] = None) -> "Scalar":
+        """The same expression on another chart, which must contain its
+        coordinates once ``rename`` (coordinate -> coordinate of ``chart``)
+        is applied."""
+        expr = self.expr
+        if rename is not None:
+            expr = expr.subs(rename, simultaneous=True)
+        return Scalar(chart, expr)
+
     def conjugate(self) -> "Scalar":
         # coordinates are real symbols, so only the constants flip
         return Scalar(self.chart, sp.conjugate(self.expr))
@@ -338,14 +369,8 @@ class Scalar:
         subs = {}
         for key, val in point.items():
             sym = self.chart.coord(key) if isinstance(key, str) else key
-            if isinstance(val, ComplexRational):
-                subs[sym] = val.to_sympy()
-            elif isinstance(val, (int, Fraction)):
-                subs[sym] = sp.Rational(val)
-            elif isinstance(val, float):
-                subs[sym] = sp.Float(val)
-            else:
-                subs[sym] = sp.sympify(val)
+            subs[sym] = (val.to_sympy() if isinstance(val, ComplexRational)
+                         else sp.sympify(val))
         missing = self.expr.free_symbols - set(subs)
         if missing:
             raise ChartError(
@@ -380,6 +405,58 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({print_scalar(self)!r})"
+
+
+class ScalarMatrix:
+    """Matrix of Scalars on one chart with exact linear algebra.
+
+    Entries enter in normal form and every result entry is brought back to
+    normal form.  ``rank`` pivots structurally: an entry is zero exactly
+    when its normal form is.
+    """
+
+    def __init__(self, chart: Chart, rows: Iterable[Iterable]):
+        self.chart = chart
+        self._m = sp.Matrix([[chart.scalar(e).norm_expr for e in row]
+                             for row in rows])
+
+    def _normalized(self, matrix) -> "ScalarMatrix":
+        out = ScalarMatrix(self.chart, [])
+        out._m = matrix.applyfunc(_canonical)
+        return out
+
+    def rows(self) -> tuple:
+        """The entries, as a tuple of rows of Scalars."""
+        return tuple(tuple(Scalar(self.chart, e) for e in self._m.row(r))
+                     for r in range(self._m.rows))
+
+    def det(self) -> Scalar:
+        return Scalar(self.chart, _canonical(self._m.det()))
+
+    def inverse(self) -> "ScalarMatrix":
+        return self._normalized(self._m.inv())
+
+    def rank(self) -> int:
+        return self._m.rank(iszerofunc=lambda e: _canonical(e) == 0)
+
+    def __matmul__(self, other: "ScalarMatrix") -> "ScalarMatrix":
+        return self._normalized(self._m * other._m)
+
+    def apply(self, vector: Iterable) -> List[Scalar]:
+        """The matrix times a column of Scalars."""
+        col = ScalarMatrix(self.chart, [[c] for c in vector])
+        return [row[0] for row in (self @ col).rows()]
+
+
+def perfect_square_root(s: Scalar) -> Optional[Scalar]:
+    """Exact square root staying in the rational fragment, if one exists."""
+    expr = s.norm_expr
+    candidate = _canonical(sp.radsimp(sp.sqrt(sp.factor(expr))))
+    if any(not p.exp.is_Integer for p in candidate.atoms(sp.Pow)):
+        return None
+    if _canonical(candidate ** 2 - expr) != 0:
+        return None
+    return s.chart.scalar(candidate)
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +693,25 @@ class _ScalarPrinter(StrPrinter):
     def _print_ImaginaryUnit(self, expr):
         return "i"
 
+    def _print_Exp1(self, expr):
+        return "exp(1)"
+
+    def _print_Abs(self, expr):
+        # sqrt(u^2) parses back to Abs(u) for real u
+        base = self.parenthesize(expr.args[0], PRECEDENCE["Pow"], strict=True)
+        return f"sqrt({base}^2)"
+
     def _print_Pow(self, expr, rational=False):
-        if expr.exp is sp.S.Half:
-            return f"sqrt({self._print(expr.base)})"
-        if expr.exp == -sp.S.Half:
-            return f"1/sqrt({self._print(expr.base)})"
+        # the grammar has only integer exponents: b^(k/2^j) prints as
+        # sqrt applied j times, then ^|k|, under 1/ when k < 0
+        exp = expr.exp
+        if exp.is_Rational and not exp.is_Integer and exp.q & (exp.q - 1) == 0:
+            text = self._print(expr.base)
+            for _ in range(exp.q.bit_length() - 1):
+                text = f"sqrt({text})"
+            if abs(exp.p) != 1:
+                text = f"{text}^{abs(exp.p)}"
+            return text if exp.p > 0 else f"1/{text}"
         text = super()._print_Pow(expr, rational=rational)
         return text.replace("**", "^")
 

@@ -2,10 +2,13 @@
 
 import pytest
 
+from algebroids import constructions
 from algebroids.algebroid import bracket, validate_structure
+from algebroids.cli import emit_document
 from algebroids.connections import cov_deriv, hermitian_check
 from algebroids.constructions import (
     CATALOG_NAMES,
+    Fixture,
     direct_product,
     fixture,
     fixture_names,
@@ -33,6 +36,25 @@ def test_composite_fixture_syntax():
     assert fx.algebroid.rank == 8
     sq = fx.J.compose(fx.J) + EndoField.identity(fx.algebroid)
     assert sq.is_structurally_zero()
+
+
+def test_product_of_a_fixture_with_itself_builds_it_once(monkeypatch):
+    builder = constructions._BUILDERS["heis_j"]
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return builder()
+
+    monkeypatch.setitem(constructions._BUILDERS, "heis_j", counted)
+    fx = fixture("product(heis_j, heis_j)")
+    assert len(calls) == 1
+    assert validate_structure(fx.algebroid).valid
+    # the same document as a product of two independently built copies
+    f1, f2 = builder(), builder()
+    prod = direct_product(f1.algebroid, f2.algebroid, f1.J, f2.J, f1.g, f2.g)
+    twin = Fixture(fx.name, prod.algebroid, J=prod.J, g=prod.g)
+    assert emit_document(fx) == emit_document(twin)
 
 
 def test_function_lifts(catalog):

@@ -1,0 +1,99 @@
+"""Golden outputs of the scalar layer's consumers, pinned as exact text.
+
+`golden.json` holds the printed form of every emitted catalog document
+and of every entry produced by the exact matrix algebra (metric inverses,
+complex-frame expansions, the J R blocks and the complete-lift
+connection).  A change to how scalars are represented or normalised must
+leave all of it byte-identical.  To re-record after an intended change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import functools
+import json
+import os
+
+import pytest
+
+from algebroids.chern import block_curvature
+from algebroids.cli import emit_document
+from algebroids.constructions import CATALOG_NAMES, fixture, fixture_names, prolong
+from algebroids.jstruct import IntegrabilityError
+from algebroids.scalars import print_scalar
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
+EMIT_NAMES = fixture_names() + ["prolong(heis_j)", "product(flat_r2, heis_j)"]
+
+
+def _rows(rows):
+    return [[print_scalar(e) for e in row] for row in rows]
+
+
+def _form(w):
+    return {",".join(map(str, key)): print_scalar(val)
+            for key, val in sorted(w.components.items())}
+
+
+def emitted(catalog):
+    return {name: emit_document(catalog(name)) for name in EMIT_NAMES}
+
+
+def metric_inverses(catalog):
+    return {name: _rows(catalog(name).g.inverse) for name in CATALOG_NAMES}
+
+
+def frame_expansions(catalog):
+    out = {}
+    for name in CATALOG_NAMES:
+        fx = catalog(name)
+        A = fx.algebroid
+        out[name] = _rows(fx.frame.expand(A.frame_section(a))
+                          for a in range(A.rank))
+    return out
+
+
+def block_curvatures(catalog):
+    out = {}
+    for name in CATALOG_NAMES:
+        try:
+            bc = block_curvature(catalog(name))
+        except IntegrabilityError:
+            out[name] = "IntegrabilityError"
+            continue
+        out[name] = {"R": [[_form(w) for w in row] for row in bc.R],
+                     "Rstar": [[_form(w) for w in row] for row in bc.Rstar]}
+    return out
+
+
+def complete_lift_connection(catalog):
+    fx = catalog("heis_j")
+    Dc = prolong(fx.algebroid).complete_lift_connection(fx.levi_civita)
+    return [_rows(layer) for layer in Dc.gamma]
+
+
+SECTIONS = {
+    "emit_document": emitted,
+    "metric_inverse": metric_inverses,
+    "frame_expand": frame_expansions,
+    "block_curvature": block_curvatures,
+    "complete_lift_connection": complete_lift_connection,
+}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("section", sorted(SECTIONS))
+def test_golden(catalog, golden, section):
+    assert SECTIONS[section](catalog) == golden[section]
+
+
+if __name__ == "__main__":
+    catalog = functools.cache(fixture)
+    data = {section: compute(catalog) for section, compute in SECTIONS.items()}
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -1,22 +1,31 @@
 """Scalar layer: grammar, normal form, zero testing, evaluation."""
 
+import ast
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
+import algebroids
 from algebroids.scalars import (
     Chart,
     ChartError,
     ComplexRational,
     ParseError,
     PoleError,
+    ScalarMatrix,
+    i,
     is_zero,
     parse_scalar,
     print_scalar,
     random_point,
 )
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
 
 @pytest.fixture
@@ -58,10 +67,89 @@ def test_reserved_coordinate_names():
 
 def test_print_round_trip(chart):
     for text in ("x1^2 + 2*x2", "(x1 + x2)/(1 + x1^2)", "i*x1 - 3/4",
-                 "sqrt(1 + x2^2)"):
+                 "sqrt(1 + x2^2)", "x1*sqrt(x1)", "sqrt(x1)^3",
+                 "x2/sqrt(x1)^3", "sqrt(sqrt(x1))^3"):
         s = parse_scalar(text, chart)
-        again = parse_scalar(print_scalar(s), chart)
+        printed = print_scalar(s)
+        again = parse_scalar(printed, chart)
         assert (s - again).normalize().is_structurally_zero()
+        assert print_scalar(again) == printed
+
+
+# random expression texts over x1, x2, i, sqrt, sin, exp, tan
+GRAMMAR = st.recursive(
+    st.sampled_from(["x1", "x2", "i", "1", "2", "3"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner)
+        .map("({0[0]}) {0[1]} ({0[2]})".format),
+        st.tuples(inner, st.integers(-2, 3)).map("({0[0]})^{0[1]}".format),
+        st.tuples(st.sampled_from(["sqrt", "sin", "exp", "tan"]), inner)
+        .map("{0[0]}({0[1]})".format),
+    ),
+    max_leaves=6,
+)
+
+
+def _parse_or_reject(text):
+    try:
+        return parse_scalar(text, Chart("plane", ["x1", "x2"]))
+    except ParseError:  # division by a structurally zero subexpression
+        reject()
+
+
+@PROPERTY
+@given(GRAMMAR)
+def test_print_parse_print_fixed_point(text):
+    s = _parse_or_reject(text)
+    printed = print_scalar(s)
+    assert print_scalar(parse_scalar(printed, s.chart)) == printed
+
+
+@PROPERTY
+@given(GRAMMAR)
+def test_normalize_idempotent(text):
+    n = _parse_or_reject(text).normalize()
+    assert n.normalize().norm_expr == n.norm_expr
+
+
+@PROPERTY
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.fractions(-5, 5, max_denominator=4), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_scalar_matrix_inverse(rows):
+    chart = Chart("plane", ["x1", "x2"])
+    M = ScalarMatrix(chart, rows)
+    if M.det().is_structurally_zero():
+        assert M.rank() < len(rows)
+        return
+    assert M.rank() == len(rows)
+    product = (M.inverse() @ M).rows()
+    for r, row in enumerate(product):
+        for c, entry in enumerate(row):
+            assert entry == int(r == c)
+
+
+def test_complex_rational_on_the_left_of_a_scalar(chart):
+    s = chart.scalar("x1 + 2*x2")
+    assert i * s == s * i
+    assert i + s == s + i
+    assert i * s == chart.scalar("i*x1 + 2*i*x2")
+
+
+def test_only_scalars_imports_sympy():
+    package = pathlib.Path(algebroids.__file__).parent
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "sympy" or n.startswith("sympy.") for n in names):
+                importers.add(path.name)
+    assert importers == {"scalars.py"}
 
 
 def test_normalize_idempotent_and_canonical(chart):
