@@ -14,8 +14,7 @@ Leibniz extension of the frame brackets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from algebroids.scalars import Chart, ChartError, Scalar
 
@@ -23,8 +22,9 @@ __all__ = [
     "Algebroid",
     "Section",
     "VectorField",
-    "ValidationReport",
-    "ResidualEntry",
+    "Residuals",
+    "Witness",
+    "InconsistencyError",
     "validate_structure",
     "anchor_push",
     "vf_bracket",
@@ -247,54 +247,75 @@ def jacobiator(s1: Section, s2: Section, s3: Section) -> Section:
     ).normalized()
 
 
-@dataclass
-class ResidualEntry:
-    indices: Tuple[int, ...]
-    residual: Scalar
+class Witness(NamedTuple):
+    """A residual that is not structurally zero, with where it arose."""
 
-    @property
-    def ok(self) -> bool:
-        return self.residual.is_structurally_zero()
+    check: str
+    index: Any
+    residual: Any
 
 
-@dataclass
-class ValidationReport:
-    """Residuals of the three structure equations, normalized."""
+class InconsistencyError(RuntimeError):
+    """An internal cross-check found a nonzero residual: the inputs or the
+    implementation are inconsistent."""
 
-    anchor_morphism: List[ResidualEntry] = field(default_factory=list)
-    antisymmetry: List[ResidualEntry] = field(default_factory=list)
-    jacobi: List[ResidualEntry] = field(default_factory=list)
-
-    @property
-    def anchor_morphism_ok(self) -> bool:
-        return all(e.ok for e in self.anchor_morphism)
-
-    @property
-    def antisymmetry_ok(self) -> bool:
-        return all(e.ok for e in self.antisymmetry)
-
-    @property
-    def jacobi_ok(self) -> bool:
-        return all(e.ok for e in self.jacobi)
-
-    @property
-    def valid(self) -> bool:
-        return self.anchor_morphism_ok and self.antisymmetry_ok and self.jacobi_ok
-
-    def failures(self) -> List[ResidualEntry]:
-        out = []
-        for group in (self.anchor_morphism, self.antisymmetry, self.jacobi):
-            out.extend(e for e in group if not e.ok)
-        return out
-
-    def jacobi_residual(self, a: int, b: int, c: int) -> List[Scalar]:
-        """Residual components over d for the triple (a,b,c)."""
-        return [e.residual for e in self.jacobi if e.indices[:3] == (a, b, c)]
+    def __init__(self, witness: Witness):
+        super().__init__(f"{witness.check} at {witness.index}")
+        self.witness = witness
 
 
-def validate_structure(A: Algebroid) -> ValidationReport:
-    """Check the structure equations; residuals are recorded, not thrown."""
-    report = ValidationReport()
+class Residuals:
+    """Indexed residuals grouped by check name, in insertion order.
+
+    A residual is anything with ``is_structurally_zero()`` (Scalar,
+    Section, VectorField, EForm).  A check passes when every residual
+    recorded under its name reduces to zero in normal form; a check with
+    no residuals passes vacuously.
+    """
+
+    def __init__(self):
+        self._checks: Dict[str, List[Tuple[Any, Any]]] = {}
+
+    def add(self, check: str, index, residual) -> None:
+        self._checks.setdefault(check, []).append((index, residual))
+
+    def update(self, other: "Residuals") -> None:
+        """Append every residual of ``other`` under its own check name."""
+        for check, entries in other._checks.items():
+            self._checks.setdefault(check, []).extend(entries)
+
+    def entries(self, check: str) -> List[Tuple[Any, Any]]:
+        """All (index, residual) pairs of one check, zero or not."""
+        return list(self._checks.get(check, ()))
+
+    def _failing(self, checks: Sequence[str]) -> Iterator[Witness]:
+        for check in checks or self._checks:
+            for index, residual in self._checks.get(check, ()):
+                if not residual.is_structurally_zero():
+                    yield Witness(check, index, residual)
+
+    def ok(self, *checks: str) -> bool:
+        """True when the named checks (all checks if none named) pass."""
+        return next(self._failing(checks), None) is None
+
+    def failures(self, *checks: str) -> List[Witness]:
+        """The nonzero residuals of the named checks (all if none named)."""
+        return list(self._failing(checks))
+
+    def require(self) -> None:
+        """Raise InconsistencyError naming the first nonzero residual."""
+        witness = next(self._failing(()), None)
+        if witness is not None:
+            raise InconsistencyError(witness)
+
+
+def validate_structure(A: Algebroid) -> Residuals:
+    """Check the structure equations; residuals are recorded, not thrown.
+
+    The checks are ``anchor_morphism`` indexed (a, b, i), ``antisymmetry``
+    indexed (a, b, c) and ``jacobi`` indexed (a, b, c, d).
+    """
+    report = Residuals()
     n, m = A.chart.dim, A.rank
 
     for a in range(m):
@@ -308,15 +329,14 @@ def validate_structure(A: Algebroid) -> ValidationReport:
                 rhs = A.chart.zero
                 for c in range(m):
                     rhs = rhs + A.anchor[c][i] * A.C[c][a][b]
-                report.anchor_morphism.append(
-                    ResidualEntry((a, b, i), (lhs - rhs).normalize())
-                )
+                report.add("anchor_morphism", (a, b, i),
+                           (lhs - rhs).normalize())
 
     for c in range(m):
         for a in range(m):
             for b in range(a, m):
                 res = (A.C[c][a][b] + A.C[c][b][a]).normalize()
-                report.antisymmetry.append(ResidualEntry((a, b, c), res))
+                report.add("antisymmetry", (a, b, c), res)
 
     for a in range(m):
         for b in range(a + 1, m):
@@ -329,6 +349,6 @@ def validate_structure(A: Algebroid) -> ValidationReport:
                             acc = acc + A.anchor[p][i] * A.C[d][q][r].diff(coord)
                         for e in range(m):
                             acc = acc + A.C[e][p][q] * A.C[d][e][r]
-                    report.jacobi.append(ResidualEntry((a, b, c, d), acc.normalize()))
+                    report.add("jacobi", (a, b, c, d), acc.normalize())
 
     return report

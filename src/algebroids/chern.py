@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, List
 
-from algebroids.algebroid import Algebroid, Section
+from algebroids.algebroid import Algebroid, Residuals, Section
 from algebroids.connections import (
     Connection,
     almost_complex_check,
@@ -86,12 +86,13 @@ def block_curvature(fx: Fixture) -> BlockCurvature:
     (J R)(e_p, e_q) u_a.
 
     Requires the Levi-Civita connection to be almost complex; the
-    commutation J R = R J and the displayed block pattern on (J R) u_{a*}
-    are re-verified.
+    commutation J R = R J (check ``jr_commutes``) and the displayed block
+    pattern on (J R) u_{a*} (check ``block_pattern``) are re-verified and
+    raise InconsistencyError on failure.
     """
     A, J = fx.algebroid, fx.J
     conn = fx.levi_civita
-    if not almost_complex_check(conn, J).ok:
+    if not almost_complex_check(conn, J).ok():
         raise IntegrabilityError("connection is not almost complex (nabla J != 0)")
     F = fx.frame
     m = F.m
@@ -105,15 +106,15 @@ def block_curvature(fx: Fixture) -> BlockCurvature:
     Rmat = [[EForm(A, 2) for _ in range(m)] for _ in range(m)]
     Rstar = [[EForm(A, 2) for _ in range(m)] for _ in range(m)]
     real_frame = A.frame
+    checks = Residuals()
     for p in range(A.rank):
         for q in range(p + 1, A.rank):
             rop = [curvature_operator(conn, real_frame[p], real_frame[q],
                                       frame[mu]) for mu in range(2 * m)]
             # J R = R J on the adapted frame
             for a in range(m):
-                res = J.apply(rop[a]) - rop[m + a]
-                if not res.normalized().is_structurally_zero():
-                    raise RuntimeError("J R != R J despite nabla J = 0")
+                checks.add("jr_commutes", (p, q, a),
+                           (J.apply(rop[a]) - rop[m + a]).normalized())
             for a in range(m):
                 coeffs = Pinv.apply(J.apply(rop[a]).components)
                 for b in range(m):
@@ -122,11 +123,11 @@ def block_curvature(fx: Fixture) -> BlockCurvature:
                 # displayed pattern on the starred basis vector
                 star = Pinv.apply(J.apply(rop[m + a]).components)
                 for b in range(m):
-                    res1 = (star[b] + coeffs[m + b]).normalize()
-                    res2 = (star[m + b] - coeffs[b]).normalize()
-                    if not (res1.is_structurally_zero()
-                            and res2.is_structurally_zero()):
-                        raise RuntimeError("block pattern of J R failed")
+                    checks.add("block_pattern", (p, q, a, b),
+                               (star[b] + coeffs[m + b]).normalize())
+                    checks.add("block_pattern", (p, q, a, m + b),
+                               (star[m + b] - coeffs[b]).normalize())
+    checks.require()
     Rmat = tuple(tuple(e.normalized() for e in row) for row in Rmat)
     Rstar = tuple(tuple(e.normalized() for e in row) for row in Rstar)
     return BlockCurvature(A, m, Rmat, Rstar, frame, F)
@@ -136,13 +137,16 @@ def iphi(bc: BlockCurvature, conn: Connection):
     """Phi^b_a = R^{b*}_a - i R^b_a, cross-checked against the curvature of
     the restricted connection on the +i eigenbundle in the complex frame.
 
-    A structural disagreement means an internal inconsistency and raises.
+    A structural disagreement (check ``restricted_curvature``) or a part
+    outside the +i eigenbundle (check ``eigenbundle_leak``) means an
+    internal inconsistency and raises InconsistencyError.
     """
     A = bc.algebroid
     F = bc.F
     m = bc.m
     phi = bc.phi_matrix()
     real_frame = A.frame
+    checks = Residuals()
     for p in range(A.rank):
         for q in range(p + 1, A.rank):
             for a in range(m):
@@ -150,16 +154,11 @@ def iphi(bc: BlockCurvature, conn: Connection):
                                         F.sections[a])
                 coeffs = F.expand(rf)
                 for b in range(m):
-                    res = (coeffs[b] - phi[a][b][(p, q)]).normalize()
-                    if not res.is_structurally_zero():
-                        raise RuntimeError(
-                            "restricted-connection curvature disagrees with "
-                            f"R* - iR at ({a},{b},{p},{q})")
+                    checks.add("restricted_curvature", (a, b, p, q),
+                               (coeffs[b] - phi[a][b][(p, q)]).normalize())
                 for b in range(m, 2 * m):
-                    if not coeffs[b].is_structurally_zero():
-                        raise RuntimeError(
-                            "restricted connection leaks out of the +i "
-                            "eigenbundle")
+                    checks.add("eigenbundle_leak", (a, b, p, q), coeffs[b])
+    checks.require()
     return phi
 
 
@@ -210,20 +209,19 @@ class ChernReport:
     ``form`` is the Chern form itself (real part of trace((iPhi)^k)).
     ``factor`` is the empirical proportionality constant between
     Re trace((iPhi)^k) and trace(block^k) (expected 1/2); None when both
-    traces vanish.
+    traces vanish.  ``checks`` holds ``closed``, plus ``trace_real`` and
+    ``imag_closed`` when the iPhi route ran and ``half_trace_equality``
+    (indexed by form component) when both did.
     """
 
     order: int
     source: str
     form: EForm
+    checks: Residuals
     iphi_trace: EForm = None
     block_trace: EForm = None
     imag_part: EForm = None
-    equal: bool = None
     factor: Scalar = None
-    closed: bool = None
-    imag_zero: bool = None
-    imag_closed: bool = None
 
 
 def chern_form(bc: BlockCurvature, k: int, source: str = "both") -> ChernReport:
@@ -256,13 +254,14 @@ def chern_form(bc: BlockCurvature, k: int, source: str = "both") -> ChernReport:
     else:
         form = re
 
-    report = ChernReport(order=k, source=source, form=form,
+    checks = Residuals()
+    report = ChernReport(order=k, source=source, form=form, checks=checks,
                          iphi_trace=t_iphi, block_trace=t_block)
-    report.closed = d_E(form).normalized().is_structurally_zero()
+    checks.add("closed", (), d_E(form).normalized())
     if im is not None:
         report.imag_part = im
-        report.imag_zero = im.is_structurally_zero()
-        report.imag_closed = d_E(im).normalized().is_structurally_zero()
+        checks.add("trace_real", (), im)
+        checks.add("imag_closed", (), d_E(im).normalized())
     if source == "both":
         # empirical factor between Re trace((iPhi)^k) and trace(block^k)
         factor = None
@@ -271,11 +270,8 @@ def chern_form(bc: BlockCurvature, k: int, source: str = "both") -> ChernReport:
             if not denom.is_structurally_zero():
                 factor = (re[key] / denom).normalize()
                 break
-        equal = True
         for key in t_block.keys():
-            want = t_block[key] * half
-            if not (re[key] - want).normalize().is_structurally_zero():
-                equal = False
-        report.equal = equal
+            checks.add("half_trace_equality", key,
+                       (re[key] - t_block[key] * half).normalize())
         report.factor = factor
     return report

@@ -19,7 +19,10 @@ Document format (line oriented, ``#`` comments)::
 
 Reports are JSON (``schema_version`` 1) on stdout; a one-line human
 status goes to stderr (colored when ``ALG_COLOR=1``).  Exit codes:
-0 success, 1 check failed, 2 invalid input, 3 precondition unmet.
+0 success, 1 check failed, 2 invalid input, 3 precondition unmet,
+4 internal inconsistency (an internal cross-check found a nonzero
+residual; one ``internal inconsistency: <check> at <index>`` line goes to
+stderr).
 """
 
 from __future__ import annotations
@@ -28,10 +31,15 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from algebroids.algebroid import Algebroid, Section, validate_structure
+from algebroids.algebroid import (
+    Algebroid,
+    InconsistencyError,
+    Section,
+    validate_structure,
+)
 from algebroids.chern import block_curvature, chern_form
 from algebroids.connections import (
     HermitianError,
@@ -50,6 +58,7 @@ from algebroids.constructions import (
     prolong,
 )
 from algebroids.jstruct import (
+    NN_CHECKS,
     IntegrabilityError,
     almost_complex_structure,
     matched_pair_check,
@@ -318,15 +327,12 @@ def _need(fx: Fixture, j: bool = False, g: bool = False) -> None:
 
 def cmd_validate(fx: Fixture, args) -> Tuple[dict, bool]:
     rep = validate_structure(fx.algebroid)
-    checks = [
-        _check("anchor_morphism", rep.anchor_morphism_ok),
-        _check("antisymmetry", rep.antisymmetry_ok),
-        _check("jacobi", rep.jacobi_ok),
-    ]
-    witnesses = [{"indices": list(e.indices),
-                  "residual": print_scalar(e.residual)}
-                 for e in rep.failures()[:5]]
-    return ({"checks": checks, "witnesses": witnesses}, rep.valid)
+    checks = [_check(name, rep.ok(name))
+              for name in ("anchor_morphism", "antisymmetry", "jacobi")]
+    witnesses = [{"indices": list(w.index),
+                  "residual": print_scalar(w.residual)}
+                 for w in rep.failures()[:5]]
+    return ({"checks": checks, "witnesses": witnesses}, rep.ok())
 
 
 def cmd_nijenhuis(fx: Fixture, args) -> Tuple[dict, bool]:
@@ -341,15 +347,14 @@ def cmd_nijenhuis(fx: Fixture, args) -> Tuple[dict, bool]:
                 if not val.is_structurally_zero():
                     comps[f"{c + 1}_{a + 1}{b + 1}"] = print_scalar(val)
     return ({"components": comps, "zero": N.is_structurally_zero(),
-             "checks": [_check("dual_route_agreement", True)]}, True)
+             "checks": [_check("dual_route_agreement",
+                               N.checks.ok("dual_route_agreement"))]}, True)
 
 
 def cmd_nn_report(fx: Fixture, args) -> Tuple[dict, bool]:
     _need(fx, j=True)
     rep = newlander_nirenberg_report(fx)
-    names = ["bracket_closed_10", "bracket_closed_01",
-             "no_leak_degree1", "no_leak_degree2", "nijenhuis_zero"]
-    return ({"statuses": dict(zip(names, rep.statuses)),
+    return ({"statuses": dict(zip(NN_CHECKS, rep.statuses)),
              "all_agree": rep.all_agree,
              "integrable": rep.integrable,
              "checks": [_check("five_statuses_agree", rep.all_agree)]},
@@ -359,9 +364,8 @@ def cmd_nn_report(fx: Fixture, args) -> Tuple[dict, bool]:
 def cmd_matched_pair(fx: Fixture, args) -> Tuple[dict, bool]:
     _need(fx, j=True)
     rep = matched_pair_check(fx)
-    checks = [_check("mp1", rep.mp1_ok), _check("mp2", rep.mp2_ok),
-              _check("mp3", rep.mp3_ok)]
-    return ({"checks": checks}, rep.ok)
+    checks = [_check(name, rep.ok(name)) for name in ("mp1", "mp2", "mp3")]
+    return ({"checks": checks}, rep.ok())
 
 
 def cmd_levi_civita(fx: Fixture, args) -> Tuple[dict, bool]:
@@ -369,15 +373,18 @@ def cmd_levi_civita(fx: Fixture, args) -> Tuple[dict, bool]:
     if args.complex_frame:
         _need(fx, j=True)
         conn = fx.complex_levi_civita
-        mismatches = conn.formula_vs_transform
-        ok = len(mismatches) == 0
+        mismatches = conn.checks.failures("formula_vs_transform")
+        ok = not mismatches
         return ({"frame": "complex", "gamma": _gamma_entries(conn),
                  "checks": [_check("formula_vs_transform", ok,
-                                   witness=[str(m) for m in mismatches[:5]])]},
+                                   witness=[str((w.index, w.residual))
+                                            for w in mismatches[:5]])]},
                 ok)
-    return ({"frame": "real", "gamma": _gamma_entries(fx.levi_civita),
-             "checks": [_check("torsion_free", True),
-                        _check("metric_compatible", True)]}, True)
+    conn = fx.levi_civita
+    return ({"frame": "real", "gamma": _gamma_entries(conn),
+             "checks": [_check(name, conn.checks.ok(name))
+                        for name in ("torsion_free", "metric_compatible")]},
+            True)
 
 
 def _gamma_entries(conn) -> dict:
@@ -428,25 +435,27 @@ def cmd_sectional(fx: Fixture, args) -> Tuple[dict, bool]:
 def cmd_kahler_report(fx: Fixture, args) -> Tuple[dict, bool]:
     _need(fx, j=True, g=True)
     rep = kahler_report(fx)
-    ok = rep.equivalence_holds and rep.vii5_ok
+    identity_ok = rep.checks.ok("fundamental_form_identity")
+    ok = rep.equivalence_holds and identity_ok
     return ({"status": rep.status,
              "nijenhuis_zero": rep.nijenhuis_zero,
              "dphi_zero": rep.dphi_zero,
              "lc_almost_complex": rep.lc_almost_complex,
              "dphi": _form_str(rep.dphi),
              "checks": [_check("equivalence", rep.equivalence_holds),
-                        _check("fundamental_form_identity", rep.vii5_ok)]},
+                        _check("fundamental_form_identity", identity_ok)]},
             ok)
 
 
 def cmd_chern(fx: Fixture, args) -> Tuple[dict, bool]:
     _need(fx, j=True, g=True)
     rep = chern_form(block_curvature(fx), args.order, args.source_mode)
-    checks = [_check("closed", bool(rep.closed))]
-    if rep.equal is not None:
-        checks.append(_check("half_trace_equality", bool(rep.equal)))
-    if rep.imag_zero is not None:
-        checks.append(_check("trace_real", bool(rep.imag_zero)))
+    names = ["closed"]
+    if rep.source == "both":
+        names.append("half_trace_equality")
+    if rep.source in ("iphi", "both"):
+        names.append("trace_real")
+    checks = [_check(name, rep.checks.ok(name)) for name in names]
     ok = all(c["status"] == "StructurallyZero" for c in checks)
     out = {"order": rep.order, "source": rep.source,
            "form": _form_str(rep.form), "checks": checks}
@@ -467,23 +476,17 @@ def cmd_second_fundamental(fx: Fixture, args) -> Tuple[dict, bool]:
             if not s.is_structurally_zero():
                 b[f"{mu + 1},{nu + 1}"] = _section_str(s)
     checks = [
-        _check("product_connection", fx.product_connection.ok),
-        _check("gauss_weingarten", _zero_pairs(sf.gauss_residuals)
-               and _zero_pairs(sf.weingarten_residuals)),
-        _check("local_displays", sf.vanishing_ok and sf.local_B_ok
-               and sf.local_W_ok),
-        _check("metric_duality", sf.m11_ok),
+        _check("product_connection", fx.product_connection.checks.ok()),
+        _check("gauss_weingarten", sf.checks.ok("gauss", "weingarten")),
+        _check("local_displays",
+               sf.checks.ok("vanishing", "local_B", "local_W")),
+        _check("metric_duality", sf.checks.ok("metric_duality")),
         _check("mean_curvature_zero", mc.zero),
     ]
     ok = all(c["status"] == "StructurallyZero" for c in checks)
     return ({"B": b, "b_zero": sf.b_zero,
-             "verbatim_duality": sf.verbatim_duality_ok,
+             "verbatim_duality": sf.checks.ok("verbatim_duality"),
              "checks": checks}, ok)
-
-
-def _zero_pairs(entries) -> bool:
-    return all(r.is_structurally_zero() if isinstance(r, Scalar)
-               else r.is_structurally_zero() for _, r in entries)
 
 
 def cmd_identity_suite(fx: Fixture, args) -> Tuple[dict, bool]:
@@ -500,27 +503,20 @@ def cmd_identity_suite(fx: Fixture, args) -> Tuple[dict, bool]:
         },
         "b_zero": rep.b_zero,
         "n_zero": rep.n_zero,
-        "checks": [
-            _check("im_re_relation", rep.im_re_ok),
-            _check("nijenhuis_pairing_proportional", rep.m16_ok),
-            _check("dphi_pairing_proportional", rep.m17_ok),
-            _check("j_anti_invariance", rep.m18_ok),
-            _check("n_reconstruction_proportional", rep.m19_ok),
-            _check("eigenbundle_isotropy", rep.p01_pairing_zero),
-            _check("geodesic_iff_hermitian", rep.geodesic_iff_hermitian),
-        ],
+        "checks": [_check(name, rep.checks.ok(name)) for name in (
+            "im_re_relation", "nijenhuis_pairing_proportional",
+            "dphi_pairing_proportional", "j_anti_invariance",
+            "n_reconstruction_proportional", "eigenbundle_isotropy")]
+        + [_check("geodesic_iff_hermitian", rep.geodesic_iff_hermitian)],
     }
     return (out, rep.ok)
 
 
 def cmd_prolong(fx: Fixture, args) -> Tuple[dict, bool]:
     p = prolong(fx.algebroid)
-    rep = validate_structure(p.algebroid)
     checks = [
-        _check("validate", rep.valid),
-        _check("lift_bracket_laws",
-               all(r.is_structurally_zero()
-                   for _, r in p.lift_law_residuals)),
+        _check("validate", validate_structure(p.algebroid).ok()),
+        _check("lift_bracket_laws", p.checks.ok("lift_bracket_laws")),
     ]
     out = {"rank": p.algebroid.rank,
            "coords": [c.name for c in p.chart.coords]}
@@ -541,13 +537,12 @@ def cmd_product(fx: Fixture, args) -> Tuple[dict, bool]:
     other = resolve_source(args.other)
     prod = direct_product(fx.algebroid, other.algebroid,
                           fx.J, other.J, fx.g, other.g)
-    rep = validate_structure(prod.algebroid)
-    checks = [_check("validate", rep.valid)]
+    valid = validate_structure(prod.algebroid).ok()
     out = {"rank": prod.algebroid.rank,
            "coords": [c.name for c in prod.algebroid.chart.coords],
            "has_J": prod.J is not None, "has_metric": prod.g is not None,
-           "checks": checks}
-    return (out, rep.valid)
+           "checks": [_check("validate", valid)]}
+    return (out, valid)
 
 
 def cmd_restrict(fx: Fixture, args) -> Tuple[dict, bool]:
@@ -572,13 +567,13 @@ def cmd_restrict(fx: Fixture, args) -> Tuple[dict, bool]:
     except ValueError as exc:
         raise PreconditionError(str(exc))
     checks = [
-        _check("validate", res.validation.valid),
-        _check("anchor_morphism",
-               all(r.is_structurally_zero()
-                   for _, r in res.anchor_morphism_residuals)),
-        _check("flatness", res.flat),
+        _check("validate",
+               res.checks.ok("anchor_morphism", "antisymmetry", "jacobi")),
+        _check("anchor_morphism", res.checks.ok("derived_anchor_morphism")),
+        _check("flatness", res.checks.ok("flatness")),
     ]
-    out = {"rank": res.algebroid.rank, "J_commutes": res.J_commutes,
+    j_commutes = res.checks.ok("J_commutes") if res.J is not None else None
+    out = {"rank": res.algebroid.rank, "J_commutes": j_commutes,
            "checks": checks}
     ok = all(c["status"] == "StructurallyZero" for c in checks)
     return (out, ok)
@@ -705,6 +700,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (PreconditionError, IntegrabilityError, HermitianError) as exc:
         print(f"precondition unmet: {exc}", file=sys.stderr)
         return 3
+    except InconsistencyError as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return 4
     if report is None:   # emit writes raw text
         return 0
     report["command"] = args.command

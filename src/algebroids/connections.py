@@ -19,13 +19,13 @@ with inverse g^{bbar a} (sum_b g_{a bbar} g^{bbar c} = delta_a^c).
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from algebroids.algebroid import (
     Algebroid,
+    Residuals,
     Section,
     anchor_push,
     bracket,
@@ -106,12 +106,14 @@ class Connection:
     ``algebroid`` carries the anchors and structure functions of whichever
     frame the coefficients refer to (a ComplexFrame passes its induced
     algebroid), so covariant derivatives, torsion and curvature read the
-    same in both cases.
+    same in both cases.  ``checks`` holds the residuals of the cross-checks
+    its builder ran on it (empty for a connection given by coefficients).
     """
 
     def __init__(self, algebroid: Algebroid, gamma, frame_tag: str = "real"):
         self.algebroid = algebroid
         self.frame_tag = frame_tag
+        self.checks = Residuals()
         m = algebroid.rank
         chart = algebroid.chart
         self.gamma = tuple(
@@ -199,7 +201,8 @@ def levi_civita(A: Algebroid, g: Metric) -> Connection:
     """Torsion-free metric connection from the Koszul coefficient formula.
 
     Torsion-freeness and metric compatibility are re-verified on the
-    result; failure means inconsistent inputs and raises.
+    result (checks ``torsion_free`` and ``metric_compatible``); failure
+    means inconsistent inputs and raises InconsistencyError.
     """
     m = A.rank
     chart = A.chart
@@ -227,32 +230,18 @@ def levi_civita(A: Algebroid, g: Metric) -> Connection:
     for c in range(m):
         for a in range(m):
             for b in range(m):
-                if not T[c][a][b].is_structurally_zero():
-                    raise RuntimeError("Levi-Civita output has torsion")
-    compat = metric_compat_check(conn, g)
-    if not compat.ok:
-        raise RuntimeError("Levi-Civita output is not metric compatible")
+                conn.checks.add("torsion_free", (c, a, b), T[c][a][b])
+    conn.checks.update(metric_compat_check(conn, g))
+    conn.checks.require()
     return conn
 
 
-@dataclass
-class CheckReport:
-    residuals: List[Tuple[tuple, Scalar]]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.is_structurally_zero() for _, r in self.residuals)
-
-    def witnesses(self):
-        return [(idx, r) for idx, r in self.residuals
-                if not r.is_structurally_zero()]
-
-
-def metric_compat_check(conn: Connection, g: Metric) -> CheckReport:
-    """Residuals rho_a(g_bc) - g(nabla_a e_b, e_c) - g(e_b, nabla_a e_c)."""
+def metric_compat_check(conn: Connection, g: Metric) -> Residuals:
+    """Check ``metric_compatible``: residuals rho_a(g_bc) - g(nabla_a e_b,
+    e_c) - g(e_b, nabla_a e_c) indexed (a, b, c)."""
     A = conn.algebroid
     m = A.rank
-    residuals = []
+    residuals = Residuals()
     frame = A.frame
     for a in range(m):
         rho_a = A.anchor_vf(a)
@@ -262,23 +251,25 @@ def metric_compat_check(conn: Connection, g: Metric) -> CheckReport:
                 nc = cov_deriv(conn, frame[a], frame[c])
                 res = (rho_a.apply(g.matrix[b][c])
                        - g.value(nb, frame[c]) - g.value(frame[b], nc))
-                residuals.append(((a, b, c), res.normalize()))
-    return CheckReport(residuals)
+                residuals.add("metric_compatible", (a, b, c), res.normalize())
+    return residuals
 
 
-def almost_complex_check(conn: Connection, J: EndoField) -> CheckReport:
-    """Residual components of (nabla_a J) e_b."""
+def almost_complex_check(conn: Connection, J: EndoField) -> Residuals:
+    """Check ``almost_complex``: components of (nabla_a J) e_b indexed
+    (a, b, c)."""
     A = conn.algebroid
     m = A.rank
-    residuals = []
+    residuals = Residuals()
     frame = A.frame
     for a in range(m):
         for b in range(m):
             res = (cov_deriv(conn, frame[a], J.apply(frame[b]))
                    - J.apply(cov_deriv(conn, frame[a], frame[b])))
             for c in range(m):
-                residuals.append(((a, b, c), res.components[c].normalize()))
-    return CheckReport(residuals)
+                residuals.add("almost_complex", (a, b, c),
+                              res.components[c].normalize())
+    return residuals
 
 
 def nabla_J(conn: Connection, J: EndoField, s1: Section, s2: Section) -> Section:
@@ -287,16 +278,16 @@ def nabla_J(conn: Connection, J: EndoField, s1: Section, s2: Section) -> Section
             - J.apply(cov_deriv(conn, s1, s2)))
 
 
-def hermitian_check(g: Metric, J: EndoField) -> CheckReport:
-    """Residuals g(J e_a, J e_b) - g_ab."""
+def hermitian_check(g: Metric, J: EndoField) -> Residuals:
+    """Check ``hermitian``: residuals g(J e_a, J e_b) - g_ab indexed (a, b)."""
     A = g.algebroid
-    residuals = []
+    residuals = Residuals()
     frame = A.frame
     for a in range(A.rank):
         for b in range(a, A.rank):
             res = g.value(J.apply(frame[a]), J.apply(frame[b])) - g.matrix[a][b]
-            residuals.append(((a, b), res.normalize()))
-    return CheckReport(residuals)
+            residuals.add("hermitian", (a, b), res.normalize())
+    return residuals
 
 
 class HermitianError(ValueError):
@@ -304,7 +295,7 @@ class HermitianError(ValueError):
 
 
 def require_hermitian(g: Metric, J: EndoField) -> None:
-    if not hermitian_check(g, J).ok:
+    if not hermitian_check(g, J).ok():
         raise HermitianError("metric is not Hermitian for this J")
 
 
@@ -317,26 +308,29 @@ def fundamental_form(g: Metric, J: EndoField) -> EForm:
         for b in range(a + 1, A.rank):
             phi[(a, b)] = g.value(frame[a], J.apply(frame[b])).normalize()
     # re-verify the defining antisymmetry and J-invariance on frame pairs
+    checks = Residuals()
     for a in range(A.rank):
         for b in range(A.rank):
-            anti = (g.value(frame[a], J.apply(frame[b]))
-                    + g.value(frame[b], J.apply(frame[a]))).normalize()
-            if not anti.is_structurally_zero():
-                raise RuntimeError("fundamental form is not antisymmetric")
-            inv = (g.value(J.apply(frame[a]), J.apply(J.apply(frame[b])))
-                   - g.value(frame[a], J.apply(frame[b]))).normalize()
-            if not inv.is_structurally_zero():
-                raise RuntimeError("fundamental form is not J-invariant")
+            checks.add("fundamental_form_antisymmetric", (a, b),
+                       (g.value(frame[a], J.apply(frame[b]))
+                        + g.value(frame[b], J.apply(frame[a]))).normalize())
+            checks.add("fundamental_form_j_invariant", (a, b),
+                       (g.value(J.apply(frame[a]), J.apply(J.apply(frame[b])))
+                        - g.value(frame[a], J.apply(frame[b]))).normalize())
+    checks.require()
     return phi
 
 
 @dataclass
 class KahlerReport:
+    """The Kahler trichotomy; ``checks`` holds the covariant-derivative
+    identity ``fundamental_form_identity`` indexed by frame triples."""
+
     nijenhuis_zero: bool
     dphi_zero: bool
     lc_almost_complex: bool
     equivalence_holds: bool
-    vii5_ok: bool
+    checks: Residuals
     dphi: EForm = None
     phi: EForm = None
 
@@ -360,7 +354,7 @@ def kahler_report(fx: Fixture) -> KahlerReport:
                            + g(N(s2,s3), J s1)
 
     checked on all frame triples (it is an identity, so a nonzero residual
-    means an implementation bug and raises).
+    means an implementation bug).
     """
     A, J, g = fx.algebroid, fx.J, fx.g
     require_hermitian(g, J)
@@ -371,7 +365,7 @@ def kahler_report(fx: Fixture) -> KahlerReport:
     ac = almost_complex_check(D, J)
 
     frame = A.frame
-    vii5_ok = True
+    checks = Residuals()
     for a in range(A.rank):
         for b in range(A.rank):
             for c in range(A.rank):
@@ -379,13 +373,13 @@ def kahler_report(fx: Fixture) -> KahlerReport:
                 rhs = (evaluate(dphi, [frame[a], J.apply(frame[b]), J.apply(frame[c])])
                        - evaluate(dphi, [frame[a], frame[b], frame[c]])
                        + g.value(N.value(frame[b], frame[c]), J.apply(frame[a])))
-                if not (lhs - rhs).normalize().is_structurally_zero():
-                    vii5_ok = False
+                checks.add("fundamental_form_identity", (a, b, c),
+                           (lhs - rhs).normalize())
     n_zero = N.is_structurally_zero()
     dphi_zero = dphi.is_structurally_zero()
-    lc_ac = ac.ok
+    lc_ac = ac.ok()
     equivalence = lc_ac == (n_zero and dphi_zero)
-    return KahlerReport(n_zero, dphi_zero, lc_ac, equivalence, vii5_ok,
+    return KahlerReport(n_zero, dphi_zero, lc_ac, equivalence, checks,
                         dphi=dphi, phi=phi)
 
 
@@ -432,8 +426,8 @@ def levi_civita_complex_frame(fx: Fixture) -> Connection:
 
     The four displayed coefficient families (and their conjugates) are
     computed from the Hermitian components; the result is cross-checked
-    against the frame transformation of the real-frame Levi-Civita.  Any
-    residual is recorded on the returned connection under
+    against the frame transformation of the real-frame Levi-Civita.  The
+    residuals are recorded in the returned connection's ``checks`` under
     ``formula_vs_transform`` rather than silently patched.
     """
     A, g = fx.algebroid, fx.g
@@ -530,33 +524,27 @@ def levi_civita_complex_frame(fx: Fixture) -> Connection:
 
     # cross-check against the transformed real-frame Levi-Civita
     D = fx.levi_civita
-    mismatches = []
     for mu in range(two_m):
         for nu in range(two_m):
             derived = cov_deriv(D, F.sections[mu], F.sections[nu])
             coeffs = F.expand(derived)
             for lam in range(two_m):
-                res = (coeffs[lam] - gamma[lam][mu][nu]).normalize()
-                if not res.is_structurally_zero():
-                    mismatches.append(((lam, mu, nu), res))
-    conn.formula_vs_transform = mismatches
-    conn.complex_frame = F
-    conn.hermitian = hc
+                conn.checks.add("formula_vs_transform", (lam, mu, nu),
+                                (coeffs[lam] - gamma[lam][mu][nu]).normalize())
     return conn
 
 
 @dataclass
 class KahlerCurvatureReport:
-    family_unbarred_ok: bool
-    family_barred_formula_ok: bool
-    conjugation_ok: bool
-    outside_families_zero: bool
-    components: tuple
+    """Curvature components with the checks ``barred_formula``,
+    ``conjugation`` and ``outside_families``.
 
-    @property
-    def ok(self) -> bool:
-        return (self.family_unbarred_ok and self.family_barred_formula_ok
-                and self.conjugation_ok and self.outside_families_zero)
+    R^d_{ab,c} uses the same general coefficient formula it was computed
+    with, so that family is consistent by construction and not checked.
+    """
+
+    components: tuple
+    checks: Residuals
 
 
 def kahler_complex_curvature(connF: Connection, F: ComplexFrame,
@@ -595,7 +583,7 @@ def kahler_complex_curvature(connF: Connection, F: ComplexFrame,
 
     # general coefficient formula already used; verify the displayed
     # reduced formula for R^{dbar}_{a bbar, cbar}
-    barred_formula_ok = True
+    checks = Residuals()
     for d in range(m):
         for a in range(m):
             for b in range(m):
@@ -604,19 +592,17 @@ def kahler_complex_curvature(connF: Connection, F: ComplexFrame,
                     disp = rho_a.apply(connF.gamma[bar(d)][bar(b)][bar(c)])
                     for e in range(m):
                         disp = disp - CA.C[bar(e)][a][bar(b)] * connF.gamma[bar(d)][bar(e)][bar(c)]
-                    res = (R[bar(d)][a][bar(b)][bar(c)] - disp).normalize()
-                    if not res.is_structurally_zero():
-                        barred_formula_ok = False
+                    checks.add("barred_formula", (d, a, b, c),
+                               (R[bar(d)][a][bar(b)][bar(c)] - disp).normalize())
 
-    conj_ok = True
     for d in range(two_m):
         for a in range(two_m):
             for b in range(two_m):
                 for c in range(two_m):
                     lhs = R[d][a][b][c].conjugate()
                     rhs = R[bar(d)][bar(a)][bar(b)][bar(c)]
-                    if not (lhs - rhs).normalize().is_structurally_zero():
-                        conj_ok = False
+                    checks.add("conjugation", (d, a, b, c),
+                               (lhs - rhs).normalize())
 
     # allowed nonzero families: R^d_{ab,c}, R^dbar_{a bbar, cbar} and all
     # images under conjugation and first-pair antisymmetry
@@ -629,19 +615,14 @@ def kahler_complex_curvature(connF: Connection, F: ComplexFrame,
                 (False, False, True, False)}
         return (barred(d), barred(a), barred(b), barred(c)) in pats
 
-    outside_zero = True
     for d in range(two_m):
         for a in range(two_m):
             for b in range(two_m):
                 for c in range(two_m):
                     if not allowed(d, a, b, c):
-                        if not R[d][a][b][c].is_structurally_zero():
-                            outside_zero = False
-
-    # R^d_{ab,c} uses the same general coefficient formula it was computed
-    # with, so that family is consistent by construction
-    return KahlerCurvatureReport(True, barred_formula_ok, conj_ok,
-                                 outside_zero, R)
+                        checks.add("outside_families", (d, a, b, c),
+                                   R[d][a][b][c])
+    return KahlerCurvatureReport(R, checks)
 
 
 # ---------------------------------------------------------------------------

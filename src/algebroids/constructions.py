@@ -9,7 +9,7 @@ Three factories produce new algebroids from old:
   sections, the complete lifts of endomorphisms and metrics, the Sasaki
   metric and the complete-lift connection are all provided; the three
   lift bracket laws are re-verified at construction time and any
-  inconsistency raises instead of being patched.
+  inconsistency raises InconsistencyError instead of being patched.
 * ``direct_product``: block anchor and structure functions over the
   concatenated chart, with block complex structure and metric.
 * ``projector_restriction``: given anchor data rho0 on a chart, an
@@ -23,14 +23,14 @@ suite, plus the syntax ``prolong(<name>)`` and ``product(<a>,<b>)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from algebroids.algebroid import (
     Algebroid,
+    Residuals,
     Section,
-    ValidationReport,
     VectorField,
     bracket,
     validate_structure,
@@ -39,7 +39,6 @@ from algebroids.algebroid import (
 from algebroids.connections import (
     Connection,
     Metric,
-    cov_deriv,
     levi_civita,
     levi_civita_complex_frame,
 )
@@ -74,7 +73,11 @@ __all__ = [
 
 
 class Prolongation:
-    """Prolongation of a Lie algebroid with its lift calculus."""
+    """Prolongation of a Lie algebroid with its lift calculus.
+
+    ``checks`` holds the lift bracket laws (check ``lift_bracket_laws``,
+    indexed ("vv" | "cv" | "cc", a, b, c)), required at construction.
+    """
 
     def __init__(self, base: Algebroid):
         self.base = base
@@ -112,13 +115,9 @@ class Prolongation:
         self.algebroid = Algebroid(chart, 2 * r, anchor, cdict,
                                    frame_labels=labels)
 
-        self.lift_law_residuals = self._check_lift_laws()
-        bad = [key for key, res in self.lift_law_residuals
-               if not res.is_structurally_zero()]
-        if bad:
-            raise RuntimeError(
-                f"lift bracket laws inconsistent with the structure "
-                f"equations at {bad[:3]}")
+        self.checks = Residuals()
+        self._check_lift_laws()
+        self.checks.require()
 
     # ---- lifts -----------------------------------------------------------
 
@@ -169,7 +168,6 @@ class Prolongation:
         return Section(self.algebroid, comps + vert)
 
     def _check_lift_laws(self):
-        out = []
         base = self.base
         for a in range(self.r):
             for b in range(self.r):
@@ -181,13 +179,10 @@ class Prolongation:
                       - self.vertical_lift(base_br))
                 r3 = (bracket(self.complete_lift(ea), self.complete_lift(eb))
                       - self.complete_lift(base_br))
-                for c, res in enumerate(r1.normalized().components):
-                    out.append((("vv", a, b, c), res))
-                for c, res in enumerate(r2.normalized().components):
-                    out.append((("cv", a, b, c), res))
-                for c, res in enumerate(r3.normalized().components):
-                    out.append((("cc", a, b, c), res))
-        return out
+                for law, r in (("vv", r1), ("cv", r2), ("cc", r3)):
+                    for c, res in enumerate(r.normalized().components):
+                        self.checks.add("lift_bracket_laws", (law, a, b, c),
+                                        res)
 
     # ---- lifted structures ----------------------------------------------
 
@@ -500,22 +495,20 @@ def direct_product(A1: Algebroid, A2: Algebroid,
 
 @dataclass
 class ProjectorRestriction:
-    """Restriction of ambient anchored data through an idempotent Pi."""
+    """Restriction of ambient anchored data through an idempotent Pi.
+
+    ``checks`` holds the structure equations of the restriction (the
+    checks of ``validate_structure``), ``derived_anchor_morphism`` indexed
+    (a, b, i), ``flatness`` indexed (a, b, c) and, when an ambient J is
+    given, ``J_commutes`` (Pi J - J Pi) indexed (i, j).
+    """
 
     chart: Chart
     ambient_rank: int
     Pi: list
     algebroid: Algebroid
-    validation: ValidationReport
-    anchor_morphism_residuals: list
-    flatness_residuals: list
+    checks: Residuals
     J: Optional[EndoField]
-    J_commutes: Optional[bool]
-
-    @property
-    def flat(self) -> bool:
-        return all(all(r.is_structurally_zero() for r in comps)
-                   for _, comps in self.flatness_residuals)
 
 
 def projector_restriction(chart: Chart, rho0, Pi, lift,
@@ -566,48 +559,40 @@ def projector_restriction(chart: Chart, rho0, Pi, lift,
                 if not acc.is_structurally_zero():
                     cdict[(a, b, c)] = acc
     A = Algebroid(chart, rank, anchor, cdict)
-    validation = validate_structure(A)
+    checks = validate_structure(A)
 
     # anchor morphism of the derived bracket against the chart bracket
-    morphism = []
     for (a, b), br in brs.items():
         for i in range(chart.dim):
             acc = -br.components[i]
             for c in range(rank):
                 acc = acc + A.C[c][a][b] * A.anchor[c][i]
-            morphism.append(((a, b, i), acc.normalize()))
+            checks.add("derived_anchor_morphism", (a, b, i), acc.normalize())
 
     # flatness: (I - Pi) [Pi e_a, Pi e_b] with constant ambient extensions
-    flatness = []
     for a in range(rank):
         for b in range(a + 1, rank):
             amb = []
             for c in range(rank):
                 val = rho_vfs[a].apply(Pi[c][b]) - rho_vfs[b].apply(Pi[c][a])
                 amb.append(val)
-            res = []
             for c in range(rank):
                 acc = amb[c]
                 for d in range(rank):
                     acc = acc - Pi[c][d] * amb[d]
-                res.append(acc.normalize())
-            flatness.append(((a, b), res))
+                checks.add("flatness", (a, b, c), acc.normalize())
 
     J = None
-    commutes = None
     if ambient_J is not None:
         J = almost_complex_structure(A, ambient_J)
-        commutes = True
         JM = ScalarMatrix(chart, [[J.entry(i, j) for j in range(rank)]
                                   for i in range(rank)])
         PiJ, JPi = (PiM @ JM).rows(), (JM @ PiM).rows()
         for i in range(rank):
             for j in range(rank):
-                if not (PiJ[i][j] - JPi[i][j]).normalize() \
-                        .is_structurally_zero():
-                    commutes = False
-    return ProjectorRestriction(chart, rank, Pi, A, validation, morphism,
-                                flatness, J, commutes)
+                checks.add("J_commutes", (i, j),
+                           (PiJ[i][j] - JPi[i][j]).normalize())
+    return ProjectorRestriction(chart, rank, Pi, A, checks, J)
 
 
 # ---------------------------------------------------------------------------

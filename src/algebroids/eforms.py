@@ -14,9 +14,9 @@ s -> rho(s)f.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from algebroids.algebroid import Algebroid, Section, anchor_push, bracket
+from algebroids.algebroid import Algebroid, Section
 from algebroids.scalars import Chart, ChartError, Scalar
 
 __all__ = ["EForm", "wedge", "d_E", "evaluate"]

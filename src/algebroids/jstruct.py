@@ -15,13 +15,14 @@ conjugate of index mu is (mu + m) mod 2m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from algebroids.algebroid import (
     Algebroid,
+    Residuals,
     Section,
     VectorField,
     anchor_push,
@@ -29,7 +30,7 @@ from algebroids.algebroid import (
     vf_bracket,
 )
 from algebroids.eforms import EForm, d_E
-from algebroids.scalars import Chart, ChartError, Scalar, ScalarMatrix, i
+from algebroids.scalars import ChartError, Scalar, ScalarMatrix, i
 
 if TYPE_CHECKING:
     from algebroids.constructions import Fixture
@@ -158,10 +159,12 @@ def projectors(J: EndoField) -> Tuple[EndoField, EndoField]:
 
 @dataclass
 class NijenhuisTensor:
-    """Components N^c_ab, antisymmetric in (a, b)."""
+    """Components N^c_ab, antisymmetric in (a, b), with the agreement of
+    the two routes that computed them (check ``dual_route_agreement``)."""
 
     algebroid: Algebroid
     components: tuple  # components[c][a][b]
+    checks: Residuals
 
     def value(self, s1: Section, s2: Section) -> Section:
         A = self.algebroid
@@ -196,7 +199,8 @@ def _nijenhuis_frame(A: Algebroid, J: EndoField, s1: Section, s2: Section) -> Se
 def nijenhuis(A: Algebroid, J: EndoField) -> NijenhuisTensor:
     """Nijenhuis tensor computed twice: frame evaluation of the defining
     formula and the local coefficient formula.  The two routes must agree
-    structurally; a mismatch raises, since it would mean an internal bug.
+    structurally (check ``dual_route_agreement``); a mismatch raises
+    InconsistencyError, since it would mean an internal bug.
     """
     m = A.rank
     chart = A.chart
@@ -231,17 +235,16 @@ def nijenhuis(A: Algebroid, J: EndoField) -> NijenhuisTensor:
                 acc = acc - A.C[c][a][b]
                 by_coeff[c][a][b] = acc.normalize()
 
+    checks = Residuals()
     for c in range(m):
         for a in range(m):
             for b in range(m):
-                diff = (by_eval[c][a][b] - by_coeff[c][a][b]).normalize()
-                if not diff.is_structurally_zero():
-                    raise RuntimeError(
-                        f"Nijenhuis routes disagree at ({c},{a},{b}): {diff}"
-                    )
+                checks.add("dual_route_agreement", (c, a, b),
+                           (by_eval[c][a][b] - by_coeff[c][a][b]).normalize())
+    checks.require()
 
     comps = tuple(tuple(tuple(row) for row in layer) for layer in by_eval)
-    return NijenhuisTensor(A, comps)
+    return NijenhuisTensor(A, comps, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +292,11 @@ class ComplexFrame:
         self._complex_algebroid: Optional[Algebroid] = None
 
         # J f_a = i f_a and J fbar_a = -i fbar_a must hold structurally
+        checks = Residuals()
         for mu, f in enumerate(self.sections):
             eig = i if mu < self.m else -i
-            res = J.apply(f) - f.scale(chart.scalar(eig))
-            if not res.is_structurally_zero():
-                raise RuntimeError("eigenframe property failed")
+            checks.add("eigenframe", mu, J.apply(f) - f.scale(chart.scalar(eig)))
+        checks.require()
 
     def conj_index(self, mu: int) -> int:
         return (mu + self.m) % (2 * self.m)
@@ -386,8 +389,10 @@ def adapted_complex_frame(A: Algebroid, J: EndoField) -> ComplexFrame:
         if independent(cand):
             chosen.append(u)
             columns = cand
-    if len(chosen) != m:
-        raise RuntimeError("adapted frame selection failed")
+    # the residual is the number of generators the selection is short of
+    checks = Residuals()
+    checks.add("frame_selection", len(chosen), A.chart.scalar(m - len(chosen)))
+    checks.require()
     return ComplexFrame(A, J, chosen)
 
 
@@ -413,10 +418,12 @@ def d_E_split(w: EForm, F: ComplexFrame) -> Dict[str, EForm]:
 
     On a (p,q) piece the differential lands in (p+2,q-1) + (p+1,q) +
     (p,q+1) + (p-1,q+2); those parts are returned under the keys
-    "d_prime", "del", "delbar", "d_second".
+    "d_prime", "del", "delbar", "d_second".  A part in any other bidegree
+    raises InconsistencyError (check ``bidegree``).
     """
     out = {name: F.form(w.degree + 1)
            for name in ("d_prime", "del", "delbar", "d_second")}
+    leaks = Residuals()
     for (p, q), piece in bigrade(w, F).items():
         dw = F.d_E(piece)
         for (pp, qq), part in bigrade(dw, F).items():
@@ -429,8 +436,10 @@ def d_E_split(w: EForm, F: ComplexFrame) -> Dict[str, EForm]:
             elif (pp, qq) == (p - 1, q + 2):
                 name = "d_second"
             else:
-                raise RuntimeError(f"d_E leaked to unexpected bidegree {(pp, qq)}")
+                leaks.add("bidegree", ((p, q), (pp, qq)), part)
+                continue
             out[name] = out[name] + part
+    leaks.require()
     return out
 
 
@@ -438,26 +447,19 @@ def d_E_split(w: EForm, F: ComplexFrame) -> Dict[str, EForm]:
 # Newlander-Nirenberg suite
 
 
+NN_CHECKS = ("bracket_closed_10", "bracket_closed_01", "no_leak_degree1",
+             "no_leak_degree2", "nijenhuis_zero")
+
+
 @dataclass
 class NNReport:
-    """Status of the five equivalent integrability tests."""
+    """The five equivalent integrability tests, one check each (NN_CHECKS)."""
 
-    bracket_closed_10: bool
-    bracket_closed_01: bool
-    no_leak_degree1: bool
-    no_leak_degree2: bool
-    nijenhuis_zero: bool
-    witnesses: dict = field(default_factory=dict)
+    checks: Residuals
 
     @property
     def statuses(self) -> List[bool]:
-        return [
-            self.bracket_closed_10,
-            self.bracket_closed_01,
-            self.no_leak_degree1,
-            self.no_leak_degree2,
-            self.nijenhuis_zero,
-        ]
+        return [self.checks.ok(name) for name in NN_CHECKS]
 
     @property
     def all_agree(self) -> bool:
@@ -465,7 +467,7 @@ class NNReport:
 
     @property
     def integrable(self) -> bool:
-        return self.nijenhuis_zero
+        return self.checks.ok("nijenhuis_zero")
 
 
 def newlander_nirenberg_report(fx: Fixture) -> NNReport:
@@ -473,112 +475,66 @@ def newlander_nirenberg_report(fx: Fixture) -> NNReport:
     F = fx.frame
     CA = F.as_algebroid()
     m = F.m
-    witnesses = {}
+    checks = Residuals()
 
-    closed_10 = True
     for a in range(m):
         for b in range(a + 1, m):
             for lam in range(m, 2 * m):
-                if not CA.C[lam][a][b].is_structurally_zero():
-                    closed_10 = False
-                    witnesses.setdefault("bracket_10", (lam, a, b, CA.C[lam][a][b]))
+                checks.add("bracket_closed_10", (lam, a, b), CA.C[lam][a][b])
 
-    closed_01 = True
     for a in range(m, 2 * m):
         for b in range(a + 1, 2 * m):
             for lam in range(m):
-                if not CA.C[lam][a][b].is_structurally_zero():
-                    closed_01 = False
-                    witnesses.setdefault("bracket_01", (lam, a, b, CA.C[lam][a][b]))
+                checks.add("bracket_closed_01", (lam, a, b), CA.C[lam][a][b])
 
     # degree-1 leakage: d of f^a must have no (0,2) part, d of fbar^a no (2,0)
-    no_leak_1 = True
     for mu in range(2 * m):
         w = F.form(1, {(mu,): 1})
         pieces = bigrade(F.d_E(w), F)
         bad = (0, 2) if mu < m else (2, 0)
-        piece = pieces.get(bad)
-        if piece is not None and not piece.is_structurally_zero():
-            no_leak_1 = False
-            witnesses.setdefault("leak_degree1", (mu, bad))
+        if bad in pieces:
+            checks.add("no_leak_degree1", (mu, bad), pieces[bad])
 
     # degree-2 generators: d of each basis 2-form must stay in (p+1,q)+(p,q+1)
-    no_leak_2 = True
     for mu, nu in combinations(range(2 * m), 2):
         w = F.form(2, {(mu, nu): 1})
         p = sum(1 for k in (mu, nu) if k < m)
         q = 2 - p
         for (pp, qq), piece in bigrade(F.d_E(w), F).items():
             if (pp, qq) not in ((p + 1, q), (p, q + 1)):
-                if not piece.is_structurally_zero():
-                    no_leak_2 = False
-                    witnesses.setdefault("leak_degree2", ((mu, nu), (pp, qq)))
+                checks.add("no_leak_degree2", ((mu, nu), (pp, qq)), piece)
 
     N = fx.nijenhuis
-    n_zero = N.is_structurally_zero()
-    if not n_zero:
-        for c in range(A.rank):
-            for a in range(A.rank):
-                for b in range(A.rank):
-                    if not N.components[c][a][b].is_structurally_zero():
-                        witnesses.setdefault("nijenhuis", (c, a, b, N.components[c][a][b]))
+    for c in range(A.rank):
+        for a in range(A.rank):
+            for b in range(A.rank):
+                checks.add("nijenhuis_zero", (c, a, b), N.components[c][a][b])
 
-    return NNReport(closed_10, closed_01, no_leak_1, no_leak_2, n_zero, witnesses)
+    return NNReport(checks)
 
 
 # ---------------------------------------------------------------------------
 # infinitesimal automorphisms
 
 
-@dataclass
-class AutomorphismReport:
-    residuals: List[Section]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.is_structurally_zero() for r in self.residuals)
-
-
 def infinitesimal_automorphism_check(s: Section, A: Algebroid,
-                                     J: EndoField) -> AutomorphismReport:
-    """Residuals [s, J e_b] - J [s, e_b] over the frame."""
-    residuals = []
+                                     J: EndoField) -> Residuals:
+    """Check ``automorphism``: residuals [s, J e_b] - J [s, e_b] indexed b."""
+    residuals = Residuals()
     for b in range(A.rank):
         eb = A.frame_section(b)
         res = bracket(s, J.apply(eb)) - J.apply(bracket(s, eb))
-        residuals.append(res.normalized())
-    return AutomorphismReport(residuals)
+        residuals.add("automorphism", b, res.normalized())
+    return residuals
 
 
 # ---------------------------------------------------------------------------
 # matched pairs
 
 
-@dataclass
-class MatchedPairReport:
-    mp1: List[Tuple[Tuple[int, int], VectorField]]
-    mp2: List[Tuple[Tuple[int, int, int], Section]]
-    mp3: List[Tuple[Tuple[int, int, int], Section]]
-
-    @property
-    def mp1_ok(self) -> bool:
-        return all(r.is_structurally_zero() for _, r in self.mp1)
-
-    @property
-    def mp2_ok(self) -> bool:
-        return all(r.is_structurally_zero() for _, r in self.mp2)
-
-    @property
-    def mp3_ok(self) -> bool:
-        return all(r.is_structurally_zero() for _, r in self.mp3)
-
-    @property
-    def ok(self) -> bool:
-        return self.mp1_ok and self.mp2_ok and self.mp3_ok
-
-
-def matched_pair_check(fx: Fixture) -> MatchedPairReport:
-    """Verify the two mutual actions satisfy the matched-pair identities.
+def matched_pair_check(fx: Fixture) -> Residuals:
+    """Verify the two mutual actions satisfy the matched-pair identities,
+    checks ``mp1`` indexed (a, b) and ``mp2``, ``mp3`` indexed (a, b, c).
 
     E1 is the +i eigenbundle with basis f_a, E2 the -i eigenbundle with
     basis fbar_a.  The actions are nabla_t s = p10 [t, s] and
@@ -610,7 +566,7 @@ def matched_pair_check(fx: Fixture) -> MatchedPairReport:
     def br01(x: Section, y: Section) -> Section:
         return p01.apply(bracket(x, y)).normalized()
 
-    mp1 = []
+    report = Residuals()
     for a in range(m):
         for b in range(m):
             s, t = f[a], fbar[b]
@@ -622,9 +578,8 @@ def matched_pair_check(fx: Fixture) -> MatchedPairReport:
                  - anchor_push(nab_st(s, t)).components[i]).normalize()
                 for i in range(A.chart.dim)
             ])
-            mp1.append(((a, b), res))
+            report.add("mp1", (a, b), res)
 
-    mp2 = []
     for a in range(m):
         for b in range(m):
             for c in range(m):
@@ -632,9 +587,8 @@ def matched_pair_check(fx: Fixture) -> MatchedPairReport:
                 lhs = nab_st(s, br01(t1, t2))
                 rhs = (br01(nab_st(s, t1), t2) + br01(t1, nab_st(s, t2))
                        + nab_st(nab_ts(t2, s), t1) - nab_st(nab_ts(t1, s), t2))
-                mp2.append(((a, b, c), (lhs - rhs).normalized()))
+                report.add("mp2", (a, b, c), (lhs - rhs).normalized())
 
-    mp3 = []
     for a in range(m):
         for b in range(m):
             for c in range(m):
@@ -642,6 +596,6 @@ def matched_pair_check(fx: Fixture) -> MatchedPairReport:
                 lhs = nab_ts(t, br10(s1, s2))
                 rhs = (br10(nab_ts(t, s1), s2) + br10(s1, nab_ts(t, s2))
                        + nab_ts(nab_st(s2, t), s1) - nab_ts(nab_st(s1, t), s2))
-                mp3.append(((a, b, c), (lhs - rhs).normalized()))
+                report.add("mp3", (a, b, c), (lhs - rhs).normalized())
 
-    return MatchedPairReport(mp1, mp2, mp3)
+    return report

@@ -23,11 +23,11 @@ formulas for Re B; the constants are found from the data, not assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional
 
-from algebroids.algebroid import Algebroid, Section, anchor_push, bracket
+from algebroids.algebroid import Algebroid, Residuals, Section, anchor_push
 from algebroids.connections import (
     Connection,
     Metric,
@@ -38,7 +38,7 @@ from algebroids.connections import (
     require_hermitian,
     torsion,
 )
-from algebroids.eforms import EForm, evaluate
+from algebroids.eforms import EForm
 from algebroids.jstruct import ComplexFrame, EndoField, projectors
 from algebroids.scalars import ComplexRational, Scalar, i, random_point
 
@@ -99,42 +99,18 @@ def _h_value(hmat, s1: Section, s2: Section) -> Scalar:
 
 @dataclass
 class ProductConnection:
-    """D~ coefficients over the complex frame with its verification trail."""
+    """D~ coefficients over the complex frame with its verification trail.
+
+    ``checks``: ``two_forms`` (projection form vs D + (1/2)(DJ)J form),
+    ``parallel_p10``, ``parallel_p01``, ``parallel_h`` (parallelism),
+    ``torsion_m4_vs_m5``, ``torsion_vs_table`` and ``local_displays``
+    (torsion).
+    """
 
     F: ComplexFrame
     connF: Connection          # Levi-Civita in the complex frame
     tilde: Connection          # metric product connection
-    two_forms_residuals: list  # projection form vs D + (1/2)(DJ)J form
-    parallel_p10: list
-    parallel_p01: list
-    parallel_h: list
-    torsion_m4_vs_m5: list
-    torsion_vs_table: list
-    local_display_residuals: list
-
-    @property
-    def forms_agree(self) -> bool:
-        return _all_zero_sections(self.two_forms_residuals)
-
-    @property
-    def parallel_ok(self) -> bool:
-        return (_all_zero_sections(self.parallel_p10)
-                and _all_zero_sections(self.parallel_p01)
-                and all(r.is_structurally_zero() for _, r in self.parallel_h))
-
-    @property
-    def torsion_ok(self) -> bool:
-        return (_all_zero_sections(self.torsion_m4_vs_m5)
-                and _all_zero_sections(self.torsion_vs_table)
-                and _all_zero_sections(self.local_display_residuals))
-
-    @property
-    def ok(self) -> bool:
-        return self.forms_agree and self.parallel_ok and self.torsion_ok
-
-
-def _all_zero_sections(entries) -> bool:
-    return all(s.is_structurally_zero() for _, s in entries)
+    checks: Residuals
 
 
 def product_connection(fx: Fixture) -> ProductConnection:
@@ -167,10 +143,10 @@ def product_connection(fx: Fixture) -> ProductConnection:
                 if (d >= m) == (nu >= m):
                     gamma[d][mu][nu] = connF.gamma[d][mu][nu]
     tilde = Connection(CA, gamma, frame_tag="complex")
+    checks = Residuals()
 
     # the correction form D + (1/2)(DJ)J must agree
     half = Fraction(1, 2)
-    two_forms = []
     for mu in range(two_m):
         for nu in range(two_m):
             ds = D(frame[mu], frame[nu])
@@ -178,17 +154,16 @@ def product_connection(fx: Fixture) -> ProductConnection:
                     - JC.apply(D(frame[mu], JC.apply(frame[nu]))))
             rhs = ds + dj_j.scale(chart.scalar(half))
             lhs = cov_deriv(tilde, frame[mu], frame[nu])
-            two_forms.append(((mu, nu), (lhs - rhs).normalized()))
+            checks.add("two_forms", (mu, nu), (lhs - rhs).normalized())
 
     # parallelism of the projectors and of h
-    par10, par01, parh = [], [], []
     for lam in range(two_m):
         for mu in range(two_m):
             dt = cov_deriv(tilde, frame[lam], frame[mu])
             r10 = (cov_deriv(tilde, frame[lam], p10(frame[mu])) - p10(dt))
             r01 = (cov_deriv(tilde, frame[lam], p01(frame[mu])) - p01(dt))
-            par10.append(((lam, mu), r10.normalized()))
-            par01.append(((lam, mu), r01.normalized()))
+            checks.add("parallel_p10", (lam, mu), r10.normalized())
+            checks.add("parallel_p01", (lam, mu), r01.normalized())
     # (D~ h)(s; s1, s2) with the conjugate-equivariant extension in slot 2:
     # rho(s) h(s1,s2) - h(D~_s s1, s2) - h(s1, D~_{conj s} s2)
     for lam in range(two_m):
@@ -200,11 +175,9 @@ def product_connection(fx: Fixture) -> ProductConnection:
                     acc = acc - tilde.gamma[k][lam][mu] * hmat[k][nu]
                     acc = acc - (tilde.gamma[k][F.conj_index(lam)][nu]
                                  .conjugate() * hmat[mu][k])
-                parh.append(((lam, mu, nu), acc.normalize()))
+                checks.add("parallel_h", (lam, mu, nu), acc.normalize())
 
     # torsion three ways
-    m4_vs_m5 = []
-    t_vs_table = []
     Ttab = torsion(tilde)
     for mu in range(two_m):
         for nu in range(mu + 1, two_m):
@@ -216,68 +189,57 @@ def product_connection(fx: Fixture) -> ProductConnection:
             dj2 = (D(s2, JC.apply(JC.apply(s1)))
                    - JC.apply(D(s2, JC.apply(s1))))
             t5 = (dj1 - dj2).scale(chart.scalar(half))
-            m4_vs_m5.append(((mu, nu), (t4 - t5).normalized()))
+            checks.add("torsion_m4_vs_m5", (mu, nu), (t4 - t5).normalized())
             ttab = Section(CA, [Ttab[d][mu][nu] for d in range(two_m)])
-            t_vs_table.append(((mu, nu), (t4 - ttab).normalized()))
+            checks.add("torsion_vs_table", (mu, nu), (t4 - ttab).normalized())
 
     # local displays: T(f_a,f_b) = C^dbar_{ba} fbar_d and the mixed display
-    local = []
     for a in range(m):
         for b in range(m):
             want = [chart.zero] * two_m
             for d in range(m):
                 want[m + d] = CA.C[m + d][b][a]
             t = Section(CA, [Ttab[d][a][b] for d in range(two_m)])
-            local.append((("unbarred", a, b), (t - Section(CA, want)).normalized()))
+            checks.add("local_displays", ("unbarred", a, b),
+                       (t - Section(CA, want)).normalized())
             want2 = [chart.zero] * two_m
             for d in range(m):
                 want2[d] = CA.C[d][m + b][a] - connF.gamma[d][m + b][a]
                 want2[m + d] = (connF.gamma[m + d][a][m + b]
                                 - CA.C[m + d][a][m + b])
             t2 = Section(CA, [Ttab[d][a][m + b] for d in range(two_m)])
-            local.append((("mixed", a, b), (t2 - Section(CA, want2)).normalized()))
+            checks.add("local_displays", ("mixed", a, b),
+                       (t2 - Section(CA, want2)).normalized())
 
-    return ProductConnection(F, connF, tilde, two_forms, par10, par01, parh,
-                             m4_vs_m5, t_vs_table, local)
+    return ProductConnection(F, connF, tilde, checks)
 
 
 @dataclass
 class SecondFundamentalForm:
-    """B over the complex frame with Weingarten operators and duality."""
+    """B over the complex frame with Weingarten operators and duality.
+
+    ``checks``: ``both_forms`` (the two formulas for B and W),
+    ``vanishing``, ``local_B`` and ``local_W`` (local coefficient
+    displays), ``gauss`` (p01 slots), ``weingarten`` (p10 slots),
+    ``metric_duality`` (B- and W-adjointness) and ``verbatim_duality``
+    (the display h(W_{s3}s1,s2) = h(s3,B(s1,s2)), which holds exactly
+    when J is integrable and so is not part of ``ok``).
+    """
 
     F: ComplexFrame
     connF: Connection
     B: tuple                   # B[mu][nu] Section over the complex frame
     W: tuple                   # W[nu][mu] = W_{F_nu} F_mu
-    both_forms_residuals: list
-    vanishing_ok: bool
-    local_B_ok: bool
-    local_W_ok: bool
-    gauss_residuals: list      # Eq. on p01 slots
-    weingarten_residuals: list  # Eq. on p10 slots
-    m11_residuals: list        # corrected metric duality (B- and W-adjointness)
-    verbatim_duality_residuals: list  # display h(W_{s3}s1,s2) = h(s3,B(s1,s2))
+    checks: Residuals
 
     @property
     def b_zero(self) -> bool:
         return all(s.is_structurally_zero() for row in self.B for s in row)
 
     @property
-    def m11_ok(self) -> bool:
-        return all(r.is_structurally_zero() for _, r in self.m11_residuals)
-
-    @property
-    def verbatim_duality_ok(self) -> bool:
-        return all(r.is_structurally_zero()
-                   for _, r in self.verbatim_duality_residuals)
-
-    @property
     def ok(self) -> bool:
-        return (_all_zero_sections(self.both_forms_residuals)
-                and self.vanishing_ok and self.local_B_ok and self.local_W_ok
-                and _all_zero_sections(self.gauss_residuals)
-                and _all_zero_sections(self.weingarten_residuals)
-                and self.m11_ok)
+        return self.checks.ok("both_forms", "vanishing", "local_B", "local_W",
+                              "gauss", "weingarten", "metric_duality")
 
 
 def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
@@ -308,60 +270,54 @@ def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
 
     B = [[None] * two_m for _ in range(two_m)]
     W = [[None] * two_m for _ in range(two_m)]
-    both = []
+    checks = Residuals()
     for mu in range(two_m):
         for nu in range(two_m):
             b1 = p10(D(p01(frame[mu]), p01(frame[nu]))).normalized()
             b2 = nabJ(p01(frame[mu]), JC.apply(p01(frame[nu]))) \
                 .scale(chart.scalar(-half))
-            both.append((("B", mu, nu), (b1 - b2).normalized()))
+            checks.add("both_forms", ("B", mu, nu), (b1 - b2).normalized())
             B[mu][nu] = b1
             w1 = p01(D(p01(frame[mu]), p10(frame[nu]))).scale(-1).normalized()
             w2 = nabJ(p01(frame[mu]), JC.apply(p10(frame[nu]))) \
                 .scale(chart.scalar(half))
-            both.append((("W", mu, nu), (w1 - w2).normalized()))
+            checks.add("both_forms", ("W", mu, nu), (w1 - w2).normalized())
             # W[nu][mu] = W_{F_nu} F_mu
             W[nu][mu] = w1
 
-    vanishing_ok = True
-    local_B_ok = True
     for mu in range(two_m):
         for nu in range(two_m):
             if mu >= m and nu >= m:
                 want = [chart.zero] * two_m
                 for d in range(m):
                     want[d] = connF.gamma[d][mu][nu]
-                if not (B[mu][nu] - Section(CA, want)).normalized() \
-                        .is_structurally_zero():
-                    local_B_ok = False
-            elif not B[mu][nu].is_structurally_zero():
-                vanishing_ok = False
+                checks.add("local_B", (mu, nu),
+                           (B[mu][nu] - Section(CA, want)).normalized())
+            else:
+                checks.add("vanishing", (mu, nu), B[mu][nu])
 
     # W_{f_b} fbar_a = -Gamma^dbar_{abar b} fbar_d; other slots vanish
-    local_W_ok = True
     for nu in range(two_m):
         for mu in range(two_m):
             if mu >= m and nu < m:
                 want = [chart.zero] * two_m
                 for d in range(m):
                     want[m + d] = -connF.gamma[m + d][mu][nu]
-                if not (W[nu][mu] - Section(CA, want)).normalized() \
-                        .is_structurally_zero():
-                    local_W_ok = False
-            elif not W[nu][mu].is_structurally_zero():
-                local_W_ok = False
+                checks.add("local_W", (nu, mu),
+                           (W[nu][mu] - Section(CA, want)).normalized())
+            else:
+                checks.add("local_W", (nu, mu), W[nu][mu])
 
-    gauss, weingarten = [], []
     for mu in range(two_m):
         for nu in range(two_m):
             s1b, s2b = p01(frame[mu]), p01(frame[nu])
             res = (D(s1b, s2b) - cov_deriv(prod.tilde, s1b, s2b)
                    + nabJ(s1b, JC.apply(s2b)).scale(chart.scalar(half)))
-            gauss.append(((mu, nu), res.normalized()))
+            checks.add("gauss", (mu, nu), res.normalized())
             s2t = p10(frame[nu])
             res = (D(s1b, s2t) - cov_deriv(prod.tilde, s1b, s2t)
                    + nabJ(s1b, JC.apply(s2t)).scale(chart.scalar(half)))
-            weingarten.append(((mu, nu), res.normalized()))
+            checks.add("weingarten", (mu, nu), res.normalized())
 
     # Metric duality.  The displayed identity h(W_{s3}s1,s2) = h(s3,B(s1,s2))
     # is not what metric compatibility of D gives when J is non-integrable
@@ -374,7 +330,7 @@ def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
     #     g(W_{s3}s1, s2) + g(s3, W_{s2}s1) = 0
     #
     # Both are checked on all frame triples; the displayed identity is
-    # evaluated separately and reported as verbatim_duality_residuals.
+    # evaluated separately and reported as verbatim_duality.
     def g_value(sa: Section, sb: Section) -> Scalar:
         acc = chart.zero
         for p in range(two_m):
@@ -383,27 +339,25 @@ def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
                     * hmat[p][F.conj_index(q)]
         return acc.normalize()
 
-    m11 = []
-    verbatim = []
     for lam in range(two_m):
         for mu in range(two_m):
             for nu in range(two_m):
                 res_b = (g_value(B[lam][mu], frame[nu])
                          + g_value(frame[mu], B[lam][nu])).normalize()
-                m11.append((("B", lam, mu, nu), res_b))
+                checks.add("metric_duality", ("B", lam, mu, nu), res_b)
                 res_w = (g_value(W[nu][mu], frame[lam])
                          + g_value(frame[nu], W[lam][mu])).normalize()
-                m11.append((("W", lam, mu, nu), res_w))
+                checks.add("metric_duality", ("W", lam, mu, nu), res_w)
                 lhs = _h_value(hmat, W[lam][mu], frame[nu])
                 rhs = _h_value(hmat, frame[lam], B[mu][nu])
-                verbatim.append(((lam, mu, nu), (lhs - rhs).normalize()))
+                checks.add("verbatim_duality", (lam, mu, nu),
+                           (lhs - rhs).normalize())
 
     return SecondFundamentalForm(
         F, connF,
         tuple(tuple(row) for row in B),
         tuple(tuple(row) for row in W),
-        both, vanishing_ok, local_B_ok, local_W_ok,
-        gauss, weingarten, m11, verbatim,
+        checks,
     )
 
 
@@ -512,35 +466,37 @@ def mean_curvature(fx: Fixture, samples: int = 10,
                                numeric_max, k_zero)
 
 
-def _fit_constant(pairs) -> Tuple[Optional[Scalar], bool]:
-    """Find c with lhs = c * rhs across all pairs, structurally.
+def _fit_constant(checks: Residuals, check: str, pairs) -> Optional[Scalar]:
+    """Find c with lhs = c * rhs across all (index, lhs, rhs) triples,
+    structurally, and record each lhs - c * rhs under ``check``.
 
-    Returns (None, all-lhs-zero) when every rhs vanishes.
+    Returns None, and records each lhs, when every rhs vanishes.
     """
     c = None
-    for lhs, rhs in pairs:
+    for _, lhs, rhs in pairs:
         if not rhs.is_structurally_zero():
             c = (lhs / rhs).normalize()
             break
-    if c is None:
-        return None, all(lhs.is_structurally_zero() for lhs, _ in pairs)
-    for lhs, rhs in pairs:
-        if not (lhs - c * rhs).normalize().is_structurally_zero():
-            return c, False
-    return c, True
+    for index, lhs, rhs in pairs:
+        checks.add(check, index,
+                   lhs if c is None else (lhs - c * rhs).normalize())
+    return c
 
 
 @dataclass
 class IdentitySuiteReport:
-    im_re_ok: bool
+    """Identity residuals over real frame tuples, with the fitted constants.
+
+    ``checks``: ``im_re_relation``, ``j_anti_invariance`` (indexed (a, b)),
+    ``nijenhuis_pairing_proportional``, ``dphi_pairing_proportional``,
+    ``n_reconstruction_proportional`` (indexed (a, b, c)) and
+    ``eigenbundle_isotropy`` (indexed (a, b)).
+    """
+
+    checks: Residuals
     m16_constant: Optional[Scalar]
-    m16_ok: bool
     m17_constant: Optional[Scalar]
-    m17_ok: bool
-    m18_ok: bool
     m19_constant: Optional[Scalar]
-    m19_ok: bool
-    p01_pairing_zero: bool
     b_zero: bool
     n_zero: bool
 
@@ -550,9 +506,7 @@ class IdentitySuiteReport:
 
     @property
     def ok(self) -> bool:
-        return (self.im_re_ok and self.m16_ok and self.m17_ok and self.m18_ok
-                and self.m19_ok and self.p01_pairing_zero
-                and self.geodesic_iff_hermitian)
+        return self.checks.ok() and self.geodesic_iff_hermitian
 
 
 def identity_suite(fx: Fixture) -> IdentitySuiteReport:
@@ -585,24 +539,22 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
                 - phi_value(cov_deriv(D, s, t1), t2)
                 - phi_value(t1, cov_deriv(D, s, t2)))
 
-    im_re_ok = True
-    m18_ok = True
+    checks = Residuals()
     m16_pairs, m17_pairs, m19_pairs = [], [], []
     Btab = [[B(frame[a], frame[b]) for b in range(mr)] for a in range(mr)]
     for a in range(mr):
         for b in range(mr):
-            res = (_im_section(Btab[a][b])
-                   - _re_section(B(frame[a], J.apply(frame[b])))).normalized()
-            if not res.is_structurally_zero():
-                im_re_ok = False
-            res = (B(J.apply(frame[a]), J.apply(frame[b]))
-                   + Btab[a][b]).normalized()
-            if not res.is_structurally_zero():
-                m18_ok = False
+            checks.add("im_re_relation", (a, b),
+                       (_im_section(Btab[a][b])
+                        - _re_section(B(frame[a], J.apply(frame[b]))))
+                       .normalized())
+            checks.add("j_anti_invariance", (a, b),
+                       (B(J.apply(frame[a]), J.apply(frame[b]))
+                        + Btab[a][b]).normalized())
             alt_re = _re_section(Btab[a][b] - Btab[b][a])
             nval = N.value(frame[a], frame[b])
             for c in range(mr):
-                m19_pairs.append((nval.components[c].normalize(),
+                m19_pairs.append(((a, b, c), nval.components[c].normalize(),
                                   alt_re.components[c].normalize()))
             reb = _re_section(Btab[a][b])
             for c in range(mr):
@@ -613,28 +565,24 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
                                    J.apply(frame[a]))
                          - g.value(N.value(J.apply(s3), frame[a]),
                                    J.apply(frame[b]))).normalize()
-                m16_pairs.append((lhs, raw16))
+                m16_pairs.append(((a, b, c), lhs, raw16))
                 raw17 = (dphi(J.apply(frame[a]), frame[b], s3)
                          + dphi(frame[a], J.apply(frame[b]), s3)).normalize()
-                m17_pairs.append((lhs, raw17))
+                m17_pairs.append(((a, b, c), lhs, raw17))
 
-    c16, ok16 = _fit_constant(m16_pairs)
-    c17, ok17 = _fit_constant(m17_pairs)
-    c19, ok19 = _fit_constant(m19_pairs)
+    c16 = _fit_constant(checks, "nijenhuis_pairing_proportional", m16_pairs)
+    c17 = _fit_constant(checks, "dphi_pairing_proportional", m17_pairs)
+    c19 = _fit_constant(checks, "n_reconstruction_proportional", m19_pairs)
 
     p10r, p01r = projectors(J)
-    pairing_zero = True
     for a in range(mr):
         for b in range(mr):
-            val = g.value(p01r.apply(frame[a]), p01r.apply(frame[b])).normalize()
-            if not val.is_structurally_zero():
-                pairing_zero = False
+            checks.add("eigenbundle_isotropy", (a, b),
+                       g.value(p01r.apply(frame[a]),
+                               p01r.apply(frame[b])).normalize())
 
     b_zero = all(Btab[a][b].normalized().is_structurally_zero()
                  for a in range(mr) for b in range(mr))
     n_zero = N.is_structurally_zero()
 
-    return IdentitySuiteReport(
-        im_re_ok, c16, ok16, c17, ok17, m18_ok, c19, ok19,
-        pairing_zero, b_zero, n_zero,
-    )
+    return IdentitySuiteReport(checks, c16, c17, c19, b_zero, n_zero)

@@ -275,7 +275,12 @@ class Scalar:
     # -- canonical form -------------------------------------------------
 
     def normalize(self) -> "Scalar":
-        return Scalar(self.chart, self.norm_expr)
+        norm = self.norm_expr
+        out = Scalar(self.chart, norm)
+        # the canonical form is idempotent, so the result is its own
+        # normal form
+        object.__setattr__(out, "_norm", norm)
+        return out
 
     @property
     def norm_expr(self) -> sp.Expr:

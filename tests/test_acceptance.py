@@ -69,11 +69,11 @@ def criterion(n):
 def test_criterion_01_structure_equations(catalog):
     for name in CATALOG_NAMES:
         rep = validate_structure(catalog(name).algebroid)
-        assert rep.valid, f"{name} fails structure equations"
+        assert rep.ok(), f"{name} fails structure equations"
     broken = validate_structure(catalog("heis_broken").algebroid)
-    assert not broken.valid
+    assert not broken.ok()
     # Jacobi residual of the triple (e1, e2, e3) must be exactly -e3
-    res = broken.jacobi_residual(0, 1, 2)
+    res = [r for idx, r in broken.entries("jacobi") if idx[:3] == (0, 1, 2)]
     for d, comp in enumerate(res):
         want = -1 if d == 2 else 0
         assert (comp - want).normalize().is_structurally_zero()
@@ -172,7 +172,7 @@ def test_criterion_05_levi_civita_certification(catalog):
     # complex-frame coefficients agree with the transformed real ones
     for name in HERMITIAN_NAMES:
         connF = catalog(name).complex_levi_civita
-        assert connF.formula_vs_transform == [], \
+        assert connF.checks.failures("formula_vs_transform") == [], \
             f"complex-frame mismatch on {name}"
 
 
@@ -183,7 +183,7 @@ def test_criterion_06_kahler_trichotomy(catalog):
         rep = kahler_report(catalog(name))
         reports[name] = rep
         assert rep.equivalence_holds, f"biconditional fails on {name}"
-        assert rep.vii5_ok
+        assert rep.checks.ok("fundamental_form_identity")
     assert reports["flat_r2"].status == "kahler"
     assert reports["heis_j"].status == "non-integrable"
     warped = reports["warped_r4"]
@@ -218,9 +218,10 @@ def test_criterion_08_chern_forms(catalog):
         bc = block_curvature(catalog(name))
         for k in (1, 2):
             rep = chern_form(bc, k, "both")
-            assert rep.closed, f"chern form not closed: {name}, k={k}"
-            assert rep.imag_zero, f"trace not real: {name}, k={k}"
-            assert rep.equal is True, \
+            assert rep.checks.ok("closed"), \
+                f"chern form not closed: {name}, k={k}"
+            assert rep.checks.ok("trace_real"), f"trace not real: {name}, k={k}"
+            assert rep.checks.ok("half_trace_equality"), \
                 f"half-trace equality fails: {name}, k={k}"
             if name.startswith("flat"):
                 assert rep.form.is_structurally_zero()
@@ -236,11 +237,12 @@ def test_criterion_08_chern_forms(catalog):
 def test_criterion_09_product_geometry_suite(catalog):
     for name in HERMITIAN_NAMES:
         fx = catalog(name)
-        assert fx.product_connection.ok, \
+        assert fx.product_connection.checks.ok(), \
             f"product connection checks fail on {name}"
         sf = fx.second_fundamental
         assert sf.ok, f"second fundamental checks fail on {name}"
-        assert sf.m11_ok, f"metric duality fails on {name}"
+        assert sf.checks.ok("metric_duality"), \
+            f"metric duality fails on {name}"
         mc = mean_curvature(fx, samples=SAMPLES, seed=SEED)
         assert mc.zero, f"mean curvature nonzero on {name}"
         n_zero = fx.nijenhuis.is_structurally_zero()
@@ -250,7 +252,7 @@ def test_criterion_09_product_geometry_suite(catalog):
     # reconstruction of N from the alternation of B, with the reported
     # proportionality constant
     suite = identity_suite(catalog("heis_j"))
-    assert suite.m19_ok
+    assert suite.checks.ok("n_reconstruction_proportional")
     assert suite.m19_constant is not None
     assert (suite.m19_constant - (-8)).normalize().is_structurally_zero()
     assert not suite.n_zero
@@ -260,7 +262,7 @@ def test_criterion_09_product_geometry_suite(catalog):
 def test_criterion_10_matched_pair(catalog):
     for name in INTEGRABLE_NAMES:
         rep = matched_pair_check(catalog(name))
-        assert rep.ok, f"matched-pair identities fail on {name}"
+        assert rep.ok(), f"matched-pair identities fail on {name}"
     with pytest.raises(IntegrabilityError):
         matched_pair_check(catalog("heis_j"))
 
@@ -270,17 +272,16 @@ def test_criterion_11_constructions(catalog):
     prolongations = {name: prolong(catalog(name).algebroid)
                      for name in CATALOG_NAMES}
     for name, p in prolongations.items():
-        assert validate_structure(p.algebroid).valid, \
+        assert validate_structure(p.algebroid).ok(), \
             f"prolongation of {name} is invalid"
-        assert all(r.is_structurally_zero()
-                   for _, r in p.lift_law_residuals)
+        assert p.checks.ok("lift_bracket_laws")
     # Hermitian / Kahler transfer on the flat plane
     flat = catalog("flat_r2")
     p = prolongations["flat_r2"]
     D = flat.levi_civita
     JL = p.adapted_complex_structure(D)
     gL = p.sasaki_metric(flat.g, D)
-    assert hermitian_check(gL, JL).ok
+    assert hermitian_check(gL, JL).ok()
     lifted = Fixture("prolong(flat_r2)", p.algebroid, JL, gL)
     assert kahler_report(lifted).status == "kahler"
     Jc = p.complete_lift_endo(flat.J)
@@ -295,14 +296,13 @@ def test_criterion_11_constructions(catalog):
     # sampled points), restricted J integrable
     s3 = catalog("s3_projector")
     res = s3.restriction
-    assert res.flat
+    assert res.checks.ok("flatness")
     rng = random.Random(SEED)
     points = [random_point(s3.algebroid.chart, rng)
               for _ in range(NUM_POINTS)]
-    for _, comps in res.flatness_residuals:
-        for comp in comps:
-            for point in points:
-                assert abs(complex(comp.eval(point))) < TOLERANCE
+    for _, comp in res.checks.entries("flatness"):
+        for point in points:
+            assert abs(complex(comp.eval(point))) < TOLERANCE
     assert s3.nijenhuis.is_structurally_zero()
 
 

@@ -1,6 +1,10 @@
 """Algebroid structure data, sections, brackets and validation."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algebroids.algebroid import (
     Algebroid,
@@ -12,7 +16,37 @@ from algebroids.algebroid import (
     validate_structure,
     vf_bracket,
 )
+from algebroids.eforms import EForm, d_E
 from algebroids.scalars import Chart
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+CONSTANTS = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@st.composite
+def nilpotent_algebroids(draw, min_rank=1):
+    """Zero anchor, rank <= 4, C^c_ab nonzero only for c > max(a, b).
+
+    Every cyclic term C^e_ab C^d_ec of the Jacobi identity then needs
+    d > e > max(a, b) and d > c, which no triple of distinct indices
+    below 4 allows, so these algebroids are valid.
+    """
+    rank = draw(st.integers(min_rank, 4))
+    table = {}
+    for a in range(rank):
+        for b in range(a + 1, rank):
+            for c in range(b + 1, rank):
+                value = draw(CONSTANTS)
+                if value:
+                    table[(a, b, c)] = value
+    return Algebroid(Chart("nil", ["x1"]), rank, [[0]] * rank, table)
+
+
+def _random_form(draw, A, degree):
+    w = EForm(A, degree)
+    for idx in w.keys():
+        w[idx] = draw(CONSTANTS)
+    return w
 
 
 @pytest.fixture
@@ -60,7 +94,7 @@ def test_bracket_antisymmetry(tangent_r2):
 
 def test_validate_tangent_algebroid(tangent_r2):
     rep = validate_structure(tangent_r2)
-    assert rep.valid
+    assert rep.ok()
     assert rep.failures() == []
 
 
@@ -68,10 +102,10 @@ def test_validate_broken_jacobi():
     chart = Chart("broken", ["x1"])
     A = Algebroid(chart, 4, [[0]] * 4, {(0, 1, 2): 1, (0, 2, 0): 1})
     rep = validate_structure(A)
-    assert not rep.valid
-    assert rep.anchor_morphism_ok and rep.antisymmetry_ok
-    assert not rep.jacobi_ok
-    res = rep.jacobi_residual(0, 1, 2)
+    assert not rep.ok()
+    assert rep.ok("anchor_morphism", "antisymmetry")
+    assert not rep.ok("jacobi")
+    res = [r for idx, r in rep.entries("jacobi") if idx[:3] == (0, 1, 2)]
     assert [str(r) for r in res] == ["0", "0", "-1", "0"]
     # jacobiator agrees with the tabulated residual
     jac = jacobiator(A.frame_section(0), A.frame_section(1),
@@ -84,7 +118,7 @@ def test_anchor_morphism_failure_detected():
     # [e1, e2] = 0 but the anchors do not commute
     A = Algebroid(chart, 2, [["1"], ["x1"]], {})
     rep = validate_structure(A)
-    assert not rep.anchor_morphism_ok
+    assert not rep.ok("anchor_morphism")
 
 
 def test_section_arithmetic_and_chart_guard(tangent_r2):
@@ -94,3 +128,41 @@ def test_section_arithmetic_and_chart_guard(tangent_r2):
         s + Section(other, ["1"])
     assert (s - s).is_structurally_zero()
     assert (s.scale(3).components[0] - 3).normalize().is_structurally_zero()
+
+
+@PROPERTY
+@given(nilpotent_algebroids(), st.data())
+def test_nilpotent_algebroids_are_valid(A, data):
+    assert validate_structure(A).ok()
+    for degree in (1, 2):
+        w = _random_form(data.draw, A, degree)
+        assert d_E(d_E(w)).normalized().is_structurally_zero()
+
+
+@PROPERTY
+@given(nilpotent_algebroids(min_rank=3), st.data())
+def test_jacobi_failures_match_jacobiator(A, data):
+    # one structure constant C^c_ab with c < max(a, b) = b may break Jacobi
+    b = data.draw(st.integers(1, A.rank - 1))
+    a = data.draw(st.integers(0, b - 1))
+    c = data.draw(st.integers(0, b - 1))
+    value = data.draw(CONSTANTS.filter(bool))
+    table = {(p, q, r): A.C[r][p][q] for p in range(A.rank)
+             for q in range(p + 1, A.rank) for r in range(A.rank)}
+    table[(a, b, c)] = Fraction(value)
+    broken = Algebroid(A.chart, A.rank, A.anchor, table)
+    failures = {w.index: w.residual
+                for w in validate_structure(broken).failures("jacobi")}
+    expected = {}
+    for p in range(A.rank):
+        for q in range(p + 1, A.rank):
+            for r in range(q + 1, A.rank):
+                jac = jacobiator(broken.frame_section(p),
+                                 broken.frame_section(q),
+                                 broken.frame_section(r))
+                for d, comp in enumerate(jac.components):
+                    if not comp.is_structurally_zero():
+                        expected[(p, q, r, d)] = comp
+    assert failures.keys() == expected.keys()
+    for index, residual in failures.items():
+        assert (residual - expected[index]).normalize().is_structurally_zero()

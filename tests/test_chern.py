@@ -17,7 +17,7 @@ def test_flat_chern_forms_vanish(catalog):
     for k in (1, 2):
         rep = chern_form(bc, k, "both")
         assert rep.form.is_structurally_zero()
-        assert rep.closed
+        assert rep.checks.ok("closed")
 
 
 def test_sphere_first_chern_form(catalog):
@@ -25,9 +25,9 @@ def test_sphere_first_chern_form(catalog):
     bc = block_curvature(fx)
     rep = chern_form(bc, 1, "both")
     assert not rep.form.is_structurally_zero()
-    assert rep.closed
-    assert rep.imag_zero
-    assert rep.equal is True
+    assert rep.checks.ok("closed")
+    assert rep.checks.ok("trace_real")
+    assert rep.checks.ok("half_trace_equality")
     # the empirical factor between the two traces is exactly 1/2
     half = fx.algebroid.chart.scalar("1/2")
     assert (rep.factor - half).normalize().is_structurally_zero()

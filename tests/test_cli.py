@@ -106,6 +106,22 @@ def test_exit_code_precondition_failures(tmp_path):
         assert out == ""
 
 
+def test_exit_code_internal_inconsistency(monkeypatch):
+    # a torsion table with one nonzero entry fails the Levi-Civita
+    # re-verification, which is an internal cross-check
+    torsion = connections.torsion
+
+    def broken(conn):
+        T = [[list(row) for row in layer] for layer in torsion(conn)]
+        T[0][0][1] = conn.algebroid.chart.one
+        return T
+
+    monkeypatch.setattr(connections, "torsion", broken)
+    code, out, err = run_cli(["levi-civita", "flat_r2"])
+    assert code == 4 and out == ""
+    assert err == "internal inconsistency: torsion_free at (0, 0, 1)\n"
+
+
 def test_exit_code_document_errors(tmp_path):
     code, _, err = run_cli(["validate", "no_such_fixture"])
     assert code == 2 and "error" in err

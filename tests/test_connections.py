@@ -56,12 +56,12 @@ def test_levi_civita_warped_coefficient(catalog):
 
 def test_metric_compatibility_report(catalog):
     fx = catalog("conformal_sphere_chart")
-    assert metric_compat_check(fx.levi_civita, fx.g).ok
+    assert metric_compat_check(fx.levi_civita, fx.g).ok()
 
 
 def test_hermitian_and_fundamental_form(catalog):
     fx = catalog("warped_r4")
-    assert hermitian_check(fx.g, fx.J).ok
+    assert hermitian_check(fx.g, fx.J).ok()
     phi = fundamental_form(fx.g, fx.J)
     chart = fx.algebroid.chart
     want = chart.scalar("1 + x3^2")
@@ -76,7 +76,7 @@ def test_kahler_report_statuses(catalog):
     assert kahler_report(catalog("flat_r2")).status == "kahler"
     rep = kahler_report(catalog("warped_r4"))
     assert rep.status == "hermitian-non-kahler"
-    assert rep.equivalence_holds and rep.vii5_ok
+    assert rep.equivalence_holds and rep.checks.ok("fundamental_form_identity")
     assert kahler_report(catalog("heis_j")).status == "non-integrable"
 
 
@@ -113,13 +113,13 @@ def test_holomorphic_sectional_degenerate_plane(catalog):
 def test_complex_frame_levi_civita_cross_check(catalog):
     for name in ("flat_r2", "heis_j"):
         connF = catalog(name).complex_levi_civita
-        assert connF.formula_vs_transform == []
+        assert connF.checks.failures("formula_vs_transform") == []
 
 
 def test_kahler_complex_curvature_families(catalog):
     fx = catalog("conformal_sphere_chart")
     rep = kahler_complex_curvature(fx.complex_levi_civita, fx.frame)
-    assert rep.ok
+    assert rep.checks.ok()
 
 
 def test_orthonormal_adapted_frame_exact(catalog):
@@ -135,6 +135,6 @@ def test_orthonormal_adapted_frame_exact(catalog):
 
 def test_levi_civita_almost_complex_only_when_kahler(catalog):
     flat = catalog("flat_r2")
-    assert almost_complex_check(flat.levi_civita, flat.J).ok
+    assert almost_complex_check(flat.levi_civita, flat.J).ok()
     warped = catalog("warped_r4")
-    assert not almost_complex_check(warped.levi_civita, warped.J).ok
+    assert not almost_complex_check(warped.levi_civita, warped.J).ok()

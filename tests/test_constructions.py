@@ -30,7 +30,7 @@ def test_composite_fixture_syntax():
     assert fx.product is not None
     assert fx.algebroid.rank == 6
     assert fx.J is not None and fx.g is not None
-    assert validate_structure(fx.algebroid).valid
+    assert validate_structure(fx.algebroid).ok()
     fx = fixture("prolong(heis_j)")
     assert fx.prolongation is not None
     assert fx.algebroid.rank == 8
@@ -49,7 +49,7 @@ def test_product_of_a_fixture_with_itself_builds_it_once(monkeypatch):
     monkeypatch.setitem(constructions._BUILDERS, "heis_j", counted)
     fx = fixture("product(heis_j, heis_j)")
     assert len(calls) == 1
-    assert validate_structure(fx.algebroid).valid
+    assert validate_structure(fx.algebroid).ok()
     # the same document as a product of two independently built copies
     f1, f2 = builder(), builder()
     prod = direct_product(f1.algebroid, f2.algebroid, f1.J, f2.J, f1.g, f2.g)
@@ -68,8 +68,7 @@ def test_function_lifts(catalog):
 
 def test_lift_bracket_laws(catalog):
     p = prolong(catalog("heis_j").algebroid)
-    assert all(res.is_structurally_zero()
-               for _, res in p.lift_law_residuals)
+    assert p.checks.ok("lift_bracket_laws")
 
 
 def test_complete_lift_endo_laws(catalog):
@@ -111,7 +110,7 @@ def test_sasaki_metric_and_adapted_structure(catalog):
     JL = p.adapted_complex_structure(conn)
     sq = JL.compose(JL) + EndoField.identity(p.algebroid)
     assert sq.is_structurally_zero()
-    assert hermitian_check(gL, JL).ok
+    assert hermitian_check(gL, JL).ok()
 
 
 def test_complete_lift_connection_laws(catalog):
@@ -138,7 +137,7 @@ def test_direct_product_blocks(catalog):
     f2 = catalog("heis_j")
     prod = direct_product(f1.algebroid, f2.algebroid,
                           f1.J, f2.J, f1.g, f2.g)
-    assert validate_structure(prod.algebroid).valid
+    assert validate_structure(prod.algebroid).ok()
     # the second factor's bracket survives injection: [e1, e2] = 2 e3
     e1 = f2.algebroid.frame_section(0)
     e2 = f2.algebroid.frame_section(1)
@@ -163,11 +162,10 @@ def test_projector_restriction_identity():
     eye = [[1, 0], [0, 1]]
     res = projector_restriction(chart, eye, eye, eye,
                                 ambient_J=[[0, -1], [1, 0]])
-    assert res.validation.valid
-    assert res.flat
-    assert res.J_commutes
-    assert all(r.is_structurally_zero()
-               for _, r in res.anchor_morphism_residuals)
+    assert res.checks.ok("anchor_morphism", "antisymmetry", "jacobi")
+    assert res.checks.ok("flatness")
+    assert res.checks.ok("J_commutes")
+    assert res.checks.ok("derived_anchor_morphism")
     # identity projector on the trivial bundle reproduces the tangent data
     assert all((res.algebroid.anchor[a][i] - eye[a][i]).normalize()
                .is_structurally_zero() for a in range(2) for i in range(2))
@@ -176,7 +174,7 @@ def test_projector_restriction_identity():
 def test_sphere_restriction_fixture(catalog):
     fx = catalog("s3_projector")
     res = fx.restriction
-    assert res.validation.valid
-    assert res.flat
-    assert res.J_commutes is False
+    assert res.checks.ok("anchor_morphism", "antisymmetry", "jacobi")
+    assert res.checks.ok("flatness")
+    assert not res.checks.ok("J_commutes")
     assert fx.nijenhuis.is_structurally_zero()

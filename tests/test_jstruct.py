@@ -112,18 +112,18 @@ def test_automorphism_check(catalog):
     # constant sections are automorphisms of the constant J
     rep = infinitesimal_automorphism_check(
         fx.algebroid.section(["1", "2"]), fx.algebroid, fx.J)
-    assert rep.ok
+    assert rep.ok()
     # rotationally non-symmetric flows are not
     rep = infinitesimal_automorphism_check(
         fx.algebroid.section(["x1", "0"]), fx.algebroid, fx.J)
-    assert not rep.ok
+    assert not rep.ok()
 
 
 def test_matched_pair_requires_integrability(catalog):
     with pytest.raises(IntegrabilityError):
         matched_pair_check(catalog("heis_j"))
     rep = matched_pair_check(catalog("flat_r2"))
-    assert rep.ok
+    assert rep.ok()
 
 
 def test_eigenbundle_bracket_closure_iff_integrable(catalog):

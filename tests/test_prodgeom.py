@@ -9,28 +9,29 @@ from algebroids.prodgeom import identity_suite, mean_curvature
 def test_product_connection_properties(catalog):
     for name in ("flat_r2", "heis_j"):
         prod = catalog(name).product_connection
-        assert prod.forms_agree
-        assert prod.parallel_ok
-        assert prod.torsion_ok
-        assert prod.ok
+        assert prod.checks.ok("two_forms")
+        assert prod.checks.ok("parallel_p10", "parallel_p01", "parallel_h")
+        assert prod.checks.ok("torsion_m4_vs_m5", "torsion_vs_table",
+                              "local_displays")
+        assert prod.checks.ok()
 
 
 def test_second_fundamental_flat_vanishes(catalog):
     sf = catalog("flat_r2").second_fundamental
     assert sf.b_zero
     assert sf.ok
-    assert sf.verbatim_duality_ok
+    assert sf.checks.ok("verbatim_duality")
 
 
 def test_second_fundamental_heis_nonzero(catalog):
     sf = catalog("heis_j").second_fundamental
     assert not sf.b_zero
     assert sf.ok
-    assert sf.m11_ok
+    assert sf.checks.ok("metric_duality")
     # the textbook-shaped duality display fails for non-integrable J:
     # the Weingarten operators vanish identically here while B does not
     assert all(w.is_structurally_zero() for row in sf.W for w in row)
-    assert not sf.verbatim_duality_ok
+    assert not sf.checks.ok("verbatim_duality")
 
 
 def test_b_zero_iff_integrable(catalog):
@@ -52,7 +53,8 @@ def test_identity_suite_heis_constants(catalog):
     fx = catalog("heis_j")
     rep = identity_suite(fx)
     assert rep.ok
-    assert rep.im_re_ok and rep.m18_ok and rep.p01_pairing_zero
+    assert rep.checks.ok("im_re_relation", "j_anti_invariance",
+                         "eigenbundle_isotropy")
     chart = fx.algebroid.chart
     assert (rep.m16_constant - chart.scalar("-1/16")).normalize() \
         .is_structurally_zero()

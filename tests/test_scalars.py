@@ -11,6 +11,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import algebroids
+from algebroids import scalars
 from algebroids.scalars import (
     Chart,
     ChartError,
@@ -150,6 +151,47 @@ def test_only_scalars_imports_sympy():
             if any(n == "sympy" or n.startswith("sympy.") for n in names):
                 importers.add(path.name)
     assert importers == {"scalars.py"}
+
+
+def test_every_imported_name_is_used():
+    # cli and prodgeom keep levi_civita bound because the benchmark's
+    # tracing self-test checks that its wrapper replaces those bindings
+    allowed = {("cli.py", "levi_civita"), ("prodgeom.py", "levi_civita")}
+    package = pathlib.Path(algebroids.__file__).parent
+    unused = set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__"
+                            for t in node.targets)):
+                used |= {e.value for e in node.value.elts}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [(a.asname or a.name).split(".")[0]
+                         for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused |= {(path.name, n) for n in names if n not in used}
+    assert unused == allowed
+
+
+def test_normalize_result_carries_its_normal_form(chart, monkeypatch):
+    calls = []
+    canonical = scalars._canonical
+
+    def counted(expr):
+        calls.append(expr)
+        return canonical(expr)
+
+    x = chart.scalar("(x1^2 - x2^2) / (x1 - x2)")
+    monkeypatch.setattr(scalars, "_canonical", counted)
+    assert not x.normalize().is_structurally_zero()
+    assert len(calls) == 1
 
 
 def test_normalize_idempotent_and_canonical(chart):
