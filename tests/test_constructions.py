@@ -113,6 +113,19 @@ def test_sasaki_metric_and_adapted_structure(catalog):
     assert hermitian_check(gL, JL).ok()
 
 
+def test_sasaki_metric_and_adapted_structure_hermitian(catalog):
+    # heis_j: both the structure functions and the Levi-Civita
+    # coefficients are nonzero, so both frame shifts are exercised
+    fx = catalog("heis_j")
+    p = prolong(fx.algebroid)
+    conn = fx.levi_civita
+    gL = p.sasaki_metric(fx.g, conn)
+    JL = p.adapted_complex_structure(conn)
+    sq = JL.compose(JL) + EndoField.identity(p.algebroid)
+    assert sq.is_structurally_zero()
+    assert hermitian_check(gL, JL).ok()
+
+
 def test_complete_lift_connection_laws(catalog):
     fx = catalog("heis_j")
     base = fx.algebroid

@@ -2,8 +2,8 @@
 
 `golden.json` holds the printed form of every emitted catalog document
 and of every entry produced by the exact matrix algebra (metric inverses,
-complex-frame expansions, the J R blocks and the complete-lift
-connection).  A change to how scalars are represented or normalised must
+complex-frame expansions, the J R blocks, the complete-lift connection
+and the lifted structures of the prolongation).  A change to how scalars are represented or normalised must
 leave all of it byte-identical.  To re-record after an intended change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -71,12 +71,32 @@ def complete_lift_connection(catalog):
     return [_rows(layer) for layer in Dc.gamma]
 
 
+def prolongation_lifts(catalog):
+    """The lifted structures of prolong(heis_j), where both the structure
+    functions and the Levi-Civita coefficients are nonzero."""
+    fx = catalog("heis_j")
+    A = fx.algebroid
+    p = prolong(A)
+    conn = fx.levi_civita
+    return {
+        "complete_lift_endo": _rows(p.complete_lift_endo(fx.J).matrix),
+        "complete_lift_metric": _rows(p.complete_lift_metric(fx.g)),
+        "sasaki_metric": _rows(p.sasaki_metric(fx.g, conn).matrix),
+        "adapted_complex_structure":
+            _rows(p.adapted_complex_structure(conn).matrix),
+        "horizontal_lift": _rows(p.horizontal_lift(A.frame_section(a),
+                                                   conn).components
+                                 for a in range(A.rank)),
+    }
+
+
 SECTIONS = {
     "emit_document": emitted,
     "metric_inverse": metric_inverses,
     "frame_expand": frame_expansions,
     "block_curvature": block_curvatures,
     "complete_lift_connection": complete_lift_connection,
+    "prolongation_lifts": prolongation_lifts,
 }
 
 
