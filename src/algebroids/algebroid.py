@@ -25,6 +25,7 @@ __all__ = [
     "Residuals",
     "Witness",
     "InconsistencyError",
+    "PreconditionError",
     "validate_structure",
     "anchor_push",
     "vf_bracket",
@@ -262,6 +263,10 @@ class InconsistencyError(RuntimeError):
     def __init__(self, witness: Witness):
         super().__init__(f"{witness.check} at {witness.index}")
         self.witness = witness
+
+
+class PreconditionError(ValueError):
+    """The input is well-formed but lacks what the computation needs."""
 
 
 class Residuals:

@@ -192,10 +192,8 @@ def _trace(M) -> EForm:
 
 
 def _real_imag(w: EForm):
-    re = EForm(w.algebroid, w.degree, frame_size=w.frame_size,
-               frame_tag=w.frame_tag)
-    im = EForm(w.algebroid, w.degree, frame_size=w.frame_size,
-               frame_tag=w.frame_tag)
+    re = EForm(w.algebroid, w.degree)
+    im = EForm(w.algebroid, w.degree)
     for key, val in w.components.items():
         re.components[key] = val.real_part().normalize()
         im.components[key] = val.imag_part().normalize()
@@ -209,18 +207,15 @@ class ChernReport:
     ``form`` is the Chern form itself (real part of trace((iPhi)^k)).
     ``factor`` is the empirical proportionality constant between
     Re trace((iPhi)^k) and trace(block^k) (expected 1/2); None when both
-    traces vanish.  ``checks`` holds ``closed``, plus ``trace_real`` and
-    ``imag_closed`` when the iPhi route ran and ``half_trace_equality``
-    (indexed by form component) when both did.
+    traces vanish.  ``checks`` holds ``closed``, plus ``trace_real`` when
+    the iPhi route ran and ``half_trace_equality`` (indexed by form
+    component) when both did.
     """
 
     order: int
     source: str
     form: EForm
     checks: Residuals
-    iphi_trace: EForm = None
-    block_trace: EForm = None
-    imag_part: EForm = None
     factor: Scalar = None
 
 
@@ -236,32 +231,20 @@ def chern_form(bc: BlockCurvature, k: int, source: str = "both") -> ChernReport:
         raise ValueError("order must be at least 1")
     if source not in ("iphi", "block", "both"):
         raise ValueError("source must be iphi, block or both")
-    A = bc.algebroid
     half = Fraction(1, 2)
 
-    t_iphi = re = im = None
+    re = im = t_block = None
     if source in ("iphi", "both"):
-        t_iphi = _trace(_mat_power(bc.iphi_matrix(), k))
-        re, im = _real_imag(t_iphi)
-    t_block = None
+        re, im = _real_imag(_trace(_mat_power(bc.iphi_matrix(), k)))
     if source in ("block", "both"):
         t_block = _trace(_mat_power(bc.block(), k)).normalized()
-
-    if source == "iphi":
-        form = re
-    elif source == "block":
-        form = t_block.scale(half).normalized()
-    else:
-        form = re
+    form = t_block.scale(half).normalized() if source == "block" else re
 
     checks = Residuals()
-    report = ChernReport(order=k, source=source, form=form, checks=checks,
-                         iphi_trace=t_iphi, block_trace=t_block)
+    report = ChernReport(order=k, source=source, form=form, checks=checks)
     checks.add("closed", (), d_E(form).normalized())
     if im is not None:
-        report.imag_part = im
         checks.add("trace_real", (), im)
-        checks.add("imag_closed", (), d_E(im).normalized())
     if source == "both":
         # empirical factor between Re trace((iPhi)^k) and trace(block^k)
         factor = None

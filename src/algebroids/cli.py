@@ -37,12 +37,12 @@ from typing import List, Optional, Tuple
 from algebroids.algebroid import (
     Algebroid,
     InconsistencyError,
+    PreconditionError,
     Section,
     validate_structure,
 )
 from algebroids.chern import block_curvature, chern_form
 from algebroids.connections import (
-    HermitianError,
     Metric,
     curvature_components,
     holomorphic_sectional,
@@ -59,7 +59,6 @@ from algebroids.constructions import (
 )
 from algebroids.jstruct import (
     NN_CHECKS,
-    IntegrabilityError,
     almost_complex_structure,
     matched_pair_check,
     newlander_nirenberg_report,
@@ -81,10 +80,6 @@ class DocumentError(Exception):
         self.source = source
         self.line = line
         self.message = message
-
-
-class PreconditionError(Exception):
-    """The input is well-formed but lacks what the command needs."""
 
 
 @dataclass
@@ -558,6 +553,14 @@ def cmd_restrict(fx: Fixture, args) -> Tuple[dict, bool]:
         raise DocumentError(args.projector, 0, "missing [Pi] section")
     if "lift" not in pdoc:
         raise DocumentError(args.projector, 0, "missing [lift] section")
+    shapes = {"Pi": (A.rank, A.rank), "lift": (A.rank, A.chart.dim),
+              "J": (A.rank, A.rank)}
+    for name, (rows, cols) in shapes.items():
+        M = pdoc.get(name)
+        if M is not None and (len(M) != rows
+                              or any(len(row) != cols for row in M)):
+            raise DocumentError(args.projector, 0,
+                                f"[{name}] must be a {rows} x {cols} matrix")
     rho0 = [[A.anchor[a][i] for a in range(A.rank)]
             for i in range(A.chart.dim)]
     jrows = pdoc.get("J")
@@ -697,7 +700,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PreconditionError, IntegrabilityError, HermitianError) as exc:
+    except PreconditionError as exc:
         print(f"precondition unmet: {exc}", file=sys.stderr)
         return 3
     except InconsistencyError as exc:

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from algebroids.algebroid import (
     Algebroid,
+    PreconditionError,
     Residuals,
     Section,
     anchor_push,
@@ -110,9 +111,8 @@ class Connection:
     its builder ran on it (empty for a connection given by coefficients).
     """
 
-    def __init__(self, algebroid: Algebroid, gamma, frame_tag: str = "real"):
+    def __init__(self, algebroid: Algebroid, gamma):
         self.algebroid = algebroid
-        self.frame_tag = frame_tag
         self.checks = Residuals()
         m = algebroid.rank
         chart = algebroid.chart
@@ -290,7 +290,7 @@ def hermitian_check(g: Metric, J: EndoField) -> Residuals:
     return residuals
 
 
-class HermitianError(ValueError):
+class HermitianError(PreconditionError):
     """An operation needing a Hermitian metric received a non-Hermitian one."""
 
 
@@ -520,7 +520,7 @@ def levi_civita_complex_frame(fx: Fixture) -> Connection:
                 gamma[bar(d)][a][bar(b)] = gamma[d][bar(a)][b].conjugate()
                 gamma[d][bar(a)][bar(b)] = gamma[bar(d)][a][b].conjugate()
 
-    conn = Connection(CA, gamma, frame_tag="complex")
+    conn = Connection(CA, gamma)
 
     # cross-check against the transformed real-frame Levi-Civita
     D = fx.levi_civita

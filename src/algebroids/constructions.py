@@ -29,6 +29,7 @@ from typing import List, Optional
 
 from algebroids.algebroid import (
     Algebroid,
+    PreconditionError,
     Residuals,
     Section,
     VectorField,
@@ -77,6 +78,8 @@ class Prolongation:
 
     ``checks`` holds the lift bracket laws (check ``lift_bracket_laws``,
     indexed ("vv" | "cv" | "cc", a, b, c)), required at construction.
+    When they fail because the base fails its own structure equations,
+    PreconditionError is raised instead.
     """
 
     def __init__(self, base: Algebroid):
@@ -117,6 +120,9 @@ class Prolongation:
 
         self.checks = Residuals()
         self._check_lift_laws()
+        if not self.checks.ok() and not validate_structure(base).ok():
+            raise PreconditionError(
+                "base algebroid fails its structure equations")
         self.checks.require()
 
     # ---- lifts -----------------------------------------------------------
@@ -185,210 +191,132 @@ class Prolongation:
                                         res)
 
     # ---- lifted structures ----------------------------------------------
+    # Each structure is defined by its values on the lift frame
+    # (e_a^c, e_a^v) or the horizontal frame (e_a^h, e_a^v).
 
     def complete_lift_endo(self, J: EndoField) -> EndoField:
         """J^c with J^c(s^v) = (Js)^v and J^c(s^c) = (Js)^c."""
-        base = self.base
-        r = self.r
-        A = self.algebroid
-        cols = []
-        for a in range(r):
-            jea = Section(base, [J.entry(b, a) for b in range(r)])
-            col = self.complete_lift(jea).components
-            col = list(col)
-            # X_a = e_a^c + C^b_{af} y^f V_b, and J^c V_b = (J e_b)^v
-            for f in range(r):
-                yf = self.chart.scalar(self.y[f])
-                for b in range(r):
-                    cf = base.C[b][a][f].on_chart(self.chart)
-                    if cf.is_structurally_zero():
-                        continue
-                    for d in range(r):
-                        col[r + d] = col[r + d] + yf * cf \
-                            * J.entry(d, b).on_chart(self.chart)
-            cols.append([c.normalize() for c in col])
-        for a in range(r):
-            col = [self.chart.zero] * (2 * r)
-            for b in range(r):
-                col[r + b] = J.entry(b, a).on_chart(self.chart)
-            cols.append(col)
-        matrix = [[cols[mu][lam] for mu in range(2 * r)]
-                  for lam in range(2 * r)]
-        return EndoField(A, matrix)
+        images = [J.apply(e) for e in self.base.frame]
+        return self._lift_frame().endo(
+            [self.complete_lift(s) for s in images]
+            + [self.vertical_lift(s) for s in images])
 
     def complete_lift_metric(self, g: Metric):
-        """g^c as a (possibly degenerate) symmetric matrix of Scalars.
-
-        g^c(X_a, X_b) = y^f rho(e_f) g_ab + C^d_{af} y^f g_db
-                        + C^e_{bf} y^f g_ae,
-        g^c(X_a, V_b) = g_ab, g^c(V_a, V_b) = 0.
-        """
-        base = self.base
+        """g^c as a (possibly degenerate) symmetric matrix of Scalars:
+        g^c(s^c, t^c) = g(s, t)^c, g^c(s^c, t^v) = g(s, t)^v and
+        g^c(s^v, t^v) = 0."""
         r = self.r
-        zero = self.chart.zero
-        G = [[zero] * (2 * r) for _ in range(2 * r)]
+        values = [[self.chart.zero] * (2 * r) for _ in range(2 * r)]
         for a in range(r):
             for b in range(r):
-                acc = self.function_complete_lift(g.entry(a, b))
-                for f in range(r):
-                    yf = self.chart.scalar(self.y[f])
-                    for d in range(r):
-                        acc = acc + yf * base.C[d][a][f].on_chart(self.chart) \
-                            * g.entry(d, b).on_chart(self.chart)
-                        acc = acc + yf * base.C[d][b][f].on_chart(self.chart) \
-                            * g.entry(a, d).on_chart(self.chart)
-                G[a][b] = acc.normalize()
-                gab = g.entry(a, b).on_chart(self.chart)
-                G[a][r + b] = gab
-                G[r + a][b] = gab
-        return G
+                values[a][b] = self.function_complete_lift(g.entry(a, b))
+                values[a][r + b] = values[r + a][b] = \
+                    self.function_vertical_lift(g.entry(a, b))
+        return self._lift_frame().form(values)
 
     def sasaki_metric(self, g: Metric, conn: Connection) -> Metric:
         """g_L(H,H) = g_L(V,V) = g, g_L(H,V) = 0 over the (X, V) frame."""
         r = self.r
-        chart = self.chart
-
-        def gam(b, a, f):
-            return conn.gamma[b][a][f].on_chart(chart)
-
-        def gv(a, b):
-            return g.entry(a, b).on_chart(chart)
-
-        # X_a = H_a + Gamma^b_{af} y^f V_b
-        w = [[sum((self.chart.scalar(self.y[f]) * gam(b, a, f)
-                   for f in range(r)), chart.zero) for b in range(r)]
-             for a in range(r)]
-        G = [[chart.zero] * (2 * r) for _ in range(2 * r)]
+        values = [[self.chart.zero] * (2 * r) for _ in range(2 * r)]
         for a in range(r):
             for b in range(r):
-                acc = gv(a, b)
-                for c in range(r):
-                    for d in range(r):
-                        acc = acc + w[a][c] * w[b][d] * gv(c, d)
-                G[a][b] = acc.normalize()
-                cross = chart.zero
-                for c in range(r):
-                    cross = cross + w[a][c] * gv(c, b)
-                G[a][r + b] = cross.normalize()
-                G[r + b][a] = G[a][r + b]
-                G[r + a][r + b] = gv(a, b)
+                values[a][b] = values[r + a][r + b] = \
+                    self.function_vertical_lift(g.entry(a, b))
+        G = self._horizontal_frame(conn).form(values)
         return Metric(self.algebroid, G)
 
     def adapted_complex_structure(self, conn: Connection) -> EndoField:
         """J_L with J_L(V_a) = H_a and J_L(H_a) = -V_a."""
+        frame = self._horizontal_frame(conn)
         r = self.r
-        chart = self.chart
-
-        def gam(b, a, f):
-            return conn.gamma[b][a][f].on_chart(chart)
-
-        w = [[sum((self.chart.scalar(self.y[f]) * gam(b, a, f)
-                   for f in range(r)), chart.zero) for b in range(r)]
-             for a in range(r)]
-        cols = []
-        for a in range(r):
-            # J_L X_a = J_L H_a + w[a][b] J_L V_b = -V_a + w[a][b] H_b
-            col = [chart.zero] * (2 * r)
-            col[r + a] = -chart.one
-            for b in range(r):
-                col[b] = col[b] + w[a][b]
-                for d in range(r):
-                    col[r + d] = col[r + d] - w[a][b] * w[b][d]
-            cols.append([c.normalize() for c in col])
-        for a in range(r):
-            # J_L V_a = H_a = X_a - w[a][b] V_b
-            col = [chart.zero] * (2 * r)
-            col[a] = chart.one
-            for b in range(r):
-                col[r + b] = col[r + b] - w[a][b]
-            cols.append([c.normalize() for c in col])
-        matrix = [[cols[mu][lam] for mu in range(2 * r)]
-                  for lam in range(2 * r)]
-        return EndoField(self.algebroid, matrix)
+        return frame.endo([-v for v in frame.sections[r:]]
+                          + frame.sections[:r])
 
     def complete_lift_connection(self, conn: Connection) -> Connection:
         """D^c with D^c_{s^c} t^c = (D_s t)^c, D^c_{s^c} t^v =
-        D^c_{s^v} t^c = (D_s t)^v and D^c_{s^v} t^v = 0.
-
-        The coefficients are assembled in the lift frame (e^c_a, e^v_a)
-        and transformed to the (X, V) frame.
-        """
+        D^c_{s^v} t^c = (D_s t)^v and D^c_{s^v} t^v = 0."""
         base = self.base
         r = self.r
-        chart = self.chart
+        zero = self.algebroid.zero_section()
+        derivs = [[zero] * (2 * r) for _ in range(2 * r)]
+        for a in range(r):
+            for b in range(r):
+                nab = Section(base, [conn.gamma[d][a][b] for d in range(r)])
+                derivs[a][b] = self.complete_lift(nab)
+                derivs[a][r + b] = derivs[r + a][b] = self.vertical_lift(nab)
+        return self._lift_frame().connection(derivs)
+
+    def _lift_frame(self) -> "_ShiftedFrame":
+        return _ShiftedFrame(self, [self.complete_lift(e)
+                                    for e in self.base.frame])
+
+    def _horizontal_frame(self, conn: Connection) -> "_ShiftedFrame":
+        return _ShiftedFrame(self, [self.horizontal_lift(e, conn)
+                                    for e in self.base.frame])
+
+
+class _ShiftedFrame:
+    """A frame (U_a, V_a) of a prolongation with U_a = X_a - L^b_a V_b.
+
+    The lift frame has U_a = e_a^c and L^b_a = C^b_af y^f, the horizontal
+    frame U_a = e_a^h and L^b_a = Gamma^b_af y^f.  L is read off the
+    V-components of U_a, and X_a = U_a + L^b_a V_b expands each (X, V)
+    frame element N_mu = Q^kappa_mu U_kappa in closed form, so data given
+    on this frame moves to the (X, V) frame without a matrix inverse.
+    """
+
+    def __init__(self, p: Prolongation, heads: List[Section]):
+        r = p.r
+        self.algebroid = p.algebroid
+        self.sections = heads + [p.vertical_lift(e) for e in p.base.frame]
+        # expansion[mu]: the nonzero pairs (kappa, Q^kappa_mu)
+        self.expansion = [[(mu, p.chart.one)] for mu in range(2 * r)]
+        for a, u in enumerate(heads):
+            for b in range(r):
+                L = -u.components[r + b]
+                if not L.is_structurally_zero():
+                    self.expansion[a].append((r + b, L))
+
+    def _combine(self, terms) -> List[Scalar]:
+        """Components of sum(coeff * section) over (coeff, section) pairs."""
+        acc = [self.algebroid.chart.zero] * self.algebroid.rank
+        for coeff, s in terms:
+            acc = [x + coeff * y for x, y in zip(acc, s.components)]
+        return [x.normalize() for x in acc]
+
+    def endo(self, images: List[Section]) -> EndoField:
+        """T with T(U_kappa) = images[kappa]."""
+        cols = [self._combine((q, images[k]) for k, q in self.expansion[mu])
+                for mu in range(self.algebroid.rank)]
+        return EndoField(self.algebroid, list(zip(*cols)))
+
+    def form(self, values) -> List[List[Scalar]]:
+        """B with B(U_kappa, U_sigma) = values[kappa][sigma]."""
+        n = self.algebroid.rank
+        return [[sum((p * q * values[k][s]
+                      for k, p in self.expansion[mu]
+                      for s, q in self.expansion[nu]),
+                     self.algebroid.chart.zero).normalize()
+                 for nu in range(n)] for mu in range(n)]
+
+    def connection(self, derivs) -> Connection:
+        """D with D_{U_kappa} U_sigma = derivs[kappa][sigma]:
+        D_{N_mu} N_nu = rho(N_mu)(Q^sigma_nu) U_sigma
+                        + Q^kappa_mu Q^sigma_nu D_{U_kappa} U_sigma."""
         A = self.algebroid
-        two_r = 2 * r
-        zero = chart.zero
-
-        def gam(d, a, b):
-            return conn.gamma[d][a][b].on_chart(chart)
-
-        gamma_u = [[[zero] * two_r for _ in range(two_r)]
-                   for _ in range(two_r)]
-        for a in range(r):
-            for b in range(r):
-                for d in range(r):
-                    gamma_u[d][a][b] = gam(d, a, b)
-                    gamma_u[r + d][a][b] = self.function_complete_lift(
-                        conn.gamma[d][a][b])
-                    gamma_u[r + d][a][r + b] = gam(d, a, b)
-                    gamma_u[r + d][r + a][b] = gam(d, a, b)
-
-        # frame change: X_a = u_a + C^b_{af} y^f u_{r+b}, V_a = u_{r+a}
-        Q = [[zero] * two_r for _ in range(two_r)]
-        for a in range(r):
-            Q[a][a] = chart.one
-            Q[r + a][r + a] = chart.one
-            for b in range(r):
-                acc = zero
-                for f in range(r):
-                    acc = acc + self.chart.scalar(self.y[f]) \
-                        * base.C[b][a][f].on_chart(chart)
-                Q[r + b][a] = acc.normalize()
-        Qinv = ScalarMatrix(chart, Q).inverse()
-
-        # anchors of the lift frame
-        def rho_u(kappa: int) -> VectorField:
-            comps = [zero] * chart.dim
-            if kappa < r:
-                for i in range(self.n):
-                    comps[i] = base.anchor[kappa][i].on_chart(chart)
-                for b in range(r):
-                    acc = zero
-                    for f in range(r):
-                        acc = acc - self.chart.scalar(self.y[f]) \
-                            * base.C[b][kappa][f].on_chart(chart)
-                    comps[self.n + b] = acc
-            else:
-                comps[self.n + (kappa - r)] = chart.one
-            return VectorField(chart, comps)
-
-        rhos = [rho_u(k) for k in range(two_r)]
-        gamma_new = [[[zero] * two_r for _ in range(two_r)]
-                     for _ in range(two_r)]
-        for mu in range(two_r):
-            for nu in range(two_r):
-                # D_{N_mu} N_nu expanded over the lift frame
-                tu = [zero] * two_r
-                for kappa in range(two_r):
-                    qk = Q[kappa][mu]
-                    if qk.is_structurally_zero():
-                        continue
-                    for sig in range(two_r):
-                        qs = Q[sig][nu]
-                        dq = rhos[kappa].apply(qs)
-                        tu[sig] = tu[sig] + qk * dq
-                        if qs.is_structurally_zero():
-                            continue
-                        for lam in range(two_r):
-                            gl = gamma_u[lam][kappa][sig]
-                            if gl.is_structurally_zero():
-                                continue
-                            tu[lam] = tu[lam] + qk * qs * gl
-                col = Qinv.apply(tu)
-                for tau in range(two_r):
-                    gamma_new[tau][mu][nu] = col[tau]
-        return Connection(A, gamma_new)
+        n = A.rank
+        gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
+        for mu in range(n):
+            rho = A.anchor_vf(mu)
+            for nu in range(n):
+                terms = []
+                for s, q in self.expansion[nu]:
+                    terms.append((rho.apply(q), self.sections[s]))
+                    terms += [(p * q, derivs[k][s])
+                              for k, p in self.expansion[mu]]
+                for tau, val in enumerate(self._combine(terms)):
+                    gamma[tau][mu][nu] = val
+        return Connection(A, gamma)
 
 
 def prolong(base: Algebroid) -> Prolongation:

@@ -39,10 +39,8 @@ def _sort_index(idx: Tuple[int, ...]):
 
 
 class EForm:
-    """Degree-p antisymmetric form with Scalar components.
-
-    The frame size defaults to the algebroid rank; a complex frame doubles
-    it and supplies its own structure functions for d_E.
+    """Degree-p antisymmetric form with Scalar components over the frame of
+    ``algebroid`` (a complex frame passes its induced algebroid).
     """
 
     def __init__(
@@ -50,16 +48,12 @@ class EForm:
         algebroid: Algebroid,
         degree: int,
         components: Dict[Tuple[int, ...], object] | None = None,
-        frame_size: int | None = None,
-        frame_tag: str = "real",
     ):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         self.algebroid = algebroid
         self.degree = degree
-        self.frame_size = algebroid.rank if frame_size is None else frame_size
-        self.frame_tag = frame_tag
-        # degree above the frame size is allowed and denotes the zero form
+        # degree above the rank is allowed and denotes the zero form
         # (no strictly increasing multi-index exists), so d_E of a
         # top-degree form has a representation
         self.components: Dict[Tuple[int, ...], Scalar] = {}
@@ -99,20 +93,17 @@ class EForm:
         return comp if sign > 0 else -comp
 
     def keys(self):
-        return combinations(range(self.frame_size), self.degree)
+        return combinations(range(self.algebroid.rank), self.degree)
 
     def _compatible(self, other: "EForm"):
-        if (other.algebroid is not self.algebroid
-                or other.frame_size != self.frame_size
-                or other.frame_tag != self.frame_tag):
+        if other.algebroid is not self.algebroid:
             raise ChartError("forms live over different frames")
 
     def __add__(self, other: "EForm") -> "EForm":
         self._compatible(other)
         if other.degree != self.degree:
             raise ValueError("cannot add forms of different degree")
-        out = EForm(self.algebroid, self.degree,
-                    frame_size=self.frame_size, frame_tag=self.frame_tag)
+        out = EForm(self.algebroid, self.degree)
         for key in set(self.components) | set(other.components):
             out.components[key] = (self.components.get(key, self.chart.zero)
                                    + other.components.get(key, self.chart.zero))
@@ -122,16 +113,14 @@ class EForm:
         return self + (-other)
 
     def __neg__(self) -> "EForm":
-        out = EForm(self.algebroid, self.degree,
-                    frame_size=self.frame_size, frame_tag=self.frame_tag)
+        out = EForm(self.algebroid, self.degree)
         for key, val in self.components.items():
             out.components[key] = -val
         return out
 
     def scale(self, f) -> "EForm":
         f = self.chart.scalar(f)
-        out = EForm(self.algebroid, self.degree,
-                    frame_size=self.frame_size, frame_tag=self.frame_tag)
+        out = EForm(self.algebroid, self.degree)
         for key, val in self.components.items():
             out.components[key] = f * val
         return out
@@ -140,8 +129,7 @@ class EForm:
         return self.scale(f)
 
     def normalized(self) -> "EForm":
-        out = EForm(self.algebroid, self.degree,
-                    frame_size=self.frame_size, frame_tag=self.frame_tag)
+        out = EForm(self.algebroid, self.degree)
         for key, val in self.components.items():
             norm = val.normalize()
             if not norm.is_structurally_zero():
@@ -152,8 +140,7 @@ class EForm:
         return all(v.is_structurally_zero() for v in self.components.values())
 
     def conjugate(self) -> "EForm":
-        out = EForm(self.algebroid, self.degree,
-                    frame_size=self.frame_size, frame_tag=self.frame_tag)
+        out = EForm(self.algebroid, self.degree)
         for key, val in self.components.items():
             out.components[key] = val.conjugate()
         return out
@@ -167,10 +154,9 @@ def wedge(w: EForm, e: EForm) -> EForm:
     """Shuffle-sum wedge product without factorial prefactors."""
     w._compatible(e)
     p, q = w.degree, e.degree
-    out = EForm(w.algebroid, p + q, frame_size=w.frame_size,
-                frame_tag=w.frame_tag)
+    out = EForm(w.algebroid, p + q)
     zero = w.chart.zero
-    for idx in combinations(range(w.frame_size), p + q):
+    for idx in combinations(range(w.algebroid.rank), p + q):
         acc = zero
         positions = list(range(p + q))
         for wpos in combinations(positions, p):
@@ -219,9 +205,9 @@ def evaluate(w: EForm, sections: Sequence[Section]) -> Scalar:
 def d_E(w: EForm) -> EForm:
     """Chevalley-Eilenberg differential over the active frame."""
     A = w.algebroid
-    m = w.frame_size
+    m = A.rank
     p = w.degree
-    out = EForm(A, p + 1, frame_size=m, frame_tag=w.frame_tag)
+    out = EForm(A, p + 1)
     chart = A.chart
 
     def rho_apply(a: int, f: Scalar) -> Scalar:

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from algebroids.algebroid import (
     Algebroid,
+    PreconditionError,
     Residuals,
     Section,
     VectorField,
@@ -51,7 +52,7 @@ __all__ = [
 ]
 
 
-class IntegrabilityError(ValueError):
+class IntegrabilityError(PreconditionError):
     """An operation requiring integrable J received a non-integrable one."""
 
 
@@ -356,13 +357,7 @@ class ComplexFrame:
     # forms over this frame ------------------------------------------------
 
     def form(self, degree: int, components=None) -> EForm:
-        return EForm(self.as_algebroid(), degree, components,
-                     frame_size=2 * self.m, frame_tag="complex")
-
-    def d_E(self, w: EForm) -> EForm:
-        if w.frame_tag != "complex" or w.algebroid is not self.as_algebroid():
-            raise ChartError("form does not live over this complex frame")
-        return d_E(w)
+        return EForm(self.as_algebroid(), degree, components)
 
 
 def adapted_complex_frame(A: Algebroid, J: EndoField) -> ComplexFrame:
@@ -425,7 +420,7 @@ def d_E_split(w: EForm, F: ComplexFrame) -> Dict[str, EForm]:
            for name in ("d_prime", "del", "delbar", "d_second")}
     leaks = Residuals()
     for (p, q), piece in bigrade(w, F).items():
-        dw = F.d_E(piece)
+        dw = d_E(piece)
         for (pp, qq), part in bigrade(dw, F).items():
             if (pp, qq) == (p + 2, q - 1):
                 name = "d_prime"
@@ -490,7 +485,7 @@ def newlander_nirenberg_report(fx: Fixture) -> NNReport:
     # degree-1 leakage: d of f^a must have no (0,2) part, d of fbar^a no (2,0)
     for mu in range(2 * m):
         w = F.form(1, {(mu,): 1})
-        pieces = bigrade(F.d_E(w), F)
+        pieces = bigrade(d_E(w), F)
         bad = (0, 2) if mu < m else (2, 0)
         if bad in pieces:
             checks.add("no_leak_degree1", (mu, bad), pieces[bad])
@@ -500,7 +495,7 @@ def newlander_nirenberg_report(fx: Fixture) -> NNReport:
         w = F.form(2, {(mu, nu): 1})
         p = sum(1 for k in (mu, nu) if k < m)
         q = 2 - p
-        for (pp, qq), piece in bigrade(F.d_E(w), F).items():
+        for (pp, qq), piece in bigrade(d_E(w), F).items():
             if (pp, qq) not in ((p + 1, q), (p, q + 1)):
                 checks.add("no_leak_degree2", ((mu, nu), (pp, qq)), piece)
 

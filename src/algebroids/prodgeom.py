@@ -142,7 +142,7 @@ def product_connection(fx: Fixture) -> ProductConnection:
             for d in range(two_m):
                 if (d >= m) == (nu >= m):
                     gamma[d][mu][nu] = connF.gamma[d][mu][nu]
-    tilde = Connection(CA, gamma, frame_tag="complex")
+    tilde = Connection(CA, gamma)
     checks = Residuals()
 
     # the correction form D + (1/2)(DJ)J must agree
@@ -427,7 +427,7 @@ def mean_curvature(fx: Fixture, samples: int = 10,
     verbatim_zero = acc.normalized().is_structurally_zero()
 
     # h-dual 1-form k(s) = sum_a h(W_s f_a, fbar_a)
-    k = EForm(CA, 1, frame_size=two_m, frame_tag="complex")
+    k = EForm(CA, 1)
     for lam in range(two_m):
         val = CA.chart.zero
         for a in range(m):

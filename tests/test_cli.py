@@ -104,6 +104,12 @@ def test_exit_code_precondition_failures(tmp_path):
         code, out, err = run_cli(argv)
         assert code == 3 and "not Hermitian" in err, argv
         assert out == ""
+    # a base that fails its structure equations has no prolongation
+    for argv in (["prolong", "heis_broken"],
+                 ["validate", "prolong(heis_broken)"]):
+        code, out, err = run_cli(argv)
+        assert code == 3 and out == "", argv
+        assert err.startswith("precondition unmet:"), argv
 
 
 def test_exit_code_internal_inconsistency(monkeypatch):
@@ -134,6 +140,21 @@ def test_exit_code_document_errors(tmp_path):
     code, out, err = run_cli(["chern", "flat_r2", "--order", "0"])
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    # projector matrices whose shapes do not fit the ambient fixture
+    proj = tmp_path / "rank2.proj"
+    proj.write_text("[Pi]\nrow = 1, 0\nrow = 0, 1\n"
+                    "[lift]\nrow = 1, 0\nrow = 0, 1\n")
+    short_lift = tmp_path / "short_lift.proj"
+    short_lift.write_text("[Pi]\nrow = 1, 0\nrow = 0, 1\n"
+                          "[lift]\nrow = 1\nrow = 0\n")
+    for argv, section in (
+            (["restrict", "flat_r4", "--projector", str(proj)], "[Pi]"),
+            (["restrict", "flat_r2", "--projector", str(short_lift)],
+             "[lift]")):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+        assert section in err, argv
 
 
 def test_fixtures_list():
