@@ -3,12 +3,14 @@
 `golden.json` holds the printed form of every emitted catalog document
 and of every entry produced by the exact matrix algebra (metric inverses,
 complex-frame expansions, the J R blocks, the complete-lift connection
-and the lifted structures of the prolongation).  A change to how scalars are represented or normalised must
-leave all of it byte-identical.  To re-record after an intended change:
+and the lifted structures of the prolongation), and the `second-fundamental`
+report of every catalog fixture.  A change to how scalars are represented
+or normalised must leave all of it byte-identical.  To re-record after an intended change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import argparse
 import functools
 import json
 import os
@@ -16,10 +18,11 @@ import os
 import pytest
 
 from algebroids.chern import block_curvature
-from algebroids.cli import emit_document
+from algebroids.cli import cmd_second_fundamental, emit_document
 from algebroids.constructions import CATALOG_NAMES, fixture, fixture_names, prolong
 from algebroids.jstruct import IntegrabilityError
 from algebroids.scalars import print_scalar
+from conftest import SAMPLES, SEED
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 EMIT_NAMES = fixture_names() + ["prolong(heis_j)", "product(flat_r2, heis_j)"]
@@ -90,6 +93,17 @@ def prolongation_lifts(catalog):
     }
 
 
+def second_fundamental_reports(catalog):
+    """The `second-fundamental` report and verdict of every catalog
+    fixture."""
+    args = argparse.Namespace(seed=SEED, samples=SAMPLES)
+    out = {}
+    for name in CATALOG_NAMES:
+        report, ok = cmd_second_fundamental(catalog(name), args)
+        out[name] = {"report": report, "ok": ok}
+    return out
+
+
 SECTIONS = {
     "emit_document": emitted,
     "metric_inverse": metric_inverses,
@@ -97,6 +111,7 @@ SECTIONS = {
     "block_curvature": block_curvatures,
     "complete_lift_connection": complete_lift_connection,
     "prolongation_lifts": prolongation_lifts,
+    "second_fundamental_reports": second_fundamental_reports,
 }
 
 
