@@ -462,7 +462,7 @@ def cmd_chern(fx: Fixture, args) -> Tuple[dict, bool]:
 def cmd_second_fundamental(fx: Fixture, args) -> Tuple[dict, bool]:
     _need(fx, j=True, g=True)
     sf = fx.second_fundamental
-    mc = mean_curvature(fx, samples=args.samples, seed=args.seed)
+    mc = mean_curvature(fx)
     b = {}
     m = sf.F.m
     for mu in range(2 * m):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from algebroids.algebroid import (
     Algebroid,
@@ -38,7 +38,6 @@ from algebroids.scalars import (
     Scalar,
     ScalarMatrix,
     is_zero,
-    perfect_square_root,
 )
 
 if TYPE_CHECKING:
@@ -65,7 +64,6 @@ __all__ = [
     "kahler_complex_curvature",
     "riemann4",
     "holomorphic_sectional",
-    "orthonormal_adapted_frame",
 ]
 
 
@@ -87,7 +85,6 @@ class Metric:
         status = is_zero(M.det())
         if status.structurally_zero or status.all_samples_zero:
             raise ValueError("metric is structurally singular")
-        self.det_witness = status.witness
         self.inverse = M.inverse().rows()
 
     def value(self, s1: Section, s2: Section) -> Scalar:
@@ -121,10 +118,6 @@ class Connection:
                   for a in range(m))
             for c in range(m)
         )
-
-    def coeff(self, c: int, a: int, b: int) -> Scalar:
-        """Gamma^c_ab."""
-        return self.gamma[c][a][b]
 
 
 def cov_deriv(conn: Connection, s1: Section, s2: Section) -> Section:
@@ -332,7 +325,6 @@ class KahlerReport:
     equivalence_holds: bool
     checks: Residuals
     dphi: EForm = None
-    phi: EForm = None
 
     @property
     def kahler(self) -> bool:
@@ -380,7 +372,7 @@ def kahler_report(fx: Fixture) -> KahlerReport:
     lc_ac = ac.ok()
     equivalence = lc_ac == (n_zero and dphi_zero)
     return KahlerReport(n_zero, dphi_zero, lc_ac, equivalence, checks,
-                        dphi=dphi, phi=phi)
+                        dphi=dphi)
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +539,8 @@ class KahlerCurvatureReport:
     checks: Residuals
 
 
-def kahler_complex_curvature(connF: Connection, F: ComplexFrame,
-                             require_kahler: bool = True) -> KahlerCurvatureReport:
+def kahler_complex_curvature(connF: Connection,
+                             F: ComplexFrame) -> KahlerCurvatureReport:
     """Curvature of the complex-frame Levi-Civita in the Kahler case.
 
     Verifies the displayed reduced formula for R^{dbar}_{a bbar, cbar},
@@ -567,17 +559,16 @@ def kahler_complex_curvature(connF: Connection, F: ComplexFrame,
 
     # require the Kahler coefficient pattern: only Gamma^d_ab, Gamma^d_{abar b}
     # and their conjugates may be nonzero
-    if require_kahler:
-        allowed_gamma = {(False, False, False), (False, True, False),
-                         (True, True, True), (True, False, True)}
-        for d in range(two_m):
-            for mu in range(two_m):
-                for nu in range(two_m):
-                    if (barred(d), barred(mu), barred(nu)) in allowed_gamma:
-                        continue
-                    if not connF.gamma[d][mu][nu].is_structurally_zero():
-                        raise IntegrabilityError(
-                            "connection does not have the Kahler pattern")
+    allowed_gamma = {(False, False, False), (False, True, False),
+                     (True, True, True), (True, False, True)}
+    for d in range(two_m):
+        for mu in range(two_m):
+            for nu in range(two_m):
+                if (barred(d), barred(mu), barred(nu)) in allowed_gamma:
+                    continue
+                if not connF.gamma[d][mu][nu].is_structurally_zero():
+                    raise IntegrabilityError(
+                        "connection does not have the Kahler pattern")
 
     R = curvature_components(connF)
 
@@ -644,87 +635,3 @@ def holomorphic_sectional(g: Metric, conn: Connection, J: EndoField,
         raise ZeroDivisionError("structurally degenerate plane")
     num = riemann4(g, conn, s, Js, s, Js)
     return (num / denom).normalize()
-
-
-# ---------------------------------------------------------------------------
-# orthonormal frames
-
-
-def orthonormal_adapted_frame(A: Algebroid, J: EndoField, g: Metric
-                              ) -> Optional[List[Section]]:
-    """Exact g-orthonormal frame of shape (u_1, Ju_1, ..., u_m, Ju_m).
-
-    Built by Gram-Schmidt over the u's with exact square roots; returns
-    None when a needed square root leaves the rational fragment, in which
-    case callers fall back to pointwise numeric orthonormalization.
-    """
-    m = A.rank // 2
-    chart = A.chart
-    us: List[Section] = []
-    for a in range(A.rank):
-        if len(us) == m:
-            break
-        u = A.frame_section(a)
-        # project out previously chosen u_k and J u_k
-        for prev in list(us):
-            for v in (prev, J.apply(prev)):
-                coeff = g.value(u, v)
-                u = u - v.scale(coeff)
-        norm_sq = g.value(u, u).normalize()
-        if norm_sq.is_structurally_zero():
-            continue
-        root = perfect_square_root(norm_sq)
-        if root is None:
-            return None
-        us.append(u.scale(chart.one / root))
-    if len(us) != m:
-        return None
-    frame: List[Section] = []
-    for u in us:
-        frame.append(u)
-        frame.append(J.apply(u))
-    # verify orthonormality structurally
-    for x in range(2 * m):
-        for y in range(2 * m):
-            want = chart.one if x == y else chart.zero
-            if not (g.value(frame[x], frame[y]) - want).normalize().is_structurally_zero():
-                return None
-    return frame
-
-
-def numeric_orthonormal_adapted_frame(A: Algebroid, J: EndoField, g: Metric,
-                                      point: dict) -> List[List[complex]]:
-    """Pointwise Gram-Schmidt fallback; returns numeric component rows."""
-    m = A.rank // 2
-    Jnum = [[complex(J.matrix[b][a].eval(point)) for a in range(A.rank)]
-            for b in range(A.rank)]
-    gnum = [[complex(g.matrix[a][b].eval(point)) for b in range(A.rank)]
-            for a in range(A.rank)]
-
-    def gv(u, v):
-        return sum(gnum[a][b] * u[a] * v[b]
-                   for a in range(A.rank) for b in range(A.rank))
-
-    def japply(u):
-        return [sum(Jnum[b][a] * u[a] for a in range(A.rank))
-                for b in range(A.rank)]
-
-    us = []
-    for a in range(A.rank):
-        if len(us) == m:
-            break
-        u = [1.0 if x == a else 0.0 for x in range(A.rank)]
-        for prev in us:
-            for v in (prev, japply(prev)):
-                c = gv(u, v)
-                u = [u[x] - c * v[x] for x in range(A.rank)]
-        nrm = gv(u, u)
-        if abs(nrm) < 1e-12:
-            continue
-        root = nrm ** 0.5
-        us.append([x / root for x in u])
-    frame = []
-    for u in us:
-        frame.append(u)
-        frame.append(japply(u))
-    return frame

@@ -175,15 +175,15 @@ class Prolongation:
 
     def _check_lift_laws(self):
         base = self.base
+        comp = [self.complete_lift(e) for e in base.frame]
+        vert = [self.vertical_lift(e) for e in base.frame]
         for a in range(self.r):
             for b in range(self.r):
-                ea, eb = base.frame_section(a), base.frame_section(b)
                 base_br = Section(base, [base.C[c][a][b]
                                          for c in range(self.r)])
-                r1 = bracket(self.vertical_lift(ea), self.vertical_lift(eb))
-                r2 = (bracket(self.complete_lift(ea), self.vertical_lift(eb))
-                      - self.vertical_lift(base_br))
-                r3 = (bracket(self.complete_lift(ea), self.complete_lift(eb))
+                r1 = bracket(vert[a], vert[b])
+                r2 = bracket(comp[a], vert[b]) - self.vertical_lift(base_br)
+                r3 = (bracket(comp[a], comp[b])
                       - self.complete_lift(base_br))
                 for law, r in (("vv", r1), ("cv", r2), ("cc", r3)):
                     for c, res in enumerate(r.normalized().components):

@@ -33,14 +33,12 @@ from algebroids.connections import (
     Metric,
     cov_deriv,
     levi_civita,  # unused; bench/test_harness.py checks tracing patches it
-    numeric_orthonormal_adapted_frame,
-    orthonormal_adapted_frame,
     require_hermitian,
     torsion,
 )
 from algebroids.eforms import EForm
 from algebroids.jstruct import ComplexFrame, EndoField, projectors
-from algebroids.scalars import ComplexRational, Scalar, i, random_point
+from algebroids.scalars import Scalar, i
 
 if TYPE_CHECKING:
     from algebroids.constructions import Fixture
@@ -385,32 +383,27 @@ def _im_section(s: Section) -> Section:
 
 @dataclass
 class MeanCurvatureReport:
-    """H via the verbatim trace, a real orthonormal frame, and numerics.
+    """The mean curvature H as the g-trace of B, with two companions.
 
-    The verbatim sum over B(f_a, fbar_b) vanishes termwise because B
-    annihilates (1,0) first slots; the meaningful content is the
-    orthonormal-frame sum (exact when an exact orthonormal adapted frame
-    exists) and the pointwise numeric fallback.
+    ``H`` = sum_{a,b} g^{ab} B(e_a, e_b) over the real frame.  B is
+    C^inf-bilinear, so this equals sum_k B(u_k, u_k) over every
+    g-orthonormal frame u_k = P^a_k e_a (P P^T = g^{-1}); no such frame is
+    built.  The verbatim sum over B(f_a, fbar_b) (``verbatim_zero``)
+    vanishes termwise because B annihilates (1,0) first slots;
+    ``k_form_zero`` is the h-dual 1-form k(s) = sum_a h(W_s f_a, fbar_a).
     """
 
+    H: Section
     verbatim_zero: bool
-    frame_sum: Optional[Section]
-    frame_sum_zero: Optional[bool]
-    numeric_max: Optional[float]
     k_form_zero: bool
 
     @property
     def zero(self) -> bool:
-        checks = [self.verbatim_zero, self.k_form_zero]
-        if self.frame_sum_zero is not None:
-            checks.append(self.frame_sum_zero)
-        if self.numeric_max is not None:
-            checks.append(self.numeric_max < 1e-9)
-        return all(checks)
+        return (self.H.is_structurally_zero() and self.verbatim_zero
+                and self.k_form_zero)
 
 
-def mean_curvature(fx: Fixture, samples: int = 10,
-                   seed: int = 42) -> MeanCurvatureReport:
+def mean_curvature(fx: Fixture) -> MeanCurvatureReport:
     A, J, g = fx.algebroid, fx.J, fx.g
     sf = fx.second_fundamental
     F = sf.F
@@ -435,35 +428,17 @@ def mean_curvature(fx: Fixture, samples: int = 10,
         k[(lam,)] = val.normalize()
     k_zero = k.normalized().is_structurally_zero()
 
+    # H = sum_{a,b} g^{ab} B(e_a, e_b) over the real frame
     Breal = _real_B(A, J, fx.levi_civita)
+    frame = A.frame
+    H = Section(A, [A.chart.zero] * A.rank)
+    for a in range(A.rank):
+        for b in range(A.rank):
+            gab = g.inverse[a][b]
+            if not gab.is_structurally_zero():
+                H = H + Breal(frame[a], frame[b]).scale(gab)
 
-    frame_sum = frame_sum_zero = None
-    on_frame = orthonormal_adapted_frame(A, J, g)
-    if on_frame is not None:
-        acc = Section(A, [A.chart.zero] * A.rank)
-        for u in on_frame:
-            acc = acc + Breal(u, u)
-        frame_sum = acc.normalized()
-        frame_sum_zero = frame_sum.is_structurally_zero()
-
-    # pointwise numeric orthonormal frames
-    import random as _random
-    rng = _random.Random(seed)
-    numeric_max = 0.0
-    for _ in range(samples):
-        point = random_point(A.chart, rng)
-        rows = numeric_orthonormal_adapted_frame(A, J, g, point)
-        total = [0j] * A.rank
-        for row in rows:
-            u = Section(A, [A.chart.scalar(
-                ComplexRational.from_float(complex(x).real)) for x in row])
-            bu = Breal(u, u)
-            for c in range(A.rank):
-                total[c] += complex(bu.components[c].eval(point))
-        numeric_max = max(numeric_max, max(abs(t) for t in total))
-
-    return MeanCurvatureReport(verbatim_zero, frame_sum, frame_sum_zero,
-                               numeric_max, k_zero)
+    return MeanCurvatureReport(H.normalized(), verbatim_zero, k_zero)
 
 
 def _fit_constant(checks: Residuals, check: str, pairs) -> Optional[Scalar]:

@@ -38,7 +38,6 @@ __all__ = [
     "ScalarMatrix",
     "ZeroStatus",
     "i",
-    "perfect_square_root",
     "parse_scalar",
     "is_zero",
     "random_point",
@@ -116,11 +115,6 @@ class ComplexRational:
         if not (re.is_Rational and im.is_Rational):
             raise ValueError(f"not a complex rational: {value}")
         return ComplexRational(Fraction(re.p, re.q), Fraction(im.p, im.q))
-
-    @staticmethod
-    def from_float(value: float) -> "ComplexRational":
-        """nsimplify's rational for a float: 0.1 -> 1/10, not Fraction(0.1)."""
-        return ComplexRational.from_sympy(value)
 
     def to_sympy(self) -> sp.Expr:
         return sp.Rational(self.re) + sp.Rational(self.im) * sp.I
@@ -451,17 +445,6 @@ class ScalarMatrix:
         """The matrix times a column of Scalars."""
         col = ScalarMatrix(self.chart, [[c] for c in vector])
         return [row[0] for row in (self @ col).rows()]
-
-
-def perfect_square_root(s: Scalar) -> Optional[Scalar]:
-    """Exact square root staying in the rational fragment, if one exists."""
-    expr = s.norm_expr
-    candidate = _canonical(sp.radsimp(sp.sqrt(sp.factor(expr))))
-    if any(not p.exp.is_Integer for p in candidate.atoms(sp.Pow)):
-        return None
-    if _canonical(candidate ** 2 - expr) != 0:
-        return None
-    return s.chart.scalar(candidate)
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,35 @@ def test_deterministic_reports():
     assert first[0] == 0
 
 
+HALF_PLANE_DOC = """\
+# Poincare half-plane: standard J, metric (dx1^2 + dx2^2) / x1^2
+[chart]
+name = halfplane
+coords = x1, x2
+[anchor]
+row = 1, 0
+row = 0, 1
+[J]
+row = 0, -1
+row = 1, 0
+[metric]
+row = 1 / x1^2, 0
+row = 0, 1 / x1^2
+"""
+
+
+@pytest.mark.parametrize("seed", ["41", "42"])
+def test_half_plane_mean_curvature_is_exact(tmp_path, seed):
+    # the metric has a pole on x1 = 0, which a sampled verdict can hit
+    doc = tmp_path / "halfplane.alg"
+    doc.write_text(HALF_PLANE_DOC)
+    code, out, err = run_cli(["second-fundamental", str(doc), "--seed", seed])
+    assert code == 0
+    assert "Traceback" not in err
+    checks = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    assert checks["mean_curvature_zero"] == "StructurallyZero"
+
+
 def test_each_derived_builder_runs_once_per_command(monkeypatch):
     # count calls through every module namespace that bound a builder, so
     # a rebuild anywhere in the library is seen

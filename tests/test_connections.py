@@ -15,7 +15,6 @@ from algebroids.connections import (
     kahler_report,
     levi_civita,
     metric_compat_check,
-    orthonormal_adapted_frame,
     riemann4,
     torsion,
 )
@@ -120,17 +119,6 @@ def test_kahler_complex_curvature_families(catalog):
     fx = catalog("conformal_sphere_chart")
     rep = kahler_complex_curvature(fx.complex_levi_civita, fx.frame)
     assert rep.checks.ok()
-
-
-def test_orthonormal_adapted_frame_exact(catalog):
-    fx = catalog("conformal_sphere_chart")
-    frame = orthonormal_adapted_frame(fx.algebroid, fx.J, fx.g)
-    assert frame is not None
-    for x in range(2):
-        for y in range(2):
-            want = 1 if x == y else 0
-            val = (fx.g.value(frame[x], frame[y]) - want).normalize()
-            assert val.is_structurally_zero()
 
 
 def test_levi_civita_almost_complex_only_when_kahler(catalog):

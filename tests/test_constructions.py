@@ -71,6 +71,21 @@ def test_lift_bracket_laws(catalog):
     assert p.checks.ok("lift_bracket_laws")
 
 
+def test_lift_laws_lift_each_section_once(catalog, monkeypatch):
+    # r frame sections and r^2 base brackets, each lifted once
+    A = catalog("heis_j").algebroid
+    calls = []
+    complete_lift = constructions.Prolongation.complete_lift
+
+    def counted(self, s):
+        calls.append(s)
+        return complete_lift(self, s)
+
+    monkeypatch.setattr(constructions.Prolongation, "complete_lift", counted)
+    prolong(A)
+    assert len(calls) <= A.rank + A.rank ** 2
+
+
 def test_complete_lift_endo_laws(catalog):
     fx = catalog("heis_j")
     p = prolong(fx.algebroid)

@@ -137,7 +137,9 @@ def test_complex_rational_on_the_left_of_a_scalar(chart):
     assert i * s == chart.scalar("i*x1 + 2*i*x2")
 
 
-def test_only_scalars_imports_sympy():
+@pytest.mark.parametrize("module", ["sympy", "random"])
+def test_only_scalars_imports(module):
+    # symbolic algebra and random sampling both stay in the scalar layer
     package = pathlib.Path(algebroids.__file__).parent
     importers = set()
     for path in package.glob("*.py"):
@@ -148,7 +150,7 @@ def test_only_scalars_imports_sympy():
                 names = [node.module or ""]
             else:
                 continue
-            if any(n == "sympy" or n.startswith("sympy.") for n in names):
+            if any(n == module or n.startswith(module + ".") for n in names):
                 importers.add(path.name)
     assert importers == {"scalars.py"}
 
