@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Iterable, List, Mapping, Optional, Union
 
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 from sympy.printing.precedence import PRECEDENCE
 from sympy.printing.str import StrPrinter
 
@@ -222,7 +223,7 @@ class Chart:
         if isinstance(value, (int, Fraction)):
             return Scalar(self, sp.Rational(value))
         if isinstance(value, sp.Expr):
-            return Scalar(self, value)
+            return Scalar(self, _on_chart(self, value))
         raise TypeError(f"cannot coerce {value!r} to Scalar")
 
     @property
@@ -237,6 +238,16 @@ class Chart:
         return f"Chart({self.name!r}, {[c.name for c in self.coords]})"
 
 
+def _on_chart(chart: Chart, expr: sp.Expr) -> sp.Expr:
+    """``expr`` itself, once every symbol in it is a coordinate of ``chart``."""
+    bad = expr.free_symbols - set(chart.coords)
+    if bad:
+        raise ChartError(
+            f"symbols {sorted(s.name for s in bad)} not in chart {chart.name!r}"
+        )
+    return expr
+
+
 def _canonical(expr: sp.Expr) -> sp.Expr:
     """Canonical form: reduced quotient of expanded polynomials.
 
@@ -248,17 +259,18 @@ def _canonical(expr: sp.Expr) -> sp.Expr:
 
 
 class Scalar:
-    """Immutable symbolic expression over a chart's coordinates."""
+    """Immutable symbolic expression over a chart's coordinates.
+
+    ``Scalar(chart, expr)`` trusts ``expr``: it must be a sympy expression
+    whose symbols are coordinates of ``chart``, and it is stored unchecked.
+    Arithmetic, ``diff``, ``conjugate``, ``normalize`` and ``ScalarMatrix``
+    results satisfy this by construction.  An expression from outside
+    enters through ``Chart.scalar`` or ``on_chart``, which check it.
+    """
 
     __slots__ = ("chart", "expr", "_norm")
 
     def __init__(self, chart: Chart, expr: sp.Expr):
-        expr = sp.sympify(expr)
-        bad = expr.free_symbols - set(chart.coords)
-        if bad:
-            raise ChartError(
-                f"symbols {sorted(s.name for s in bad)} not in chart {chart.name!r}"
-            )
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "expr", expr)
         object.__setattr__(self, "_norm", None)
@@ -295,8 +307,16 @@ class Scalar:
     def _coerce(self, other) -> "Scalar":
         return self.chart.scalar(other)
 
+    # a zero operand returns the other operand (sum) or itself (product):
+    # exactly the tree sympy would build, for the finite expressions a
+    # Scalar holds, without a pass over the other operand's tree
+
     def __add__(self, other):
         other = self._coerce(other)
+        if other.expr is sp.S.Zero:
+            return self
+        if self.expr is sp.S.Zero:
+            return other
         return Scalar(self.chart, self.expr + other.expr)
 
     __radd__ = __add__
@@ -312,6 +332,10 @@ class Scalar:
 
     def __mul__(self, other):
         other = self._coerce(other)
+        if self.expr is sp.S.Zero:
+            return self
+        if other.expr is sp.S.Zero:
+            return other
         return Scalar(self.chart, self.expr * other.expr)
 
     __rmul__ = __mul__
@@ -336,6 +360,8 @@ class Scalar:
         sym = self.chart.coord(coord) if isinstance(coord, str) else coord
         if sym not in self.chart.coords:
             raise ChartError(f"{sym} is not a coordinate of chart {self.chart.name!r}")
+        if sym not in self.expr.free_symbols:
+            return self.chart.zero
         return Scalar(self.chart, sp.diff(self.expr, sym))
 
     def on_chart(self, chart: Chart, rename: Optional[Mapping] = None) -> "Scalar":
@@ -345,7 +371,7 @@ class Scalar:
         expr = self.expr
         if rename is not None:
             expr = expr.subs(rename, simultaneous=True)
-        return Scalar(chart, expr)
+        return Scalar(chart, _on_chart(chart, expr))
 
     def conjugate(self) -> "Scalar":
         # coordinates are real symbols, so only the constants flip
@@ -429,11 +455,25 @@ class ScalarMatrix:
         return tuple(tuple(Scalar(self.chart, e) for e in self._m.row(r))
                      for r in range(self._m.rows))
 
+    def _over_field(self) -> Optional[DomainMatrix]:
+        # the entries over the fraction field of the polynomial ring that
+        # sympy picks for them (e.g. QQ(x1, x2)), where elimination is exact
+        # arithmetic on reduced quotients instead of on trees.  None when no
+        # such field holds them (an atom like sqrt(x1) is not independent
+        # of x1): there the normal form is not canonical, so sympy's own
+        # det/inv keep the trees they have always given.
+        m = DomainMatrix.from_Matrix(self._m, field=True)
+        return None if m.domain.is_EX else m
+
     def det(self) -> Scalar:
-        return Scalar(self.chart, _canonical(self._m.det()))
+        m = self._over_field()
+        det = self._m.det() if m is None else m.domain.to_sympy(m.det())
+        return Scalar(self.chart, _canonical(det))
 
     def inverse(self) -> "ScalarMatrix":
-        return self._normalized(self._m.inv())
+        m = self._over_field()
+        return self._normalized(self._m.inv() if m is None
+                                else m.inv().to_Matrix())
 
     def rank(self) -> int:
         return self._m.rank(iszerofunc=lambda e: _canonical(e) == 0)

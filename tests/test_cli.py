@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algebroids import connections, jstruct
 from algebroids.cli import (
@@ -16,6 +20,7 @@ from algebroids.cli import (
     parse_document,
 )
 from algebroids.constructions import fixture_names
+from test_scalars import GRAMMAR
 
 
 def run_cli(argv):
@@ -267,3 +272,65 @@ def test_each_derived_builder_runs_once_per_command(monkeypatch):
         code, _, _ = run_cli(list(argv))
         assert code == 0, argv
         assert calls == want, argv
+
+
+# an entry of the expression grammar with one character replaced by a
+# token that is out of place there (a comment or a separator included)
+MALFORMED = st.tuples(
+    GRAMMAR, st.integers(0, 40),
+    st.sampled_from(list("()+*/^,=#[] ") + ["x3", "foo", ""]),
+).map(lambda t: t[0][:t[1]] + t[2] + t[0][t[1] + 1:])
+# complex structures on a rank-2 frame (J^2 = -1)
+SQUARE_ROOTS_OF_MINUS_ONE = [[["0", "-1"], ["1", "0"]],
+                             [["x1", "-1 - x1^2"], ["1", "-x1"]]]
+
+
+def _rows(n, m, entry, clean):
+    # an n x m matrix, or with rows of any length up to 3
+    sizes = (st.just([m] * n) if clean
+             else st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return sizes.flatmap(lambda ls: st.tuples(
+        *[st.lists(entry, min_size=k, max_size=k) for k in ls]))
+
+
+@st.composite
+def documents(draw):
+    # a clean document reaches the checks behind the parser; the others
+    # also have malformed entries, wrong shapes or indices, or a reserved
+    # coordinate name
+    clean = draw(st.booleans())
+    entry = GRAMMAR if clean else st.one_of(GRAMMAR, MALFORMED)
+    coords = (["x1", "x2"] if clean else
+              draw(st.sampled_from([["x1"], ["x1", "x2"], ["x1", "i"]])))
+    rank = draw(st.integers(1, 2))
+    lines = ["[chart]", "coords = " + ", ".join(coords), "[anchor]"]
+    lines += ["row = " + ", ".join(r)
+              for r in draw(_rows(rank, len(coords), entry, clean))]
+    index = st.integers(1, rank) if clean else st.integers(0, 3)
+    brackets = draw(st.lists(st.tuples(index, index, index, entry),
+                             max_size=2))
+    if brackets:
+        lines.append("[bracket]")
+        lines += ["%d %d %d = %s" % b for b in brackets]
+    simple = st.one_of(st.sampled_from(["0", "-1", "1", "x1"]), entry)
+    J = st.one_of(st.sampled_from(SQUARE_ROOTS_OF_MINUS_ONE),
+                  _rows(rank, rank, simple, clean))
+    metric = st.one_of(st.just([["1", "0"], ["0", "1"]][:rank]),
+                       _rows(rank, rank, simple, clean))
+    for section, rows in (("J", J), ("metric", metric)):
+        if draw(st.booleans()):
+            lines.append(f"[{section}]")
+            lines += ["row = " + ", ".join(r) for r in draw(rows)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(documents(), st.sampled_from(["validate", "nijenhuis"]))
+def test_random_documents_get_a_documented_exit_code(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = os.path.join(tmp, "fuzz.alg")
+        with open(doc, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code, _, err = run_cli([command, doc])
+    assert code in (0, 1, 2, 3), (code, err)
+    assert "Traceback" not in err

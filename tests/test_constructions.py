@@ -1,5 +1,7 @@
 """Fixture catalog, prolongation lift calculus, products and restrictions."""
 
+import time
+
 import pytest
 
 from algebroids import constructions
@@ -16,7 +18,7 @@ from algebroids.constructions import (
     prolong,
 )
 from algebroids.jstruct import EndoField
-from algebroids.scalars import Chart
+from algebroids.scalars import Chart, ScalarMatrix
 
 
 def test_fixture_catalog():
@@ -139,6 +141,22 @@ def test_sasaki_metric_and_adapted_structure_hermitian(catalog):
     sq = JL.compose(JL) + EndoField.identity(p.algebroid)
     assert sq.is_structurally_zero()
     assert hermitian_check(gL, JL).ok()
+
+
+@pytest.mark.parametrize("name", ["warped_r4", "conformal_sphere_chart"])
+def test_sasaki_metric_of_a_curved_base_is_built_promptly(catalog, name):
+    # Metric() takes the determinant and inverse of the 2r x 2r Sasaki
+    # matrix, whose entries carry the Levi-Civita coefficients
+    fx = catalog(name)
+    conn = fx.levi_civita
+    start = time.perf_counter()
+    gL = prolong(fx.algebroid).sasaki_metric(fx.g, conn)
+    assert time.perf_counter() - start < 5
+    G = ScalarMatrix(gL.algebroid.chart, gL.matrix)
+    identity = (ScalarMatrix(gL.algebroid.chart, gL.inverse) @ G).rows()
+    for a, row in enumerate(identity):
+        for b, entry in enumerate(row):
+            assert entry == int(a == b)
 
 
 def test_complete_lift_connection_laws(catalog):

@@ -77,23 +77,30 @@ def test_print_round_trip(chart):
         assert print_scalar(again) == printed
 
 
-# random expression texts over x1, x2, i, sqrt, sin, exp, tan
-GRAMMAR = st.recursive(
-    st.sampled_from(["x1", "x2", "i", "1", "2", "3"]),
-    lambda inner: st.one_of(
-        st.tuples(inner, st.sampled_from("+-*/"), inner)
-        .map("({0[0]}) {0[1]} ({0[2]})".format),
-        st.tuples(inner, st.integers(-2, 3)).map("({0[0]})^{0[1]}".format),
-        st.tuples(st.sampled_from(["sqrt", "sin", "exp", "tan"]), inner)
-        .map("{0[0]}({0[1]})".format),
-    ),
-    max_leaves=6,
-)
+def _expressions(functions):
+    """Random expression texts over x1, x2, i and the given functions."""
+    def extend(inner):
+        branches = [
+            st.tuples(inner, st.sampled_from("+-*/"), inner)
+            .map("({0[0]}) {0[1]} ({0[2]})".format),
+            st.tuples(inner, st.integers(-2, 3)).map("({0[0]})^{0[1]}".format),
+        ]
+        if functions:
+            branches.append(st.tuples(st.sampled_from(functions), inner)
+                            .map("{0[0]}({0[1]})".format))
+        return st.one_of(branches)
+
+    return st.recursive(st.sampled_from(["x1", "x2", "i", "1", "2", "3"]),
+                        extend, max_leaves=6)
 
 
-def _parse_or_reject(text):
+GRAMMAR = _expressions(["sqrt", "sin", "exp", "tan"])
+RATIONAL = _expressions([])
+
+
+def _parse_or_reject(text, chart=None):
     try:
-        return parse_scalar(text, Chart("plane", ["x1", "x2"]))
+        return parse_scalar(text, chart or Chart("plane", ["x1", "x2"]))
     except ParseError:  # division by a structurally zero subexpression
         reject()
 
@@ -114,6 +121,18 @@ def test_normalize_idempotent(text):
 
 
 @PROPERTY
+@given(GRAMMAR, st.one_of(st.none(), GRAMMAR), st.sampled_from(["x1", "x2"]))
+def test_fast_paths_build_the_sympy_tree(text_a, text_b, x):
+    # b is None stands for chart.zero, the operand the shortcuts return
+    a = _parse_or_reject(text_a)
+    b = a.chart.zero if text_b is None else _parse_or_reject(text_b, a.chart)
+    for u, v in ((a, b), (b, a)):
+        assert (u + v).expr == u.expr + v.expr
+        assert (u * v).expr == u.expr * v.expr
+        assert u.diff(x).expr == sp.diff(u.expr, a.chart.coord(x))
+
+
+@PROPERTY
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(
     st.lists(st.fractions(-5, 5, max_denominator=4), min_size=n, max_size=n),
     min_size=n, max_size=n)))
@@ -128,6 +147,21 @@ def test_scalar_matrix_inverse(rows):
     for r, row in enumerate(product):
         for c, entry in enumerate(row):
             assert entry == int(r == c)
+
+
+@PROPERTY
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(RATIONAL, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_field_det_and_inverse_match_sympy_defaults(texts):
+    # sympy's own det/inv on the normal forms are the reference: over the
+    # fraction field the results canonicalise to the same trees
+    chart = Chart("plane", ["x1", "x2"])
+    M = ScalarMatrix(chart, [[_parse_or_reject(t, chart) for t in row]
+                             for row in texts])
+    det = scalars._canonical(M._m.det())
+    assert M.det().expr == det
+    if det != 0:
+        assert M.inverse()._m == M._m.inv().applyfunc(scalars._canonical)
 
 
 def test_complex_rational_on_the_left_of_a_scalar(chart):
@@ -209,6 +243,32 @@ def test_cross_chart_rejection(chart):
     other = Chart("other", ["x1"])
     with pytest.raises(ChartError):
         chart.scalar(other.scalar("x1"))
+
+
+def test_outside_expressions_are_chart_checked(chart):
+    x1 = chart.coords[0]
+    with pytest.raises(ChartError):
+        chart.scalar(x1 + sp.Symbol("y", real=True))
+    line = Chart("line", ["x1"])
+    assert line.scalar("x1^2").on_chart(chart) == chart.scalar("x1^2")
+    with pytest.raises(ChartError):
+        chart.scalar("x1 + x2").on_chart(line)
+
+
+def test_zero_operands_and_constant_derivatives_skip_sympy(chart,
+                                                          monkeypatch):
+    s = chart.scalar("x1^2 + sin(x1) / (1 + x1)")
+    z = chart.zero
+    assert (s + z) is s
+    assert (z + s) is s
+    assert (z * s) is z
+    assert (s * z) is z
+
+    def no_diff(*args, **kwargs):
+        raise AssertionError("sympy.diff called on an x2-free scalar")
+
+    monkeypatch.setattr(sp, "diff", no_diff)
+    assert s.diff("x2").expr is sp.S.Zero
 
 
 def test_zero_status_structural_and_probabilistic(chart):
