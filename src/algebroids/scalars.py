@@ -461,7 +461,8 @@ class ScalarMatrix:
         # arithmetic on reduced quotients instead of on trees.  None when no
         # such field holds them (an atom like sqrt(x1) is not independent
         # of x1): there the normal form is not canonical, so sympy's own
-        # det/inv keep the trees they have always given.
+        # det/inv keep the trees they have always given (the field route
+        # prints a different, equal inverse of [[x1, x1], [x1, sqrt(x1)]]).
         m = DomainMatrix.from_Matrix(self._m, field=True)
         return None if m.domain.is_EX else m
 

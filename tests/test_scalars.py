@@ -156,12 +156,39 @@ def test_field_det_and_inverse_match_sympy_defaults(texts):
     # sympy's own det/inv on the normal forms are the reference: over the
     # fraction field the results canonicalise to the same trees
     chart = Chart("plane", ["x1", "x2"])
-    M = ScalarMatrix(chart, [[_parse_or_reject(t, chart) for t in row]
-                             for row in texts])
+    _assert_sympy_det_and_inverse(ScalarMatrix(
+        chart, [[_parse_or_reject(t, chart) for t in row] for row in texts]))
+
+
+def _assert_sympy_det_and_inverse(M):
     det = scalars._canonical(M._m.det())
     assert M.det().expr == det
     if det != 0:
         assert M.inverse()._m == M._m.inv().applyfunc(scalars._canonical)
+
+
+@pytest.mark.parametrize("rows", [
+    [["exp(x1)", "x2"], ["x2", "1"]],
+    [["sqrt(x2)", "x1"], ["x1", "1"]],
+    [["sin(x1)", "x2", "0"], ["x2", "1", "x2^2"], ["1", "0", "sin(x1)"]],
+])
+def test_field_with_atom_generators_keeps_sympy_trees(chart, rows):
+    # the field has an atom among its generators, e.g. ZZ(x2, exp(x1))
+    M = ScalarMatrix(chart, [[parse_scalar(e, chart) for e in row]
+                             for row in rows])
+    assert M._over_field() is not None
+    _assert_sympy_det_and_inverse(M)
+
+
+def test_ex_domain_keeps_sympy_trees(chart):
+    # sqrt(x1) beside x1 has no fraction field, only sympy's EX domain,
+    # where _canonical is not canonical: DomainMatrix over EX prints the
+    # inverse as -sqrt(x1)/(-x1^(3/2) + x1^2) where sympy's inv gives
+    # -x1^(3/2)/(-x1^(5/2) + x1^3), so det/inverse keep sympy's route
+    M = ScalarMatrix(chart, [[parse_scalar(e, chart) for e in row]
+                             for row in [["x1", "x1"], ["x1", "sqrt(x1)"]]])
+    assert M._over_field() is None
+    _assert_sympy_det_and_inverse(M)
 
 
 def test_complex_rational_on_the_left_of_a_scalar(chart):
