@@ -266,6 +266,36 @@ def test_normalize_idempotent_and_canonical(chart):
     assert n.norm_expr == n.normalize().norm_expr
 
 
+# the generator order of sympy's polynomial rings is x2, x10, y1: neither
+# the order of the chart nor that of the names as strings
+SORTED_APART = Chart("sorted_apart", ["y1", "x10", "x2"])
+
+
+def _rational_functions():
+    """Random sympy expressions over SORTED_APART: Gaussian-rational
+    constants, sums, products, nested quotients, integer powers."""
+    small = st.fractions(-3, 3, max_denominator=3).map(sp.Rational)
+    constants = st.tuples(small, small).map(lambda c: c[0] + c[1] * sp.I)
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, inner).map(lambda t: t[0] + t[1]),
+            st.tuples(inner, inner).map(lambda t: t[0] * t[1]),
+            st.tuples(inner, inner).map(lambda t: t[0] / t[1]),
+            st.tuples(inner, st.integers(-3, 3)).map(lambda t: t[0] ** t[1]),
+        )
+
+    return st.recursive(st.sampled_from(SORTED_APART.coords) | constants,
+                        extend, max_leaves=10)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_rational_functions())
+def test_normal_form_is_sympys_cancel_of_together(expr):
+    assert (sp.srepr(scalars._canonical(expr))
+            == sp.srepr(sp.cancel(sp.together(expr))))
+
+
 def test_cross_chart_rejection(chart):
     other = Chart("other", ["x1"])
     with pytest.raises(ChartError):
