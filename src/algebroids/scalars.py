@@ -10,6 +10,14 @@ structural zero testing is exact.  Outside the fragment (e.g. the identity
 sin^2 + cos^2 = 1) zero testing falls back to randomized rational-point
 evaluation and reports a probabilistic status.
 
+The normal form is the tree sympy's ``cancel(together(e))`` returns.  An
+expression built from coordinates, rationals, ``I``, ``+``, ``*`` and
+integer powers alone takes the field route: one walk into a pair (re, im)
+of elements of the fraction field ZZ(coordinates), then one cancel in
+ZZ_I[coordinates] back to that tree.  An expression with a transcendental
+or algebraic atom, with no coordinate, or with a vanishing denominator
+falls back to sympy's own ``cancel(together(e))``.
+
 Expressions are backed by sympy; the grammar, printer and normal form are
 pinned here so the text format is independent of sympy's own parser.  This
 is the only module that imports sympy: the rest of the package works through
@@ -25,7 +33,11 @@ from fractions import Fraction
 from typing import Iterable, List, Mapping, Optional, Union
 
 import sympy as sp
+from sympy.polys.domains import ZZ, ZZ_I
+from sympy.polys.fields import FracField
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.orderings import lex
+from sympy.polys.polyutils import _sort_gens
 from sympy.printing.precedence import PRECEDENCE
 from sympy.printing.str import StrPrinter
 
@@ -253,9 +265,140 @@ def _canonical(expr: sp.Expr) -> sp.Expr:
 
     Coordinates and each distinct transcendental atom are independent
     generators, so two expressions equal as rational functions in those
-    generators canonicalize to identical trees.
+    generators canonicalize to identical trees: the tree
+    ``sp.cancel(sp.together(expr))`` returns.
+
+    An expression built from coordinates, rationals, ``I``, ``+``, ``*``
+    and integer powers alone takes the field route: it is computed on
+    elements of the fraction field ZZ(coordinates), where each operation
+    is reduced by one heuristic GCD, instead of on trees.  An expression
+    with an atom (sin, sqrt, exp, ...), with no coordinate, or with a
+    vanishing denominator takes sympy's own route.
     """
+    gens = _field_generators(expr)
+    if gens:
+        try:
+            return _field_normal_form(expr, gens)
+        except ZeroDivisionError:  # sympy's route gives zoo
+            pass
     return sp.cancel(sp.together(expr))
+
+
+def _field_generators(expr: sp.Expr) -> tuple:
+    """The coordinates of ``expr`` in the order of sympy's polynomial
+    rings, or () when ``expr`` has an atom or no coordinate."""
+    symbols, seen, stack = set(), set(), [expr]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        if node.is_Symbol:
+            symbols.add(node)
+        elif node.is_Add or node.is_Mul:
+            stack.extend(node.args)
+        elif node.is_Pow and node.exp.is_Integer:
+            stack.append(node.base)
+        elif not (node.is_Rational or node is sp.I):
+            return ()
+    return _sort_gens(symbols)
+
+
+# per generator tuple: the fraction field ZZ(gens), in lex order over
+# sympy's generator order as in the ring `cancel` works in (so the sign of
+# a denominator is fixed the same way), and the memo of the (re, im) pairs
+# of the nodes walked in it.  Scalar trees are built from the trees of
+# earlier Scalars, so most of a tree's nodes were walked before.  A memo
+# that reaches _MEMO_NODES nodes is emptied, which bounds its memory.
+_FIELDS: dict = {}
+_MEMO_NODES = 1 << 12
+
+
+def _field(gens: tuple) -> tuple:
+    entry = _FIELDS.get(gens)
+    if entry is None:
+        entry = _FIELDS[gens] = (FracField(gens, ZZ, lex), {})
+    elif len(entry[1]) >= _MEMO_NODES:
+        entry[1].clear()
+    return entry
+
+
+def _field_normal_form(expr: sp.Expr, gens: tuple) -> sp.Expr:
+    """``expr`` as re + i*im over ZZ(gens), back to sympy's reduced tree.
+
+    The coordinates are real, so ``I`` never enters the field.  Raises
+    ZeroDivisionError when a denominator vanishes.
+    """
+    field, memo = _field(gens)
+    ring, zero = field.ring, field.zero
+    gen = dict(zip(gens, field.gens))
+
+    def walk(node):
+        pair = memo.get(node)
+        if pair is None:
+            if node.is_Symbol:
+                pair = (gen[node], zero)
+            elif node.is_Rational:
+                pair = (field.raw_new(ring(node.p), ring(node.q)), zero)
+            elif node is sp.I:
+                pair = (zero, field.one)
+            elif node.is_Add:
+                re = im = zero
+                for a, b in map(walk, node.args):
+                    re, im = re + a, im + b
+                pair = (re, im)
+            elif node.is_Mul:
+                pair = functools.reduce(_times, map(walk, node.args))
+            else:
+                pair = _power(walk(node.base), int(node.exp))
+            memo[node] = pair
+        return pair
+
+    re, im = walk(expr)
+    if not im:
+        p, q = re.numer, re.denom
+    else:
+        # re + i*im over the lcm of the denominators, then one cancel in
+        # ZZ_I[gens], the final step of sympy's own cancel
+        _, re_only, im_only = re.denom.cofactors(im.denom)
+        gaussian = ring.clone(domain=ZZ_I)
+        p, q = ((re.numer * im_only).set_ring(gaussian)
+                + (im.numer * re_only).set_ring(gaussian)
+                .mul_ground(ZZ_I(0, 1))
+                ).cancel((re.denom * im_only).set_ring(gaussian))
+    return p.as_expr() / q.as_expr()
+
+
+def _times(u: tuple, v: tuple) -> tuple:
+    (a, b), (c, d) = u, v
+    if not b and not d:
+        return (a * c, b)
+    return (a * c - b * d, a * d + b * c)
+
+
+def _power(u: tuple, n: int) -> tuple:
+    a, b = u
+    if n < 0:
+        n = -n
+        if not b:
+            if not a:
+                raise ZeroDivisionError("zero to a negative power")
+            # a is reduced, so only the sign of the new denominator is off
+            sign = -1 if a.numer.LC < 0 else 1
+            a = a.raw_new(a.denom * sign, a.numer * sign)
+        else:
+            norm = a * a + b * b  # nonzero: a sum of squares in ZZ(gens)
+            a, b = a / norm, -b / norm
+    if not b:
+        return (a ** n, b)
+    result, square = None, (a, b)
+    while True:
+        if n & 1:
+            result = square if result is None else _times(result, square)
+        n >>= 1
+        if not n:
+            return result
+        square = _times(square, square)
 
 
 class Scalar:
@@ -352,6 +495,8 @@ class Scalar:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             raise TypeError("only integer exponents are supported")
+        if exponent < 0 and self.is_structurally_zero():
+            raise ZeroDivisionError("division by structurally zero scalar")
         return Scalar(self.chart, self.expr ** exponent)
 
     # -- calculus --------------------------------------------------------
@@ -666,6 +811,8 @@ class _Parser:
             exponent = _canonical(exponent)
             if not exponent.is_Integer:
                 raise ParseError("exponent must be an integer constant", pos)
+            if exponent < 0 and _canonical(base) == 0:
+                raise ParseError("division by structurally zero expression", pos)
             return base ** exponent
         return base
 

@@ -145,6 +145,19 @@ def test_exit_code_document_errors(tmp_path):
     code, out, err = run_cli(["chern", "flat_r2", "--order", "0"])
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    # a structurally zero base to a negative power, as anchor and as metric
+    hidden_zero = "((x1+1)^2 - x1^2 - 2*x1 - 1)^(-1)"
+    for name, text in (
+            ("anchor.alg", f"[chart]\ncoords = x1\n[anchor]\nrow = {hidden_zero}\n"),
+            ("metric.alg", "[chart]\ncoords = x1\n[anchor]\nrow = 1\n"
+                           f"[metric]\nrow = {hidden_zero}\n")):
+        doc = tmp_path / name
+        doc.write_text(text)
+        for command in ("validate", "kahler-report"):
+            code, out, err = run_cli([command, str(doc)])
+            assert code == 2 and out == "", (name, command)
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "structurally zero" in err, (name, command)
     # projector matrices whose shapes do not fit the ambient fixture
     proj = tmp_path / "rank2.proj"
     proj.write_text("[Pi]\nrow = 1, 0\nrow = 0, 1\n"

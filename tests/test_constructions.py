@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from algebroids import constructions
+from algebroids import constructions, scalars
 from algebroids.algebroid import bracket, validate_structure
 from algebroids.cli import emit_document
 from algebroids.connections import cov_deriv, hermitian_check
@@ -141,6 +141,15 @@ def test_sasaki_metric_and_adapted_structure_hermitian(catalog):
     sq = JL.compose(JL) + EndoField.identity(p.algebroid)
     assert sq.is_structurally_zero()
     assert hermitian_check(gL, JL).ok()
+
+
+def test_s3_projector_is_built_promptly(monkeypatch):
+    # the one catalog fixture with real rational-function work: a fresh
+    # build, with no fraction field or normal form kept from other tests
+    monkeypatch.setattr(scalars, "_FIELDS", {})
+    start = time.perf_counter()
+    fixture("s3_projector")
+    assert time.perf_counter() - start < 10
 
 
 @pytest.mark.parametrize("name", ["warped_r4", "conformal_sphere_chart"])

@@ -55,6 +55,8 @@ def test_imaginary_unit_and_functions(chart):
         parse_scalar("x3 + 1", chart)
     with pytest.raises(ParseError):
         parse_scalar("1 / (x1 - x1)", chart)
+    with pytest.raises(ParseError, match="structurally zero"):
+        parse_scalar("((x1+1)^2 - x1^2 - 2*x1 - 1)^(-1)", chart)
 
 
 def test_reserved_coordinate_names():
@@ -294,6 +296,33 @@ def _rational_functions():
 def test_normal_form_is_sympys_cancel_of_together(expr):
     assert (sp.srepr(scalars._canonical(expr))
             == sp.srepr(sp.cancel(sp.together(expr))))
+
+
+def test_rational_expressions_are_normalised_without_cancel(monkeypatch):
+    chart = SORTED_APART
+    x2, x10, y1 = chart.coord("x2"), chart.coord("x10"), chart.coord("y1")
+    rational = chart.scalar((x2 ** 2 - y1 ** 2) / (x2 - y1) + x10 / 3)
+    gaussian = chart.scalar((x10 + sp.I * y1) ** -2 * (x2 - sp.I) / 2)
+    atom = chart.scalar(sp.sin(x2) / (1 + x2))
+    expected = [sp.cancel(sp.together(s.expr))
+                for s in (rational, gaussian, atom)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy's cancel/together reached")
+
+    monkeypatch.setattr(scalars.sp, "cancel", refuse)
+    monkeypatch.setattr(scalars.sp, "together", refuse)
+    assert rational.norm_expr == expected[0]
+    assert gaussian.norm_expr == expected[1]
+    with pytest.raises(AssertionError, match="reached"):
+        atom.normalize()
+
+
+def test_zero_to_a_negative_power_is_refused(chart):
+    hidden_zero = chart.scalar("x1 + 1") ** 2 - chart.scalar("x1^2 + 2*x1 + 1")
+    with pytest.raises(ZeroDivisionError):
+        hidden_zero ** -1
+    assert (hidden_zero ** 2).is_structurally_zero()
 
 
 def test_cross_chart_rejection(chart):
