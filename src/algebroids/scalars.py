@@ -273,20 +273,22 @@ def _canonical(expr: sp.Expr) -> sp.Expr:
     elements of the fraction field ZZ(coordinates), where each operation
     is reduced by one heuristic GCD, instead of on trees.  An expression
     with an atom (sin, sqrt, exp, ...), with no coordinate, or with a
-    vanishing denominator takes sympy's own route.
+    vanishing denominator takes sympy's own route, and so does one whose
+    value is a non-real constant over a non-real denominator, which sympy
+    prints in one of two ways depending on the tree.
     """
-    gens = _field_generators(expr)
-    if gens:
+    symbols = _field_symbols(expr)
+    norm = None
+    if symbols:
         try:
-            return _field_normal_form(expr, gens)
+            norm = _field_normal_form(expr, symbols)
         except ZeroDivisionError:  # sympy's route gives zoo
             pass
-    return sp.cancel(sp.together(expr))
+    return sp.cancel(sp.together(expr)) if norm is None else norm
 
 
-def _field_generators(expr: sp.Expr) -> tuple:
-    """The coordinates of ``expr`` in the order of sympy's polynomial
-    rings, or () when ``expr`` has an atom or no coordinate."""
+def _field_symbols(expr: sp.Expr) -> frozenset:
+    """The coordinates of ``expr``, or none when ``expr`` has an atom."""
     symbols, seen, stack = set(), set(), [expr]
     while stack:
         node = stack.pop()
@@ -300,38 +302,43 @@ def _field_generators(expr: sp.Expr) -> tuple:
         elif node.is_Pow and node.exp.is_Integer:
             stack.append(node.base)
         elif not (node.is_Rational or node is sp.I):
-            return ()
-    return _sort_gens(symbols)
+            return frozenset()
+    return frozenset(symbols)
 
 
-# per generator tuple: the fraction field ZZ(gens), in lex order over
-# sympy's generator order as in the ring `cancel` works in (so the sign of
-# a denominator is fixed the same way), and the memo of the (re, im) pairs
-# of the nodes walked in it.  Scalar trees are built from the trees of
-# earlier Scalars, so most of a tree's nodes were walked before.  A memo
-# that reaches _MEMO_NODES nodes is emptied, which bounds its memory.
+# per set of coordinates: the fraction field ZZ(coordinates), in lex order
+# over sympy's generator order as in the ring `cancel` works in (so the
+# sign of a denominator is fixed the same way), and the memo of the
+# (re, im) pairs of the nodes walked in it.  Scalar trees are built from
+# the trees of earlier Scalars, so most of a tree's nodes were walked
+# before.  A memo that reaches _MEMO_NODES nodes is emptied, which bounds
+# its memory.
 _FIELDS: dict = {}
 _MEMO_NODES = 1 << 12
 
 
-def _field(gens: tuple) -> tuple:
-    entry = _FIELDS.get(gens)
+def _field(symbols: frozenset) -> tuple:
+    entry = _FIELDS.get(symbols)
     if entry is None:
-        entry = _FIELDS[gens] = (FracField(gens, ZZ, lex), {})
+        entry = _FIELDS[symbols] = (FracField(_sort_gens(symbols), ZZ, lex),
+                                    {})
     elif len(entry[1]) >= _MEMO_NODES:
         entry[1].clear()
     return entry
 
 
-def _field_normal_form(expr: sp.Expr, gens: tuple) -> sp.Expr:
-    """``expr`` as re + i*im over ZZ(gens), back to sympy's reduced tree.
+def _field_normal_form(expr: sp.Expr, symbols: frozenset) -> sp.Expr:
+    """``expr`` as re + i*im over ZZ(symbols), back to sympy's reduced tree.
 
     The coordinates are real, so ``I`` never enters the field.  Raises
-    ZeroDivisionError when a denominator vanishes.
+    ZeroDivisionError when a denominator vanishes.  None for a constant
+    with a non-real denominator: sympy's cancel keeps that quotient when
+    ``together`` leaves a coordinate in the tree, and expands it to
+    a + b*I when it leaves none.
     """
-    field, memo = _field(gens)
+    field, memo = _field(symbols)
     ring, zero = field.ring, field.zero
-    gen = dict(zip(gens, field.gens))
+    gen = dict(zip(field.symbols, field.gens))
 
     def walk(node):
         pair = memo.get(node)
@@ -359,13 +366,15 @@ def _field_normal_form(expr: sp.Expr, gens: tuple) -> sp.Expr:
         p, q = re.numer, re.denom
     else:
         # re + i*im over the lcm of the denominators, then one cancel in
-        # ZZ_I[gens], the final step of sympy's own cancel
+        # ZZ_I[symbols], the final step of sympy's own cancel
         _, re_only, im_only = re.denom.cofactors(im.denom)
         gaussian = ring.clone(domain=ZZ_I)
         p, q = ((re.numer * im_only).set_ring(gaussian)
                 + (im.numer * re_only).set_ring(gaussian)
                 .mul_ground(ZZ_I(0, 1))
                 ).cancel((re.denom * im_only).set_ring(gaussian))
+        if p.is_ground and q.is_ground and q.LC.y:
+            return None
     return p.as_expr() / q.as_expr()
 
 
@@ -387,7 +396,7 @@ def _power(u: tuple, n: int) -> tuple:
             sign = -1 if a.numer.LC < 0 else 1
             a = a.raw_new(a.denom * sign, a.numer * sign)
         else:
-            norm = a * a + b * b  # nonzero: a sum of squares in ZZ(gens)
+            norm = a * a + b * b  # nonzero: a sum of squares in the field
             a, b = a / norm, -b / norm
     if not b:
         return (a ** n, b)
