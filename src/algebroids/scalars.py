@@ -400,14 +400,7 @@ def _power(u: tuple, n: int) -> tuple:
             a, b = a / norm, -b / norm
     if not b:
         return (a ** n, b)
-    result, square = None, (a, b)
-    while True:
-        if n & 1:
-            result = square if result is None else _times(result, square)
-        n >>= 1
-        if not n:
-            return result
-        square = _times(square, square)
+    return functools.reduce(_times, [(a, b)] * n)
 
 
 class Scalar:
