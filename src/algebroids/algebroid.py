@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from algebroids.scalars import Chart, ChartError, Scalar
+from algebroids.scalars import Chart, ChartError, Scalar, nonzero_entries
 
 __all__ = [
     "Algebroid",
@@ -28,6 +28,7 @@ __all__ = [
     "PreconditionError",
     "validate_structure",
     "anchor_push",
+    "bilinear",
     "vf_bracket",
 ]
 
@@ -45,8 +46,8 @@ class VectorField:
         """Derivation action on a scalar: sum_i X^i df/dx^i."""
         f = self.chart.scalar(f)
         out = self.chart.zero
-        for comp, coord in zip(self.components, self.chart.coords):
-            out = out + comp * f.diff(coord)
+        for i, comp in nonzero_entries(self.components):
+            out = out + comp * f.diff(self.chart.coords[i])
         return out
 
     def __add__(self, other: "VectorField") -> "VectorField":
@@ -208,15 +209,26 @@ class Section:
         return f"Section({[str(c) for c in self.components]})"
 
 
+def bilinear(acc: Scalar, table, s1: Section, s2: Section) -> Scalar:
+    """acc + sum_ab table[a][b] s1^a s2^b, adding the terms in (a, b) order.
+
+    A term with a literal-zero factor would add nothing and is skipped.
+    """
+    right = dict(nonzero_entries(s2.components))
+    for a, x in nonzero_entries(s1.components):
+        for b, t in nonzero_entries(table[a]):
+            if b in right:
+                acc = acc + t * x * right[b]
+    return acc
+
+
 def anchor_push(s: Section) -> VectorField:
     """Pushforward rho(s) = s^a rho^i_a d/dx^i."""
     A = s.algebroid
-    comps = []
-    for i in range(A.chart.dim):
-        acc = A.chart.zero
-        for a in range(A.rank):
-            acc = acc + s.components[a] * A.anchor[a][i]
-        comps.append(acc)
+    comps = [A.chart.zero] * A.chart.dim
+    for a, sa in nonzero_entries(s.components):
+        for i, rho in nonzero_entries(A.anchor[a]):
+            comps[i] = comps[i] + sa * rho
     return VectorField(A.chart, comps)
 
 
@@ -229,12 +241,15 @@ def bracket(s1: Section, s2: Section) -> Section:
     s1._check(s2)
     v1 = anchor_push(s1)
     v2 = anchor_push(s2)
+    left = list(nonzero_entries(s1.components))
+    right = dict(nonzero_entries(s2.components))
     comps = []
     for c in range(A.rank):
         acc = v1.apply(s2.components[c]) - v2.apply(s1.components[c])
-        for a in range(A.rank):
-            for b in range(A.rank):
-                acc = acc + s1.components[a] * s2.components[b] * A.C[c][a][b]
+        for a, x in left:
+            for b, cab in nonzero_entries(A.C[c][a]):
+                if b in right:
+                    acc = acc + x * right[b] * cab
         comps.append(acc)
     return Section(A, comps)
 
@@ -322,15 +337,18 @@ def validate_structure(A: Algebroid) -> Residuals:
     """
     report = Residuals()
     n, m = A.chart.dim, A.rank
+    coords = A.chart.coords
+    # grad[a][i][j] = d rho^i_a / dx^j
+    grad = [[[A.anchor[a][i].diff(x) for x in coords] for i in range(n)]
+            for a in range(m)]
 
     for a in range(m):
         for b in range(a + 1, m):
             for i in range(n):
                 lhs = A.chart.zero
                 for j in range(n):
-                    coord = A.chart.coords[j]
-                    lhs = lhs + A.anchor[a][j] * A.anchor[b][i].diff(coord)
-                    lhs = lhs - A.anchor[b][j] * A.anchor[a][i].diff(coord)
+                    lhs = lhs + A.anchor[a][j] * grad[b][i][j]
+                    lhs = lhs - A.anchor[b][j] * grad[a][i][j]
                 rhs = A.chart.zero
                 for c in range(m):
                     rhs = rhs + A.anchor[c][i] * A.C[c][a][b]
@@ -349,11 +367,11 @@ def validate_structure(A: Algebroid) -> Residuals:
                 for d in range(m):
                     acc = A.chart.zero
                     for (p, q, r) in ((a, b, c), (b, c, a), (c, a, b)):
-                        for i in range(A.chart.dim):
-                            coord = A.chart.coords[i]
-                            acc = acc + A.anchor[p][i] * A.C[d][q][r].diff(coord)
-                        for e in range(m):
-                            acc = acc + A.C[e][p][q] * A.C[d][e][r]
+                        for i, rho in nonzero_entries(A.anchor[p]):
+                            acc = acc + rho * A.C[d][q][r].diff(coords[i])
+                        for e, cpq in nonzero_entries(
+                                A.C[e][p][q] for e in range(m)):
+                            acc = acc + cpq * A.C[d][e][r]
                     report.add("jacobi", (a, b, c, d), acc.normalize())
 
     return report

@@ -29,6 +29,7 @@ from algebroids.algebroid import (
     Residuals,
     Section,
     anchor_push,
+    bilinear,
     bracket,
 )
 from algebroids.eforms import EForm, d_E, evaluate
@@ -88,11 +89,7 @@ class Metric:
         self.inverse = M.inverse().rows()
 
     def value(self, s1: Section, s2: Section) -> Scalar:
-        acc = self.algebroid.chart.zero
-        for a in range(self.algebroid.rank):
-            for b in range(self.algebroid.rank):
-                acc = acc + self.matrix[a][b] * s1.components[a] * s2.components[b]
-        return acc
+        return bilinear(self.algebroid.chart.zero, self.matrix, s1, s2)
 
     def entry(self, a: int, b: int) -> Scalar:
         return self.matrix[a][b]
@@ -126,14 +123,9 @@ def cov_deriv(conn: Connection, s1: Section, s2: Section) -> Section:
     if s1.algebroid is not A or s2.algebroid is not A:
         raise ChartError("sections do not live over the connection's frame")
     v1 = anchor_push(s1)
-    comps = []
-    for c in range(A.rank):
-        acc = v1.apply(s2.components[c])
-        for a in range(A.rank):
-            for b in range(A.rank):
-                acc = acc + conn.gamma[c][a][b] * s1.components[a] * s2.components[b]
-        comps.append(acc)
-    return Section(A, comps)
+    return Section(A, [bilinear(v1.apply(s2.components[c]), conn.gamma[c],
+                                s1, s2)
+                       for c in range(A.rank)])
 
 
 def torsion(conn: Connection):
@@ -201,21 +193,27 @@ def levi_civita(A: Algebroid, g: Metric) -> Connection:
     chart = A.chart
     gamma = [[[chart.zero] * m for _ in range(m)] for _ in range(m)]
     rho = [A.anchor_vf(x) for x in range(m)]
+    # koszul[b][c][d] = 2 g(nabla_{e_b} e_c, e_d)
+    koszul = [[[None] * m for _ in range(m)] for _ in range(m)]
+    for b in range(m):
+        for c in range(m):
+            for d in range(m):
+                inner = (rho[b].apply(g.matrix[c][d])
+                         + rho[c].apply(g.matrix[b][d])
+                         - rho[d].apply(g.matrix[b][c]))
+                # bracket terms of the Koszul identity:
+                # g([e_d,e_b],e_c) + g([e_d,e_c],e_b) + g([e_b,e_c],e_d)
+                for e in range(m):
+                    inner = inner + A.C[e][d][c] * g.matrix[e][b]
+                    inner = inner + A.C[e][d][b] * g.matrix[e][c]
+                    inner = inner + A.C[e][b][c] * g.matrix[e][d]
+                koszul[b][c][d] = inner
     for a in range(m):
         for b in range(m):
             for c in range(m):
                 acc = chart.zero
                 for d in range(m):
-                    inner = (rho[b].apply(g.matrix[c][d])
-                             + rho[c].apply(g.matrix[b][d])
-                             - rho[d].apply(g.matrix[b][c]))
-                    # bracket terms of the Koszul identity:
-                    # g([e_d,e_b],e_c) + g([e_d,e_c],e_b) + g([e_b,e_c],e_d)
-                    for e in range(m):
-                        inner = inner + A.C[e][d][c] * g.matrix[e][b]
-                        inner = inner + A.C[e][d][b] * g.matrix[e][c]
-                        inner = inner + A.C[e][b][c] * g.matrix[e][d]
-                    acc = acc + g.inverse[a][d] * inner
+                    acc = acc + g.inverse[a][d] * koszul[b][c][d]
                 gamma[a][b][c] = (acc / 2).normalize()
     conn = Connection(A, gamma)
 
@@ -238,12 +236,12 @@ def metric_compat_check(conn: Connection, g: Metric) -> Residuals:
     frame = A.frame
     for a in range(m):
         rho_a = A.anchor_vf(a)
+        nabla_a = [cov_deriv(conn, frame[a], e) for e in frame]
         for b in range(m):
             for c in range(b, m):
-                nb = cov_deriv(conn, frame[a], frame[b])
-                nc = cov_deriv(conn, frame[a], frame[c])
                 res = (rho_a.apply(g.matrix[b][c])
-                       - g.value(nb, frame[c]) - g.value(frame[b], nc))
+                       - g.value(nabla_a[b], frame[c])
+                       - g.value(frame[b], nabla_a[c]))
                 residuals.add("metric_compatible", (a, b, c), res.normalize())
     return residuals
 

@@ -210,17 +210,11 @@ def d_E(w: EForm) -> EForm:
     out = EForm(A, p + 1)
     chart = A.chart
 
-    def rho_apply(a: int, f: Scalar) -> Scalar:
-        acc = chart.zero
-        for i in range(chart.dim):
-            acc = acc + A.anchor[a][i] * f.diff(chart.coords[i])
-        return acc
-
     for idx in combinations(range(m), p + 1):
         acc = chart.zero
         for i in range(p + 1):
             rest = idx[:i] + idx[i + 1:]
-            term = rho_apply(idx[i], w[rest])
+            term = A.anchor_vf(idx[i]).apply(w[rest])
             acc = acc + (term if i % 2 == 0 else -term)
         for i in range(p + 1):
             for j in range(i + 1, p + 1):

@@ -27,11 +27,18 @@ from algebroids.algebroid import (
     Section,
     VectorField,
     anchor_push,
+    bilinear,
     bracket,
     vf_bracket,
 )
 from algebroids.eforms import EForm, d_E
-from algebroids.scalars import ChartError, Scalar, ScalarMatrix, i
+from algebroids.scalars import (
+    ChartError,
+    Scalar,
+    ScalarMatrix,
+    i,
+    nonzero_entries,
+)
 
 if TYPE_CHECKING:
     from algebroids.constructions import Fixture
@@ -79,11 +86,13 @@ class EndoField:
         return self.matrix[b][a]
 
     def apply(self, s: Section) -> Section:
+        col = dict(nonzero_entries(s.components))
         comps = []
-        for b in range(self.rank):
+        for row in self.matrix:
             acc = self.algebroid.chart.zero
-            for a in range(self.rank):
-                acc = acc + self.matrix[b][a] * s.components[a]
+            for a, t in nonzero_entries(row):
+                if a in col:
+                    acc = acc + t * col[a]
             comps.append(acc)
         return Section(self.algebroid, comps)
 
@@ -169,15 +178,8 @@ class NijenhuisTensor:
 
     def value(self, s1: Section, s2: Section) -> Section:
         A = self.algebroid
-        comps = []
-        for c in range(A.rank):
-            acc = A.chart.zero
-            for a in range(A.rank):
-                for b in range(A.rank):
-                    acc = (acc + self.components[c][a][b]
-                           * s1.components[a] * s2.components[b])
-            comps.append(acc.normalize())
-        return Section(A, comps)
+        return Section(A, [bilinear(A.chart.zero, layer, s1, s2).normalize()
+                           for layer in self.components])
 
     def is_structurally_zero(self) -> bool:
         return all(
@@ -216,18 +218,24 @@ def nijenhuis(A: Algebroid, J: EndoField) -> NijenhuisTensor:
                 by_eval[c][a][b] = comp
                 by_eval[c][b][a] = -comp
 
+    # dJ[i][d][a] = d J^d_a / dx^i
+    dJ = [[[J.matrix[d][a].diff(x) for a in range(m)] for d in range(m)]
+          for x in chart.coords]
+    # each term of the first sum has a factor from dJ[i]: a coordinate that
+    # no entry of J depends on contributes nothing
+    active = [i for i, grad in enumerate(dJ)
+              if any(nonzero_entries(e for row in grad for e in row))]
     by_coeff = [[[chart.zero] * m for _ in range(m)] for _ in range(m)]
     for c in range(m):
         for a in range(m):
             for b in range(m):
                 acc = chart.zero
-                for i in range(chart.dim):
-                    x = chart.coords[i]
+                for i in active:
                     for d in range(m):
-                        acc = acc + A.anchor[b][i] * J.matrix[d][a].diff(x) * J.matrix[c][d]
-                        acc = acc - A.anchor[a][i] * J.matrix[d][b].diff(x) * J.matrix[c][d]
-                        acc = acc + A.anchor[d][i] * J.matrix[c][b].diff(x) * J.matrix[d][a]
-                        acc = acc - A.anchor[d][i] * J.matrix[c][a].diff(x) * J.matrix[d][b]
+                        acc = acc + A.anchor[b][i] * dJ[i][d][a] * J.matrix[c][d]
+                        acc = acc - A.anchor[a][i] * dJ[i][d][b] * J.matrix[c][d]
+                        acc = acc + A.anchor[d][i] * dJ[i][c][b] * J.matrix[d][a]
+                        acc = acc - A.anchor[d][i] * dJ[i][c][a] * J.matrix[d][b]
                 for d in range(m):
                     for e in range(m):
                         acc = acc + J.matrix[d][a] * J.matrix[c][e] * A.C[e][b][d]

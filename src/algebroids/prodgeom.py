@@ -27,7 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional
 
-from algebroids.algebroid import Algebroid, Residuals, Section, anchor_push
+from algebroids.algebroid import (
+    Algebroid,
+    Residuals,
+    Section,
+    anchor_push,
+    bilinear,
+)
 from algebroids.connections import (
     Connection,
     Metric,
@@ -38,7 +44,7 @@ from algebroids.connections import (
 )
 from algebroids.eforms import EForm
 from algebroids.jstruct import ComplexFrame, EndoField, projectors
-from algebroids.scalars import Scalar, i
+from algebroids.scalars import Scalar, i, nonzero_entries
 
 if TYPE_CHECKING:
     from algebroids.constructions import Fixture
@@ -85,13 +91,11 @@ def _h_matrix(g: Metric, F: ComplexFrame):
 
 def _h_value(hmat, s1: Section, s2: Section) -> Scalar:
     """h extended from the frame values; conjugate-linear in slot 2."""
-    chart = s1.algebroid.chart
-    acc = chart.zero
-    n = len(hmat)
-    for mu in range(n):
-        for nu in range(n):
-            acc = acc + s1.components[mu] * s2.components[nu].conjugate() \
-                * hmat[mu][nu]
+    acc = s1.algebroid.chart.zero
+    right = list(nonzero_entries(s2.components))
+    for mu, x in nonzero_entries(s1.components):
+        for nu, y in right:
+            acc = acc + x * y.conjugate() * hmat[mu][nu]
     return acc.normalize()
 
 
@@ -331,10 +335,10 @@ def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
     # evaluated separately and reported as verbatim_duality.
     def g_value(sa: Section, sb: Section) -> Scalar:
         acc = chart.zero
-        for p in range(two_m):
-            for q in range(two_m):
-                acc = acc + sa.components[p] * sb.components[q] \
-                    * hmat[p][F.conj_index(q)]
+        right = list(nonzero_entries(sb.components))
+        for p, x in nonzero_entries(sa.components):
+            for q, y in right:
+                acc = acc + x * y * hmat[p][F.conj_index(q)]
         return acc.normalize()
 
     for lam in range(two_m):
@@ -501,11 +505,7 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
             for b in range(mr)] for a in range(mr)]
 
     def phi_value(s1: Section, s2: Section) -> Scalar:
-        acc = A.chart.zero
-        for a in range(mr):
-            for b in range(mr):
-                acc = acc + phi[a][b] * s1.components[a] * s2.components[b]
-        return acc
+        return bilinear(A.chart.zero, phi, s1, s2)
 
     def dphi(s: Section, t1: Section, t2: Section) -> Scalar:
         """(D_s Phi)(t1, t2) for frame sections (constant components)."""

@@ -54,6 +54,7 @@ __all__ = [
     "parse_scalar",
     "is_zero",
     "random_point",
+    "nonzero_entries",
 ]
 
 KNOWN_FUNCTIONS = {
@@ -211,6 +212,11 @@ class Chart:
         self.name = name
         self.coords = tuple(sp.Symbol(c, real=True) for c in names)
         self._by_name = {c.name: c for c in self.coords}
+        self._coord_set = frozenset(self.coords)
+        # shared by every caller; a Scalar is immutable, and the shared
+        # zero computes its normal form once
+        self.zero = Scalar(self, sp.S.Zero)
+        self.one = Scalar(self, sp.S.One)
 
     @property
     def dim(self) -> int:
@@ -237,14 +243,6 @@ class Chart:
         if isinstance(value, sp.Expr):
             return Scalar(self, _on_chart(self, value))
         raise TypeError(f"cannot coerce {value!r} to Scalar")
-
-    @property
-    def zero(self) -> "Scalar":
-        return self.scalar(0)
-
-    @property
-    def one(self) -> "Scalar":
-        return self.scalar(1)
 
     def __repr__(self):
         return f"Chart({self.name!r}, {[c.name for c in self.coords]})"
@@ -427,6 +425,8 @@ class Scalar:
 
     def normalize(self) -> "Scalar":
         norm = self.norm_expr
+        if self.expr is norm:
+            return self
         out = Scalar(self.chart, norm)
         # the canonical form is idempotent, so the result is its own
         # normal form
@@ -454,10 +454,12 @@ class Scalar:
 
     # a zero operand returns the other operand (sum) or itself (product):
     # exactly the tree sympy would build, for the finite expressions a
-    # Scalar holds, without a pass over the other operand's tree
+    # Scalar holds, without a pass over the other operand's tree.  An
+    # operand that is a Scalar of this chart needs no coercion.
 
     def __add__(self, other):
-        other = self._coerce(other)
+        if other.__class__ is not Scalar or other.chart is not self.chart:
+            other = self._coerce(other)
         if other.expr is sp.S.Zero:
             return self
         if self.expr is sp.S.Zero:
@@ -467,16 +469,21 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
+        if self.expr is sp.S.Zero:
+            return self
         return Scalar(self.chart, -self.expr)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        if other.__class__ is not Scalar or other.chart is not self.chart:
+            other = self._coerce(other)
+        return self + (-other)
 
     def __rsub__(self, other):
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        if other.__class__ is not Scalar or other.chart is not self.chart:
+            other = self._coerce(other)
         if self.expr is sp.S.Zero:
             return self
         if other.expr is sp.S.Zero:
@@ -505,9 +512,9 @@ class Scalar:
 
     def diff(self, coord: Union[str, sp.Symbol]) -> "Scalar":
         sym = self.chart.coord(coord) if isinstance(coord, str) else coord
-        if sym not in self.chart.coords:
+        if sym not in self.chart._coord_set:
             raise ChartError(f"{sym} is not a coordinate of chart {self.chart.name!r}")
-        if sym not in self.expr.free_symbols:
+        if self.expr.is_Number or sym not in self.expr.free_symbols:
             return self.chart.zero
         return Scalar(self.chart, sp.diff(self.expr, sym))
 
@@ -633,6 +640,21 @@ class ScalarMatrix:
         """The matrix times a column of Scalars."""
         col = ScalarMatrix(self.chart, [[c] for c in vector])
         return [row[0] for row in (self @ col).rows()]
+
+
+def nonzero_entries(scalars: Iterable[Scalar]):
+    """The (index, scalar) pairs of ``scalars`` whose tree is not the
+    literal 0.
+
+    Tensor kernels sum over these only.  A skipped term has a literal-zero
+    factor, so the Scalar arithmetic would have made it the literal 0 and
+    added nothing; a zero that is not literal, such as
+    ``(x1+1)^2 - x1^2 - 2*x1 - 1``, is kept, and so is every tree built
+    from it.
+    """
+    for index, s in enumerate(scalars):
+        if s.expr is not sp.S.Zero:
+            yield index, s
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ nonzero scalars and zeros that are not literal (a hidden zero has to be
 kept as a term, not skipped).
 """
 
+import pytest
 import sympy as sp
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -19,8 +20,10 @@ from algebroids.algebroid import (
     anchor_push,
     bracket,
 )
+from algebroids import connections
 from algebroids.connections import Connection, Metric, cov_deriv
 from algebroids.jstruct import EndoField
+from algebroids.scalars import Chart, ChartError, Scalar
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 NAMES = ["warped_r4", "heis_j", "conformal_sphere_chart"]
@@ -206,3 +209,75 @@ def test_metric_value_matches_dense_loop(catalog, data):
         reject()
     s1, s2 = _section(draw, A), _section(draw, A)
     assert _trees([g.value(s1, s2)]) == _trees([dense_metric_value(g, s1, s2)])
+
+
+# -- work counts ----------------------------------------------------------------
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_cov_deriv_of_frame_sections_skips_zero_terms(catalog, monkeypatch):
+    # the dense loops made 160 products and 16 derivatives here: one per
+    # index, whatever the zeros
+    fx = catalog("warped_r4")
+    D, frame = fx.levi_civita, fx.algebroid.frame
+    products = _count_calls(monkeypatch, Scalar, "__mul__")
+    derivatives = _count_calls(monkeypatch, Scalar, "diff")
+    cov_deriv(D, frame[0], frame[1])
+    assert len(products) <= 16
+    assert len(derivatives) == 4  # one per component of e_1
+
+
+def test_vector_field_differentiates_along_nonzero_components(catalog,
+                                                              monkeypatch):
+    chart = catalog("warped_r4").algebroid.chart
+    x1, x2 = chart.scalar("x1"), chart.scalar("x2")
+    X = VectorField(chart, [0, x1, 0, 0])
+    derivatives = _count_calls(monkeypatch, Scalar, "diff")
+    assert _trees([X.apply(x1 * x2)]) == _trees([x1 * x1])
+    assert len(derivatives) == 1
+
+
+def test_chart_zero_and_one_are_shared(catalog):
+    chart = catalog("heis_j").algebroid.chart
+    assert chart.zero is chart.zero and chart.one is chart.one
+    assert -chart.zero is chart.zero
+    assert chart.zero.normalize() is chart.zero
+    assert chart.scalar("3/4").diff("x1") is chart.zero
+    # a foreign coordinate or scalar is refused, numeric or not
+    other = Chart("other", ["x1", "y1"])
+    with pytest.raises(ChartError):
+        chart.one.diff(other.coord("y1"))
+    with pytest.raises(ChartError):
+        chart.zero + other.one
+    with pytest.raises(ChartError):
+        chart.one * other.zero
+
+
+def test_metric_compat_check_derives_each_frame_pair_once(catalog,
+                                                          monkeypatch):
+    fx = catalog("warped_r4")
+    D, g, A = fx.levi_civita, fx.g, fx.algebroid
+    frame, m = A.frame, A.rank
+    expected = []
+    for a in range(m):
+        for b in range(m):
+            for c in range(b, m):
+                nb = cov_deriv(D, frame[a], frame[b])
+                nc = cov_deriv(D, frame[a], frame[c])
+                res = (A.anchor_vf(a).apply(g.matrix[b][c])
+                       - g.value(nb, frame[c]) - g.value(frame[b], nc))
+                expected.append(((a, b, c), sp.srepr(res.normalize().expr)))
+    calls = _count_calls(monkeypatch, connections, "cov_deriv")
+    entries = connections.metric_compat_check(D, g).entries("metric_compatible")
+    assert len(calls) == m * m
+    assert [(index, sp.srepr(r.expr)) for index, r in entries] == expected
