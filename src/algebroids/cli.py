@@ -31,8 +31,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from algebroids.algebroid import (
     Algebroid,
@@ -91,6 +91,9 @@ class AlgebroidDocument:
     j_rows: Optional[List[List[str]]] = None
     metric_rows: Optional[List[List[str]]] = None
     source: str = "<doc>"
+    # (section, index) -> line number of that row or bracket entry, with
+    # section "anchor", "bracket", "J" or "metric"
+    lines: Dict[Tuple[str, int], int] = field(default_factory=dict)
 
 
 def _split_entries(text: str) -> List[str]:
@@ -102,6 +105,7 @@ def parse_document(text: str, source: str = "<doc>") -> AlgebroidDocument:
     coords: Optional[List[str]] = None
     sections = {"anchor": [], "J": [], "metric": []}
     brackets: List[Tuple[int, int, int, str]] = []
+    lines: Dict[Tuple[str, int], int] = {}
     current = None
     known = ("chart", "anchor", "bracket", "J", "metric")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -134,6 +138,7 @@ def parse_document(text: str, source: str = "<doc>") -> AlgebroidDocument:
             if key != "row":
                 raise DocumentError(source, lineno,
                                     f"[{current}] lines must be 'row = ...'")
+            lines[(current, len(sections[current]))] = lineno
             sections[current].append(_split_entries(value))
         else:  # bracket
             parts = key.split()
@@ -149,6 +154,7 @@ def parse_document(text: str, source: str = "<doc>") -> AlgebroidDocument:
             if min(a, b, c) < 1:
                 raise DocumentError(source, lineno,
                                     "bracket indices are 1-based")
+            lines[("bracket", len(brackets))] = lineno
             brackets.append((a - 1, b - 1, c - 1, value))
     if coords is None:
         raise DocumentError(source, 0, "missing [chart] coords")
@@ -162,6 +168,7 @@ def parse_document(text: str, source: str = "<doc>") -> AlgebroidDocument:
         j_rows=sections["J"] or None,
         metric_rows=sections["metric"] or None,
         source=source,
+        lines=lines,
     )
 
 
@@ -182,32 +189,36 @@ def document_to_fixture(doc: AlgebroidDocument) -> Fixture:
     rank = len(doc.anchor_rows)
     dim = chart.dim
 
-    def scal(text: str, what: str) -> Scalar:
+    def scal(text: str, what: str, entry: Tuple[str, int]) -> Scalar:
         try:
             return chart.scalar(text)
         except Exception as exc:
-            raise DocumentError(doc.source, 0, f"{what}: {exc}")
+            raise DocumentError(doc.source, doc.lines.get(entry, 0),
+                                f"{what}: {exc}")
 
     anchor = []
     for a, row in enumerate(doc.anchor_rows):
         if len(row) != dim:
-            raise DocumentError(doc.source, 0,
+            raise DocumentError(doc.source, doc.lines.get(("anchor", a), 0),
                                 f"anchor row {a + 1} has {len(row)} entries, "
                                 f"chart has {dim} coordinates")
-        anchor.append([scal(v, f"anchor row {a + 1}") for v in row])
+        anchor.append([scal(v, f"anchor row {a + 1}", ("anchor", a))
+                       for v in row])
     cdict = {}
-    for a, b, c, expr in doc.bracket_entries:
+    for k, (a, b, c, expr) in enumerate(doc.bracket_entries):
         if max(a, b, c) >= rank:
-            raise DocumentError(doc.source, 0,
+            raise DocumentError(doc.source, doc.lines.get(("bracket", k), 0),
                                 f"bracket index out of range for rank {rank}")
-        cdict[(a, b, c)] = scal(expr, f"bracket {a + 1} {b + 1} {c + 1}")
+        cdict[(a, b, c)] = scal(expr, f"bracket {a + 1} {b + 1} {c + 1}",
+                                ("bracket", k))
     A = Algebroid(chart, rank, anchor, cdict)
 
     J = None
     if doc.j_rows is not None:
         if len(doc.j_rows) != rank or any(len(r) != rank for r in doc.j_rows):
             raise DocumentError(doc.source, 0, "[J] must be a rank x rank matrix")
-        rows = [[scal(v, "J") for v in row] for row in doc.j_rows]
+        rows = [[scal(v, "J", ("J", b)) for v in row]
+                for b, row in enumerate(doc.j_rows)]
         try:
             J = almost_complex_structure(A, rows)
         except ValueError as exc:
@@ -218,7 +229,8 @@ def document_to_fixture(doc: AlgebroidDocument) -> Fixture:
                 or any(len(r) != rank for r in doc.metric_rows)):
             raise DocumentError(doc.source, 0,
                                 "[metric] must be a rank x rank matrix")
-        rows = [[scal(v, "metric") for v in row] for row in doc.metric_rows]
+        rows = [[scal(v, "metric", ("metric", a)) for v in row]
+                for a, row in enumerate(doc.metric_rows)]
         try:
             g = Metric(A, rows)
         except ValueError as exc:

@@ -59,6 +59,21 @@ def test_parse_error_reports_line_number():
     assert "f.alg:3" in str(exc.value)
 
 
+def test_document_entry_errors_name_their_line():
+    body = ("[chart]\ncoords = x1\n[anchor]\nrow = 1\nrow = 0\n"
+            "[bracket]\n1 2 1 = x1\n1 2 3 = 1\n")
+    for text, line in (
+            (body.replace("row = 0", "row = 0, 1"), 5),
+            (body.replace("row = 0", "row = x9"), 5),
+            (body, 8),
+            (body.replace("1 = x1", "1 = 1/(x1 - x1)"), 7),
+            (MINIMAL_DOC + "[metric]\nrow = y\n", 7),
+            (MINIMAL_DOC + "[J]\nrow = y\n", 7)):
+        with pytest.raises(DocumentError) as exc:
+            document_to_fixture(parse_document(text, source="doc.alg"))
+        assert exc.value.line == line, text
+
+
 def test_document_to_fixture_shape_errors():
     doc = parse_document(MINIMAL_DOC + "[J]\nrow = 1\nrow = 1\n")
     with pytest.raises(DocumentError):
@@ -158,6 +173,14 @@ def test_exit_code_document_errors(tmp_path):
             assert code == 2 and out == "", (name, command)
             assert err.startswith("error:") and err.count("\n") == 1
             assert "structurally zero" in err, (name, command)
+    # an entry error names the line of its row
+    row_error = tmp_path / "row_error.alg"
+    row_error.write_text("[chart]\ncoords = x1, x2\n[anchor]\nrow = 1, 0\n"
+                         "row = 0, 1/((x1+1)^2 - x1^2 - 2*x1 - 1)\n")
+    code, out, err = run_cli(["validate", str(row_error)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {row_error}:5: anchor row 2: ")
+    assert err.count("\n") == 1
     # projector matrices whose shapes do not fit the ambient fixture
     proj = tmp_path / "rank2.proj"
     proj.write_text("[Pi]\nrow = 1, 0\nrow = 0, 1\n"
