@@ -31,6 +31,15 @@ def test_metric_symmetry_and_degeneracy():
         Metric(A, [[1, 1], [1, 1]])
 
 
+def test_metric_singular_outside_rational_fragment():
+    # the determinant sin^2 + cos^2 - 1 has a nonzero normal form (the
+    # atoms are independent generators), so only sampling finds it zero
+    chart = Chart("m", ["x1"])
+    A = Algebroid(chart, 2, [[1], [0]], {})
+    with pytest.raises(ValueError, match="structurally singular"):
+        Metric(A, [[1, 0], [0, "sin(x1)^2 + cos(x1)^2 - 1"]])
+
+
 def test_levi_civita_flat_is_trivial(catalog):
     conn = catalog("flat_r4").levi_civita
     assert all(conn.gamma[c][a][b].is_structurally_zero()
