@@ -205,11 +205,11 @@ class ChernReport:
     """Chern form of order k with both construction routes compared.
 
     ``form`` is the Chern form itself (real part of trace((iPhi)^k)).
-    ``factor`` is the empirical proportionality constant between
-    Re trace((iPhi)^k) and trace(block^k) (expected 1/2); None when both
-    traces vanish.  ``checks`` holds ``closed``, plus ``trace_real`` when
-    the iPhi route ran and ``half_trace_equality`` (indexed by form
-    component) when both did.
+    ``factor`` is the stated constant 1/2 of Re trace((iPhi)^k) =
+    (1/2) trace(block^k), which ``half_trace_equality`` (indexed by form
+    component) checks when both routes ran; None when every component of
+    trace(block^k) vanishes or only one route ran.  ``checks`` holds
+    ``closed``, plus ``trace_real`` when the iPhi route ran.
     """
 
     order: int
@@ -246,15 +246,9 @@ def chern_form(bc: BlockCurvature, k: int, source: str = "both") -> ChernReport:
     if im is not None:
         checks.add("trace_real", (), im)
     if source == "both":
-        # empirical factor between Re trace((iPhi)^k) and trace(block^k)
-        factor = None
-        for key in t_block.keys():
-            denom = t_block[key]
-            if not denom.is_structurally_zero():
-                factor = (re[key] / denom).normalize()
-                break
         for key in t_block.keys():
             checks.add("half_trace_equality", key,
                        (re[key] - t_block[key] * half).normalize())
-        report.factor = factor
+        if not t_block.is_structurally_zero():
+            report.factor = form.chart.scalar(half)
     return report

@@ -16,16 +16,16 @@ the skew-adjointness of W under g, see second_fundamental); the textbook
 display h(W_{s3}s1,s2) = h(s3,B(s1,s2)) is evaluated separately and holds
 exactly when J is integrable.
 
-The identity suite works over the real frame and reports the empirical
-proportionality constants of the Nijenhuis and covariant-derivative
-formulas for Re B; the constants are found from the data, not assumed.
+The identity suite works over the real frame and checks the Nijenhuis
+and covariant-derivative formulas for Re B, and the reconstruction of N
+from B, each with the constant stated below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from algebroids.algebroid import (
     Algebroid,
@@ -39,6 +39,7 @@ from algebroids.connections import (
     Metric,
     cov_deriv,
     levi_civita,  # unused; bench/test_harness.py checks tracing patches it
+    nabla_J,
     require_hermitian,
     torsion,
 )
@@ -58,7 +59,22 @@ __all__ = [
     "second_fundamental",
     "mean_curvature",
     "identity_suite",
+    "NIJENHUIS_PAIRING",
+    "DPHI_PAIRING",
+    "N_FROM_B",
 ]
+
+# The constants of the identity suite, over real frame triples (a, b, c):
+#     g(Re B(e_a, e_b), e_c) = NIJENHUIS_PAIRING * (g(N(e_a, e_b), e_c)
+#         + g(N(e_b, J e_c), J e_a) - g(N(J e_c, e_a), J e_b))
+#     g(Re B(e_a, e_b), e_c) = DPHI_PAIRING * ((D_{J e_a} Phi)(e_b, e_c)
+#         + (D_{e_a} Phi)(J e_b, e_c))
+#     N(e_a, e_b) = N_FROM_B * Re(B(e_a, e_b) - B(e_b, e_a))
+# They hold for this package's conventions: f_a = u_a - i J u_a,
+# p10 = (I - iJ)/2, and N as in jstruct.nijenhuis (no factor 1/4).
+NIJENHUIS_PAIRING = Fraction(-1, 16)
+DPHI_PAIRING = Fraction(1, 8)
+N_FROM_B = Fraction(-8)
 
 
 def _complex_J(CA: Algebroid, m: int) -> EndoField:
@@ -113,6 +129,8 @@ class ProductConnection:
     connF: Connection          # Levi-Civita in the complex frame
     tilde: Connection          # metric product connection
     checks: Residuals
+    JC: EndoField              # J over the complex frame
+    hmat: List[List[Scalar]]   # h(F_mu, F_nu)
 
 
 def product_connection(fx: Fixture) -> ProductConnection:
@@ -213,7 +231,7 @@ def product_connection(fx: Fixture) -> ProductConnection:
             checks.add("local_displays", ("mixed", a, b),
                        (t2 - Section(CA, want2)).normalized())
 
-    return ProductConnection(F, connF, tilde, checks)
+    return ProductConnection(F, connF, tilde, checks, JC, hmat)
 
 
 @dataclass
@@ -253,9 +271,8 @@ def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
     m = F.m
     two_m = 2 * m
     chart = fx.algebroid.chart
-    JC = _complex_J(CA, m)
+    JC, hmat = prod.JC, prod.hmat
     frame = CA.frame
-    hmat = _h_matrix(fx.g, F)
     half = Fraction(1, 2)
 
     def D(s1, s2):
@@ -267,21 +284,19 @@ def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
     def p01(s):
         return _project(s, m, barred=True)
 
-    def nabJ(s1, s2):
-        return (D(s1, JC.apply(s2)) - JC.apply(D(s1, s2)))
-
     B = [[None] * two_m for _ in range(two_m)]
     W = [[None] * two_m for _ in range(two_m)]
     checks = Residuals()
     for mu in range(two_m):
         for nu in range(two_m):
-            b1 = p10(D(p01(frame[mu]), p01(frame[nu]))).normalized()
-            b2 = nabJ(p01(frame[mu]), JC.apply(p01(frame[nu]))) \
+            s1b = p01(frame[mu])
+            b1 = p10(D(s1b, p01(frame[nu]))).normalized()
+            b2 = nabla_J(connF, JC, s1b, JC.apply(p01(frame[nu]))) \
                 .scale(chart.scalar(-half))
             checks.add("both_forms", ("B", mu, nu), (b1 - b2).normalized())
             B[mu][nu] = b1
-            w1 = p01(D(p01(frame[mu]), p10(frame[nu]))).scale(-1).normalized()
-            w2 = nabJ(p01(frame[mu]), JC.apply(p10(frame[nu]))) \
+            w1 = p01(D(s1b, p10(frame[nu]))).scale(-1).normalized()
+            w2 = nabla_J(connF, JC, s1b, JC.apply(p10(frame[nu]))) \
                 .scale(chart.scalar(half))
             checks.add("both_forms", ("W", mu, nu), (w1 - w2).normalized())
             # W[nu][mu] = W_{F_nu} F_mu
@@ -314,11 +329,13 @@ def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
         for nu in range(two_m):
             s1b, s2b = p01(frame[mu]), p01(frame[nu])
             res = (D(s1b, s2b) - cov_deriv(prod.tilde, s1b, s2b)
-                   + nabJ(s1b, JC.apply(s2b)).scale(chart.scalar(half)))
+                   + nabla_J(connF, JC, s1b, JC.apply(s2b))
+                   .scale(chart.scalar(half)))
             checks.add("gauss", (mu, nu), res.normalized())
             s2t = p10(frame[nu])
             res = (D(s1b, s2t) - cov_deriv(prod.tilde, s1b, s2t)
-                   + nabJ(s1b, JC.apply(s2t)).scale(chart.scalar(half)))
+                   + nabla_J(connF, JC, s1b, JC.apply(s2t))
+                   .scale(chart.scalar(half)))
             checks.add("weingarten", (mu, nu), res.normalized())
 
     # Metric duality.  The displayed identity h(W_{s3}s1,s2) = h(s3,B(s1,s2))
@@ -414,7 +431,7 @@ def mean_curvature(fx: Fixture) -> MeanCurvatureReport:
     m = F.m
     CA = sf.connF.algebroid
     two_m = 2 * m
-    hmat = _h_matrix(g, F)
+    hmat = fx.product_connection.hmat
 
     # verbatim trace: sum_{a,b} B(f_a, fbar_b); the first slot is (1,0)
     acc = Section(CA, [CA.chart.zero] * two_m)
@@ -445,31 +462,17 @@ def mean_curvature(fx: Fixture) -> MeanCurvatureReport:
     return MeanCurvatureReport(H.normalized(), verbatim_zero, k_zero)
 
 
-def _fit_constant(checks: Residuals, check: str, pairs) -> Optional[Scalar]:
-    """Find c with lhs = c * rhs across all (index, lhs, rhs) triples,
-    structurally, and record each lhs - c * rhs under ``check``.
-
-    Returns None, and records each lhs, when every rhs vanishes.
-    """
-    c = None
-    for _, lhs, rhs in pairs:
-        if not rhs.is_structurally_zero():
-            c = (lhs / rhs).normalize()
-            break
-    for index, lhs, rhs in pairs:
-        checks.add(check, index,
-                   lhs if c is None else (lhs - c * rhs).normalize())
-    return c
-
-
 @dataclass
 class IdentitySuiteReport:
-    """Identity residuals over real frame tuples, with the fitted constants.
+    """Identity residuals over real frame tuples.
 
     ``checks``: ``im_re_relation``, ``j_anti_invariance`` (indexed (a, b)),
     ``nijenhuis_pairing_proportional``, ``dphi_pairing_proportional``,
-    ``n_reconstruction_proportional`` (indexed (a, b, c)) and
-    ``eigenbundle_isotropy`` (indexed (a, b)).
+    ``n_reconstruction_proportional`` (indexed (a, b, c), each residual
+    lhs - c * rhs with the stated constant c) and ``eigenbundle_isotropy``
+    (indexed (a, b)).  ``m16_constant``, ``m17_constant`` and
+    ``m19_constant`` are NIJENHUIS_PAIRING, DPHI_PAIRING and N_FROM_B,
+    or None when every rhs of that check vanishes.
     """
 
     checks: Residuals
@@ -490,8 +493,8 @@ class IdentitySuiteReport:
 
 def identity_suite(fx: Fixture) -> IdentitySuiteReport:
     """Residuals of the Re/Im relation, the Nijenhuis and fundamental-form
-    formulas for Re B (with empirically fitted constants), J-anti-
-    invariance, and the N-from-B reconstruction, over real frame tuples.
+    formulas for Re B, J-anti-invariance, and the N-from-B reconstruction,
+    over real frame tuples, with the module's stated constants.
     """
     A, J, g = fx.algebroid, fx.J, fx.g
     require_hermitian(g, J)
@@ -515,7 +518,17 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
                 - phi_value(t1, cov_deriv(D, s, t2)))
 
     checks = Residuals()
-    m16_pairs, m17_pairs, m19_pairs = [], [], []
+    nonzero_rhs = set()
+
+    def proportional(check: str, index, lhs: Scalar, c: Fraction,
+                     rhs: Scalar) -> None:
+        checks.add(check, index, (lhs - c * rhs).normalize())
+        if not rhs.is_structurally_zero():
+            nonzero_rhs.add(check)
+
+    def stated(check: str, c: Fraction) -> Optional[Scalar]:
+        return A.chart.scalar(c) if check in nonzero_rhs else None
+
     Btab = [[B(frame[a], frame[b]) for b in range(mr)] for a in range(mr)]
     for a in range(mr):
         for b in range(mr):
@@ -529,8 +542,9 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
             alt_re = _re_section(Btab[a][b] - Btab[b][a])
             nval = N.value(frame[a], frame[b])
             for c in range(mr):
-                m19_pairs.append(((a, b, c), nval.components[c].normalize(),
-                                  alt_re.components[c].normalize()))
+                proportional("n_reconstruction_proportional", (a, b, c),
+                             nval.components[c].normalize(), N_FROM_B,
+                             alt_re.components[c].normalize())
             reb = _re_section(Btab[a][b])
             for c in range(mr):
                 s3 = frame[c]
@@ -540,14 +554,12 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
                                    J.apply(frame[a]))
                          - g.value(N.value(J.apply(s3), frame[a]),
                                    J.apply(frame[b]))).normalize()
-                m16_pairs.append(((a, b, c), lhs, raw16))
+                proportional("nijenhuis_pairing_proportional", (a, b, c),
+                             lhs, NIJENHUIS_PAIRING, raw16)
                 raw17 = (dphi(J.apply(frame[a]), frame[b], s3)
                          + dphi(frame[a], J.apply(frame[b]), s3)).normalize()
-                m17_pairs.append(((a, b, c), lhs, raw17))
-
-    c16 = _fit_constant(checks, "nijenhuis_pairing_proportional", m16_pairs)
-    c17 = _fit_constant(checks, "dphi_pairing_proportional", m17_pairs)
-    c19 = _fit_constant(checks, "n_reconstruction_proportional", m19_pairs)
+                proportional("dphi_pairing_proportional", (a, b, c),
+                             lhs, DPHI_PAIRING, raw17)
 
     p10r, p01r = projectors(J)
     for a in range(mr):
@@ -560,4 +572,9 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
                  for a in range(mr) for b in range(mr))
     n_zero = N.is_structurally_zero()
 
-    return IdentitySuiteReport(checks, c16, c17, c19, b_zero, n_zero)
+    return IdentitySuiteReport(
+        checks,
+        stated("nijenhuis_pairing_proportional", NIJENHUIS_PAIRING),
+        stated("dphi_pairing_proportional", DPHI_PAIRING),
+        stated("n_reconstruction_proportional", N_FROM_B),
+        b_zero, n_zero)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from algebroids.constructions import CATALOG_NAMES, Fixture
+from algebroids.constructions import CATALOG_NAMES, Fixture, fixture
+from algebroids.jstruct import NijenhuisTensor
 from algebroids.prodgeom import identity_suite, mean_curvature
 
 
@@ -66,6 +67,22 @@ def test_identity_suite_heis_constants(catalog):
         .is_structurally_zero()
     assert not rep.b_zero and not rep.n_zero
     assert rep.geodesic_iff_hermitian
+
+
+def test_identity_suite_detects_a_scaled_nijenhuis_tensor():
+    # a fresh heis_j whose Nijenhuis tensor is 2N: the stated constants
+    # must reject it, where a constant fitted to the data would absorb it
+    fx = fixture("heis_j")
+    N = fx.nijenhuis
+    doubled = tuple(tuple(tuple((2 * e).normalize() for e in row)
+                          for row in layer) for layer in N.components)
+    fx.__dict__["nijenhuis"] = NijenhuisTensor(N.algebroid, doubled,
+                                               N.checks)
+    rep = identity_suite(fx)
+    assert not rep.checks.ok("nijenhuis_pairing_proportional")
+    assert not rep.checks.ok("n_reconstruction_proportional")
+    assert rep.checks.ok("dphi_pairing_proportional")
+    assert not rep.ok
 
 
 def test_identity_suite_flat_degenerate_constants(catalog):
