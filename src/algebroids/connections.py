@@ -83,8 +83,11 @@ class Metric:
                 if not (self.matrix[a][b] - self.matrix[b][a]).normalize().is_structurally_zero():
                     raise ValueError("metric is not symmetric")
         M = ScalarMatrix(chart, self.matrix)
-        status = is_zero(M.det())
-        if status.structurally_zero or status.all_samples_zero:
+        det = M.det()
+        # sampling can only add to the structural answer when an atom
+        # (sin^2 + cos^2 - 1) hides a zero from the normal form
+        if det.is_structurally_zero() or (not det.is_rational_function()
+                                          and is_zero(det).all_samples_zero):
             raise ValueError("metric is structurally singular")
         self.inverse = M.inverse().rows()
 

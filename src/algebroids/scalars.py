@@ -285,8 +285,8 @@ def _canonical(expr: sp.Expr) -> sp.Expr:
     return sp.cancel(sp.together(expr)) if norm is None else norm
 
 
-def _field_symbols(expr: sp.Expr) -> frozenset:
-    """The coordinates of ``expr``, or none when ``expr`` has an atom."""
+def _field_symbols(expr: sp.Expr) -> Optional[frozenset]:
+    """The coordinates of ``expr``, or None when ``expr`` has an atom."""
     symbols, seen, stack = set(), set(), [expr]
     while stack:
         node = stack.pop()
@@ -300,7 +300,7 @@ def _field_symbols(expr: sp.Expr) -> frozenset:
         elif node.is_Pow and node.exp.is_Integer:
             stack.append(node.base)
         elif not (node.is_Rational or node is sp.I):
-            return frozenset()
+            return None
     return frozenset(symbols)
 
 
@@ -446,6 +446,11 @@ class Scalar:
 
     def is_constant(self) -> bool:
         return not self.norm_expr.free_symbols
+
+    def is_rational_function(self) -> bool:
+        """True when the normal form has no transcendental or algebraic
+        atom, so that a nonzero normal form proves the scalar nonzero."""
+        return _field_symbols(self.norm_expr) is not None
 
     # -- arithmetic ------------------------------------------------------
 

@@ -18,8 +18,9 @@ from algebroids.connections import (
     riemann4,
     torsion,
 )
+from algebroids.constructions import fixture
 from algebroids.eforms import evaluate
-from algebroids.scalars import Chart
+from algebroids.scalars import Chart, Scalar
 
 
 def test_metric_symmetry_and_degeneracy():
@@ -38,6 +39,21 @@ def test_metric_singular_outside_rational_fragment():
     A = Algebroid(chart, 2, [[1], [0]], {})
     with pytest.raises(ValueError, match="structurally singular"):
         Metric(A, [[1, 0], [0, "sin(x1)^2 + cos(x1)^2 - 1"]])
+
+
+def test_rational_metric_determinant_is_not_sampled(monkeypatch):
+    # a nonzero rational normal form already proves the metric nonsingular
+    calls = []
+    eval_ = Scalar.eval
+
+    def counting_eval(self, point):
+        calls.append(self)
+        return eval_(self, point)
+
+    monkeypatch.setattr(Scalar, "eval", counting_eval)
+    for name in ("warped_r4", "conformal_sphere_chart"):
+        fixture(name)
+    assert calls == []
 
 
 def test_levi_civita_flat_is_trivial(catalog):
