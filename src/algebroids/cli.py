@@ -28,6 +28,7 @@ stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -633,7 +634,9 @@ def cmd_emit(fx: Fixture, args) -> Tuple[dict, bool]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="algebroid",
         description="Symbolic calculus on almost complex Lie algebroids "

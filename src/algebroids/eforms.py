@@ -13,7 +13,7 @@ s -> rho(s)f.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Dict, Sequence, Tuple
 
 from algebroids.algebroid import Algebroid, Section
@@ -185,16 +185,9 @@ def evaluate(w: EForm, sections: Sequence[Section]) -> Scalar:
     comp_lists = [s.components for s in sections]
     for key, value in w.components.items():
         # sum over permutations of the increasing index onto the slots
-        from itertools import permutations
-
         for perm in permutations(range(w.degree)):
-            sign = 1
+            _, sign = _sort_index(perm)
             seq = [key[perm[k]] for k in range(w.degree)]
-            # parity of perm
-            for a in range(w.degree):
-                for b in range(a + 1, w.degree):
-                    if perm[a] > perm[b]:
-                        sign = -sign
             term = value
             for slot in range(w.degree):
                 term = term * comp_lists[slot][seq[slot]]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from algebroids import connections, jstruct
 from algebroids.cli import (
     DocumentError,
+    build_parser,
     document_to_fixture,
     emit_document,
     main,
@@ -81,6 +82,10 @@ def test_document_to_fixture_shape_errors():
     doc = parse_document("[chart]\ncoords = x1\n[anchor]\nrow = 1, 0\n")
     with pytest.raises(DocumentError):
         document_to_fixture(doc)
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_exit_code_check_failure():
