@@ -634,9 +634,8 @@ def cmd_emit(fx: Fixture, args) -> Tuple[dict, bool]:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
+@functools.cache  # parsing leaves the parser unchanged, so build it once
 def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="algebroid",
         description="Symbolic calculus on almost complex Lie algebroids "

@@ -28,14 +28,9 @@ def _sort_index(idx: Tuple[int, ...]):
     if len(set(idx)) != len(idx):
         return None
     pairs = sorted(range(len(idx)), key=lambda k: idx[k])
-    # count inversions of the sorting permutation
-    sign = 1
-    perm = list(pairs)
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return tuple(idx[k] for k in pairs), sign
+    # the sign of the sorting permutation: -1 to its number of inversions
+    inversions = sum(p > q for k, p in enumerate(pairs) for q in pairs[k + 1:])
+    return tuple(idx[k] for k in pairs), (-1) ** inversions
 
 
 class EForm:

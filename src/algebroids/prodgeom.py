@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from algebroids.algebroid import (
@@ -59,19 +60,14 @@ __all__ = [
     "second_fundamental",
     "mean_curvature",
     "identity_suite",
-    "NIJENHUIS_PAIRING",
-    "DPHI_PAIRING",
-    "N_FROM_B",
+    "NIJENHUIS_PAIRING", "DPHI_PAIRING", "N_FROM_B",
 ]
 
-# The constants of the identity suite, over real frame triples (a, b, c):
-#     g(Re B(e_a, e_b), e_c) = NIJENHUIS_PAIRING * (g(N(e_a, e_b), e_c)
-#         + g(N(e_b, J e_c), J e_a) - g(N(J e_c, e_a), J e_b))
-#     g(Re B(e_a, e_b), e_c) = DPHI_PAIRING * ((D_{J e_a} Phi)(e_b, e_c)
-#         + (D_{e_a} Phi)(J e_b, e_c))
-#     N(e_a, e_b) = N_FROM_B * Re(B(e_a, e_b) - B(e_b, e_a))
-# They hold for this package's conventions: f_a = u_a - i J u_a,
-# p10 = (I - iJ)/2, and N as in jstruct.nijenhuis (no factor 1/4).
+# identity_suite's constants, on real frame sections a, b, c:
+#   g(Re B(a,b), c) = NIJENHUIS_PAIRING (g(N(a,b),c) + g(N(b,Jc),Ja) - g(N(Jc,a),Jb))
+#                   = DPHI_PAIRING ((D_{Ja} Phi)(b,c) + (D_a Phi)(Jb,c))
+#   N(a,b) = N_FROM_B Re(B(a,b) - B(b,a))
+# for f_a = u_a - i J u_a, p10 = (I - iJ)/2 and N as in jstruct (no 1/4).
 NIJENHUIS_PAIRING = Fraction(-1, 16)
 DPHI_PAIRING = Fraction(1, 8)
 N_FROM_B = Fraction(-8)
@@ -145,14 +141,9 @@ def product_connection(fx: Fixture) -> ProductConnection:
     frame = CA.frame
     hmat = _h_matrix(fx.g, F)
 
-    def D(s1: Section, s2: Section) -> Section:
-        return cov_deriv(connF, s1, s2)
-
-    def p10(s):
-        return _project(s, m, barred=False)
-
-    def p01(s):
-        return _project(s, m, barred=True)
+    D = partial(cov_deriv, connF)
+    p10 = partial(_project, m=m, barred=False)
+    p01 = partial(_project, m=m, barred=True)
 
     # projection form of D~: keep the part of D matching the slot of the
     # second argument
@@ -275,14 +266,9 @@ def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
     frame = CA.frame
     half = Fraction(1, 2)
 
-    def D(s1, s2):
-        return cov_deriv(connF, s1, s2)
-
-    def p10(s):
-        return _project(s, m, barred=False)
-
-    def p01(s):
-        return _project(s, m, barred=True)
+    D = partial(cov_deriv, connF)
+    p10 = partial(_project, m=m, barred=False)
+    p01 = partial(_project, m=m, barred=True)
 
     B = [[None] * two_m for _ in range(two_m)]
     W = [[None] * two_m for _ in range(two_m)]

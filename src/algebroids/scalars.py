@@ -448,8 +448,7 @@ class Scalar:
         return not self.norm_expr.free_symbols
 
     def is_rational_function(self) -> bool:
-        """True when the normal form has no transcendental or algebraic
-        atom, so that a nonzero normal form proves the scalar nonzero."""
+        """True when the normal form has no transcendental or algebraic atom."""
         return _field_symbols(self.norm_expr) is not None
 
     # -- arithmetic ------------------------------------------------------
