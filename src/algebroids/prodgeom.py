@@ -60,7 +60,9 @@ __all__ = [
     "second_fundamental",
     "mean_curvature",
     "identity_suite",
-    "NIJENHUIS_PAIRING", "DPHI_PAIRING", "N_FROM_B",
+    "NIJENHUIS_PAIRING",
+    "DPHI_PAIRING",
+    "N_FROM_B",
 ]
 
 # identity_suite's constants, on real frame sections a, b, c:
