@@ -214,28 +214,32 @@ def document_to_fixture(doc: AlgebroidDocument) -> Fixture:
                                 ("bracket", k))
     A = Algebroid(chart, rank, anchor, cdict)
 
+    # whole-matrix errors point at the first row of their section
     J = None
     if doc.j_rows is not None:
+        line = doc.lines.get(("J", 0), 0)
         if len(doc.j_rows) != rank or any(len(r) != rank for r in doc.j_rows):
-            raise DocumentError(doc.source, 0, "[J] must be a rank x rank matrix")
+            raise DocumentError(doc.source, line,
+                                "[J] must be a rank x rank matrix")
         rows = [[scal(v, "J", ("J", b)) for v in row]
                 for b, row in enumerate(doc.j_rows)]
         try:
             J = almost_complex_structure(A, rows)
         except ValueError as exc:
-            raise DocumentError(doc.source, 0, f"J: {exc}")
+            raise DocumentError(doc.source, line, f"J: {exc}")
     g = None
     if doc.metric_rows is not None:
+        line = doc.lines.get(("metric", 0), 0)
         if (len(doc.metric_rows) != rank
                 or any(len(r) != rank for r in doc.metric_rows)):
-            raise DocumentError(doc.source, 0,
+            raise DocumentError(doc.source, line,
                                 "[metric] must be a rank x rank matrix")
         rows = [[scal(v, "metric", ("metric", a)) for v in row]
                 for a, row in enumerate(doc.metric_rows)]
         try:
             g = Metric(A, rows)
         except ValueError as exc:
-            raise DocumentError(doc.source, 0, f"metric: {exc}")
+            raise DocumentError(doc.source, line, f"metric: {exc}")
     return Fixture(doc.name, A, J, g)
 
 
@@ -346,15 +350,8 @@ def cmd_validate(fx: Fixture, args) -> Tuple[dict, bool]:
 def cmd_nijenhuis(fx: Fixture, args) -> Tuple[dict, bool]:
     _need(fx, j=True)
     N = fx.nijenhuis
-    comps = {}
-    rank = fx.algebroid.rank
-    for a in range(rank):
-        for b in range(rank):
-            for c in range(rank):
-                val = N.components[c][a][b]
-                if not val.is_structurally_zero():
-                    comps[f"{c + 1}_{a + 1}{b + 1}"] = print_scalar(val)
-    return ({"components": comps, "zero": N.is_structurally_zero(),
+    return ({"components": _components(N.components),
+             "zero": N.is_structurally_zero(),
              "checks": [_check("dual_route_agreement",
                                N.checks.ok("dual_route_agreement"))]}, True)
 
@@ -383,42 +380,34 @@ def cmd_levi_civita(fx: Fixture, args) -> Tuple[dict, bool]:
         conn = fx.complex_levi_civita
         mismatches = conn.checks.failures("formula_vs_transform")
         ok = not mismatches
-        return ({"frame": "complex", "gamma": _gamma_entries(conn),
+        return ({"frame": "complex", "gamma": _components(conn.gamma),
                  "checks": [_check("formula_vs_transform", ok,
                                    witness=[str((w.index, w.residual))
                                             for w in mismatches[:5]])]},
                 ok)
     conn = fx.levi_civita
-    return ({"frame": "real", "gamma": _gamma_entries(conn),
+    return ({"frame": "real", "gamma": _components(conn.gamma),
              "checks": [_check(name, conn.checks.ok(name))
                         for name in ("torsion_free", "metric_compatible")]},
             True)
 
 
-def _gamma_entries(conn) -> dict:
+def _components(table, key: str = "") -> dict:
+    """The nonzero entries of a nested table T[c][a][b].. under 1-based
+    keys "c_ab.."."""
+    if isinstance(table, Scalar):
+        if table.is_structurally_zero():
+            return {}
+        return {key: print_scalar(table)}
     out = {}
-    for c in range(len(conn.gamma)):
-        for a in range(len(conn.gamma)):
-            for b in range(len(conn.gamma)):
-                val = conn.gamma[c][a][b]
-                if not val.is_structurally_zero():
-                    out[f"{c + 1}_{a + 1}{b + 1}"] = print_scalar(val)
+    for k, entry in enumerate(table, start=1):
+        out.update(_components(entry, f"{key}{k}" if key else f"{k}_"))
     return out
 
 
 def cmd_curvature(fx: Fixture, args) -> Tuple[dict, bool]:
     _need(fx, g=True)
-    R = curvature_components(fx.levi_civita)
-    rank = fx.algebroid.rank
-    out = {}
-    for d in range(rank):
-        for a in range(rank):
-            for b in range(rank):
-                for c in range(rank):
-                    val = R[d][a][b][c]
-                    if not val.is_structurally_zero():
-                        out[f"{d + 1}_{a + 1}{b + 1}{c + 1}"] = \
-                            print_scalar(val)
+    out = _components(curvature_components(fx.levi_civita))
     return ({"components": out, "zero": not out}, True)
 
 
@@ -613,7 +602,7 @@ def _load_matrix_file(path: str, chart: Chart) -> dict:
             if current not in ("Pi", "lift", "J"):
                 raise DocumentError(path, lineno,
                                     f"unknown section [{current}]")
-            out[current] = []
+            out.setdefault(current, [])
             continue
         if current is None or not line.startswith("row"):
             raise DocumentError(path, lineno, "expected 'row = ...'")

@@ -395,26 +395,23 @@ def direct_product(A1: Algebroid, A2: Algebroid,
                     cdict[(r1 + a, r1 + b, r1 + c)] = lift2(A2.C[c][a][b])
     A = Algebroid(chart, r1 + r2, anchor, cdict)
 
+    def block(M1, M2) -> List[List[Scalar]]:
+        """The block-diagonal matrix diag(M1, M2) over the product frame."""
+        rows = [[chart.zero] * (r1 + r2) for _ in range(r1 + r2)]
+        for p in range(r1):
+            for q in range(r1):
+                rows[p][q] = lift1(M1.entry(p, q))
+        for p in range(r2):
+            for q in range(r2):
+                rows[r1 + p][r1 + q] = lift2(M2.entry(p, q))
+        return rows
+
     J = None
     if J1 is not None and J2 is not None:
-        rows = [[chart.zero] * (r1 + r2) for _ in range(r1 + r2)]
-        for b in range(r1):
-            for a in range(r1):
-                rows[b][a] = lift1(J1.entry(b, a))
-        for b in range(r2):
-            for a in range(r2):
-                rows[r1 + b][r1 + a] = lift2(J2.entry(b, a))
-        J = almost_complex_structure(A, rows)
+        J = almost_complex_structure(A, block(J1, J2))
     g = None
     if g1 is not None and g2 is not None:
-        rows = [[chart.zero] * (r1 + r2) for _ in range(r1 + r2)]
-        for a in range(r1):
-            for b in range(r1):
-                rows[a][b] = lift1(g1.entry(a, b))
-        for a in range(r2):
-            for b in range(r2):
-                rows[r1 + a][r1 + b] = lift2(g2.entry(a, b))
-        g = Metric(A, rows)
+        g = Metric(A, block(g1, g2))
     return ProductAlgebroid(A1, A2, A, J, g, rename)
 
 

@@ -533,6 +533,8 @@ class Scalar:
 
     def conjugate(self) -> "Scalar":
         # coordinates are real symbols, so only the constants flip
+        if self.expr is sp.S.Zero:
+            return self
         return Scalar(self.chart, sp.conjugate(self.expr))
 
     def real_part(self) -> "Scalar":
@@ -680,10 +682,6 @@ class ZeroStatus:
     witness_value: Union[complex, None] = None
     all_samples_zero: bool = False
 
-    @property
-    def status(self) -> str:
-        return "StructurallyZero" if self.structurally_zero else "ProbablyNonzero"
-
     def __bool__(self):
         return self.structurally_zero
 
@@ -698,20 +696,16 @@ def random_point(chart: Chart, rng: random.Random) -> dict:
     return point
 
 
-def is_zero(
-    s: Scalar,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-    tolerance: float = FLOAT_TOLERANCE,
-) -> ZeroStatus:
-    """Structural zero test with a randomized numeric fallback."""
+def is_zero(s: Scalar) -> ZeroStatus:
+    """Structural zero test with a randomized numeric fallback: up to
+    DEFAULT_SAMPLES points off the poles, drawn with DEFAULT_SEED."""
     if s.is_structurally_zero():
         return ZeroStatus(structurally_zero=True)
-    rng = random.Random(seed)
-    max_attempts = samples * 4
+    rng = random.Random(DEFAULT_SEED)
+    max_attempts = DEFAULT_SAMPLES * 4
     tested = 0
     attempt = 0
-    while tested < samples and attempt < max_attempts:
+    while tested < DEFAULT_SAMPLES and attempt < max_attempts:
         attempt += 1
         point = random_point(s.chart, rng)
         try:
@@ -720,7 +714,7 @@ def is_zero(
             continue
         tested += 1
         magnitude = abs(complex(value))
-        if magnitude > tolerance:
+        if magnitude > FLOAT_TOLERANCE:
             return ZeroStatus(
                 structurally_zero=False,
                 witness={k.name: v for k, v in point.items()},

@@ -69,7 +69,13 @@ def test_document_entry_errors_name_their_line():
             (body, 8),
             (body.replace("1 = x1", "1 = 1/(x1 - x1)"), 7),
             (MINIMAL_DOC + "[metric]\nrow = y\n", 7),
-            (MINIMAL_DOC + "[J]\nrow = y\n", 7)):
+            (MINIMAL_DOC + "[J]\nrow = y\n", 7),
+            # whole-matrix errors name the first row of their section
+            (MINIMAL_DOC + "[J]\nrow = 1\nrow = 1\n", 7),
+            (body.replace("1 2 3 = 1\n", "")
+             + "[J]\n# J^2 = I\nrow = 1, 0\nrow = 0, 1\n", 10),
+            (MINIMAL_DOC + "[metric]\nrow = 1, 0\n", 7),
+            (MINIMAL_DOC + "[metric]\n\nrow = 0\n", 8)):
         with pytest.raises(DocumentError) as exc:
             document_to_fixture(parse_document(text, source="doc.alg"))
         assert exc.value.line == line, text
@@ -201,6 +207,24 @@ def test_exit_code_document_errors(tmp_path):
         assert code == 2 and out == "", argv
         assert err.startswith("error:") and err.count("\n") == 1, argv
         assert section in err, argv
+
+
+def test_repeated_projector_section_keeps_its_rows(tmp_path):
+    whole = ("[Pi]\nrow = 1, 0\nrow = 0, 1\n"
+             "[lift]\nrow = 1, 0\nrow = 0, 1\n")
+    split = ("[Pi]\nrow = 1, 0\n"
+             "[lift]\nrow = 1, 0\nrow = 0, 1\n"
+             "[Pi]\nrow = 0, 1\n")
+    results = []
+    for name, text in (("whole.proj", whole), ("split.proj", split)):
+        proj = tmp_path / name
+        proj.write_text(text)
+        code, out, _ = run_cli(["restrict", "flat_r2", "--projector",
+                                str(proj)])
+        assert code == 0, name
+        report = json.loads(out)
+        results.append((report["rank"], report["checks"]))
+    assert results[0] == results[1]
 
 
 def test_fixtures_list():

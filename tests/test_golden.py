@@ -3,8 +3,9 @@
 `golden.json` holds the printed form of every emitted catalog document
 and of every entry produced by the exact matrix algebra (metric inverses,
 complex-frame expansions, the J R blocks, the complete-lift connection
-and the lifted structures of the prolongation), and the `second-fundamental`
-report of every catalog fixture.  A change to how scalars are represented
+and the lifted structures of the prolongation), and the `nijenhuis`,
+`levi-civita` (real and complex frame), `curvature` and `second-fundamental`
+reports of every catalog fixture.  A change to how scalars are represented
 or normalised must leave all of it byte-identical.  To re-record after an intended change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -18,7 +19,13 @@ import os
 import pytest
 
 from algebroids.chern import block_curvature
-from algebroids.cli import cmd_second_fundamental, emit_document
+from algebroids.cli import (
+    cmd_curvature,
+    cmd_levi_civita,
+    cmd_nijenhuis,
+    cmd_second_fundamental,
+    emit_document,
+)
 from algebroids.constructions import CATALOG_NAMES, fixture, fixture_names, prolong
 from algebroids.jstruct import IntegrabilityError
 from algebroids.scalars import print_scalar
@@ -104,6 +111,26 @@ def second_fundamental_reports(catalog):
     return out
 
 
+def component_reports(catalog):
+    """The `nijenhuis`, `levi-civita` (both frames) and `curvature` reports
+    and verdicts of every catalog fixture."""
+    commands = {
+        "nijenhuis": (cmd_nijenhuis, False),
+        "levi-civita": (cmd_levi_civita, False),
+        "levi-civita --complex-frame": (cmd_levi_civita, True),
+        "curvature": (cmd_curvature, False),
+    }
+    out = {}
+    for name in CATALOG_NAMES:
+        out[name] = {}
+        for command, (handler, complex_frame) in commands.items():
+            args = argparse.Namespace(seed=SEED, samples=SAMPLES,
+                                      complex_frame=complex_frame)
+            report, ok = handler(catalog(name), args)
+            out[name][command] = {"report": report, "ok": ok}
+    return out
+
+
 SECTIONS = {
     "emit_document": emitted,
     "metric_inverse": metric_inverses,
@@ -112,6 +139,7 @@ SECTIONS = {
     "complete_lift_connection": complete_lift_connection,
     "prolongation_lifts": prolongation_lifts,
     "second_fundamental_reports": second_fundamental_reports,
+    "component_reports": component_reports,
 }
 
 
