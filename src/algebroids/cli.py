@@ -550,7 +550,7 @@ def cmd_restrict(fx: Fixture, args) -> Tuple[dict, bool]:
                 if not A.C[c][a][b].is_structurally_zero():
                     raise PreconditionError(
                         "restrict needs a trivial ambient bracket")
-    pdoc = _load_matrix_file(args.projector, A.chart)
+    pdoc, lines = _load_matrix_file(args.projector, A.chart)
     if "Pi" not in pdoc:
         raise DocumentError(args.projector, 0, "missing [Pi] section")
     if "lift" not in pdoc:
@@ -561,7 +561,7 @@ def cmd_restrict(fx: Fixture, args) -> Tuple[dict, bool]:
         M = pdoc.get(name)
         if M is not None and (len(M) != rows
                               or any(len(row) != cols for row in M)):
-            raise DocumentError(args.projector, 0,
+            raise DocumentError(args.projector, lines[name],
                                 f"[{name}] must be a {rows} x {cols} matrix")
     rho0 = [[A.anchor[a][i] for a in range(A.rank)]
             for i in range(A.chart.dim)]
@@ -584,14 +584,16 @@ def cmd_restrict(fx: Fixture, args) -> Tuple[dict, bool]:
     return (out, ok)
 
 
-def _load_matrix_file(path: str, chart: Chart) -> dict:
-    """Sections [Pi], [lift], [J] of `row = ...` lines."""
+def _load_matrix_file(path: str, chart: Chart) -> Tuple[dict, dict]:
+    """Sections [Pi], [lift], [J] of `row = ...` lines, and the line of
+    each section's first row (of its header while it has none)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise DocumentError(path, 0, f"cannot read projector file: {exc}")
     out: dict = {}
+    lines: dict = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -603,16 +605,19 @@ def _load_matrix_file(path: str, chart: Chart) -> dict:
                 raise DocumentError(path, lineno,
                                     f"unknown section [{current}]")
             out.setdefault(current, [])
+            lines.setdefault(current, lineno)
             continue
         if current is None or not line.startswith("row"):
             raise DocumentError(path, lineno, "expected 'row = ...'")
         _, _, value = line.partition("=")
+        if not out[current]:
+            lines[current] = lineno
         try:
             out[current].append([chart.scalar(v)
                                  for v in _split_entries(value)])
         except Exception as exc:
             raise DocumentError(path, lineno, str(exc))
-    return out
+    return out, lines
 
 
 def cmd_emit(fx: Fixture, args) -> Tuple[dict, bool]:

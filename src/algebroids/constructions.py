@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from algebroids.algebroid import (
     Algebroid,
@@ -55,6 +55,7 @@ from algebroids.prodgeom import (
     ProductConnection,
     SecondFundamentalForm,
     product_connection,
+    real_frame_B,
     second_fundamental,
 )
 from algebroids.scalars import Chart, Scalar, ScalarMatrix
@@ -571,6 +572,11 @@ class Fixture:
     @cached_property
     def second_fundamental(self) -> SecondFundamentalForm:
         return second_fundamental(self)
+
+    @cached_property
+    def real_B(self) -> Callable[[int, int], Section]:
+        """B(e_a, e_b) over the real frame, each entry computed once."""
+        return real_frame_B(self)
 
 
 def _flat_r2() -> Fixture:

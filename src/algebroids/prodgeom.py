@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from algebroids.algebroid import (
@@ -58,6 +58,7 @@ __all__ = [
     "IdentitySuiteReport",
     "product_connection",
     "second_fundamental",
+    "real_frame_B",
     "mean_curvature",
     "identity_suite",
     "NIJENHUIS_PAIRING",
@@ -370,6 +371,17 @@ def _real_B(A: Algebroid, J: EndoField, D: Connection
     return B
 
 
+def real_frame_B(fx: Fixture) -> Callable[[int, int], Section]:
+    """B(e_a, e_b) over the real frame, each entry computed on first use.
+
+    ``Fixture.real_B`` holds it, so mean_curvature and identity_suite
+    share the entries they both read.
+    """
+    A = fx.algebroid
+    B, frame = _real_B(A, fx.J, fx.levi_civita), A.frame
+    return cache(lambda a, b: B(frame[a], frame[b]))
+
+
 def _re_section(s: Section) -> Section:
     return Section(s.algebroid, [c.real_part().normalize()
                                  for c in s.components])
@@ -403,7 +415,7 @@ class MeanCurvatureReport:
 
 
 def mean_curvature(fx: Fixture) -> MeanCurvatureReport:
-    A, J, g = fx.algebroid, fx.J, fx.g
+    A, g = fx.algebroid, fx.g
     sf = fx.second_fundamental
     F = sf.F
     m = F.m
@@ -428,14 +440,12 @@ def mean_curvature(fx: Fixture) -> MeanCurvatureReport:
     k_zero = k.normalized().is_structurally_zero()
 
     # H = sum_{a,b} g^{ab} B(e_a, e_b) over the real frame
-    Breal = _real_B(A, J, fx.levi_civita)
-    frame = A.frame
     H = Section(A, [A.chart.zero] * A.rank)
     for a in range(A.rank):
         for b in range(A.rank):
             gab = g.inverse[a][b]
             if not gab.is_structurally_zero():
-                H = H + Breal(frame[a], frame[b]).scale(gab)
+                H = H + fx.real_B(a, b).scale(gab)
 
     return MeanCurvatureReport(H.normalized(), verbatim_zero, k_zero)
 
@@ -507,7 +517,7 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
     def stated(check: str, c: Fraction) -> Optional[Scalar]:
         return A.chart.scalar(c) if check in nonzero_rhs else None
 
-    Btab = [[B(frame[a], frame[b]) for b in range(mr)] for a in range(mr)]
+    Btab = [[fx.real_B(a, b) for b in range(mr)] for a in range(mr)]
     for a in range(mr):
         for b in range(mr):
             checks.add("im_re_relation", (a, b),

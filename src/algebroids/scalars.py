@@ -14,9 +14,12 @@ The normal form is the tree sympy's ``cancel(together(e))`` returns.  An
 expression built from coordinates, rationals, ``I``, ``+``, ``*`` and
 integer powers alone takes the field route: one walk into a pair (re, im)
 of elements of the fraction field ZZ(coordinates), then one cancel in
-ZZ_I[coordinates] back to that tree.  An expression with a transcendental
-or algebraic atom, with no coordinate, or with a vanishing denominator
-falls back to sympy's own ``cancel(together(e))``.
+ZZ_I[coordinates] back to that tree.  Such an expression with no
+coordinate is a constant of Q(i): it is walked once into an exact
+(re + i*im)/q over the integers and rebuilt as a + b*I.  An expression
+with a transcendental or algebraic atom, with a vanishing denominator, or
+with no coordinate and a power of a non-real base falls back to sympy's
+own ``cancel(together(e))``.
 
 Expressions are backed by sympy; the grammar, printer and normal form are
 pinned here so the text format is independent of sympy's own parser.  This
@@ -27,6 +30,7 @@ is the only module that imports sympy: the rest of the package works through
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -269,19 +273,23 @@ def _canonical(expr: sp.Expr) -> sp.Expr:
     An expression built from coordinates, rationals, ``I``, ``+``, ``*``
     and integer powers alone takes the field route: it is computed on
     elements of the fraction field ZZ(coordinates), where each operation
-    is reduced by one heuristic GCD, instead of on trees.  An expression
-    with an atom (sin, sqrt, exp, ...), with no coordinate, or with a
-    vanishing denominator takes sympy's own route, and so does one whose
-    value is a non-real constant over a non-real denominator, which sympy
-    prints in one of two ways depending on the tree.
+    is reduced by one heuristic GCD, instead of on trees.  Such an
+    expression with no coordinate is a constant of Q(i), computed exactly
+    over the integers.  An expression with an atom (sin, sqrt, exp,
+    ...) or with a vanishing denominator takes sympy's own route.  So do
+    two kinds of constant whose sympy tree depends on the input tree: a
+    non-real value over a non-real denominator, and a tree with a power
+    of a non-real base.
     """
     symbols = _field_symbols(expr)
     norm = None
-    if symbols:
-        try:
+    try:
+        if symbols:
             norm = _field_normal_form(expr, symbols)
-        except ZeroDivisionError:  # sympy's route gives zoo
-            pass
+        elif symbols is not None:
+            norm = _constant_normal_form(expr)
+    except ZeroDivisionError:  # sympy's route gives zoo
+        pass
     return sp.cancel(sp.together(expr)) if norm is None else norm
 
 
@@ -399,6 +407,83 @@ def _power(u: tuple, n: int) -> tuple:
     if not b:
         return (a ** n, b)
     return functools.reduce(_times, [(a, b)] * n)
+
+
+# the exact values of the constant nodes walked so far, emptied like a
+# field's memo when it reaches _MEMO_NODES nodes
+_CONSTANTS: dict = {}
+
+
+class _NonRealPower(Exception):
+    pass
+
+
+def _is_imaginary(expr: sp.Expr) -> bool:
+    return expr is sp.I or (expr.is_Mul and expr.args[-1] is sp.I
+                            and all(a.is_Rational for a in expr.args[:-1]))
+
+
+def _gaussian(re: int, im: int, q: int) -> tuple:
+    """(re + i*im)/q, q > 0, in lowest terms."""
+    g = math.gcd(re, im, q)
+    return (re // g, im // g, q // g)
+
+
+def _gaussian_times(u: tuple, v: tuple) -> tuple:
+    (a, b, q), (c, d, r) = u, v
+    return _gaussian(a * c - b * d, a * d + b * c, q * r)
+
+
+def _constant_normal_form(expr: sp.Expr) -> Optional[sp.Expr]:
+    """A tree without coordinates or atoms, as sympy's reduced a + b*I.
+
+    The literals sympy's arithmetic leaves (q, I, q*I, p + q*I) are fixed
+    points of ``cancel(together(e))`` and return themselves.  Any other
+    tree is walked once into an exact (re + i*im)/q over the integers.
+    Raises ZeroDivisionError when a denominator vanishes.  None when a
+    non-real base has a power: there sympy's cancel may build a tree of
+    its own, such as ``1/2 + 3 + 4*I`` (two Rationals left apart) for
+    ``1/2 + (2 + I)**2``.
+    """
+    if (expr.is_Rational or _is_imaginary(expr)
+            or (expr.is_Add and len(expr.args) == 2
+                and expr.args[0].is_Rational and _is_imaginary(expr.args[1]))):
+        return expr
+    if len(_CONSTANTS) >= _MEMO_NODES:
+        _CONSTANTS.clear()
+
+    def walk(node):
+        value = _CONSTANTS.get(node)
+        if value is None:
+            if node.is_Rational:
+                value = (node.p, 0, node.q)
+            elif node is sp.I:
+                value = (0, 1, 1)
+            elif node.is_Add:
+                value = (0, 0, 1)
+                for a, b, r in map(walk, node.args):
+                    re, im, q = value
+                    value = _gaussian(re * r + a * q, im * r + b * q, q * r)
+            elif node.is_Mul:
+                value = functools.reduce(_gaussian_times, map(walk, node.args))
+            else:
+                re, im, q = walk(node.base)
+                if im:
+                    raise _NonRealPower
+                n = int(node.exp)
+                if n < 0:
+                    if not re:
+                        raise ZeroDivisionError("zero to a negative power")
+                    re, q, n = (q, re, -n) if re > 0 else (-q, -re, -n)
+                value = (re ** n, 0, q ** n)
+            _CONSTANTS[node] = value
+        return value
+
+    try:
+        re, im, q = walk(expr)
+    except _NonRealPower:
+        return None
+    return sp.Rational(re, q) + sp.Rational(im, q) * sp.I
 
 
 class Scalar:
@@ -615,24 +700,26 @@ class ScalarMatrix:
         return tuple(tuple(Scalar(self.chart, e) for e in self._m.row(r))
                      for r in range(self._m.rows))
 
+    @functools.cached_property
     def _over_field(self) -> Optional[DomainMatrix]:
         # the entries over the fraction field of the polynomial ring that
         # sympy picks for them (e.g. QQ(x1, x2)), where elimination is exact
-        # arithmetic on reduced quotients instead of on trees.  None when no
-        # such field holds them (an atom like sqrt(x1) is not independent
-        # of x1): there the normal form is not canonical, so sympy's own
-        # det/inv keep the trees they have always given (the field route
-        # prints a different, equal inverse of [[x1, x1], [x1, sqrt(x1)]]).
+        # arithmetic on reduced quotients instead of on trees; converted
+        # once for both det and inverse.  None when no such field holds
+        # them (an atom like sqrt(x1) is not independent of x1): there the
+        # normal form is not canonical, so sympy's own det/inv keep the
+        # trees they have always given (the field route prints a
+        # different, equal inverse of [[x1, x1], [x1, sqrt(x1)]]).
         m = DomainMatrix.from_Matrix(self._m, field=True)
         return None if m.domain.is_EX else m
 
     def det(self) -> Scalar:
-        m = self._over_field()
+        m = self._over_field
         det = self._m.det() if m is None else m.domain.to_sympy(m.det())
         return Scalar(self.chart, _canonical(det))
 
     def inverse(self) -> "ScalarMatrix":
-        m = self._over_field()
+        m = self._over_field
         return self._normalized(self._m.inv() if m is None
                                 else m.inv().to_Matrix())
 

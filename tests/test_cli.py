@@ -192,20 +192,22 @@ def test_exit_code_document_errors(tmp_path):
     assert code == 2 and out == ""
     assert err.startswith(f"error: {row_error}:5: anchor row 2: ")
     assert err.count("\n") == 1
-    # projector matrices whose shapes do not fit the ambient fixture
+    # projector matrices whose shapes do not fit the ambient fixture: the
+    # error names the line of the section's first row
     proj = tmp_path / "rank2.proj"
     proj.write_text("[Pi]\nrow = 1, 0\nrow = 0, 1\n"
                     "[lift]\nrow = 1, 0\nrow = 0, 1\n")
     short_lift = tmp_path / "short_lift.proj"
-    short_lift.write_text("[Pi]\nrow = 1, 0\nrow = 0, 1\n"
-                          "[lift]\nrow = 1\nrow = 0\n")
-    for argv, section in (
-            (["restrict", "flat_r4", "--projector", str(proj)], "[Pi]"),
+    short_lift.write_text("# a comment\n[Pi]\nrow = 1, 0\nrow = 0, 1\n"
+                          "[lift]\n\nrow = 1\nrow = 0\n")
+    for argv, section, line in (
+            (["restrict", "flat_r4", "--projector", str(proj)], "[Pi]", 2),
             (["restrict", "flat_r2", "--projector", str(short_lift)],
-             "[lift]")):
+             "[lift]", 7)):
         code, out, err = run_cli(argv)
         assert code == 2 and out == "", argv
-        assert err.startswith("error:") and err.count("\n") == 1, argv
+        assert err.startswith(f"error: {argv[-1]}:{line}: "), argv
+        assert err.count("\n") == 1, argv
         assert section in err, argv
 
 

@@ -178,7 +178,7 @@ def test_field_with_atom_generators_keeps_sympy_trees(chart, rows):
     # the field has an atom among its generators, e.g. ZZ(x2, exp(x1))
     M = ScalarMatrix(chart, [[parse_scalar(e, chart) for e in row]
                              for row in rows])
-    assert M._over_field() is not None
+    assert M._over_field is not None
     _assert_sympy_det_and_inverse(M)
 
 
@@ -189,8 +189,23 @@ def test_ex_domain_keeps_sympy_trees(chart):
     # -x1^(3/2)/(-x1^(5/2) + x1^3), so det/inverse keep sympy's route
     M = ScalarMatrix(chart, [[parse_scalar(e, chart) for e in row]
                              for row in [["x1", "x1"], ["x1", "sqrt(x1)"]]])
-    assert M._over_field() is None
+    assert M._over_field is None
     _assert_sympy_det_and_inverse(M)
+
+
+def test_det_and_inverse_convert_to_the_field_once(chart, monkeypatch):
+    calls = []
+    from_matrix = scalars.DomainMatrix.from_Matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return from_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(scalars.DomainMatrix, "from_Matrix", counted)
+    M = ScalarMatrix(chart, [["x1", "1"], ["x2", "x1 + 1"]])
+    assert not M.det().is_structurally_zero()
+    M.inverse()
+    assert len(calls) == 1
 
 
 def test_complex_rational_on_the_left_of_a_scalar(chart):
@@ -302,6 +317,12 @@ _X10 = SORTED_APART.coord("x10")
          * (_X10 * (-3 - sp.I * 7 / 3) + _X10 * (sp.Rational(-3, 2) - sp.I)))
 @example((103 + 369 * sp.I) * (_X10 ** 2 - 1)
          / (36 * (_X10 - 1) * (_X10 + 1)))
+# constants: a nested Gaussian product, walked in Q(i), and powers of
+# non-real bases, where sympy's cancel builds trees of its own (here it
+# leaves 1/2 + 3 + 4*I with two Rationals apart)
+@example((1 + sp.I) * ((2 - sp.I) * (sp.Rational(1, 3) + sp.I) + 1) / 4)
+@example(sp.Rational(1, 2) + (2 + sp.I) ** 2)
+@example((3 + sp.I) / (1 + 2 * sp.I) + (1 - sp.I) ** -2)
 def test_normal_form_is_sympys_cancel_of_together(expr):
     assert (sp.srepr(scalars._canonical(expr))
             == sp.srepr(sp.cancel(sp.together(expr))))
@@ -312,9 +333,10 @@ def test_rational_expressions_are_normalised_without_cancel(monkeypatch):
     x2, x10, y1 = chart.coord("x2"), chart.coord("x10"), chart.coord("y1")
     rational = chart.scalar((x2 ** 2 - y1 ** 2) / (x2 - y1) + x10 / 3)
     gaussian = chart.scalar((x10 + sp.I * y1) ** -2 * (x2 - sp.I) / 2)
+    constant = chart.scalar((1 + sp.I) * (2 - sp.I) / 4)
     atom = chart.scalar(sp.sin(x2) / (1 + x2))
     expected = [sp.cancel(sp.together(s.expr))
-                for s in (rational, gaussian, atom)]
+                for s in (rational, gaussian, constant, atom)]
 
     def refuse(*args, **kwargs):
         raise AssertionError("sympy's cancel/together reached")
@@ -323,6 +345,7 @@ def test_rational_expressions_are_normalised_without_cancel(monkeypatch):
     monkeypatch.setattr(scalars.sp, "together", refuse)
     assert rational.norm_expr == expected[0]
     assert gaussian.norm_expr == expected[1]
+    assert constant.norm_expr == expected[2]
     with pytest.raises(AssertionError, match="reached"):
         atom.normalize()
 

@@ -3,10 +3,12 @@
 Every almost Hermitian Lie algebra (g, J, g) has a g-orthonormal frame
 (u_1, .., u_m, J u_1, .., J u_m); in it J is the block J0 below and g is
 the identity.  So random brackets with the fixed pair (J0, I) reach every
-almost Hermitian Lie algebra up to isomorphism.  Two families of rank 4
+almost Hermitian Lie algebra up to isomorphism.  Three families of rank 4
 over a chart without coordinates:
 
 - nilpotent brackets, generically not integrable;
+- the same brackets with (J0, I) moved by a random integer matrix P, so
+  that J and g are dense and the frame is not adapted to them;
 - complex Lie algebras [E1, E2] = alpha E1 + beta E2 with alpha, beta in
   Q(i), realified on (E1, E2, i E1, i E2), where J0 is multiplication by
   i and so integrable.
@@ -16,7 +18,8 @@ the (0,1) eigenbundle vanishes, B vanishes iff J is integrable, and the
 identity suite passes with the stated constants of prodgeom.
 """
 
-from hypothesis import given, settings
+import sympy as sp
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from algebroids.algebroid import Algebroid, validate_structure
@@ -34,14 +37,13 @@ J0 = [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
 EYE = [[int(a == b) for b in range(RANK)] for a in range(RANK)]
 
 
-def _hermitian(name: str, table: dict) -> Fixture:
+def _hermitian(name: str, table: dict, J=J0, g=EYE) -> Fixture:
     A = Algebroid(Chart(name, []), RANK, [[]] * RANK, table)
     assert validate_structure(A).ok()
-    return Fixture(name, A, almost_complex_structure(A, J0), Metric(A, EYE))
+    return Fixture(name, A, almost_complex_structure(A, J), Metric(A, g))
 
 
-@st.composite
-def nilpotent_algebras(draw):
+def _nilpotent_table(draw) -> dict:
     """C^c_ab nonzero only for c > max(a, b), so Jacobi holds."""
     table = {}
     for a in range(RANK):
@@ -50,7 +52,27 @@ def nilpotent_algebras(draw):
                 value = draw(CONSTANTS)
                 if value:
                     table[(a, b, c)] = value
-    return _hermitian("nil", table)
+    return table
+
+
+@st.composite
+def nilpotent_algebras(draw):
+    return _hermitian("nil", _nilpotent_table(draw))
+
+
+@st.composite
+def dense_nilpotent_algebras(draw):
+    """Nilpotent brackets with J = P J0 P^-1 and g = P^-T P^-1 for an
+    integer matrix P: the frame u_k = P e_k is g-orthonormal with
+    J u_k = P J0 e_k, so (J, g) is Hermitian, and both are dense."""
+    P = sp.Matrix(RANK, RANK, draw(st.lists(st.integers(-3, 3),
+                                            min_size=RANK * RANK,
+                                            max_size=RANK * RANK)))
+    assume(P.det() != 0)
+    Pinv = P.inv()
+    return _hermitian("dense", _nilpotent_table(draw),
+                      (P * sp.Matrix(J0) * Pinv).tolist(),
+                      (Pinv.T * Pinv).tolist())
 
 
 @st.composite
@@ -80,14 +102,24 @@ def _assert_theorems(fx: Fixture):
     return rep
 
 
-@SWEEP
-@given(nilpotent_algebras())
-def test_nilpotent_sweep(fx):
+def _assert_nilpotent_theorems(fx: Fixture):
     rep = _assert_theorems(fx)
     if not fx.nijenhuis.is_structurally_zero():
         assert rep.m16_constant is not None
         assert rep.m17_constant is not None
         assert rep.m19_constant is not None
+
+
+@SWEEP
+@given(nilpotent_algebras())
+def test_nilpotent_sweep(fx):
+    _assert_nilpotent_theorems(fx)
+
+
+@SWEEP
+@given(dense_nilpotent_algebras())
+def test_dense_nilpotent_sweep(fx):
+    _assert_nilpotent_theorems(fx)
 
 
 @SWEEP
