@@ -24,7 +24,7 @@ suite, plus the syntax ``prolong(<name>)`` and ``product(<a>,<b>)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, List, Optional
 
 from algebroids.algebroid import (
@@ -525,7 +525,7 @@ def projector_restriction(chart: Chart, rho0, Pi, lift,
 # fixture catalog
 
 
-@dataclass
+@dataclass(frozen=True)
 class Fixture:
     """An algebroid with its optional J and metric, and everything derived
     from them.
@@ -535,7 +535,11 @@ class Fixture:
     calls its builder through this module's global name (inside a method,
     ``nijenhuis`` is the module-level function, not the property), so
     replacing a builder in this module's namespace, as call tracing does,
-    sees every build.
+    sees every build.  ``fixture(name)`` shares one Fixture per name for
+    the whole process, so such tracing sees cold builds only: a derived
+    object already cached on a shared Fixture is not built again.  The
+    fields are frozen; ``dataclasses.replace(fx)`` gives a private copy
+    over the same chart, with every cache empty.
     """
 
     name: str
@@ -680,8 +684,17 @@ def fixture_names() -> List[str]:
 
 
 def fixture(name: str) -> Fixture:
-    """Catalog lookup; supports prolong(<name>) and product(<a>,<b>)."""
-    name = name.strip()
+    """Catalog lookup; supports prolong(<name>) and product(<a>,<b>).
+
+    The result is built once per process and shared: every lookup of the
+    same name, up to surrounding whitespace, returns the same Fixture with
+    the derived objects it has already built.  A failed build is not kept.
+    """
+    return _fixture(name.strip())
+
+
+@cache
+def _fixture(name: str) -> Fixture:
     if name.startswith("prolong(") and name.endswith(")"):
         base = fixture(name[len("prolong("):-1])
         p = prolong(base.algebroid)
@@ -692,8 +705,7 @@ def fixture(name: str) -> Fixture:
         parts = _split_product_args(inner)
         if len(parts) != 2:
             raise KeyError(f"product takes two fixture names: {name!r}")
-        f1 = fixture(parts[0])
-        f2 = f1 if parts[1] == parts[0] else fixture(parts[1])
+        f1, f2 = fixture(parts[0]), fixture(parts[1])
         prod = direct_product(f1.algebroid, f2.algebroid,
                               f1.J, f2.J, f1.g, f2.g)
         return Fixture(name, prod.algebroid, J=prod.J, g=prod.g,

@@ -1,4 +1,4 @@
-"""Shared fixture catalog memo.
+"""Shared fixture catalog memo, and a cold fixture memo for every test.
 
 Building the catalog fixtures (especially the stereographic sphere
 restriction) and their derived objects is the dominant cost of the suite,
@@ -6,12 +6,19 @@ and many tests need the same objects.  One session-scoped Fixture per name
 lets every test share the derived objects cached on it.  It also matters
 for correctness: charts compare by identity, so scalars from two
 independently built copies of the same fixture cannot be mixed.
+
+`constructions.fixture` keeps its own process-wide memo.  Each test starts
+and ends with that memo empty, so a test that patches a builder, counts
+builds or times a cold build sees its own builds, and no later test (the
+benchmark self-tests included) inherits what an earlier one built or
+corrupted.
 """
 
 import functools
 
 import pytest
 
+from algebroids import constructions
 from algebroids.constructions import CATALOG_NAMES, fixture
 
 # every catalog fixture carries both J and a metric
@@ -28,3 +35,11 @@ SAMPLES = 8
 def catalog():
     """fixture(name), built once per name for the whole session."""
     return functools.cache(fixture)
+
+
+@pytest.fixture(autouse=True)
+def cold_fixture_memo():
+    """Empty the process-wide fixture memo before and after each test."""
+    constructions._fixture.cache_clear()
+    yield
+    constructions._fixture.cache_clear()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroids import connections, jstruct
+from algebroids import connections, constructions, jstruct
 from algebroids.cli import (
     DocumentError,
     build_parser,
@@ -135,9 +135,10 @@ def test_exit_code_precondition_failures(tmp_path):
         code, out, err = run_cli(argv)
         assert code == 3 and "not Hermitian" in err, argv
         assert out == ""
-    # a base that fails its structure equations has no prolongation
-    for argv in (["prolong", "heis_broken"],
-                 ["validate", "prolong(heis_broken)"]):
+    # a base that fails its structure equations has no prolongation, and
+    # the failed build is not kept, so a repeat fails the same way
+    for argv in 2 * (["prolong", "heis_broken"],
+                     ["validate", "prolong(heis_broken)"]):
         code, out, err = run_cli(argv)
         assert code == 3 and out == "", argv
         assert err.startswith("precondition unmet:"), argv
@@ -305,18 +306,20 @@ def test_half_plane_mean_curvature_is_exact(tmp_path, seed):
     assert checks["mean_curvature_zero"] == "StructurallyZero"
 
 
-def test_each_derived_builder_runs_once_per_command(monkeypatch):
+def test_each_derived_builder_runs_once_per_fixture(monkeypatch):
     # count calls through every module namespace that bound a builder, so
-    # a rebuild anywhere in the library is seen
+    # a rebuild anywhere in the library is seen; from a cold fixture memo,
+    # the three commands build each derived object at most once per fixture
     builders = {"levi_civita": connections.levi_civita,
                 "adapted_complex_frame": jstruct.adapted_complex_frame,
                 "nijenhuis": jstruct.nijenhuis}
-    calls = dict.fromkeys(builders, 0)
+    calls = {}
 
     def counted(name, builder):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return builder(*args, **kwargs)
+        def wrapper(A, *args, **kwargs):
+            key = (name, A.chart.name)
+            calls[key] = calls.get(key, 0) + 1
+            return builder(A, *args, **kwargs)
         return wrapper
 
     for name, builder in builders.items():
@@ -326,19 +329,42 @@ def test_each_derived_builder_runs_once_per_command(monkeypatch):
                     and getattr(module, name, None) is builder):
                 monkeypatch.setattr(module, name, wrapper)
 
-    expected = {
-        ("second-fundamental", "heis_j"):
-            {"levi_civita": 1, "adapted_complex_frame": 1, "nijenhuis": 0},
-        ("identity-suite", "heis_j"):
-            {"levi_civita": 1, "adapted_complex_frame": 0, "nijenhuis": 1},
-        ("kahler-report", "warped_r4"):
-            {"levi_civita": 1, "adapted_complex_frame": 0, "nijenhuis": 1},
-    }
-    for argv, want in expected.items():
-        calls.update(dict.fromkeys(calls, 0))
-        code, _, _ = run_cli(list(argv))
+    for argv in (["second-fundamental", "heis_j"],
+                 ["identity-suite", "heis_j"],
+                 ["kahler-report", "warped_r4"]):
+        code, _, _ = run_cli(argv)
         assert code == 0, argv
-        assert calls == want, argv
+    assert calls == {
+        ("levi_civita", "heis_j"): 1,
+        ("adapted_complex_frame", "heis_j"): 1,
+        ("nijenhuis", "heis_j"): 1,
+        ("levi_civita", "warped_r4"): 1,
+        ("nijenhuis", "warped_r4"): 1,
+    }
+
+
+SESSION_COMMANDS = [
+    ["validate"], ["nijenhuis"], ["nn-report"], ["matched-pair"],
+    ["levi-civita"], ["levi-civita", "--complex-frame"], ["curvature"],
+    ["kahler-report"], ["chern", "--order", "1"],
+    ["second-fundamental", "--seed", "3"], ["identity-suite"], ["prolong"],
+]
+
+
+def test_reports_on_a_shared_fixture_are_byte_identical():
+    # every subcommand prints the same report whether it builds the
+    # fixture and its derived objects itself or finds them already built
+    # by the commands before it
+    argvs = [[cmd[0], name] + cmd[1:]
+             for name in ("warped_r4", "heis_j", "conformal_sphere_chart")
+             for cmd in SESSION_COMMANDS]
+    cold = []
+    for argv in argvs:
+        constructions._fixture.cache_clear()
+        cold.append(run_cli(argv))
+    warm = [run_cli(argv) for argv in argvs]
+    for argv, first, again in zip(argvs, cold, warm):
+        assert first == again, argv
 
 
 # an entry of the expression grammar with one character replaced by a

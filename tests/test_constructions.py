@@ -1,5 +1,6 @@
 """Fixture catalog, prolongation lift calculus, products and restrictions."""
 
+import dataclasses
 import time
 
 import pytest
@@ -23,8 +24,41 @@ from algebroids.scalars import Chart, ScalarMatrix
 
 def test_fixture_catalog():
     assert fixture_names() == CATALOG_NAMES + ["heis_broken"]
-    with pytest.raises(KeyError):
-        fixture("no_such_fixture")
+    # a failed lookup is not kept: it raises again on every call
+    for _ in range(2):
+        with pytest.raises(KeyError):
+            fixture("no_such_fixture")
+        with pytest.raises(KeyError):
+            fixture("product(heis_j)")
+
+
+def test_fixture_is_built_once_per_name_and_shared():
+    fx = fixture("heis_j")
+    assert fixture(" heis_j ") is fx
+    assert fixture("heis_j").nijenhuis is fx.nijenhuis
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fx.J = None
+    copy = dataclasses.replace(fx)
+    assert copy is not fx and copy.algebroid is fx.algebroid
+    assert "nijenhuis" not in vars(copy)
+
+
+def test_composites_reuse_their_memoised_bases(monkeypatch):
+    builder = constructions._BUILDERS["heis_j"]
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return builder()
+
+    monkeypatch.setitem(constructions._BUILDERS, "heis_j", counted)
+    lifted = fixture("prolong(heis_j)")
+    prod = fixture("product(heis_j, flat_r2)")
+    assert len(calls) == 1
+    base = fixture("heis_j").algebroid
+    assert lifted.prolongation.base is base and prod.product.A1 is base
+    assert fixture("product(heis_j, flat_r2)") is prod
+    assert len(calls) == 1
 
 
 def test_composite_fixture_syntax():

@@ -1,5 +1,7 @@
 """Product connection, second fundamental form, mean curvature, identities."""
 
+import dataclasses
+
 import pytest
 
 from algebroids.constructions import CATALOG_NAMES, Fixture, fixture
@@ -70,9 +72,11 @@ def test_identity_suite_heis_constants(catalog):
 
 
 def test_identity_suite_detects_a_scaled_nijenhuis_tensor():
-    # a fresh heis_j whose Nijenhuis tensor is 2N: the stated constants
-    # must reject it, where a constant fitted to the data would absorb it
-    fx = fixture("heis_j")
+    # a private copy of heis_j whose Nijenhuis tensor is 2N: the stated
+    # constants must reject it, where a constant fitted to the data would
+    # absorb it; the shared heis_j keeps its own N
+    shared = fixture("heis_j")
+    fx = dataclasses.replace(shared)
     N = fx.nijenhuis
     doubled = tuple(tuple(tuple((2 * e).normalize() for e in row)
                           for row in layer) for layer in N.components)
@@ -83,6 +87,7 @@ def test_identity_suite_detects_a_scaled_nijenhuis_tensor():
     assert not rep.checks.ok("n_reconstruction_proportional")
     assert rep.checks.ok("dphi_pairing_proportional")
     assert not rep.ok
+    assert identity_suite(shared).ok
 
 
 def test_identity_suite_flat_degenerate_constants(catalog):
