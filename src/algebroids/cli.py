@@ -98,7 +98,8 @@ class AlgebroidDocument:
 
 
 def _split_entries(text: str) -> List[str]:
-    return [part.strip() for part in text.split(",")]
+    # an empty row is the anchor row of a chart with no coordinates
+    return [part.strip() for part in text.split(",")] if text.strip() else []
 
 
 def parse_document(text: str, source: str = "<doc>") -> AlgebroidDocument:
@@ -214,33 +215,25 @@ def document_to_fixture(doc: AlgebroidDocument) -> Fixture:
                                 ("bracket", k))
     A = Algebroid(chart, rank, anchor, cdict)
 
-    # whole-matrix errors point at the first row of their section
-    J = None
-    if doc.j_rows is not None:
-        line = doc.lines.get(("J", 0), 0)
-        if len(doc.j_rows) != rank or any(len(r) != rank for r in doc.j_rows):
+    def square(section: str, rows: Optional[List[List[str]]], build):
+        """``build(A, entries)`` of a rank x rank section; whole-matrix
+        errors point at the first row of the section."""
+        if rows is None:
+            return None
+        line = doc.lines.get((section, 0), 0)
+        if len(rows) != rank or any(len(r) != rank for r in rows):
             raise DocumentError(doc.source, line,
-                                "[J] must be a rank x rank matrix")
-        rows = [[scal(v, "J", ("J", b)) for v in row]
-                for b, row in enumerate(doc.j_rows)]
+                                f"[{section}] must be a rank x rank matrix")
+        entries = [[scal(v, section, (section, a)) for v in row]
+                   for a, row in enumerate(rows)]
         try:
-            J = almost_complex_structure(A, rows)
+            return build(A, entries)
         except ValueError as exc:
-            raise DocumentError(doc.source, line, f"J: {exc}")
-    g = None
-    if doc.metric_rows is not None:
-        line = doc.lines.get(("metric", 0), 0)
-        if (len(doc.metric_rows) != rank
-                or any(len(r) != rank for r in doc.metric_rows)):
-            raise DocumentError(doc.source, line,
-                                "[metric] must be a rank x rank matrix")
-        rows = [[scal(v, "metric", ("metric", a)) for v in row]
-                for a, row in enumerate(doc.metric_rows)]
-        try:
-            g = Metric(A, rows)
-        except ValueError as exc:
-            raise DocumentError(doc.source, line, f"metric: {exc}")
-    return Fixture(doc.name, A, J, g)
+            raise DocumentError(doc.source, line, f"{section}: {exc}")
+
+    return Fixture(doc.name, A,
+                   square("J", doc.j_rows, almost_complex_structure),
+                   square("metric", doc.metric_rows, Metric))
 
 
 def emit_document(fx: Fixture) -> str:

@@ -10,16 +10,14 @@ structural zero testing is exact.  Outside the fragment (e.g. the identity
 sin^2 + cos^2 = 1) zero testing falls back to randomized rational-point
 evaluation and reports a probabilistic status.
 
-The normal form is the tree sympy's ``cancel(together(e))`` returns.  An
-expression built from coordinates, rationals, ``I``, ``+``, ``*`` and
-integer powers alone takes the field route: one walk into a pair (re, im)
-of elements of the fraction field ZZ(coordinates), then one cancel in
-ZZ_I[coordinates] back to that tree.  Such an expression with no
-coordinate is a constant of Q(i): it is walked once into an exact
-(re + i*im)/q over the integers and rebuilt as a + b*I.  An expression
-with a transcendental or algebraic atom, with a vanishing denominator, or
-with no coordinate and a power of a non-real base falls back to sympy's
-own ``cancel(together(e))``.
+An expression built from coordinates, rationals, ``I``, ``+``, ``*`` and
+integer powers alone takes one route: one walk into a pair (re, im) over
+the field of its coordinates, ZZ(coordinates), or QQ when it has none.  A
+value with no coordinate is emitted as a + b*I; any other value is brought
+back, by one cancel in ZZ_I[coordinates], to the tree sympy's
+``cancel(together(e))`` returns.  An expression with a transcendental or
+algebraic atom, or with a vanishing denominator, falls back to sympy's own
+``cancel(together(e))``.
 
 Expressions are backed by sympy; the grammar, printer and normal form are
 pinned here so the text format is independent of sympy's own parser.  This
@@ -30,14 +28,13 @@ is the only module that imports sympy: the rest of the package works through
 from __future__ import annotations
 
 import functools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Mapping, Optional, Union
 
 import sympy as sp
-from sympy.polys.domains import ZZ, ZZ_I
+from sympy.polys.domains import QQ, ZZ, ZZ_I
 from sympy.polys.fields import FracField
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.orderings import lex
@@ -267,30 +264,27 @@ def _canonical(expr: sp.Expr) -> sp.Expr:
 
     Coordinates and each distinct transcendental atom are independent
     generators, so two expressions equal as rational functions in those
-    generators canonicalize to identical trees: the tree
-    ``sp.cancel(sp.together(expr))`` returns.
+    generators canonicalize to identical trees.
 
-    An expression built from coordinates, rationals, ``I``, ``+``, ``*``
-    and integer powers alone takes the field route: it is computed on
-    elements of the fraction field ZZ(coordinates), where each operation
-    is reduced by one heuristic GCD, instead of on trees.  Such an
-    expression with no coordinate is a constant of Q(i), computed exactly
-    over the integers.  An expression with an atom (sin, sqrt, exp,
-    ...) or with a vanishing denominator takes sympy's own route.  So do
-    two kinds of constant whose sympy tree depends on the input tree: a
-    non-real value over a non-real denominator, and a tree with a power
-    of a non-real base.
+    An expression of the rational core (coordinates, rationals, ``I``,
+    ``+``, ``*`` and integer powers) takes one route: it is walked into a
+    pair (re, im) over the field of its coordinates, ZZ(coordinates) or QQ
+    when it has none, where each operation is reduced by one GCD.  A value
+    with no coordinate is emitted as ``Rational(a) + Rational(b)*I``, any
+    other value as the tree ``sp.cancel(sp.together(expr))`` returns.  A
+    Gaussian literal is that emitted tree already, so it is not walked.
+    An expression with an atom (sin, sqrt, exp, ...) or with a vanishing
+    denominator takes sympy's own ``cancel(together(expr))``.
     """
     symbols = _field_symbols(expr)
-    norm = None
-    try:
-        if symbols:
-            norm = _field_normal_form(expr, symbols)
-        elif symbols is not None:
-            norm = _constant_normal_form(expr)
-    except ZeroDivisionError:  # sympy's route gives zoo
-        pass
-    return sp.cancel(sp.together(expr)) if norm is None else norm
+    if symbols is not None:
+        if not symbols and _is_gaussian_literal(expr):
+            return expr
+        try:
+            return _field_normal_form(expr, symbols)
+        except ZeroDivisionError:  # sympy's route gives zoo
+            pass
+    return sp.cancel(sp.together(expr))
 
 
 def _field_symbols(expr: sp.Expr) -> Optional[frozenset]:
@@ -312,13 +306,26 @@ def _field_symbols(expr: sp.Expr) -> Optional[frozenset]:
     return frozenset(symbols)
 
 
-# per set of coordinates: the fraction field ZZ(coordinates), in lex order
-# over sympy's generator order as in the ring `cancel` works in (so the
-# sign of a denominator is fixed the same way), and the memo of the
-# (re, im) pairs of the nodes walked in it.  Scalar trees are built from
-# the trees of earlier Scalars, so most of a tree's nodes were walked
-# before.  A memo that reaches _MEMO_NODES nodes is emptied, which bounds
-# its memory.
+def _is_imaginary(expr: sp.Expr) -> bool:
+    return expr is sp.I or (expr.is_Mul and expr.args[-1] is sp.I
+                            and all(a.is_Rational for a in expr.args[:-1]))
+
+
+def _is_gaussian_literal(expr: sp.Expr) -> bool:
+    """q, I, q*I or p + q*I: the shapes sympy's arithmetic leaves."""
+    if expr.is_Add:
+        return (len(expr.args) == 2 and expr.args[0].is_Rational
+                and _is_imaginary(expr.args[1]))
+    return expr.is_Rational or _is_imaginary(expr)
+
+
+# per set of coordinates: the field the walk works in, and the memo of the
+# (re, im) pairs of the nodes walked in it.  With coordinates the field is
+# ZZ(coordinates), in lex order over sympy's generator order as in the
+# ring `cancel` works in (so the sign of a denominator is fixed the same
+# way); with none it is QQ.  Scalar trees are built from the trees of
+# earlier Scalars, so most of a tree's nodes were walked before.  A memo
+# that reaches _MEMO_NODES nodes is emptied, which bounds its memory.
 _FIELDS: dict = {}
 _MEMO_NODES = 1 << 12
 
@@ -326,25 +333,27 @@ _MEMO_NODES = 1 << 12
 def _field(symbols: frozenset) -> tuple:
     entry = _FIELDS.get(symbols)
     if entry is None:
-        entry = _FIELDS[symbols] = (FracField(_sort_gens(symbols), ZZ, lex),
-                                    {})
+        field = FracField(_sort_gens(symbols), ZZ, lex) if symbols else QQ
+        entry = _FIELDS[symbols] = (field, {})
     elif len(entry[1]) >= _MEMO_NODES:
         entry[1].clear()
     return entry
 
 
 def _field_normal_form(expr: sp.Expr, symbols: frozenset) -> sp.Expr:
-    """``expr`` as re + i*im over ZZ(symbols), back to sympy's reduced tree.
+    """``expr`` as re + i*im over the field of ``symbols``, back to a tree.
 
     The coordinates are real, so ``I`` never enters the field.  Raises
-    ZeroDivisionError when a denominator vanishes.  None for a constant
-    with a non-real denominator: sympy's cancel keeps that quotient when
-    ``together`` leaves a coordinate in the tree, and expands it to
-    a + b*I when it leaves none.
+    ZeroDivisionError when a denominator vanishes.
     """
     field, memo = _field(symbols)
-    ring, zero = field.ring, field.zero
-    gen = dict(zip(field.symbols, field.gens))
+    zero = field.zero
+    gen, rational = {}, QQ
+    if symbols:
+        gen, ring = dict(zip(field.symbols, field.gens)), field.ring
+
+        def rational(p, q):
+            return field.raw_new(ring(p), ring(q))
 
     def walk(node):
         pair = memo.get(node)
@@ -352,14 +361,11 @@ def _field_normal_form(expr: sp.Expr, symbols: frozenset) -> sp.Expr:
             if node.is_Symbol:
                 pair = (gen[node], zero)
             elif node.is_Rational:
-                pair = (field.raw_new(ring(node.p), ring(node.q)), zero)
+                pair = (rational(node.p, node.q), zero)
             elif node is sp.I:
                 pair = (zero, field.one)
             elif node.is_Add:
-                re = im = zero
-                for a, b in map(walk, node.args):
-                    re, im = re + a, im + b
-                pair = (re, im)
+                pair = functools.reduce(_plus, map(walk, node.args))
             elif node.is_Mul:
                 pair = functools.reduce(_times, map(walk, node.args))
             else:
@@ -368,122 +374,53 @@ def _field_normal_form(expr: sp.Expr, symbols: frozenset) -> sp.Expr:
         return pair
 
     re, im = walk(expr)
+    if symbols:
+        if not all(c.is_ground for c in (re.numer, re.denom,
+                                         im.numer, im.denom)):
+            return _quotient(re, im)
+        re, im = (QQ(c.numer.LC, c.denom.LC) for c in (re, im))
+    return QQ.to_sympy(re) + QQ.to_sympy(im) * sp.I
+
+
+def _quotient(re, im) -> sp.Expr:
+    """The tree ``cancel`` gives for re + i*im over ZZ(coordinates)."""
     if not im:
         p, q = re.numer, re.denom
+        if q.LC < 0:  # left by a reciprocal, which does not cancel
+            p, q = -p, -q
     else:
         # re + i*im over the lcm of the denominators, then one cancel in
-        # ZZ_I[symbols], the final step of sympy's own cancel
+        # ZZ_I[coordinates], the final step of sympy's own cancel
         _, re_only, im_only = re.denom.cofactors(im.denom)
-        gaussian = ring.clone(domain=ZZ_I)
+        gaussian = re.field.ring.clone(domain=ZZ_I)
         p, q = ((re.numer * im_only).set_ring(gaussian)
                 + (im.numer * re_only).set_ring(gaussian)
                 .mul_ground(ZZ_I(0, 1))
                 ).cancel((re.denom * im_only).set_ring(gaussian))
-        if p.is_ground and q.is_ground and q.LC.y:
-            return None
     return p.as_expr() / q.as_expr()
+
+
+def _plus(u: tuple, v: tuple) -> tuple:
+    return (u[0] + v[0], u[1] + v[1])
 
 
 def _times(u: tuple, v: tuple) -> tuple:
     (a, b), (c, d) = u, v
-    if not b and not d:
-        return (a * c, b)
+    if not b:
+        return (a * c, a * d if d else d)
+    if not d:
+        return (a * c, b * c)
     return (a * c - b * d, a * d + b * c)
 
 
 def _power(u: tuple, n: int) -> tuple:
     a, b = u
-    if n < 0:
-        n = -n
-        if not b:
-            if not a:
-                raise ZeroDivisionError("zero to a negative power")
-            # a is reduced, so only the sign of the new denominator is off
-            sign = -1 if a.numer.LC < 0 else 1
-            a = a.raw_new(a.denom * sign, a.numer * sign)
-        else:
-            norm = a * a + b * b  # nonzero: a sum of squares in the field
-            a, b = a / norm, -b / norm
     if not b:
-        return (a ** n, b)
+        return (a ** n, b)  # ZeroDivisionError for zero to a negative power
+    if n < 0:
+        norm = a * a + b * b  # nonzero: a sum of squares in the field
+        a, b, n = a / norm, -b / norm, -n
     return functools.reduce(_times, [(a, b)] * n)
-
-
-# the exact values of the constant nodes walked so far, emptied like a
-# field's memo when it reaches _MEMO_NODES nodes
-_CONSTANTS: dict = {}
-
-
-class _NonRealPower(Exception):
-    pass
-
-
-def _is_imaginary(expr: sp.Expr) -> bool:
-    return expr is sp.I or (expr.is_Mul and expr.args[-1] is sp.I
-                            and all(a.is_Rational for a in expr.args[:-1]))
-
-
-def _gaussian(re: int, im: int, q: int) -> tuple:
-    """(re + i*im)/q, q > 0, in lowest terms."""
-    g = math.gcd(re, im, q)
-    return (re // g, im // g, q // g)
-
-
-def _gaussian_times(u: tuple, v: tuple) -> tuple:
-    (a, b, q), (c, d, r) = u, v
-    return _gaussian(a * c - b * d, a * d + b * c, q * r)
-
-
-def _constant_normal_form(expr: sp.Expr) -> Optional[sp.Expr]:
-    """A tree without coordinates or atoms, as sympy's reduced a + b*I.
-
-    The literals sympy's arithmetic leaves (q, I, q*I, p + q*I) are fixed
-    points of ``cancel(together(e))`` and return themselves.  Any other
-    tree is walked once into an exact (re + i*im)/q over the integers.
-    Raises ZeroDivisionError when a denominator vanishes.  None when a
-    non-real base has a power: there sympy's cancel may build a tree of
-    its own, such as ``1/2 + 3 + 4*I`` (two Rationals left apart) for
-    ``1/2 + (2 + I)**2``.
-    """
-    if (expr.is_Rational or _is_imaginary(expr)
-            or (expr.is_Add and len(expr.args) == 2
-                and expr.args[0].is_Rational and _is_imaginary(expr.args[1]))):
-        return expr
-    if len(_CONSTANTS) >= _MEMO_NODES:
-        _CONSTANTS.clear()
-
-    def walk(node):
-        value = _CONSTANTS.get(node)
-        if value is None:
-            if node.is_Rational:
-                value = (node.p, 0, node.q)
-            elif node is sp.I:
-                value = (0, 1, 1)
-            elif node.is_Add:
-                value = (0, 0, 1)
-                for a, b, r in map(walk, node.args):
-                    re, im, q = value
-                    value = _gaussian(re * r + a * q, im * r + b * q, q * r)
-            elif node.is_Mul:
-                value = functools.reduce(_gaussian_times, map(walk, node.args))
-            else:
-                re, im, q = walk(node.base)
-                if im:
-                    raise _NonRealPower
-                n = int(node.exp)
-                if n < 0:
-                    if not re:
-                        raise ZeroDivisionError("zero to a negative power")
-                    re, q, n = (q, re, -n) if re > 0 else (-q, -re, -n)
-                value = (re ** n, 0, q ** n)
-            _CONSTANTS[node] = value
-        return value
-
-    try:
-        re, im, q = walk(expr)
-    except _NonRealPower:
-        return None
-    return sp.Rational(re, q) + sp.Rational(im, q) * sp.I
 
 
 class Scalar:
@@ -513,8 +450,9 @@ class Scalar:
         if self.expr is norm:
             return self
         out = Scalar(self.chart, norm)
-        # the canonical form is idempotent, so the result is its own
-        # normal form
+        # the canonical form is idempotent (the rational core has one
+        # route, and its output walks back to itself), so the result is
+        # its own normal form
         object.__setattr__(out, "_norm", norm)
         return out
 

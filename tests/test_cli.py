@@ -250,16 +250,39 @@ def test_report_schema_fields():
     assert err.strip().endswith("ok")
 
 
+# the Lie algebra aff(1): a chart with no coordinates, so every anchor row
+# is empty
+LIE_ALGEBRA_DOC = """\
+[chart]
+name = aff
+coords =
+[anchor]
+row =
+row =
+[bracket]
+1 2 2 = 1
+[J]
+row = 0, 1
+row = -1, 0
+[metric]
+row = 1, 0
+row = 0, 1
+"""
+
+
 def test_emit_round_trip(tmp_path):
-    code, text, _ = run_cli(["emit", "heis_j"])
-    assert code == 0
-    fx = document_to_fixture(parse_document(text, source="emitted"))
-    assert emit_document(fx) == text
-    # the emitted document is accepted end to end
-    doc = tmp_path / "heis.alg"
-    doc.write_text(text)
-    code, out, _ = run_cli(["validate", str(doc)])
-    assert code == 0 and json.loads(out)["ok"] is True
+    lie_algebra = tmp_path / "aff.alg"
+    lie_algebra.write_text(LIE_ALGEBRA_DOC)
+    for source in ("heis_j", str(lie_algebra)):
+        code, text, _ = run_cli(["emit", source])
+        assert code == 0
+        fx = document_to_fixture(parse_document(text, source="emitted"))
+        assert emit_document(fx) == text
+        # the emitted document is accepted end to end
+        doc = tmp_path / "emitted.alg"
+        doc.write_text(text)
+        code, out, _ = run_cli(["validate", str(doc)])
+        assert code == 0 and json.loads(out)["ok"] is True
 
 
 def test_sectional_constant_curvature():

@@ -307,45 +307,76 @@ def _rational_functions():
 
 
 _X10 = SORTED_APART.coord("x10")
+# the constant (103 + 369 i)/36 from two trees: together() drops the
+# coordinate of the first, and sympy's cancel gives a + b*I; it keeps it in
+# the second, and cancel gives a quotient over 18 + 18 i
+DROPPED_X10 = ((-3 - sp.I * 7 / 3) / (2 * _X10)
+               * (_X10 * (-3 - sp.I * 7 / 3) + _X10 * (sp.Rational(-3, 2) - sp.I)))
+KEPT_X10 = (103 + 369 * sp.I) * (_X10 ** 2 - 1) / (36 * (_X10 - 1) * (_X10 + 1))
+# a power of a non-real base, where sympy's cancel leaves 1/2 + 3 + 4*I
+# with two Rationals apart
+NON_REAL_POWER = sp.Rational(1, 2) + (2 + sp.I) ** 2
+
+
+def _cancel_reference(expr):
+    """sympy's ``cancel(together(expr))``, with a constant as its exact
+    a + b*I."""
+    ref = sp.cancel(sp.together(expr))
+    if ref.free_symbols or ref.has(sp.zoo, sp.nan):
+        return ref
+    return ComplexRational.from_sympy(ref).to_sympy()
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(_rational_functions())
-# the constant (103 + 369 i)/36: sympy prints it as a + b*I when together()
-# drops the coordinate, and as a quotient over 18 + 18 i when it does not
-@example((-3 - sp.I * 7 / 3) / (2 * _X10)
-         * (_X10 * (-3 - sp.I * 7 / 3) + _X10 * (sp.Rational(-3, 2) - sp.I)))
-@example((103 + 369 * sp.I) * (_X10 ** 2 - 1)
-         / (36 * (_X10 - 1) * (_X10 + 1)))
-# constants: a nested Gaussian product, walked in Q(i), and powers of
-# non-real bases, where sympy's cancel builds trees of its own (here it
-# leaves 1/2 + 3 + 4*I with two Rationals apart)
+@example(DROPPED_X10)
+@example(KEPT_X10)
+# constants: a nested Gaussian product, and powers of non-real bases
 @example((1 + sp.I) * ((2 - sp.I) * (sp.Rational(1, 3) + sp.I) + 1) / 4)
-@example(sp.Rational(1, 2) + (2 + sp.I) ** 2)
+@example(NON_REAL_POWER)
 @example((3 + sp.I) / (1 + 2 * sp.I) + (1 - sp.I) ** -2)
 def test_normal_form_is_sympys_cancel_of_together(expr):
     assert (sp.srepr(scalars._canonical(expr))
-            == sp.srepr(sp.cancel(sp.together(expr))))
+            == sp.srepr(_cancel_reference(expr)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_rational_functions())
+@example(KEPT_X10)
+@example(NON_REAL_POWER)
+def test_normal_form_is_idempotent(expr):
+    norm = scalars._canonical(expr)
+    assert sp.srepr(scalars._canonical(norm)) == sp.srepr(norm)
+
+
+def test_equal_constants_are_equal_scalars():
+    constants = Chart("c", [])
+    a = constants.scalar(NON_REAL_POWER)
+    b = constants.scalar(sp.Rational(7, 2) + 4 * sp.I)
+    assert a == b and hash(a) == hash(b)
+    c, d = SORTED_APART.scalar(DROPPED_X10), SORTED_APART.scalar(KEPT_X10)
+    assert c == d and hash(c) == hash(d)
 
 
 def test_rational_expressions_are_normalised_without_cancel(monkeypatch):
     chart = SORTED_APART
     x2, x10, y1 = chart.coord("x2"), chart.coord("x10"), chart.coord("y1")
-    rational = chart.scalar((x2 ** 2 - y1 ** 2) / (x2 - y1) + x10 / 3)
-    gaussian = chart.scalar((x10 + sp.I * y1) ** -2 * (x2 - sp.I) / 2)
-    constant = chart.scalar((1 + sp.I) * (2 - sp.I) / 4)
+    rational_core = [
+        chart.scalar((x2 ** 2 - y1 ** 2) / (x2 - y1) + x10 / 3),
+        chart.scalar((x10 + sp.I * y1) ** -2 * (x2 - sp.I) / 2),
+        chart.scalar((1 + sp.I) * (2 - sp.I) / 4),
+        chart.scalar(NON_REAL_POWER),
+        chart.scalar(KEPT_X10),
+    ]
     atom = chart.scalar(sp.sin(x2) / (1 + x2))
-    expected = [sp.cancel(sp.together(s.expr))
-                for s in (rational, gaussian, constant, atom)]
+    expected = [_cancel_reference(s.expr) for s in rational_core]
 
     def refuse(*args, **kwargs):
         raise AssertionError("sympy's cancel/together reached")
 
     monkeypatch.setattr(scalars.sp, "cancel", refuse)
     monkeypatch.setattr(scalars.sp, "together", refuse)
-    assert rational.norm_expr == expected[0]
-    assert gaussian.norm_expr == expected[1]
-    assert constant.norm_expr == expected[2]
+    assert [s.norm_expr for s in rational_core] == expected
     with pytest.raises(AssertionError, match="reached"):
         atom.normalize()
 
