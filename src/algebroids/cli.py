@@ -275,7 +275,7 @@ def resolve_source(source: str) -> Fixture:
         try:
             return fixture(source)
         except KeyError as exc:
-            raise DocumentError(source, 0, str(exc))
+            raise DocumentError(source, 0, exc.args[0])
     if os.path.exists(source):
         return document_to_fixture(load(source))
     raise DocumentError(source, 0,

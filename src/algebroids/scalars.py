@@ -1,23 +1,26 @@
 """Symbolic scalars over a coordinate chart.
 
-Every tensor component in this package is a ``Scalar``: an immutable
-expression tree over the coordinates of a single chart, with exact
-complex-rational constants.  The decidable fragment is the field of
-rational functions in the coordinates and in opaque transcendental atoms
-(sin, cos, exp, log, sqrt applied to subexpressions); within that fragment
-``normalize`` produces a canonical reduced quotient of polynomials, so
-structural zero testing is exact.  Outside the fragment (e.g. the identity
+Every tensor component in this package is a ``Scalar``: an immutable value
+over the coordinates of a single chart, with exact complex-rational
+constants.  The decidable fragment is the field of rational functions in
+the coordinates and in opaque transcendental atoms (sin, cos, exp, log,
+sqrt applied to subexpressions); within that fragment ``normalize``
+produces a canonical reduced quotient of polynomials, so structural zero
+testing is exact.  Outside the fragment (e.g. the identity
 sin^2 + cos^2 = 1) zero testing falls back to randomized rational-point
 evaluation and reports a probabilistic status.
 
-An expression built from coordinates, rationals, ``I``, ``+``, ``*`` and
-integer powers alone takes one route: one walk into a pair (re, im) over
-the field of its coordinates, ZZ(coordinates), or QQ when it has none.  A
-value with no coordinate is emitted as a + b*I; any other value is brought
-back, by one cancel in ZZ_I[coordinates], to the tree sympy's
+A Scalar built from coordinates, rationals, ``I``, ``+``, ``*`` and
+integer powers alone holds its value as a pair (re, im) over the field of
+the chart's coordinates, ZZ(coordinates), with constants in QQ.
+Arithmetic, ``diff``, ``conjugate`` and the zero test act on the pair, and
+every result is reduced, so equal values are equal pairs.  A tree is built
+only to print, for ``ScalarMatrix``, ``eval`` and ``on_chart``, and to
+hash: a value with no coordinate is emitted as a + b*I, any other value,
+by one cancel in ZZ_I[coordinates], as the tree sympy's
 ``cancel(together(e))`` returns.  An expression with a transcendental or
-algebraic atom, or with a vanishing denominator, falls back to sympy's own
-``cancel(together(e))``.
+algebraic atom, or with a vanishing denominator, stays a sympy tree and is
+normalised by sympy's own ``cancel(together(e))``.
 
 Expressions are backed by sympy; the grammar, printer and normal form are
 pinned here so the text format is independent of sympy's own parser.  This
@@ -28,6 +31,7 @@ is the only module that imports sympy: the rest of the package works through
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -214,10 +218,11 @@ class Chart:
         self.coords = tuple(sp.Symbol(c, real=True) for c in names)
         self._by_name = {c.name: c for c in self.coords}
         self._coord_set = frozenset(self.coords)
+        self._field = _field(self._coord_set)
         # shared by every caller; a Scalar is immutable, and the shared
         # zero computes its normal form once
-        self.zero = Scalar(self, sp.S.Zero)
-        self.one = Scalar(self, sp.S.One)
+        self.zero = Scalar(self, _ZERO)
+        self.one = Scalar(self, _ONE)
 
     @property
     def dim(self) -> int:
@@ -238,9 +243,10 @@ class Chart:
         if isinstance(value, str):
             return parse_scalar(value, self)
         if isinstance(value, ComplexRational):
-            return Scalar(self, value.to_sympy())
+            return Scalar(self, (QQ(value.re.numerator, value.re.denominator),
+                                 QQ(value.im.numerator, value.im.denominator)))
         if isinstance(value, (int, Fraction)):
-            return Scalar(self, sp.Rational(value))
+            return Scalar(self, (QQ(value.numerator, value.denominator), _Q0))
         if isinstance(value, sp.Expr):
             return Scalar(self, _on_chart(self, value))
         raise TypeError(f"cannot coerce {value!r} to Scalar")
@@ -259,7 +265,7 @@ def _on_chart(chart: Chart, expr: sp.Expr) -> sp.Expr:
     return expr
 
 
-def _canonical(expr: sp.Expr) -> sp.Expr:
+def _canonical(expr: sp.Expr, entry: Optional[tuple] = None) -> sp.Expr:
     """Canonical form: reduced quotient of expanded polynomials.
 
     Coordinates and each distinct transcendental atom are independent
@@ -267,65 +273,31 @@ def _canonical(expr: sp.Expr) -> sp.Expr:
     generators canonicalize to identical trees.
 
     An expression of the rational core (coordinates, rationals, ``I``,
-    ``+``, ``*`` and integer powers) takes one route: it is walked into a
-    pair (re, im) over the field of its coordinates, ZZ(coordinates) or QQ
-    when it has none, where each operation is reduced by one GCD.  A value
-    with no coordinate is emitted as ``Rational(a) + Rational(b)*I``, any
-    other value as the tree ``sp.cancel(sp.together(expr))`` returns.  A
-    Gaussian literal is that emitted tree already, so it is not walked.
-    An expression with an atom (sin, sqrt, exp, ...) or with a vanishing
-    denominator takes sympy's own ``cancel(together(expr))``.
+    ``+``, ``*`` and integer powers) is walked into its pair (re, im) over
+    the field of ``entry`` (by default the field of its own symbols) and
+    emitted by ``_emit``.  An expression with an atom (sin, sqrt, exp, ...)
+    or with a vanishing denominator takes sympy's own
+    ``cancel(together(expr))``, emitted as a pair's when no atom is left.
     """
-    symbols = _field_symbols(expr)
-    if symbols is not None:
-        if not symbols and _is_gaussian_literal(expr):
+    if entry is None:
+        entry = _field(frozenset(expr.free_symbols))
+    pair = _to_pair(expr, entry)
+    if pair is None:
+        # an atom may cancel: then the quotient is emitted as a pair's
+        expr = sp.cancel(sp.together(expr))
+        pair = _to_pair(expr, entry)
+        if pair is None:
             return expr
-        try:
-            return _field_normal_form(expr, symbols)
-        except ZeroDivisionError:  # sympy's route gives zoo
-            pass
-    return sp.cancel(sp.together(expr))
+    return _emit(pair, entry[0])
 
 
-def _field_symbols(expr: sp.Expr) -> Optional[frozenset]:
-    """The coordinates of ``expr``, or None when ``expr`` has an atom."""
-    symbols, seen, stack = set(), set(), [expr]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        if node.is_Symbol:
-            symbols.add(node)
-        elif node.is_Add or node.is_Mul:
-            stack.extend(node.args)
-        elif node.is_Pow and node.exp.is_Integer:
-            stack.append(node.base)
-        elif not (node.is_Rational or node is sp.I):
-            return None
-    return frozenset(symbols)
-
-
-def _is_imaginary(expr: sp.Expr) -> bool:
-    return expr is sp.I or (expr.is_Mul and expr.args[-1] is sp.I
-                            and all(a.is_Rational for a in expr.args[:-1]))
-
-
-def _is_gaussian_literal(expr: sp.Expr) -> bool:
-    """q, I, q*I or p + q*I: the shapes sympy's arithmetic leaves."""
-    if expr.is_Add:
-        return (len(expr.args) == 2 and expr.args[0].is_Rational
-                and _is_imaginary(expr.args[1]))
-    return expr.is_Rational or _is_imaginary(expr)
-
-
-# per set of coordinates: the field the walk works in, and the memo of the
-# (re, im) pairs of the nodes walked in it.  With coordinates the field is
-# ZZ(coordinates), in lex order over sympy's generator order as in the
-# ring `cancel` works in (so the sign of a denominator is fixed the same
-# way); with none it is QQ.  Scalar trees are built from the trees of
-# earlier Scalars, so most of a tree's nodes were walked before.  A memo
-# that reaches _MEMO_NODES nodes is emptied, which bounds its memory.
+# per set of coordinates: the field the pairs live in, its generator of
+# each coordinate, and the memo of the pairs of the tree nodes walked in it.
+# With coordinates the field is ZZ(coordinates), in lex order over sympy's
+# generator order as in the ring `cancel` works in (so the sign of a
+# denominator is fixed the same way); a constant is never an element of
+# it but of QQ, so a chart with no coordinate has no field.  A memo that
+# reaches _MEMO_NODES nodes is emptied, which bounds its memory.
 _FIELDS: dict = {}
 _MEMO_NODES = 1 << 12
 
@@ -333,66 +305,83 @@ _MEMO_NODES = 1 << 12
 def _field(symbols: frozenset) -> tuple:
     entry = _FIELDS.get(symbols)
     if entry is None:
-        field = FracField(_sort_gens(symbols), ZZ, lex) if symbols else QQ
-        entry = _FIELDS[symbols] = (field, {})
-    elif len(entry[1]) >= _MEMO_NODES:
-        entry[1].clear()
+        field = FracField(_sort_gens(symbols), ZZ, lex) if symbols else None
+        gens = dict(zip(field.symbols, field.gens)) if symbols else {}
+        entry = _FIELDS[symbols] = (field, gens, {})
     return entry
 
 
-def _field_normal_form(expr: sp.Expr, symbols: frozenset) -> sp.Expr:
-    """``expr`` as re + i*im over the field of ``symbols``, back to a tree.
+# Elements of a pair are constants, sympy's QQ elements, or non-constant
+# elements of the field, each reduced with a denominator of positive
+# leading coefficient.  So equal values are equal pairs.
+_MPQ = type(QQ.one)
+_Q0 = QQ.zero
+# the pair of every exact zero: a zero Scalar is found by identity
+_ZERO = (_Q0, _Q0)
+_ONE = (QQ.one, _Q0)
+_I = (_Q0, QQ.one)
 
-    The coordinates are real, so ``I`` never enters the field.  Raises
-    ZeroDivisionError when a denominator vanishes.
-    """
-    field, memo = _field(symbols)
-    zero = field.zero
-    gen, rational = {}, QQ
-    if symbols:
-        gen, ring = dict(zip(field.symbols, field.gens)), field.ring
 
-        def rational(p, q):
-            return field.raw_new(ring(p), ring(q))
+class _NotRational(Exception):
+    """The walk met an atom."""
+
+
+_UNWALKED = object()
+
+
+def _to_pair(expr: sp.Expr, entry: tuple) -> Optional[tuple]:
+    """The pair of ``expr``, or None when it has an atom or a vanishing
+    denominator.  The coordinates are real, so ``I`` never enters the
+    field."""
+    _, gens, memo = entry
+    if len(memo) >= _MEMO_NODES:
+        memo.clear()
 
     def walk(node):
-        pair = memo.get(node)
+        pair = memo.get(node, _UNWALKED)
         if pair is None:
+            raise _NotRational
+        if pair is _UNWALKED:
+            # a node left None by an exception has an atom, or a
+            # vanishing denominator, below it
+            memo[node] = None
             if node.is_Symbol:
-                pair = (gen[node], zero)
+                pair = (gens[node], _Q0)
             elif node.is_Rational:
-                pair = (rational(node.p, node.q), zero)
+                pair = (QQ(node.p, node.q), _Q0)
             elif node is sp.I:
-                pair = (zero, field.one)
+                pair = _I
             elif node.is_Add:
                 pair = functools.reduce(_plus, map(walk, node.args))
             elif node.is_Mul:
                 pair = functools.reduce(_times, map(walk, node.args))
-            else:
+            elif node.is_Pow and node.exp.is_Integer:
                 pair = _power(walk(node.base), int(node.exp))
+            else:
+                raise _NotRational
             memo[node] = pair
         return pair
 
-    re, im = walk(expr)
-    if symbols:
-        if not all(c.is_ground for c in (re.numer, re.denom,
-                                         im.numer, im.denom)):
-            return _quotient(re, im)
-        re, im = (QQ(c.numer.LC, c.denom.LC) for c in (re, im))
-    return QQ.to_sympy(re) + QQ.to_sympy(im) * sp.I
+    try:
+        return walk(expr)
+    except (_NotRational, ZeroDivisionError):
+        return None
 
 
-def _quotient(re, im) -> sp.Expr:
-    """The tree ``cancel`` gives for re + i*im over ZZ(coordinates)."""
+def _emit(pair: tuple, field) -> sp.Expr:
+    """The tree ``cancel(together(e))`` gives for the value of ``pair``,
+    with a constant as ``Rational(a) + Rational(b)*I``."""
+    re, im = pair
+    if re.__class__ is _MPQ and im.__class__ is _MPQ:
+        return QQ.to_sympy(re) + QQ.to_sympy(im) * sp.I
+    re, im = _lift(re, field), _lift(im, field)
     if not im:
         p, q = re.numer, re.denom
-        if q.LC < 0:  # left by a reciprocal, which does not cancel
-            p, q = -p, -q
     else:
         # re + i*im over the lcm of the denominators, then one cancel in
         # ZZ_I[coordinates], the final step of sympy's own cancel
         _, re_only, im_only = re.denom.cofactors(im.denom)
-        gaussian = re.field.ring.clone(domain=ZZ_I)
+        gaussian = field.ring.clone(domain=ZZ_I)
         p, q = ((re.numer * im_only).set_ring(gaussian)
                 + (im.numer * re_only).set_ring(gaussian)
                 .mul_ground(ZZ_I(0, 1))
@@ -400,105 +389,232 @@ def _quotient(re, im) -> sp.Expr:
     return p.as_expr() / q.as_expr()
 
 
+def _lift(c, field):
+    """An element as an element of ``field``."""
+    if c.__class__ is not _MPQ:
+        return c
+    ring = field.ring
+    return field.raw_new(ring(c.numerator), ring(c.denominator))
+
+
+def _ground(f):
+    """A field element, as a constant when it is one."""
+    p, q = f.numer, f.denom
+    if p.is_ground and q.is_ground:
+        return QQ(p.LC, q.LC)
+    return f
+
+
+# A constant c = n/d and a reduced p/q share no polynomial factor, so
+# c + p/q and c*p/q are reduced by integer contents alone.
+
+def _shift(f, c):
+    """f + c for a non-constant f and a nonzero constant c."""
+    n, d = c.numerator, c.denominator
+    p, q = f.numer, f.denom
+    if d == 1:
+        return f.raw_new(p + q.mul_ground(n), q)
+    p, q = p.mul_ground(d) + q.mul_ground(n), q.mul_ground(d)
+    g = math.gcd(p.content(), q.content())
+    if g != 1:
+        p, q = p.quo_ground(g), q.quo_ground(g)
+    return f.raw_new(p, q)
+
+
+def _scale(f, c):
+    """f*c for a non-constant f and a nonzero constant c."""
+    n, d = c.numerator, c.denominator
+    p, q = f.numer, f.denom
+    if n != 1:
+        g = math.gcd(n, q.content())
+        if g != 1:
+            n, q = n // g, q.quo_ground(g)
+        p = p.mul_ground(n)
+    if d != 1:
+        g = math.gcd(d, p.content())
+        if g != 1:
+            d, p = d // g, p.quo_ground(g)
+        q = q.mul_ground(d)
+    return f.raw_new(p, q)
+
+
+def _add(a, b):
+    if a.__class__ is _MPQ:
+        if b.__class__ is _MPQ:
+            return a + b
+        return _shift(b, a) if a else b
+    if b.__class__ is _MPQ:
+        return _shift(a, b) if b else a
+    return _ground(a + b)
+
+
+def _mul(a, b):
+    if a.__class__ is _MPQ:
+        if b.__class__ is _MPQ:
+            return a * b
+        return _scale(b, a) if a else a
+    if b.__class__ is _MPQ:
+        return _scale(a, b) if b else b
+    return _ground(a * b)
+
+
+def _inv(a):
+    """1/a; ZeroDivisionError for zero."""
+    if a.__class__ is _MPQ:
+        return QQ.one / a
+    p, q = a.numer, a.denom
+    return a.raw_new(q, p) if p.LC > 0 else a.raw_new(-q, -p)
+
+
+def _deriv(a, x):
+    """da/dx for the ring generator x: the quotient rule."""
+    if a.__class__ is _MPQ:
+        return _Q0
+    p, q = a.numer, a.denom
+    dp, dq = p.diff(x), q.diff(x)
+    if not dq:
+        return _ground(a.new(dp, q)) if dp else _Q0
+    # with g = gcd(q, dq), da = n/(q*q/g) for n = dp*(q/g) - p*(dq/g).  A
+    # factor of q that has x divides dq once less often than q and does not
+    # divide n; any other factor of q (an integer too) divides g as often
+    # as q, so gcd(n, g) is all that cancels
+    g, q_g, dq_g = q.cofactors(dq)
+    h, n, _ = (dp * q_g - p * dq_g).cofactors(g)
+    d = q_g * (q if h == 1 else q.exquo(h))
+    return _ground(a.raw_new(n, d) if d.LC > 0 else a.raw_new(-n, -d))
+
+
 def _plus(u: tuple, v: tuple) -> tuple:
-    return (u[0] + v[0], u[1] + v[1])
+    return (_add(u[0], v[0]), _add(u[1], v[1]))
 
 
 def _times(u: tuple, v: tuple) -> tuple:
     (a, b), (c, d) = u, v
     if not b:
-        return (a * c, a * d if d else d)
+        return (_mul(a, c), _mul(a, d) if d else d)
     if not d:
-        return (a * c, b * c)
-    return (a * c - b * d, a * d + b * c)
+        return (_mul(a, c), _mul(b, c))
+    return (_add(_mul(a, c), -_mul(b, d)), _add(_mul(a, d), _mul(b, c)))
 
 
 def _power(u: tuple, n: int) -> tuple:
+    """u^n for n != 0; ZeroDivisionError for zero to a negative power."""
     a, b = u
-    if not b:
-        return (a ** n, b)  # ZeroDivisionError for zero to a negative power
     if n < 0:
-        norm = a * a + b * b  # nonzero: a sum of squares in the field
-        a, b, n = a / norm, -b / norm, -n
+        if not b:
+            return (_inv(a) ** -n, b)
+        norm = _inv(_add(_mul(a, a), _mul(b, b)))  # a sum of squares
+        a, b, n = _mul(a, norm), _mul(-b, norm), -n
+    if not b:
+        return (a ** n, b)
     return functools.reduce(_times, [(a, b)] * n)
 
 
 class Scalar:
-    """Immutable symbolic expression over a chart's coordinates.
+    """Immutable symbolic scalar over a chart's coordinates.
 
-    ``Scalar(chart, expr)`` trusts ``expr``: it must be a sympy expression
-    whose symbols are coordinates of ``chart``, and it is stored unchecked.
-    Arithmetic, ``diff``, ``conjugate``, ``normalize`` and ``ScalarMatrix``
-    results satisfy this by construction.  An expression from outside
-    enters through ``Chart.scalar`` or ``on_chart``, which check it.
+    A scalar of the rational core holds its value as ``pair``, (re, im)
+    over the chart's field, where arithmetic and ``diff`` are exact and
+    every result is reduced; its tree is built only on demand
+    (``norm_expr``).  An expression with an atom, or one whose walk meets
+    a vanishing denominator, is held as a sympy tree (``pair`` is None),
+    built by sympy's arithmetic and normalised by ``cancel(together(e))``.
+
+    ``Scalar(chart, value)`` takes a pair, or a sympy expression whose
+    symbols are coordinates of ``chart``, walked into a pair when it has
+    no atom.  The expression is trusted: an expression from outside enters
+    through ``Chart.scalar`` or ``on_chart``, which check it.
     """
 
-    __slots__ = ("chart", "expr", "_norm")
+    __slots__ = ("chart", "pair", "_tree", "_norm")
 
-    def __init__(self, chart: Chart, expr: sp.Expr):
+    def __init__(self, chart: Chart, value):
+        tree = None
+        if value.__class__ is tuple:
+            pair = value
+        else:
+            pair = _to_pair(value, chart._field)
+            if pair is None:
+                tree = value
+        if pair is not None and not (pair[0] or pair[1]):
+            pair = _ZERO
         object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "expr", expr)
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "_tree", tree)
         object.__setattr__(self, "_norm", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    @property
+    def expr(self) -> sp.Expr:
+        """The tree: the one held when there is no pair, else the normal
+        form's."""
+        tree = self._tree
+        return self.norm_expr if tree is None else tree
+
     # -- canonical form -------------------------------------------------
 
     def normalize(self) -> "Scalar":
-        norm = self.norm_expr
-        if self.expr is norm:
+        if self.pair is not None:
             return self
-        out = Scalar(self.chart, norm)
-        # the canonical form is idempotent (the rational core has one
-        # route, and its output walks back to itself), so the result is
-        # its own normal form
-        object.__setattr__(out, "_norm", norm)
-        return out
+        norm = self.norm_expr
+        return self if self._tree is norm else _normal(self.chart, norm)
 
     @property
     def norm_expr(self) -> sp.Expr:
         cached = object.__getattribute__(self, "_norm")
         if cached is None:
-            cached = _canonical(self.expr)
+            if self.pair is None:
+                cached = _canonical(self._tree, self.chart._field)
+            else:
+                cached = _emit(self.pair, self.chart._field[0])
             object.__setattr__(self, "_norm", cached)
         return cached
 
     def is_structurally_zero(self) -> bool:
-        return self.norm_expr == 0
+        if self.pair is None:
+            return self.norm_expr == 0
+        return self.pair is _ZERO
 
     def is_constant(self) -> bool:
         return not self.norm_expr.free_symbols
 
     def is_rational_function(self) -> bool:
         """True when the normal form has no transcendental or algebraic atom."""
-        return _field_symbols(self.norm_expr) is not None
+        return (self.pair is not None
+                or _to_pair(self.norm_expr, self.chart._field) is not None)
 
     # -- arithmetic ------------------------------------------------------
 
     def _coerce(self, other) -> "Scalar":
         return self.chart.scalar(other)
 
-    # a zero operand returns the other operand (sum) or itself (product):
-    # exactly the tree sympy would build, for the finite expressions a
-    # Scalar holds, without a pass over the other operand's tree.  An
-    # operand that is a Scalar of this chart needs no coercion.
+    # a zero operand returns the other operand (sum) or itself (product).
+    # An operand that is a Scalar of this chart needs no coercion.  A
+    # scalar without a pair makes the result a tree.
 
     def __add__(self, other):
         if other.__class__ is not Scalar or other.chart is not self.chart:
             other = self._coerce(other)
-        if other.expr is sp.S.Zero:
+        u, v = self.pair, other.pair
+        if v is _ZERO:
             return self
-        if self.expr is sp.S.Zero:
+        if u is _ZERO:
             return other
-        return Scalar(self.chart, self.expr + other.expr)
+        if u is None or v is None:
+            return Scalar(self.chart, self.expr + other.expr)
+        return Scalar(self.chart, _plus(u, v))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.expr is sp.S.Zero:
+        u = self.pair
+        if u is _ZERO:
             return self
-        return Scalar(self.chart, -self.expr)
+        if u is None:
+            return Scalar(self.chart, -self._tree)
+        return Scalar(self.chart, (-u[0], -u[1]))
 
     def __sub__(self, other):
         if other.__class__ is not Scalar or other.chart is not self.chart:
@@ -511,11 +627,14 @@ class Scalar:
     def __mul__(self, other):
         if other.__class__ is not Scalar or other.chart is not self.chart:
             other = self._coerce(other)
-        if self.expr is sp.S.Zero:
+        u, v = self.pair, other.pair
+        if u is _ZERO:
             return self
-        if other.expr is sp.S.Zero:
+        if v is _ZERO:
             return other
-        return Scalar(self.chart, self.expr * other.expr)
+        if u is None or v is None:
+            return Scalar(self.chart, self.expr * other.expr)
+        return Scalar(self.chart, _times(u, v))
 
     __rmul__ = __mul__
 
@@ -523,7 +642,12 @@ class Scalar:
         other = self._coerce(other)
         if other.is_structurally_zero():
             raise ZeroDivisionError("division by structurally zero scalar")
-        return Scalar(self.chart, self.expr / other.expr)
+        u, v = self.pair, other.pair
+        if u is _ZERO:
+            return self
+        if u is None or v is None:
+            return Scalar(self.chart, self.expr / other.expr)
+        return Scalar(self.chart, _times(u, _power(v, -1)))
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -533,7 +657,11 @@ class Scalar:
             raise TypeError("only integer exponents are supported")
         if exponent < 0 and self.is_structurally_zero():
             raise ZeroDivisionError("division by structurally zero scalar")
-        return Scalar(self.chart, self.expr ** exponent)
+        if self.pair is None:
+            return Scalar(self.chart, self._tree ** exponent)
+        if exponent == 0:
+            return self.chart.one
+        return Scalar(self.chart, _power(self.pair, exponent))
 
     # -- calculus --------------------------------------------------------
 
@@ -541,9 +669,15 @@ class Scalar:
         sym = self.chart.coord(coord) if isinstance(coord, str) else coord
         if sym not in self.chart._coord_set:
             raise ChartError(f"{sym} is not a coordinate of chart {self.chart.name!r}")
-        if self.expr.is_Number or sym not in self.expr.free_symbols:
+        if self.pair is None:
+            if sym not in self._tree.free_symbols:
+                return self.chart.zero
+            return Scalar(self.chart, sp.diff(self._tree, sym))
+        re, im = self.pair
+        if re.__class__ is _MPQ and im.__class__ is _MPQ:
             return self.chart.zero
-        return Scalar(self.chart, sp.diff(self.expr, sym))
+        x = self.chart._field[1][sym].numer
+        return Scalar(self.chart, (_deriv(re, x), _deriv(im, x)))
 
     def on_chart(self, chart: Chart, rename: Optional[Mapping] = None) -> "Scalar":
         """The same expression on another chart, which must contain its
@@ -556,15 +690,24 @@ class Scalar:
 
     def conjugate(self) -> "Scalar":
         # coordinates are real symbols, so only the constants flip
-        if self.expr is sp.S.Zero:
+        u = self.pair
+        if u is None:
+            return Scalar(self.chart, sp.conjugate(self._tree))
+        if not u[1]:
             return self
-        return Scalar(self.chart, sp.conjugate(self.expr))
+        return Scalar(self.chart, (u[0], -u[1]))
 
     def real_part(self) -> "Scalar":
-        return (self + self.conjugate()) / 2
+        u = self.pair
+        if u is None:
+            return (self + self.conjugate()) / 2
+        return self if not u[1] else Scalar(self.chart, (u[0], _Q0))
 
     def imag_part(self) -> "Scalar":
-        return (self - self.conjugate()) / (2 * sp.I)
+        u = self.pair
+        if u is None:
+            return (self - self.conjugate()) / (2 * i)
+        return Scalar(self.chart, (u[1], _Q0))
 
     # -- evaluation -------------------------------------------------------
 
@@ -574,17 +717,18 @@ class Scalar:
         Rational expressions evaluate exactly to a ComplexRational;
         transcendental atoms force a floating complex result.
         """
+        expr = self.expr
         subs = {}
         for key, val in point.items():
             sym = self.chart.coord(key) if isinstance(key, str) else key
             subs[sym] = (val.to_sympy() if isinstance(val, ComplexRational)
                          else sp.sympify(val))
-        missing = self.expr.free_symbols - set(subs)
+        missing = expr.free_symbols - set(subs)
         if missing:
             raise ChartError(
                 f"point does not cover coordinates {sorted(s.name for s in missing)}"
             )
-        value = self.expr.subs(subs, simultaneous=True)
+        value = expr.subs(subs, simultaneous=True)
         if value.has(sp.zoo, sp.oo, -sp.oo, sp.nan):
             raise PoleError(f"pole at {point}")
         try:
@@ -603,7 +747,11 @@ class Scalar:
                 other = self._coerce(other)
             except (TypeError, ChartError, ParseError):
                 return NotImplemented
-        return self.chart is other.chart and self.norm_expr == other.norm_expr
+        if self.chart is not other.chart:
+            return False
+        if self.pair is None or other.pair is None:
+            return self.norm_expr == other.norm_expr
+        return self.pair == other.pair
 
     def __hash__(self):
         return hash((id(self.chart), self.norm_expr))
@@ -615,28 +763,36 @@ class Scalar:
         return f"Scalar({print_scalar(self)!r})"
 
 
+def _normal(chart: Chart, norm: sp.Expr) -> Scalar:
+    """The Scalar of a normal form, carrying it: the normal form is
+    idempotent (the rational core has one route, and its output walks back
+    to itself), so its own normal form is itself."""
+    out = Scalar(chart, norm)
+    object.__setattr__(out, "_norm", norm)
+    return out
+
+
 class ScalarMatrix:
     """Matrix of Scalars on one chart with exact linear algebra.
 
-    Entries enter in normal form and every result entry is brought back to
-    normal form.  ``rank`` pivots structurally: an entry is zero exactly
-    when its normal form is.
+    Entries are held in normal form, and every result entry is brought back
+    to normal form.  Products are Scalar arithmetic; ``det``, ``inverse``
+    and ``rank`` work on the entries' trees.  ``rank`` pivots structurally:
+    an entry is zero exactly when its normal form is.
     """
 
     def __init__(self, chart: Chart, rows: Iterable[Iterable]):
         self.chart = chart
-        self._m = sp.Matrix([[chart.scalar(e).norm_expr for e in row]
-                             for row in rows])
-
-    def _normalized(self, matrix) -> "ScalarMatrix":
-        out = ScalarMatrix(self.chart, [])
-        out._m = matrix.applyfunc(_canonical)
-        return out
+        self._rows = tuple(tuple(chart.scalar(e).normalize() for e in row)
+                           for row in rows)
 
     def rows(self) -> tuple:
         """The entries, as a tuple of rows of Scalars."""
-        return tuple(tuple(Scalar(self.chart, e) for e in self._m.row(r))
-                     for r in range(self._m.rows))
+        return self._rows
+
+    @functools.cached_property
+    def _m(self) -> sp.Matrix:
+        return sp.Matrix([[e.norm_expr for e in row] for row in self._rows])
 
     @functools.cached_property
     def _over_field(self) -> Optional[DomainMatrix]:
@@ -654,37 +810,44 @@ class ScalarMatrix:
     def det(self) -> Scalar:
         m = self._over_field
         det = self._m.det() if m is None else m.domain.to_sympy(m.det())
-        return Scalar(self.chart, _canonical(det))
+        return Scalar(self.chart, det)
 
     def inverse(self) -> "ScalarMatrix":
         m = self._over_field
-        return self._normalized(self._m.inv() if m is None
-                                else m.inv().to_Matrix())
+        inv = self._m.inv() if m is None else m.inv().to_Matrix()
+        entry = self.chart._field
+        return ScalarMatrix(self.chart, [
+            [_normal(self.chart, _canonical(e, entry)) for e in inv.row(r)]
+            for r in range(inv.rows)])
 
     def rank(self) -> int:
-        return self._m.rank(iszerofunc=lambda e: _canonical(e) == 0)
+        entry = self.chart._field
+        return self._m.rank(iszerofunc=lambda e: _canonical(e, entry) == 0)
+
+    def _dot(self, row, col) -> Scalar:
+        return sum((a * b for a, b in zip(row, col)), self.chart.zero)
 
     def __matmul__(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        return self._normalized(self._m * other._m)
+        cols = list(zip(*other._rows))
+        return ScalarMatrix(self.chart, [[self._dot(row, col) for col in cols]
+                                         for row in self._rows])
 
     def apply(self, vector: Iterable) -> List[Scalar]:
         """The matrix times a column of Scalars."""
-        col = ScalarMatrix(self.chart, [[c] for c in vector])
-        return [row[0] for row in (self @ col).rows()]
+        col = [self.chart.scalar(c).normalize() for c in vector]
+        return [self._dot(row, col).normalize() for row in self._rows]
 
 
 def nonzero_entries(scalars: Iterable[Scalar]):
-    """The (index, scalar) pairs of ``scalars`` whose tree is not the
-    literal 0.
+    """The (index, scalar) pairs of ``scalars`` that are not an exact zero.
 
-    Tensor kernels sum over these only.  A skipped term has a literal-zero
-    factor, so the Scalar arithmetic would have made it the literal 0 and
-    added nothing; a zero that is not literal, such as
-    ``(x1+1)^2 - x1^2 - 2*x1 - 1``, is kept, and so is every tree built
-    from it.
+    Tensor kernels sum over these only.  Every zero of the rational core,
+    such as ``(x1+1)^2 - x1^2 - 2*x1 - 1``, holds the shared zero pair, so
+    one identity test finds it, and a skipped term adds nothing.  A tree
+    with an atom that only its normal form shows to be zero is kept.
     """
     for index, s in enumerate(scalars):
-        if s.expr is not sp.S.Zero:
+        if s.pair is not _ZERO:
             yield index, s
 
 
@@ -836,7 +999,7 @@ class _Parser:
             if op == "*":
                 expr = expr * rhs
             else:
-                if _canonical(rhs) == 0:
+                if _canonical(rhs, self.chart._field) == 0:
                     raise ParseError("division by structurally zero expression", pos)
                 expr = expr / rhs
         return expr
@@ -855,10 +1018,10 @@ class _Parser:
         if self.peek()[0] == "^":
             _, _, pos = self.advance()
             exponent = self.unary_power()
-            exponent = _canonical(exponent)
+            exponent = _canonical(exponent, self.chart._field)
             if not exponent.is_Integer:
                 raise ParseError("exponent must be an integer constant", pos)
-            if exponent < 0 and _canonical(base) == 0:
+            if exponent < 0 and _canonical(base, self.chart._field) == 0:
                 raise ParseError("division by structurally zero expression", pos)
             return base ** exponent
         return base
@@ -900,7 +1063,7 @@ def parse_scalar(text: str, chart: Chart) -> Scalar:
     expr = _Parser(text, chart).parse()
     if expr.has(sp.zoo, sp.nan):
         raise ParseError("expression contains division by zero", 0)
-    return Scalar(chart, _canonical(expr))
+    return Scalar(chart, expr).normalize()
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,17 @@ def test_exit_code_document_errors(tmp_path):
         assert section in err, argv
 
 
+def test_unknown_composite_base_is_named_without_quotes():
+    # the KeyError's message, not its repr, follows the source
+    for source, message in (
+            ("prolong(nope)", "unknown fixture 'nope'"),
+            ("product(flat_r2)",
+             "product takes two fixture names: 'product(flat_r2)'")):
+        code, out, err = run_cli(["validate", source])
+        assert (code, out) == (2, ""), source
+        assert err == f"error: {source}:0: {message}\n"
+
+
 def test_repeated_projector_section_keeps_its_rows(tmp_path):
     whole = ("[Pi]\nrow = 1, 0\nrow = 0, 1\n"
              "[lift]\nrow = 1, 0\nrow = 0, 1\n")

@@ -79,8 +79,9 @@ def test_print_round_trip(chart):
         assert print_scalar(again) == printed
 
 
-def _expressions(functions):
-    """Random expression texts over x1, x2, i and the given functions."""
+def _expressions(functions, names=("x1", "x2")):
+    """Random expression texts over the coordinate names, i and the given
+    functions."""
     def extend(inner):
         branches = [
             st.tuples(inner, st.sampled_from("+-*/"), inner)
@@ -92,7 +93,7 @@ def _expressions(functions):
                             .map("{0[0]}({0[1]})".format))
         return st.one_of(branches)
 
-    return st.recursive(st.sampled_from(["x1", "x2", "i", "1", "2", "3"]),
+    return st.recursive(st.sampled_from([*names, "i", "1", "2", "3"]),
                         extend, max_leaves=6)
 
 
@@ -124,14 +125,16 @@ def test_normalize_idempotent(text):
 
 @PROPERTY
 @given(GRAMMAR, st.one_of(st.none(), GRAMMAR), st.sampled_from(["x1", "x2"]))
-def test_fast_paths_build_the_sympy_tree(text_a, text_b, x):
+def test_fast_paths_keep_the_normal_form(text_a, text_b, x):
     # b is None stands for chart.zero, the operand the shortcuts return
     a = _parse_or_reject(text_a)
     b = a.chart.zero if text_b is None else _parse_or_reject(text_b, a.chart)
+    canonical = scalars._canonical
     for u, v in ((a, b), (b, a)):
-        assert (u + v).expr == u.expr + v.expr
-        assert (u * v).expr == u.expr * v.expr
-        assert u.diff(x).expr == sp.diff(u.expr, a.chart.coord(x))
+        assert (u + v).norm_expr == canonical(u.expr + v.expr)
+        assert (u * v).norm_expr == canonical(u.expr * v.expr)
+        assert (u.diff(x).norm_expr
+                == canonical(sp.diff(u.expr, a.chart.coord(x))))
 
 
 @PROPERTY
@@ -164,7 +167,7 @@ def test_field_det_and_inverse_match_sympy_defaults(texts):
 
 def _assert_sympy_det_and_inverse(M):
     det = scalars._canonical(M._m.det())
-    assert M.det().expr == det
+    assert M.det().norm_expr == det
     if det != 0:
         assert M.inverse()._m == M._m.inv().applyfunc(scalars._canonical)
 
@@ -261,16 +264,25 @@ def test_every_imported_name_is_used():
 
 
 def test_normalize_result_carries_its_normal_form(chart, monkeypatch):
+    # a pair is its own normal form; a tree with an atom is cancelled once,
+    # and the Scalar that normalize returns carries the result
     calls = []
-    canonical = scalars._canonical
+    cancel = sp.cancel
 
     def counted(expr):
         calls.append(expr)
-        return canonical(expr)
+        return cancel(expr)
 
-    x = chart.scalar("(x1^2 - x2^2) / (x1 - x2)")
-    monkeypatch.setattr(scalars, "_canonical", counted)
-    assert not x.normalize().is_structurally_zero()
+    x1, x2 = chart.coords
+    pair = chart.scalar((x1 ** 2 - x2 ** 2) / (x1 - x2))
+    atom = chart.scalar((x1 ** 2 - x2 ** 2) / (x1 - x2) + sp.sin(x1))
+    monkeypatch.setattr(scalars.sp, "cancel", counted)
+    assert pair.normalize() is pair
+    assert pair.norm_expr == x1 + x2
+    n = atom.normalize()
+    assert n.norm_expr == x1 + x2 + sp.sin(x1)
+    assert n.normalize().norm_expr is n.norm_expr
+    assert not n.is_structurally_zero()
     assert len(calls) == 1
 
 
@@ -361,22 +373,22 @@ def test_equal_constants_are_equal_scalars():
 def test_rational_expressions_are_normalised_without_cancel(monkeypatch):
     chart = SORTED_APART
     x2, x10, y1 = chart.coord("x2"), chart.coord("x10"), chart.coord("y1")
-    rational_core = [
-        chart.scalar((x2 ** 2 - y1 ** 2) / (x2 - y1) + x10 / 3),
-        chart.scalar((x10 + sp.I * y1) ** -2 * (x2 - sp.I) / 2),
-        chart.scalar((1 + sp.I) * (2 - sp.I) / 4),
-        chart.scalar(NON_REAL_POWER),
-        chart.scalar(KEPT_X10),
+    trees = [
+        (x2 ** 2 - y1 ** 2) / (x2 - y1) + x10 / 3,
+        (x10 + sp.I * y1) ** -2 * (x2 - sp.I) / 2,
+        (1 + sp.I) * (2 - sp.I) / 4,
+        NON_REAL_POWER,
+        KEPT_X10,
     ]
+    expected = [_cancel_reference(t) for t in trees]
     atom = chart.scalar(sp.sin(x2) / (1 + x2))
-    expected = [_cancel_reference(s.expr) for s in rational_core]
 
     def refuse(*args, **kwargs):
         raise AssertionError("sympy's cancel/together reached")
 
     monkeypatch.setattr(scalars.sp, "cancel", refuse)
     monkeypatch.setattr(scalars.sp, "together", refuse)
-    assert [s.norm_expr for s in rational_core] == expected
+    assert [chart.scalar(t).norm_expr for t in trees] == expected
     with pytest.raises(AssertionError, match="reached"):
         atom.normalize()
 
@@ -417,7 +429,10 @@ def test_zero_operands_and_constant_derivatives_skip_sympy(chart,
         raise AssertionError("sympy.diff called on an x2-free scalar")
 
     monkeypatch.setattr(sp, "diff", no_diff)
-    assert s.diff("x2").expr is sp.S.Zero
+    assert s.diff("x2") is z
+    # a scalar of the rational core is differentiated on its pair
+    r = chart.scalar("(x1^2 + i*x2) / (1 + x2)")
+    assert r.diff("x2") == chart.scalar("(i - x1^2) / (1 + x2)^2")
 
 
 def test_zero_status_structural_and_probabilistic(chart):
@@ -480,3 +495,79 @@ def test_documented_functions(chart, func, derivative):
     assert (s - again).normalize().is_structurally_zero()
     d = s.diff(chart.coords[0]) - parse_scalar(derivative, chart)
     assert d.normalize().is_structurally_zero()
+
+
+# charts for the pair-arithmetic property: the generator order of the
+# second differs from its own, and the third has no field at all
+CONSTANTS = Chart("constants", [])
+ARITHMETIC_CHARTS = (Chart("plane", ["x1", "x2"]), SORTED_APART, CONSTANTS)
+
+
+def _chart_and_texts():
+    return st.sampled_from(ARITHMETIC_CHARTS).flatmap(lambda c: st.tuples(
+        st.just(c), *[_expressions(["sqrt", "sin", "exp", "tan"],
+                                   [x.name for x in c.coords])] * 2))
+
+
+def _tree_or_reject(text, chart):
+    """The unnormalised tree the parser builds for ``text``."""
+    try:
+        tree = scalars._Parser(text, chart).parse()
+    except ParseError:  # division by a structurally zero subexpression
+        reject()
+    if tree.has(sp.zoo, sp.nan):
+        reject()
+    return tree
+
+
+@PROPERTY
+@given(_chart_and_texts(), st.integers(-2, 3))
+@example((ARITHMETIC_CHARTS[0], "x1*sin(x1) + sin(x1)", "sin(x1)"), 1)
+@example((CONSTANTS, "(1 + 2*i)^2", "3/(2 - i)"), -1)
+def test_pair_arithmetic_is_the_normal_form_of_the_tree_op(case, n):
+    # every Scalar operation, on pairs, on trees with atoms, or mixed, has
+    # the normal form of the same operation on the trees; and a result
+    # equals, with the same hash, the Scalar of the tree, whichever form
+    # each holds
+    chart, text_a, text_b = case
+    ta, tb = _tree_or_reject(text_a, chart), _tree_or_reject(text_b, chart)
+    a, b = scalars.Scalar(chart, ta), scalars.Scalar(chart, tb)
+    conj = sp.conjugate
+    ops = [(a + b, ta + tb), (a - b, ta - tb), (a * b, ta * tb),
+           (a.conjugate(), conj(ta)), (a.real_part(), (ta + conj(ta)) / 2),
+           (a.imag_part(), (ta - conj(ta)) / (2 * sp.I))]
+    ops += [(a.diff(x), sp.diff(ta, x)) for x in chart.coords]
+    if b.is_structurally_zero():
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    else:
+        ops.append((a / b, ta / tb))
+    if n < 0 and a.is_structurally_zero():
+        with pytest.raises(ZeroDivisionError):
+            a ** n
+    else:
+        ops.append((a ** n, ta ** n))
+    if a.pair is not None:
+        # a tree with an atom that cancels: (a*s + s)/s is a + 1
+        s = sp.sin(chart.coords[0]) if chart.coords else sp.exp(2)
+        ops.append((a + 1, (ta * s + s) / s))
+    for result, tree in ops:
+        assert result.norm_expr == scalars._canonical(tree)
+        other = scalars.Scalar(chart, tree)
+        assert result == other and hash(result) == hash(other)
+
+
+def test_one_scalar_per_sum_product_and_derivative(chart, monkeypatch):
+    # the benchmark counts Scalar.__init__ calls: one per operation
+    calls = []
+    init = scalars.Scalar.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    a, b = chart.scalar("x1/(1 + x2) + i"), chart.scalar("x2^2 - 3*i*x1")
+    monkeypatch.setattr(scalars.Scalar, "__init__", counted)
+    for result in (a + b, a * b, a.diff("x2")):
+        assert not result.is_structurally_zero()
+    assert len(calls) == 3
