@@ -518,7 +518,8 @@ class Scalar:
     every result is reduced; its tree is built only on demand
     (``norm_expr``).  An expression with an atom, or one whose walk meets
     a vanishing denominator, is held as a sympy tree (``pair`` is None),
-    built by sympy's arithmetic and normalised by ``cancel(together(e))``.
+    built by sympy's arithmetic and normalised by ``cancel(together(e))``;
+    a pair enters such a tree as its normal form's tree.
 
     ``Scalar(chart, value)`` takes a pair, or a sympy expression whose
     symbols are coordinates of ``chart``, walked into a pair when it has
