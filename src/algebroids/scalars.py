@@ -405,20 +405,17 @@ def _ground(f):
     return f
 
 
-# A constant c = n/d and a reduced p/q share no polynomial factor, so
-# c + p/q and c*p/q are reduced by integer contents alone.
+# A constant operand goes to the right of a field element, whose own +
+# handles a zero and reduces the sum by its cancel.  A constant c = n/d and
+# a reduced p/q share no polynomial factor, so c*p/q is reduced by integer
+# contents alone, without the cancel.
 
-def _shift(f, c):
-    """f + c for a non-constant f and a nonzero constant c."""
-    n, d = c.numerator, c.denominator
-    p, q = f.numer, f.denom
-    if d == 1:
-        return f.raw_new(p + q.mul_ground(n), q)
-    p, q = p.mul_ground(d) + q.mul_ground(n), q.mul_ground(d)
-    g = math.gcd(p.content(), q.content())
-    if g != 1:
-        p, q = p.quo_ground(g), q.quo_ground(g)
-    return f.raw_new(p, q)
+def _add(a, b):
+    if a.__class__ is _MPQ:
+        if b.__class__ is _MPQ:
+            return a + b
+        a, b = b, a
+    return _ground(a + b)
 
 
 def _scale(f, c):
@@ -436,16 +433,6 @@ def _scale(f, c):
             d, p = d // g, p.quo_ground(g)
         q = q.mul_ground(d)
     return f.raw_new(p, q)
-
-
-def _add(a, b):
-    if a.__class__ is _MPQ:
-        if b.__class__ is _MPQ:
-            return a + b
-        return _shift(b, a) if a else b
-    if b.__class__ is _MPQ:
-        return _shift(a, b) if b else a
-    return _ground(a + b)
 
 
 def _mul(a, b):
@@ -467,21 +454,10 @@ def _inv(a):
 
 
 def _deriv(a, x):
-    """da/dx for the ring generator x: the quotient rule."""
+    """da/dx for the field generator x: the field's quotient rule."""
     if a.__class__ is _MPQ:
         return _Q0
-    p, q = a.numer, a.denom
-    dp, dq = p.diff(x), q.diff(x)
-    if not dq:
-        return _ground(a.new(dp, q)) if dp else _Q0
-    # with g = gcd(q, dq), da = n/(q*q/g) for n = dp*(q/g) - p*(dq/g).  A
-    # factor of q that has x divides dq once less often than q and does not
-    # divide n; any other factor of q (an integer too) divides g as often
-    # as q, so gcd(n, g) is all that cancels
-    g, q_g, dq_g = q.cofactors(dq)
-    h, n, _ = (dp * q_g - p * dq_g).cofactors(g)
-    d = q_g * (q if h == 1 else q.exquo(h))
-    return _ground(a.raw_new(n, d) if d.LC > 0 else a.raw_new(-n, -d))
+    return _ground(a.diff(x))
 
 
 def _plus(u: tuple, v: tuple) -> tuple:
@@ -519,7 +495,9 @@ class Scalar:
     (``norm_expr``).  An expression with an atom, or one whose walk meets
     a vanishing denominator, is held as a sympy tree (``pair`` is None),
     built by sympy's arithmetic and normalised by ``cancel(together(e))``;
-    a pair enters such a tree as its normal form's tree.
+    a pair enters such a tree as its normal form's tree.  Beside an
+    algebraic atom (``sqrt(x1 + 1)``) the normal form is not canonical, so
+    there the result's tree, and ``==``, can depend on the route taken.
 
     ``Scalar(chart, value)`` takes a pair, or a sympy expression whose
     symbols are coordinates of ``chart``, walked into a pair when it has
@@ -677,7 +655,7 @@ class Scalar:
         re, im = self.pair
         if re.__class__ is _MPQ and im.__class__ is _MPQ:
             return self.chart.zero
-        x = self.chart._field[1][sym].numer
+        x = self.chart._field[1][sym]
         return Scalar(self.chart, (_deriv(re, x), _deriv(im, x)))
 
     def on_chart(self, chart: Chart, rename: Optional[Mapping] = None) -> "Scalar":
@@ -811,7 +789,7 @@ class ScalarMatrix:
     def det(self) -> Scalar:
         m = self._over_field
         det = self._m.det() if m is None else m.domain.to_sympy(m.det())
-        return Scalar(self.chart, det)
+        return Scalar(self.chart, det).normalize()
 
     def inverse(self) -> "ScalarMatrix":
         m = self._over_field

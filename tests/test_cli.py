@@ -21,6 +21,7 @@ from algebroids.cli import (
     parse_document,
 )
 from algebroids.constructions import fixture_names
+from algebroids.scalars import Chart, parse_scalar
 from test_scalars import GRAMMAR
 
 
@@ -301,6 +302,46 @@ def test_sectional_constant_curvature():
                             "--direction", "1, 0"])
     assert code == 0
     assert json.loads(out)["K"] == "1"
+
+
+SQRT_METRIC_DOC = """\
+# anchor (x1 - 1) d/dx1, d/dx2; standard J; conformal metric sqrt(x1 + 1)
+[chart]
+name = sqrt_metric
+coords = x1, x2
+[anchor]
+row = x1 - 1, 0
+row = 0, 1
+[J]
+row = 0, -1
+row = 1, 0
+[metric]
+row = sqrt(x1 + 1), 0
+row = 0, sqrt(x1 + 1)
+"""
+
+
+ALGEBRAIC_K_TREE_BUILT = ("(-x1 + 1)/(2*x1^2*sqrt(x1 + 1)"
+                          " + 4*x1*sqrt(x1 + 1) + 2*sqrt(x1 + 1))")
+
+
+def test_sectional_with_an_algebraic_atom_prints_its_pinned_tree(tmp_path):
+    # rational-core values meet the sqrt(x1 + 1) trees as their expanded
+    # normal forms, and beside an algebraic atom the normal form is not
+    # canonical.  So K prints as below; when sympy's arithmetic built every
+    # intermediate tree, the same value printed as ALGEBRAIC_K_TREE_BUILT
+    doc = tmp_path / "sqrt_metric.alg"
+    doc.write_text(SQRT_METRIC_DOC)
+    code, out, _ = run_cli(["sectional", str(doc), "--direction", "x1 + 1, x2"])
+    assert code == 0
+    K = json.loads(out)["K"]
+    assert K == ("(-x1*sqrt(x1 + 1) + sqrt(x1 + 1))"
+                 "/(2*x1^3 + 6*x1^2 + 6*x1 + 2)")
+    chart = Chart("sqrt_metric", ["x1", "x2"])
+    for x1 in (3, 8, 15):  # sqrt(x1 + 1) is rational there
+        point = {"x1": x1, "x2": 0}
+        assert (parse_scalar(K, chart).eval(point)
+                == parse_scalar(ALGEBRAIC_K_TREE_BUILT, chart).eval(point))
 
 
 def test_deterministic_reports():
