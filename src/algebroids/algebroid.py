@@ -198,9 +198,6 @@ class Section:
     def is_structurally_zero(self) -> bool:
         return all(c.is_structurally_zero() for c in self.components)
 
-    def normalized(self) -> "Section":
-        return Section(self.algebroid, [c.normalize() for c in self.components])
-
     def _check(self, other: "Section"):
         if other.algebroid is not self.algebroid:
             raise ChartError("sections belong to different algebroids")
@@ -256,11 +253,8 @@ def bracket(s1: Section, s2: Section) -> Section:
 
 def jacobiator(s1: Section, s2: Section, s3: Section) -> Section:
     """[[s1,s2],s3] + [[s2,s3],s1] + [[s3,s1],s2]."""
-    return (
-        bracket(bracket(s1, s2), s3)
-        + bracket(bracket(s2, s3), s1)
-        + bracket(bracket(s3, s1), s2)
-    ).normalized()
+    return (bracket(bracket(s1, s2), s3) + bracket(bracket(s2, s3), s1)
+            + bracket(bracket(s3, s1), s2))
 
 
 class Witness(NamedTuple):
@@ -352,14 +346,13 @@ def validate_structure(A: Algebroid) -> Residuals:
                 rhs = A.chart.zero
                 for c in range(m):
                     rhs = rhs + A.anchor[c][i] * A.C[c][a][b]
-                report.add("anchor_morphism", (a, b, i),
-                           (lhs - rhs).normalize())
+                report.add("anchor_morphism", (a, b, i), lhs - rhs)
 
     for c in range(m):
         for a in range(m):
             for b in range(a, m):
-                res = (A.C[c][a][b] + A.C[c][b][a]).normalize()
-                report.add("antisymmetry", (a, b, c), res)
+                report.add("antisymmetry", (a, b, c),
+                           A.C[c][a][b] + A.C[c][b][a])
 
     for a in range(m):
         for b in range(a + 1, m):
@@ -372,6 +365,6 @@ def validate_structure(A: Algebroid) -> Residuals:
                         for e, cpq in nonzero_entries(
                                 A.C[e][p][q] for e in range(m)):
                             acc = acc + cpq * A.C[d][e][r]
-                    report.add("jacobi", (a, b, c, d), acc.normalize())
+                    report.add("jacobi", (a, b, c, d), acc)
 
     return report

@@ -30,7 +30,7 @@ from algebroids.connections import (
 )
 from algebroids.eforms import EForm, d_E, wedge
 from algebroids.jstruct import ComplexFrame, IntegrabilityError
-from algebroids.scalars import Scalar, ScalarMatrix, i
+from algebroids.scalars import Scalar, ScalarMatrix, i, nonzero_entries
 
 if TYPE_CHECKING:
     from algebroids.constructions import Fixture
@@ -114,23 +114,22 @@ def block_curvature(fx: Fixture) -> BlockCurvature:
             # J R = R J on the adapted frame
             for a in range(m):
                 checks.add("jr_commutes", (p, q, a),
-                           (J.apply(rop[a]) - rop[m + a]).normalized())
+                           J.apply(rop[a]) - rop[m + a])
             for a in range(m):
                 coeffs = Pinv.apply(J.apply(rop[a]).components)
-                for b in range(m):
-                    Rmat[a][b][(p, q)] = coeffs[b]
-                    Rstar[a][b][(p, q)] = coeffs[m + b]
+                # the forms hold no exact zero component
+                for b, c in nonzero_entries(coeffs):
+                    (Rmat if b < m else Rstar)[a][b % m][(p, q)] = c
                 # displayed pattern on the starred basis vector
                 star = Pinv.apply(J.apply(rop[m + a]).components)
                 for b in range(m):
                     checks.add("block_pattern", (p, q, a, b),
-                               (star[b] + coeffs[m + b]).normalize())
+                               star[b] + coeffs[m + b])
                     checks.add("block_pattern", (p, q, a, m + b),
-                               (star[m + b] - coeffs[b]).normalize())
+                               star[m + b] - coeffs[b])
     checks.require()
-    Rmat = tuple(tuple(e.normalized() for e in row) for row in Rmat)
-    Rstar = tuple(tuple(e.normalized() for e in row) for row in Rstar)
-    return BlockCurvature(A, m, Rmat, Rstar, frame, F)
+    return BlockCurvature(A, m, tuple(map(tuple, Rmat)),
+                          tuple(map(tuple, Rstar)), frame, F)
 
 
 def iphi(bc: BlockCurvature, conn: Connection):
@@ -155,7 +154,7 @@ def iphi(bc: BlockCurvature, conn: Connection):
                 coeffs = F.expand(rf)
                 for b in range(m):
                     checks.add("restricted_curvature", (a, b, p, q),
-                               (coeffs[b] - phi[a][b][(p, q)]).normalize())
+                               coeffs[b] - phi[a][b][(p, q)])
                 for b in range(m, 2 * m):
                     checks.add("eigenbundle_leak", (a, b, p, q), coeffs[b])
     checks.require()
@@ -172,7 +171,7 @@ def _mat_wedge(M1, M2):
             for c in range(n):
                 term = wedge(M1[a][c], M2[c][b])
                 acc = term if acc is None else acc + term
-            row.append(acc.normalized())
+            row.append(acc)
         out.append(row)
     return out
 
@@ -188,16 +187,16 @@ def _trace(M) -> EForm:
     acc = M[0][0]
     for a in range(1, len(M)):
         acc = acc + M[a][a]
-    return acc.normalized()
+    return acc
 
 
 def _real_imag(w: EForm):
     re = EForm(w.algebroid, w.degree)
     im = EForm(w.algebroid, w.degree)
     for key, val in w.components.items():
-        re.components[key] = val.real_part().normalize()
-        im.components[key] = val.imag_part().normalize()
-    return re.normalized(), im.normalized()
+        re.components[key] = val.real_part()
+        im.components[key] = val.imag_part()
+    return re, im
 
 
 @dataclass
@@ -237,18 +236,18 @@ def chern_form(bc: BlockCurvature, k: int, source: str = "both") -> ChernReport:
     if source in ("iphi", "both"):
         re, im = _real_imag(_trace(_mat_power(bc.iphi_matrix(), k)))
     if source in ("block", "both"):
-        t_block = _trace(_mat_power(bc.block(), k)).normalized()
-    form = t_block.scale(half).normalized() if source == "block" else re
+        t_block = _trace(_mat_power(bc.block(), k))
+    form = t_block.scale(half) if source == "block" else re
 
     checks = Residuals()
     report = ChernReport(order=k, source=source, form=form, checks=checks)
-    checks.add("closed", (), d_E(form).normalized())
+    checks.add("closed", (), d_E(form))
     if im is not None:
         checks.add("trace_real", (), im)
     if source == "both":
         for key in t_block.keys():
             checks.add("half_trace_equality", key,
-                       (re[key] - t_block[key] * half).normalize())
+                       re[key] - t_block[key] * half)
         if not t_block.is_structurally_zero():
             report.factor = form.chart.scalar(half)
     return report

@@ -298,12 +298,13 @@ def _check(name: str, ok: bool, witness=None) -> dict:
 
 
 def _section_str(s: Section) -> List[str]:
-    return [print_scalar(c.normalize()) for c in s.components]
+    return [print_scalar(c) for c in s.components]
 
 
 def _form_str(w) -> dict:
-    return {"^".join(str(i + 1) for i in key): print_scalar(val.normalize())
-            for key, val in w.normalized().components.items()}
+    return {"^".join(str(i + 1) for i in key): print_scalar(val)
+            for key, val in w.components.items()
+            if not val.is_structurally_zero()}
 
 
 def _emit_report(report: dict, ok: bool) -> None:
@@ -513,7 +514,7 @@ def cmd_prolong(fx: Fixture, args) -> Tuple[dict, bool]:
     if fx.J is not None:
         Jc = p.complete_lift_endo(fx.J)
         sq = Jc.compose(Jc)
-        ok_sq = all((sq.entry(b, a) + (1 if a == b else 0)).normalize()
+        ok_sq = all((sq.entry(b, a) + (1 if a == b else 0))
                     .is_structurally_zero()
                     for a in range(p.algebroid.rank)
                     for b in range(p.algebroid.rank))

@@ -80,7 +80,7 @@ class Metric:
         )
         for a in range(m):
             for b in range(a + 1, m):
-                if not (self.matrix[a][b] - self.matrix[b][a]).normalize().is_structurally_zero():
+                if not (self.matrix[a][b] - self.matrix[b][a]).is_structurally_zero():
                     raise ValueError("metric is not symmetric")
         M = ScalarMatrix(chart, self.matrix)
         det = M.det()
@@ -132,13 +132,13 @@ def cov_deriv(conn: Connection, s1: Section, s2: Section) -> Section:
 
 
 def torsion(conn: Connection):
-    """T^c_ab = Gamma^c_ab - Gamma^c_ba - C^c_ab, normalized."""
+    """T^c_ab = Gamma^c_ab - Gamma^c_ba - C^c_ab."""
     A = conn.algebroid
     m = A.rank
     return tuple(
         tuple(
             tuple(
-                (conn.gamma[c][a][b] - conn.gamma[c][b][a] - A.C[c][a][b]).normalize()
+                conn.gamma[c][a][b] - conn.gamma[c][b][a] - A.C[c][a][b]
                 for b in range(m))
             for a in range(m))
         for c in range(m)
@@ -179,7 +179,6 @@ def curvature_components(conn: Connection):
                         acc = acc + conn.gamma[e][b][c] * conn.gamma[d][a][e]
                         acc = acc - conn.gamma[e][a][c] * conn.gamma[d][b][e]
                         acc = acc - A.C[e][a][b] * conn.gamma[d][e][c]
-                    acc = acc.normalize()
                     out[d][a][b][c] = acc
                     out[d][b][a][c] = -acc
     return tuple(tuple(tuple(tuple(r) for r in s) for s in t) for t in out)
@@ -217,7 +216,7 @@ def levi_civita(A: Algebroid, g: Metric) -> Connection:
                 acc = chart.zero
                 for d in range(m):
                     acc = acc + g.inverse[a][d] * koszul[b][c][d]
-                gamma[a][b][c] = (acc / 2).normalize()
+                gamma[a][b][c] = acc / 2
     conn = Connection(A, gamma)
 
     T = torsion(conn)
@@ -245,7 +244,7 @@ def metric_compat_check(conn: Connection, g: Metric) -> Residuals:
                 res = (rho_a.apply(g.matrix[b][c])
                        - g.value(nabla_a[b], frame[c])
                        - g.value(frame[b], nabla_a[c]))
-                residuals.add("metric_compatible", (a, b, c), res.normalize())
+                residuals.add("metric_compatible", (a, b, c), res)
     return residuals
 
 
@@ -262,7 +261,7 @@ def almost_complex_check(conn: Connection, J: EndoField) -> Residuals:
                    - J.apply(cov_deriv(conn, frame[a], frame[b])))
             for c in range(m):
                 residuals.add("almost_complex", (a, b, c),
-                              res.components[c].normalize())
+                              res.components[c])
     return residuals
 
 
@@ -280,7 +279,7 @@ def hermitian_check(g: Metric, J: EndoField) -> Residuals:
     for a in range(A.rank):
         for b in range(a, A.rank):
             res = g.value(J.apply(frame[a]), J.apply(frame[b])) - g.matrix[a][b]
-            residuals.add("hermitian", (a, b), res.normalize())
+            residuals.add("hermitian", (a, b), res)
     return residuals
 
 
@@ -300,17 +299,17 @@ def fundamental_form(g: Metric, J: EndoField) -> EForm:
     phi = EForm(A, 2)
     for a in range(A.rank):
         for b in range(a + 1, A.rank):
-            phi[(a, b)] = g.value(frame[a], J.apply(frame[b])).normalize()
+            phi[(a, b)] = g.value(frame[a], J.apply(frame[b]))
     # re-verify the defining antisymmetry and J-invariance on frame pairs
     checks = Residuals()
     for a in range(A.rank):
         for b in range(A.rank):
             checks.add("fundamental_form_antisymmetric", (a, b),
-                       (g.value(frame[a], J.apply(frame[b]))
-                        + g.value(frame[b], J.apply(frame[a]))).normalize())
+                       g.value(frame[a], J.apply(frame[b]))
+                       + g.value(frame[b], J.apply(frame[a])))
             checks.add("fundamental_form_j_invariant", (a, b),
-                       (g.value(J.apply(frame[a]), J.apply(J.apply(frame[b])))
-                        - g.value(frame[a], J.apply(frame[b]))).normalize())
+                       g.value(J.apply(frame[a]), J.apply(J.apply(frame[b])))
+                       - g.value(frame[a], J.apply(frame[b])))
     checks.require()
     return phi
 
@@ -366,8 +365,7 @@ def kahler_report(fx: Fixture) -> KahlerReport:
                 rhs = (evaluate(dphi, [frame[a], J.apply(frame[b]), J.apply(frame[c])])
                        - evaluate(dphi, [frame[a], frame[b], frame[c]])
                        + g.value(N.value(frame[b], frame[c]), J.apply(frame[a])))
-                checks.add("fundamental_form_identity", (a, b, c),
-                           (lhs - rhs).normalize())
+                checks.add("fundamental_form_identity", (a, b, c), lhs - rhs)
     n_zero = N.is_structurally_zero()
     dphi_zero = dphi.is_structurally_zero()
     lc_ac = ac.ok()
@@ -399,14 +397,15 @@ def hermitian_components(g: Metric, F: ComplexFrame) -> HermitianComponents:
     fbar = F.sections[m:]
     for a in range(m):
         for b in range(m):
-            if not g.value(f[a], f[b]).normalize().is_structurally_zero():
-                raise ValueError("g(f_a, f_b) must vanish for a Hermitian metric")
-    h = [[g.value(f[a], fbar[b]).normalize() for b in range(m)] for a in range(m)]
+            if not g.value(f[a], f[b]).is_structurally_zero():
+                raise HermitianError(
+                    "g(f_a, f_b) must vanish for a Hermitian metric")
+    h = [[g.value(f[a], fbar[b]) for b in range(m)] for a in range(m)]
     for a in range(m):
         for b in range(m):
-            sym = (h[a][b] - h[b][a].conjugate()).normalize()
-            if not sym.is_structurally_zero():
-                raise ValueError("Hermitian symmetry g_ab_bar = conj(g_ba_bar) fails")
+            if not (h[a][b] - h[b][a].conjugate()).is_structurally_zero():
+                raise HermitianError(
+                    "Hermitian symmetry g_ab_bar = conj(g_ba_bar) fails")
     return HermitianComponents(
         F,
         tuple(tuple(row) for row in h),
@@ -457,7 +456,7 @@ def levi_civita_complex_frame(fx: Fixture) -> Connection:
                         inner = inner - C[bar(e)][b][bar(c)] * h[a][e]
                         inner = inner + C[bar(e)][bar(c)][a] * h[b][e]
                     acc = acc + hinv[c][d] * inner
-                gamma[d][a][b] = (half * acc).normalize()
+                gamma[d][a][b] = half * acc
 
     # Gamma^d_{a bbar}
     for d in range(m):
@@ -472,7 +471,7 @@ def levi_civita_complex_frame(fx: Fixture) -> Connection:
                         inner = inner - C[bar(e)][bar(b)][bar(c)] * h[a][e]
                         inner = inner + C[e][bar(c)][a] * h[e][b]
                     acc = acc + hinv[c][d] * inner
-                gamma[d][a][bar(b)] = (half * acc).normalize()
+                gamma[d][a][bar(b)] = half * acc
 
     # Gamma^d_{abar b}
     for d in range(m):
@@ -487,7 +486,7 @@ def levi_civita_complex_frame(fx: Fixture) -> Connection:
                         inner = inner - C[e][b][bar(c)] * h[e][a]
                         inner = inner + C[bar(e)][bar(c)][bar(a)] * h[b][e]
                     acc = acc + hinv[c][d] * inner
-                gamma[d][bar(a)][b] = (half * acc).normalize()
+                gamma[d][bar(a)][b] = half * acc
 
     # Gamma^{dbar}_{ab}
     for d in range(m):
@@ -502,7 +501,7 @@ def levi_civita_complex_frame(fx: Fixture) -> Connection:
                         inner = inner + C[bar(e)][c][a] * h[b][e]
                     # g^{dbar c} = conj(g^{cbar d})
                     acc = acc + hinv[c][d].conjugate() * inner
-                gamma[bar(d)][a][b] = (half * acc).normalize()
+                gamma[bar(d)][a][b] = half * acc
 
     # conjugate families
     for d in range(m):
@@ -523,7 +522,7 @@ def levi_civita_complex_frame(fx: Fixture) -> Connection:
             coeffs = F.expand(derived)
             for lam in range(two_m):
                 conn.checks.add("formula_vs_transform", (lam, mu, nu),
-                                (coeffs[lam] - gamma[lam][mu][nu]).normalize())
+                                coeffs[lam] - gamma[lam][mu][nu])
     return conn
 
 
@@ -585,7 +584,7 @@ def kahler_complex_curvature(connF: Connection,
                     for e in range(m):
                         disp = disp - CA.C[bar(e)][a][bar(b)] * connF.gamma[bar(d)][bar(e)][bar(c)]
                     checks.add("barred_formula", (d, a, b, c),
-                               (R[bar(d)][a][bar(b)][bar(c)] - disp).normalize())
+                               R[bar(d)][a][bar(b)][bar(c)] - disp)
 
     for d in range(two_m):
         for a in range(two_m):
@@ -593,8 +592,7 @@ def kahler_complex_curvature(connF: Connection,
                 for c in range(two_m):
                     lhs = R[d][a][b][c].conjugate()
                     rhs = R[bar(d)][bar(a)][bar(b)][bar(c)]
-                    checks.add("conjugation", (d, a, b, c),
-                               (lhs - rhs).normalize())
+                    checks.add("conjugation", (d, a, b, c), lhs - rhs)
 
     # allowed nonzero families: R^d_{ab,c}, R^dbar_{a bbar, cbar} and all
     # images under conjugation and first-pair antisymmetry
@@ -624,15 +622,15 @@ def kahler_complex_curvature(connF: Connection,
 def riemann4(g: Metric, conn: Connection, s1: Section, s2: Section,
              s3: Section, s4: Section) -> Scalar:
     """R4(s1,s2,s3,s4) = g(R(s3,s4)s2, s1)."""
-    return g.value(curvature_operator(conn, s3, s4, s2), s1).normalize()
+    return g.value(curvature_operator(conn, s3, s4, s2), s1)
 
 
 def holomorphic_sectional(g: Metric, conn: Connection, J: EndoField,
                           s: Section) -> Scalar:
     """K of the J-invariant plane spanned by (s, Js), quotient formula."""
     Js = J.apply(s)
-    denom = (g.value(s, s) * g.value(Js, Js) - g.value(s, Js) ** 2).normalize()
+    denom = g.value(s, s) * g.value(Js, Js) - g.value(s, Js) ** 2
     if denom.is_structurally_zero():
         raise ZeroDivisionError("structurally degenerate plane")
     num = riemann4(g, conn, s, Js, s, Js)
-    return (num / denom).normalize()
+    return num / denom

@@ -138,7 +138,7 @@ class Prolongation:
         for a in range(self.r):
             df = self.base.anchor_vf(a).apply(f)
             acc = acc + self.chart.scalar(self.y[a]) * df.on_chart(self.chart)
-        return acc.normalize()
+        return acc
 
     def vertical_lift(self, s: Section) -> Section:
         comps = [self.chart.zero] * self.r \
@@ -158,7 +158,7 @@ class Prolongation:
                     term = term - base.C[a][b][f] * s.components[b]
                 acc = acc + self.chart.scalar(self.y[f]) \
                     * term.on_chart(self.chart)
-            vert.append(acc.normalize())
+            vert.append(acc)
         return Section(self.algebroid, comps + vert)
 
     def horizontal_lift(self, s: Section, conn: Connection) -> Section:
@@ -171,7 +171,7 @@ class Prolongation:
                 for f in range(self.r):
                     acc = acc - comps[a] * self.chart.scalar(self.y[f]) \
                         * conn.gamma[b][a][f].on_chart(self.chart)
-            vert.append(acc.normalize())
+            vert.append(acc)
         return Section(self.algebroid, comps + vert)
 
     def _check_lift_laws(self):
@@ -187,7 +187,7 @@ class Prolongation:
                 r3 = (bracket(comp[a], comp[b])
                       - self.complete_lift(base_br))
                 for law, r in (("vv", r1), ("cv", r2), ("cc", r3)):
-                    for c, res in enumerate(r.normalized().components):
+                    for c, res in enumerate(r.components):
                         self.checks.add("lift_bracket_laws", (law, a, b, c),
                                         res)
 
@@ -283,7 +283,7 @@ class _ShiftedFrame:
         acc = [self.algebroid.chart.zero] * self.algebroid.rank
         for coeff, s in terms:
             acc = [x + coeff * y for x, y in zip(acc, s.components)]
-        return [x.normalize() for x in acc]
+        return acc
 
     def endo(self, images: List[Section]) -> EndoField:
         """T with T(U_kappa) = images[kappa]."""
@@ -297,7 +297,7 @@ class _ShiftedFrame:
         return [[sum((p * q * values[k][s]
                       for k, p in self.expansion[mu]
                       for s, q in self.expansion[nu]),
-                     self.algebroid.chart.zero).normalize()
+                     self.algebroid.chart.zero)
                  for nu in range(n)] for mu in range(n)]
 
     def connection(self, derivs) -> Connection:
@@ -457,7 +457,7 @@ def projector_restriction(chart: Chart, rho0, Pi, lift,
     Pi2 = (PiM @ PiM).rows()
     for i in range(rank):
         for j in range(rank):
-            if not (Pi2[i][j] - Pi[i][j]).normalize().is_structurally_zero():
+            if not (Pi2[i][j] - Pi[i][j]).is_structurally_zero():
                 raise ValueError("projector is not idempotent")
 
     anchor = []
@@ -467,7 +467,7 @@ def projector_restriction(chart: Chart, rho0, Pi, lift,
             acc = chart.zero
             for j in range(rank):
                 acc = acc + rho0[i][j] * Pi[j][a]
-            row.append(acc.normalize())
+            row.append(acc)
         anchor.append(row)
     rho_vfs = [VectorField(chart, anchor[a]) for a in range(rank)]
 
@@ -481,7 +481,6 @@ def projector_restriction(chart: Chart, rho0, Pi, lift,
                 acc = chart.zero
                 for i in range(chart.dim):
                     acc = acc + lift[c][i] * br.components[i]
-                acc = acc.normalize()
                 if not acc.is_structurally_zero():
                     cdict[(a, b, c)] = acc
     A = Algebroid(chart, rank, anchor, cdict)
@@ -493,7 +492,7 @@ def projector_restriction(chart: Chart, rho0, Pi, lift,
             acc = -br.components[i]
             for c in range(rank):
                 acc = acc + A.C[c][a][b] * A.anchor[c][i]
-            checks.add("derived_anchor_morphism", (a, b, i), acc.normalize())
+            checks.add("derived_anchor_morphism", (a, b, i), acc)
 
     # flatness: (I - Pi) [Pi e_a, Pi e_b] with constant ambient extensions
     for a in range(rank):
@@ -506,7 +505,7 @@ def projector_restriction(chart: Chart, rho0, Pi, lift,
                 acc = amb[c]
                 for d in range(rank):
                     acc = acc - Pi[c][d] * amb[d]
-                checks.add("flatness", (a, b, c), acc.normalize())
+                checks.add("flatness", (a, b, c), acc)
 
     J = None
     if ambient_J is not None:
@@ -516,8 +515,7 @@ def projector_restriction(chart: Chart, rho0, Pi, lift,
         PiJ, JPi = (PiM @ JM).rows(), (JM @ PiM).rows()
         for i in range(rank):
             for j in range(rank):
-                checks.add("J_commutes", (i, j),
-                           (PiJ[i][j] - JPi[i][j]).normalize())
+                checks.add("J_commutes", (i, j), PiJ[i][j] - JPi[i][j])
     return ProjectorRestriction(chart, rank, Pi, A, checks, J)
 
 
@@ -651,13 +649,7 @@ def _s3_projector() -> Fixture:
         rho0[a][a] = q / 2
         rho0[a][3] = u[a] * q / 2
     Jmat = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-    restriction = projector_restriction(
-        chart,
-        [[e.normalize() for e in row] for row in rho0],
-        [[e.normalize() for e in row] for row in Pi],
-        [[e.normalize() for e in row] for row in P],
-        ambient_J=Jmat,
-    )
+    restriction = projector_restriction(chart, rho0, Pi, P, ambient_J=Jmat)
     A = restriction.algebroid
     eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     g = Metric(A, eye)

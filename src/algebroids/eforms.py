@@ -123,14 +123,6 @@ class EForm:
     def __rmul__(self, f) -> "EForm":
         return self.scale(f)
 
-    def normalized(self) -> "EForm":
-        out = EForm(self.algebroid, self.degree)
-        for key, val in self.components.items():
-            norm = val.normalize()
-            if not norm.is_structurally_zero():
-                out.components[key] = norm
-        return out
-
     def is_structurally_zero(self) -> bool:
         return all(v.is_structurally_zero() for v in self.components.values())
 
@@ -141,7 +133,8 @@ class EForm:
         return out
 
     def __repr__(self):
-        parts = {k: str(v) for k, v in self.normalized().components.items()}
+        parts = {k: str(v) for k, v in self.components.items()
+                 if not v.is_structurally_zero()}
         return f"EForm(degree={self.degree}, {parts})"
 
 
@@ -165,7 +158,7 @@ def wedge(w: EForm, e: EForm) -> EForm:
             term = w[widx] * e[eidx]
             acc = acc + (term if sign > 0 else -term)
         if not acc.is_structurally_zero():
-            out.components[idx] = acc.normalize()
+            out.components[idx] = acc
     return out
 
 
@@ -213,7 +206,6 @@ def d_E(w: EForm) -> EForm:
                         continue
                     term = coeff * w[(c,) + rest]
                     acc = acc + (term if (i + j) % 2 == 0 else -term)
-        norm = acc.normalize()
-        if not norm.is_structurally_zero():
-            out.components[idx] = norm
+        if not acc.is_structurally_zero():
+            out.components[idx] = acc
     return out

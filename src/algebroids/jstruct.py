@@ -105,7 +105,7 @@ class EndoField:
                 acc = self.algebroid.chart.zero
                 for c in range(m):
                     acc = acc + self.matrix[b][c] * other.matrix[c][a]
-                row.append(acc.normalize())
+                row.append(acc)
             rows.append(row)
         return EndoField(self.algebroid, rows)
 
@@ -178,7 +178,7 @@ class NijenhuisTensor:
 
     def value(self, s1: Section, s2: Section) -> Section:
         A = self.algebroid
-        return Section(A, [bilinear(A.chart.zero, layer, s1, s2).normalize()
+        return Section(A, [bilinear(A.chart.zero, layer, s1, s2)
                            for layer in self.components])
 
     def is_structurally_zero(self) -> bool:
@@ -214,9 +214,8 @@ def nijenhuis(A: Algebroid, J: EndoField) -> NijenhuisTensor:
         for b in range(a + 1, m):
             val = _nijenhuis_frame(A, J, frame[a], frame[b])
             for c in range(m):
-                comp = val.components[c].normalize()
-                by_eval[c][a][b] = comp
-                by_eval[c][b][a] = -comp
+                by_eval[c][a][b] = val.components[c]
+                by_eval[c][b][a] = -val.components[c]
 
     # dJ[i][d][a] = d J^d_a / dx^i
     dJ = [[[J.matrix[d][a].diff(x) for a in range(m)] for d in range(m)]
@@ -242,14 +241,14 @@ def nijenhuis(A: Algebroid, J: EndoField) -> NijenhuisTensor:
                         acc = acc - J.matrix[d][b] * J.matrix[c][e] * A.C[e][a][d]
                         acc = acc + J.matrix[e][b] * J.matrix[d][a] * A.C[c][d][e]
                 acc = acc - A.C[c][a][b]
-                by_coeff[c][a][b] = acc.normalize()
+                by_coeff[c][a][b] = acc
 
     checks = Residuals()
     for c in range(m):
         for a in range(m):
             for b in range(m):
                 checks.add("dual_route_agreement", (c, a, b),
-                           (by_eval[c][a][b] - by_coeff[c][a][b]).normalize())
+                           by_eval[c][a][b] - by_coeff[c][a][b])
     checks.require()
 
     comps = tuple(tuple(tuple(row) for row in layer) for layer in by_eval)
@@ -283,7 +282,7 @@ class ComplexFrame:
         for u in generators:
             Ju = J.apply(u)
             f = Section(algebroid, [
-                (u.components[b] - i * Ju.components[b]).normalize()
+                u.components[b] - i * Ju.components[b]
                 for b in range(algebroid.rank)
             ])
             self.sections.append(f)
@@ -331,10 +330,8 @@ class ComplexFrame:
             return self._complex_algebroid
         A = self.algebroid
         two_m = 2 * self.m
-        anchor = []
-        for mu in range(two_m):
-            vf = anchor_push(self.sections[mu])
-            anchor.append([c.normalize() for c in vf.components])
+        anchor = [list(anchor_push(self.sections[mu]).components)
+                  for mu in range(two_m)]
         table = {}
         for mu in range(two_m):
             for nu in range(mu + 1, two_m):
@@ -358,7 +355,7 @@ class ComplexFrame:
                 for nu in range(two_m):
                     lhs = CA.C[lam][mu][nu].conjugate()
                     rhs = CA.C[self.conj_index(lam)][self.conj_index(mu)][self.conj_index(nu)]
-                    if not (lhs - rhs).normalize().is_structurally_zero():
+                    if not (lhs - rhs).is_structurally_zero():
                         return False
         return True
 
@@ -527,7 +524,7 @@ def infinitesimal_automorphism_check(s: Section, A: Algebroid,
     for b in range(A.rank):
         eb = A.frame_section(b)
         res = bracket(s, J.apply(eb)) - J.apply(bracket(s, eb))
-        residuals.add("automorphism", b, res.normalized())
+        residuals.add("automorphism", b, res)
     return residuals
 
 
@@ -554,16 +551,14 @@ def matched_pair_check(fx: Fixture) -> Residuals:
     f = F.sections[:m]
     fbar = F.sections[m:]
 
-    # intermediate results are normalized: nested brackets of unreduced
-    # rational functions blow up badly on the rational-chart fixtures.
     # The projected eigenbundle brackets have the same bodies as the actions:
     # [s1, s2]_E1 = nab_ts(s1, s2) and [t1, t2]_E2 = nab_st(t1, t2).
     def nab_ts(t: Section, s: Section) -> Section:
         # E2-connection acting on E1 sections
-        return p10.apply(bracket(t, s)).normalized()
+        return p10.apply(bracket(t, s))
 
     def nab_st(s: Section, t: Section) -> Section:
-        return p01.apply(bracket(s, t)).normalized()
+        return p01.apply(bracket(s, t))
 
     report = Residuals()
     for a in range(m):
@@ -572,9 +567,9 @@ def matched_pair_check(fx: Fixture) -> Residuals:
             lhs = vf_bracket(anchor_push(s), anchor_push(t))
             # residual of [rho(s), rho(t)] = -rho(nabla_t s) + rho(nabla_s t)
             res = VectorField(A.chart, [
-                (lhs.components[i]
-                 + anchor_push(nab_ts(t, s)).components[i]
-                 - anchor_push(nab_st(s, t)).components[i]).normalize()
+                lhs.components[i]
+                + anchor_push(nab_ts(t, s)).components[i]
+                - anchor_push(nab_st(s, t)).components[i]
                 for i in range(A.chart.dim)
             ])
             report.add("mp1", (a, b), res)
@@ -586,7 +581,7 @@ def matched_pair_check(fx: Fixture) -> Residuals:
                 lhs = nab_st(s, nab_st(t1, t2))
                 rhs = (nab_st(nab_st(s, t1), t2) + nab_st(t1, nab_st(s, t2))
                        + nab_st(nab_ts(t2, s), t1) - nab_st(nab_ts(t1, s), t2))
-                report.add("mp2", (a, b, c), (lhs - rhs).normalized())
+                report.add("mp2", (a, b, c), lhs - rhs)
 
     for a in range(m):
         for b in range(m):
@@ -595,6 +590,6 @@ def matched_pair_check(fx: Fixture) -> Residuals:
                 lhs = nab_ts(t, nab_ts(s1, s2))
                 rhs = (nab_ts(nab_ts(t, s1), s2) + nab_ts(s1, nab_ts(t, s2))
                        + nab_ts(nab_st(s2, t), s1) - nab_ts(nab_st(s1, t), s2))
-                report.add("mp3", (a, b, c), (lhs - rhs).normalized())
+                report.add("mp3", (a, b, c), lhs - rhs)
 
     return report

@@ -100,14 +100,13 @@ def _project(s: Section, m: int, barred: bool) -> Section:
 def _h_matrix(g: Metric, F: ComplexFrame):
     """h(F_mu, F_nu) = g(F_mu, conj F_nu) over complex-frame indices."""
     two_m = 2 * F.m
-    return [[g.value(F.sections[mu], F.sections[F.conj_index(nu)]).normalize()
+    return [[g.value(F.sections[mu], F.sections[F.conj_index(nu)])
              for nu in range(two_m)] for mu in range(two_m)]
 
 
 def _h_value(hmat, s1: Section, s2: Section) -> Scalar:
     """h extended from the frame values; conjugate-linear in slot 2."""
-    return bilinear(s1.algebroid.chart.zero, hmat, s1,
-                    s2.conjugate()).normalize()
+    return bilinear(s1.algebroid.chart.zero, hmat, s1, s2.conjugate())
 
 
 @dataclass
@@ -162,7 +161,7 @@ def product_connection(fx: Fixture) -> ProductConnection:
             dj_j = nabla_J(connF, JC, frame[mu], JC.apply(frame[nu]))
             rhs = D(frame[mu], frame[nu]) + dj_j.scale(chart.scalar(half))
             lhs = cov_deriv(tilde, frame[mu], frame[nu])
-            checks.add("two_forms", (mu, nu), (lhs - rhs).normalized())
+            checks.add("two_forms", (mu, nu), lhs - rhs)
 
     # parallelism of the projectors and of h
     for lam in range(two_m):
@@ -170,8 +169,8 @@ def product_connection(fx: Fixture) -> ProductConnection:
             dt = cov_deriv(tilde, frame[lam], frame[mu])
             r10 = (cov_deriv(tilde, frame[lam], p10(frame[mu])) - p10(dt))
             r01 = (cov_deriv(tilde, frame[lam], p01(frame[mu])) - p01(dt))
-            checks.add("parallel_p10", (lam, mu), r10.normalized())
-            checks.add("parallel_p01", (lam, mu), r01.normalized())
+            checks.add("parallel_p10", (lam, mu), r10)
+            checks.add("parallel_p01", (lam, mu), r01)
     # (D~ h)(s; s1, s2) with the conjugate-equivariant extension in slot 2:
     # rho(s) h(s1,s2) - h(D~_s s1, s2) - h(s1, D~_{conj s} s2)
     for lam in range(two_m):
@@ -183,7 +182,7 @@ def product_connection(fx: Fixture) -> ProductConnection:
                     acc = acc - tilde.gamma[k][lam][mu] * hmat[k][nu]
                     acc = acc - (tilde.gamma[k][F.conj_index(lam)][nu]
                                  .conjugate() * hmat[mu][k])
-                checks.add("parallel_h", (lam, mu, nu), acc.normalize())
+                checks.add("parallel_h", (lam, mu, nu), acc)
 
     # torsion three ways
     Ttab = torsion(tilde)
@@ -195,9 +194,9 @@ def product_connection(fx: Fixture) -> ProductConnection:
             t5 = (nabla_J(connF, JC, s1, JC.apply(s2))
                   - nabla_J(connF, JC, s2, JC.apply(s1))
                   ).scale(chart.scalar(half))
-            checks.add("torsion_m4_vs_m5", (mu, nu), (t4 - t5).normalized())
+            checks.add("torsion_m4_vs_m5", (mu, nu), t4 - t5)
             ttab = Section(CA, [Ttab[d][mu][nu] for d in range(two_m)])
-            checks.add("torsion_vs_table", (mu, nu), (t4 - ttab).normalized())
+            checks.add("torsion_vs_table", (mu, nu), t4 - ttab)
 
     # local displays: T(f_a,f_b) = C^dbar_{ba} fbar_d and the mixed display
     for a in range(m):
@@ -207,7 +206,7 @@ def product_connection(fx: Fixture) -> ProductConnection:
                 want[m + d] = CA.C[m + d][b][a]
             t = Section(CA, [Ttab[d][a][b] for d in range(two_m)])
             checks.add("local_displays", ("unbarred", a, b),
-                       (t - Section(CA, want)).normalized())
+                       t - Section(CA, want))
             want2 = [chart.zero] * two_m
             for d in range(m):
                 want2[d] = CA.C[d][m + b][a] - connF.gamma[d][m + b][a]
@@ -215,7 +214,7 @@ def product_connection(fx: Fixture) -> ProductConnection:
                                 - CA.C[m + d][a][m + b])
             t2 = Section(CA, [Ttab[d][a][m + b] for d in range(two_m)])
             checks.add("local_displays", ("mixed", a, b),
-                       (t2 - Section(CA, want2)).normalized())
+                       t2 - Section(CA, want2))
 
     return ProductConnection(F, connF, tilde, checks, JC, hmat)
 
@@ -271,15 +270,15 @@ def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
     for mu in range(two_m):
         for nu in range(two_m):
             s1b = p01(frame[mu])
-            b1 = p10(D(s1b, p01(frame[nu]))).normalized()
+            b1 = p10(D(s1b, p01(frame[nu])))
             b2 = nabla_J(connF, JC, s1b, JC.apply(p01(frame[nu]))) \
                 .scale(chart.scalar(-half))
-            checks.add("both_forms", ("B", mu, nu), (b1 - b2).normalized())
+            checks.add("both_forms", ("B", mu, nu), b1 - b2)
             B[mu][nu] = b1
-            w1 = p01(D(s1b, p10(frame[nu]))).scale(-1).normalized()
+            w1 = p01(D(s1b, p10(frame[nu]))).scale(-1)
             w2 = nabla_J(connF, JC, s1b, JC.apply(p10(frame[nu]))) \
                 .scale(chart.scalar(half))
-            checks.add("both_forms", ("W", mu, nu), (w1 - w2).normalized())
+            checks.add("both_forms", ("W", mu, nu), w1 - w2)
             # W[nu][mu] = W_{F_nu} F_mu
             W[nu][mu] = w1
 
@@ -290,7 +289,7 @@ def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
                 for d in range(m):
                     want[d] = connF.gamma[d][mu][nu]
                 checks.add("local_B", (mu, nu),
-                           (B[mu][nu] - Section(CA, want)).normalized())
+                           B[mu][nu] - Section(CA, want))
             else:
                 checks.add("vanishing", (mu, nu), B[mu][nu])
 
@@ -302,7 +301,7 @@ def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
                 for d in range(m):
                     want[m + d] = -connF.gamma[m + d][mu][nu]
                 checks.add("local_W", (nu, mu),
-                           (W[nu][mu] - Section(CA, want)).normalized())
+                           W[nu][mu] - Section(CA, want))
             else:
                 checks.add("local_W", (nu, mu), W[nu][mu])
 
@@ -312,12 +311,12 @@ def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
             res = (D(s1b, s2b) - cov_deriv(prod.tilde, s1b, s2b)
                    + nabla_J(connF, JC, s1b, JC.apply(s2b))
                    .scale(chart.scalar(half)))
-            checks.add("gauss", (mu, nu), res.normalized())
+            checks.add("gauss", (mu, nu), res)
             s2t = p10(frame[nu])
             res = (D(s1b, s2t) - cov_deriv(prod.tilde, s1b, s2t)
                    + nabla_J(connF, JC, s1b, JC.apply(s2t))
                    .scale(chart.scalar(half)))
-            checks.add("weingarten", (mu, nu), res.normalized())
+            checks.add("weingarten", (mu, nu), res)
 
     # Metric duality.  The displayed identity h(W_{s3}s1,s2) = h(s3,B(s1,s2))
     # is not what metric compatibility of D gives when J is non-integrable
@@ -335,21 +334,20 @@ def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
             for p in range(two_m)]
 
     def g_value(sa: Section, sb: Section) -> Scalar:
-        return bilinear(chart.zero, gmat, sa, sb).normalize()
+        return bilinear(chart.zero, gmat, sa, sb)
 
     for lam in range(two_m):
         for mu in range(two_m):
             for nu in range(two_m):
                 res_b = (g_value(B[lam][mu], frame[nu])
-                         + g_value(frame[mu], B[lam][nu])).normalize()
+                         + g_value(frame[mu], B[lam][nu]))
                 checks.add("metric_duality", ("B", lam, mu, nu), res_b)
                 res_w = (g_value(W[nu][mu], frame[lam])
-                         + g_value(frame[nu], W[lam][mu])).normalize()
+                         + g_value(frame[nu], W[lam][mu]))
                 checks.add("metric_duality", ("W", lam, mu, nu), res_w)
                 lhs = _h_value(hmat, W[lam][mu], frame[nu])
                 rhs = _h_value(hmat, frame[lam], B[mu][nu])
-                checks.add("verbatim_duality", (lam, mu, nu),
-                           (lhs - rhs).normalize())
+                checks.add("verbatim_duality", (lam, mu, nu), lhs - rhs)
 
     return SecondFundamentalForm(
         F, connF,
@@ -365,8 +363,7 @@ def _real_B(A: Algebroid, J: EndoField, D: Connection
     p10r, p01r = projectors(J)
 
     def B(s1: Section, s2: Section) -> Section:
-        return p10r.apply(cov_deriv(D, p01r.apply(s1), p01r.apply(s2))) \
-            .normalized()
+        return p10r.apply(cov_deriv(D, p01r.apply(s1), p01r.apply(s2)))
 
     return B
 
@@ -383,13 +380,11 @@ def real_frame_B(fx: Fixture) -> Callable[[int, int], Section]:
 
 
 def _re_section(s: Section) -> Section:
-    return Section(s.algebroid, [c.real_part().normalize()
-                                 for c in s.components])
+    return Section(s.algebroid, [c.real_part() for c in s.components])
 
 
 def _im_section(s: Section) -> Section:
-    return Section(s.algebroid, [c.imag_part().normalize()
-                                 for c in s.components])
+    return Section(s.algebroid, [c.imag_part() for c in s.components])
 
 
 @dataclass
@@ -428,7 +423,7 @@ def mean_curvature(fx: Fixture) -> MeanCurvatureReport:
     for a in range(m):
         for b in range(m):
             acc = acc + sf.B[a][m + b]
-    verbatim_zero = acc.normalized().is_structurally_zero()
+    verbatim_zero = acc.is_structurally_zero()
 
     # h-dual 1-form k(s) = sum_a h(W_s f_a, fbar_a)
     k = EForm(CA, 1)
@@ -436,8 +431,8 @@ def mean_curvature(fx: Fixture) -> MeanCurvatureReport:
         val = CA.chart.zero
         for a in range(m):
             val = val + _h_value(hmat, sf.W[lam][a], CA.frame_section(m + a))
-        k[(lam,)] = val.normalize()
-    k_zero = k.normalized().is_structurally_zero()
+        k[(lam,)] = val
+    k_zero = k.is_structurally_zero()
 
     # H = sum_{a,b} g^{ab} B(e_a, e_b) over the real frame
     H = Section(A, [A.chart.zero] * A.rank)
@@ -447,7 +442,7 @@ def mean_curvature(fx: Fixture) -> MeanCurvatureReport:
             if not gab.is_structurally_zero():
                 H = H + fx.real_B(a, b).scale(gab)
 
-    return MeanCurvatureReport(H.normalized(), verbatim_zero, k_zero)
+    return MeanCurvatureReport(H, verbatim_zero, k_zero)
 
 
 @dataclass
@@ -492,7 +487,7 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
     frame = A.frame
     mr = A.rank
 
-    phi = [[g.value(frame[a], J.apply(frame[b])).normalize()
+    phi = [[g.value(frame[a], J.apply(frame[b]))
             for b in range(mr)] for a in range(mr)]
 
     def phi_value(s1: Section, s2: Section) -> Scalar:
@@ -510,7 +505,7 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
 
     def proportional(check: str, index, lhs: Scalar, c: Fraction,
                      rhs: Scalar) -> None:
-        checks.add(check, index, (lhs - c * rhs).normalize())
+        checks.add(check, index, lhs - c * rhs)
         if not rhs.is_structurally_zero():
             nonzero_rhs.add(check)
 
@@ -521,31 +516,29 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
     for a in range(mr):
         for b in range(mr):
             checks.add("im_re_relation", (a, b),
-                       (_im_section(Btab[a][b])
-                        - _re_section(B(frame[a], J.apply(frame[b]))))
-                       .normalized())
+                       _im_section(Btab[a][b])
+                       - _re_section(B(frame[a], J.apply(frame[b]))))
             checks.add("j_anti_invariance", (a, b),
-                       (B(J.apply(frame[a]), J.apply(frame[b]))
-                        + Btab[a][b]).normalized())
+                       B(J.apply(frame[a]), J.apply(frame[b])) + Btab[a][b])
             alt_re = _re_section(Btab[a][b] - Btab[b][a])
             nval = N.value(frame[a], frame[b])
             for c in range(mr):
                 proportional("n_reconstruction_proportional", (a, b, c),
-                             nval.components[c].normalize(), N_FROM_B,
-                             alt_re.components[c].normalize())
+                             nval.components[c], N_FROM_B,
+                             alt_re.components[c])
             reb = _re_section(Btab[a][b])
             for c in range(mr):
                 s3 = frame[c]
-                lhs = g.value(reb, s3).normalize()
+                lhs = g.value(reb, s3)
                 raw16 = (g.value(N.value(frame[a], frame[b]), s3)
                          + g.value(N.value(frame[b], J.apply(s3)),
                                    J.apply(frame[a]))
                          - g.value(N.value(J.apply(s3), frame[a]),
-                                   J.apply(frame[b]))).normalize()
+                                   J.apply(frame[b])))
                 proportional("nijenhuis_pairing_proportional", (a, b, c),
                              lhs, NIJENHUIS_PAIRING, raw16)
                 raw17 = (dphi(J.apply(frame[a]), frame[b], s3)
-                         + dphi(frame[a], J.apply(frame[b]), s3)).normalize()
+                         + dphi(frame[a], J.apply(frame[b]), s3))
                 proportional("dphi_pairing_proportional", (a, b, c),
                              lhs, DPHI_PAIRING, raw17)
 
@@ -554,9 +547,9 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
         for b in range(mr):
             checks.add("eigenbundle_isotropy", (a, b),
                        g.value(p01r.apply(frame[a]),
-                               p01r.apply(frame[b])).normalize())
+                               p01r.apply(frame[b])))
 
-    b_zero = all(Btab[a][b].normalized().is_structurally_zero()
+    b_zero = all(Btab[a][b].is_structurally_zero()
                  for a in range(mr) for b in range(mr))
     n_zero = N.is_structurally_zero()
 

@@ -4,23 +4,23 @@ Every tensor component in this package is a ``Scalar``: an immutable value
 over the coordinates of a single chart, with exact complex-rational
 constants.  The decidable fragment is the field of rational functions in
 the coordinates and in opaque transcendental atoms (sin, cos, exp, log,
-sqrt applied to subexpressions); within that fragment ``normalize``
-produces a canonical reduced quotient of polynomials, so structural zero
-testing is exact.  Outside the fragment (e.g. the identity
+sqrt applied to subexpressions); within that fragment the normal form
+(``norm_expr``) is a canonical reduced quotient of polynomials, so
+structural zero testing is exact.  Outside the fragment (e.g. the identity
 sin^2 + cos^2 = 1) zero testing falls back to randomized rational-point
 evaluation and reports a probabilistic status.
 
 A Scalar built from coordinates, rationals, ``I``, ``+``, ``*`` and
 integer powers alone holds its value as a pair (re, im) over the field of
-the chart's coordinates, ZZ(coordinates), with constants in QQ.
-Arithmetic, ``diff``, ``conjugate`` and the zero test act on the pair, and
-every result is reduced, so equal values are equal pairs.  A tree is built
-only to print, for ``ScalarMatrix``, ``eval`` and ``on_chart``, and to
-hash: a value with no coordinate is emitted as a + b*I, any other value,
-by one cancel in ZZ_I[coordinates], as the tree sympy's
-``cancel(together(e))`` returns.  An expression with a transcendental or
-algebraic atom, or with a vanishing denominator, stays a sympy tree and is
-normalised by sympy's own ``cancel(together(e))``.
+the chart's coordinates, ZZ(coordinates), with constants in QQ, reduced
+when it is built, so equal values are equal pairs.  A tree is built only
+to print, for ``ScalarMatrix``, ``eval`` and ``on_chart``, and to hash, as
+the tree sympy's ``cancel(together(e))`` returns.  An expression with an
+atom, or with a vanishing denominator, stays the sympy tree it was built
+as; its normal form, sympy's own ``cancel(together(e))``, is taken when it
+is read (zero test, ``==``, hash, print).  No caller normalises: the tree
+route takes its operands' normal forms only where a printed tree depends
+on it (a tree divided by a tree; ``ScalarMatrix.det`` and ``inverse``).
 
 Expressions are backed by sympy; the grammar, printer and normal form are
 pinned here so the text format is independent of sympy's own parser.  This
@@ -38,6 +38,7 @@ from fractions import Fraction
 from typing import Iterable, List, Mapping, Optional, Union
 
 import sympy as sp
+from sympy.core.exprtools import decompose_power
 from sympy.polys.domains import QQ, ZZ, ZZ_I
 from sympy.polys.fields import FracField
 from sympy.polys.matrices import DomainMatrix
@@ -219,8 +220,7 @@ class Chart:
         self._by_name = {c.name: c for c in self.coords}
         self._coord_set = frozenset(self.coords)
         self._field = _field(self._coord_set)
-        # shared by every caller; a Scalar is immutable, and the shared
-        # zero computes its normal form once
+        # shared by every caller; a Scalar is immutable
         self.zero = Scalar(self, _ZERO)
         self.one = Scalar(self, _ONE)
 
@@ -277,12 +277,19 @@ def _canonical(expr: sp.Expr, entry: Optional[tuple] = None) -> sp.Expr:
     the field of ``entry`` (by default the field of its own symbols) and
     emitted by ``_emit``.  An expression with an atom (sin, sqrt, exp, ...)
     or with a vanishing denominator takes sympy's own
-    ``cancel(together(expr))``, emitted as a pair's when no atom is left.
+    ``cancel(together(expr))``, emitted as a pair's when no atom is left,
+    unless its walk over a field with its atoms as generators finds zero.
     """
     if entry is None:
         entry = _field(frozenset(expr.free_symbols))
     pair = _to_pair(expr, entry)
     if pair is None:
+        # zero as a rational function of its coordinates and atoms: then
+        # cancel's quotient is 0 too, and the walk is the cheaper test
+        gens = _generators(expr)
+        zero = gens and _to_pair(expr, _field(gens))
+        if zero and not (zero[0] or zero[1]):
+            return sp.S.Zero
         # an atom may cancel: then the quotient is emitted as a pair's
         expr = sp.cancel(sp.together(expr))
         pair = _to_pair(expr, entry)
@@ -291,8 +298,9 @@ def _canonical(expr: sp.Expr, entry: Optional[tuple] = None) -> sp.Expr:
     return _emit(pair, entry[0])
 
 
-# per set of coordinates: the field the pairs live in, its generator of
-# each coordinate, and the memo of the pairs of the tree nodes walked in it.
+# per set of coordinates (and atoms, for the zero test): the field the pairs
+# live in, its generator of each, and the memo of the pairs of the tree
+# nodes walked in it.
 # With coordinates the field is ZZ(coordinates), in lex order over sympy's
 # generator order as in the ring `cancel` works in (so the sign of a
 # denominator is fixed the same way); a constant is never an element of
@@ -330,9 +338,9 @@ _UNWALKED = object()
 
 
 def _to_pair(expr: sp.Expr, entry: tuple) -> Optional[tuple]:
-    """The pair of ``expr``, or None when it has an atom or a vanishing
-    denominator.  The coordinates are real, so ``I`` never enters the
-    field."""
+    """The pair of ``expr``, or None when it has an atom that is not a
+    generator of the field, or a vanishing denominator.  The coordinates
+    are real, so ``I`` never enters the field."""
     _, gens, memo = entry
     if len(memo) >= _MEMO_NODES:
         memo.clear()
@@ -358,7 +366,11 @@ def _to_pair(expr: sp.Expr, entry: tuple) -> Optional[tuple]:
             elif node.is_Pow and node.exp.is_Integer:
                 pair = _power(walk(node.base), int(node.exp))
             else:
-                raise _NotRational
+                # an atom is a power of a generator, as in sympy's polys
+                base, exp = decompose_power(node)
+                if base not in gens:
+                    raise _NotRational
+                pair = _power((gens[base], _Q0), exp)
             memo[node] = pair
         return pair
 
@@ -366,6 +378,28 @@ def _to_pair(expr: sp.Expr, entry: tuple) -> Optional[tuple]:
         return walk(expr)
     except (_NotRational, ZeroDivisionError):
         return None
+
+
+def _generators(expr: sp.Expr) -> Optional[frozenset]:
+    """The coordinates of ``expr`` outside its atoms and the generator of
+    each atom, as sympy's polys take them (exp(2*x) is exp(x)^2); None
+    when an atom is a number such as sin(1), which sympy's ``cancel``
+    takes as a coefficient instead."""
+    out = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if node.is_Add or node.is_Mul:
+            stack.extend(node.args)
+        elif node.is_Pow and node.exp.is_Integer:
+            stack.append(node.base)
+        elif node.is_Symbol:
+            out.add(node)
+        elif not (node.is_Rational or node is sp.I):
+            if node.is_number:
+                return None
+            out.add(decompose_power(node)[0])
+    return frozenset(out)
 
 
 def _emit(pair: tuple, field) -> sp.Expr:
@@ -494,10 +528,12 @@ class Scalar:
     every result is reduced; its tree is built only on demand
     (``norm_expr``).  An expression with an atom, or one whose walk meets
     a vanishing denominator, is held as a sympy tree (``pair`` is None),
-    built by sympy's arithmetic and normalised by ``cancel(together(e))``;
-    a pair enters such a tree as its normal form's tree.  Beside an
-    algebraic atom (``sqrt(x1 + 1)``) the normal form is not canonical, so
-    there the result's tree, and ``==``, can depend on the route taken.
+    built by sympy's arithmetic and reduced by ``cancel(together(e))``
+    only when ``norm_expr`` is read; no caller normalises.  A pair enters
+    such a tree as its normal form's tree, and so does each side of a
+    quotient of two trees.  Beside an algebraic atom (``sqrt(x1 + 1)``)
+    the normal form is not canonical, so there the result's tree, and
+    ``==``, can depend on the route taken.
 
     ``Scalar(chart, value)`` takes a pair, or a sympy expression whose
     symbols are coordinates of ``chart``, walked into a pair when it has
@@ -533,12 +569,6 @@ class Scalar:
         return self.norm_expr if tree is None else tree
 
     # -- canonical form -------------------------------------------------
-
-    def normalize(self) -> "Scalar":
-        if self.pair is not None:
-            return self
-        norm = self.norm_expr
-        return self if self._tree is norm else _normal(self.chart, norm)
 
     @property
     def norm_expr(self) -> sp.Expr:
@@ -624,6 +654,9 @@ class Scalar:
         u, v = self.pair, other.pair
         if u is _ZERO:
             return self
+        if u is None and v is None:
+            # beside an algebraic atom a quotient of raw trees prints otherwise
+            return Scalar(self.chart, self.norm_expr / other.norm_expr)
         if u is None or v is None:
             return Scalar(self.chart, self.expr / other.expr)
         return Scalar(self.chart, _times(u, _power(v, -1)))
@@ -742,28 +775,29 @@ class Scalar:
         return f"Scalar({print_scalar(self)!r})"
 
 
-def _normal(chart: Chart, norm: sp.Expr) -> Scalar:
-    """The Scalar of a normal form, carrying it: the normal form is
-    idempotent (the rational core has one route, and its output walks back
-    to itself), so its own normal form is itself."""
-    out = Scalar(chart, norm)
-    object.__setattr__(out, "_norm", norm)
+def _normal(chart: Chart, expr: sp.Expr) -> Scalar:
+    """The Scalar of ``expr`` in normal form: its pair, or its normal form's
+    tree, carried as its own normal form (the normal form is idempotent)."""
+    out = Scalar(chart, expr)
+    if out.pair is None:
+        norm = out.norm_expr
+        out = Scalar(chart, norm)
+        object.__setattr__(out, "_norm", norm)
     return out
 
 
 class ScalarMatrix:
     """Matrix of Scalars on one chart with exact linear algebra.
 
-    Entries are held in normal form, and every result entry is brought back
-    to normal form.  Products are Scalar arithmetic; ``det``, ``inverse``
-    and ``rank`` work on the entries' trees.  ``rank`` pivots structurally:
-    an entry is zero exactly when its normal form is.
+    Products are Scalar arithmetic; ``det``, ``inverse`` and ``rank`` work
+    on the entries' normal forms, and ``det`` and ``inverse`` return normal
+    forms.  ``rank`` pivots structurally: an entry is zero exactly when its
+    normal form is.
     """
 
     def __init__(self, chart: Chart, rows: Iterable[Iterable]):
         self.chart = chart
-        self._rows = tuple(tuple(chart.scalar(e).normalize() for e in row)
-                           for row in rows)
+        self._rows = tuple(tuple(chart.scalar(e) for e in row) for row in rows)
 
     def rows(self) -> tuple:
         """The entries, as a tuple of rows of Scalars."""
@@ -789,14 +823,13 @@ class ScalarMatrix:
     def det(self) -> Scalar:
         m = self._over_field
         det = self._m.det() if m is None else m.domain.to_sympy(m.det())
-        return Scalar(self.chart, det).normalize()
+        return _normal(self.chart, det)
 
     def inverse(self) -> "ScalarMatrix":
         m = self._over_field
         inv = self._m.inv() if m is None else m.inv().to_Matrix()
-        entry = self.chart._field
         return ScalarMatrix(self.chart, [
-            [_normal(self.chart, _canonical(e, entry)) for e in inv.row(r)]
+            [_normal(self.chart, e) for e in inv.row(r)]
             for r in range(inv.rows)])
 
     def rank(self) -> int:
@@ -813,8 +846,8 @@ class ScalarMatrix:
 
     def apply(self, vector: Iterable) -> List[Scalar]:
         """The matrix times a column of Scalars."""
-        col = [self.chart.scalar(c).normalize() for c in vector]
-        return [self._dot(row, col).normalize() for row in self._rows]
+        col = [self.chart.scalar(c) for c in vector]
+        return [self._dot(row, col) for row in self._rows]
 
 
 def nonzero_entries(scalars: Iterable[Scalar]):
@@ -1038,11 +1071,12 @@ class _Parser:
 
 
 def parse_scalar(text: str, chart: Chart) -> Scalar:
-    """Parse the expression grammar into a normalized Scalar."""
+    """Parse the expression grammar into a Scalar: a reduced pair, or the
+    tree as parsed, whose normal form is taken when it is read."""
     expr = _Parser(text, chart).parse()
     if expr.has(sp.zoo, sp.nan):
         raise ParseError("expression contains division by zero", 0)
-    return Scalar(chart, expr).normalize()
+    return Scalar(chart, expr)
 
 
 # ---------------------------------------------------------------------------

@@ -75,13 +75,13 @@ def test_criterion_01_structure_equations(catalog):
     res = [r for idx, r in broken.entries("jacobi") if idx[:3] == (0, 1, 2)]
     for d, comp in enumerate(res):
         want = -1 if d == 2 else 0
-        assert (comp - want).normalize().is_structurally_zero()
+        assert (comp - want).is_structurally_zero()
 
 
 def _structure_is_constant(A):
     entries = [e for row in A.anchor for e in row]
     entries += [e for layer in A.C for row in layer for e in row]
-    return all(e.normalize().is_constant() for e in entries)
+    return all(e.is_constant() for e in entries)
 
 
 def _random_form(algebroid, degree, rng, linear):
@@ -111,14 +111,14 @@ def test_criterion_02_differential_squares_to_zero(catalog):
         for degree in range(A.rank + 1):
             for _ in range(20):
                 w = _random_form(A, degree, rng, linear)
-                assert d_E(d_E(w)).normalized().is_structurally_zero(), \
+                assert d_E(d_E(w)).is_structurally_zero(), \
                     f"d^2 != 0 on {name} at degree {degree}"
     # the broken bracket must produce a d^2 witness on some basis 1-form
     broken = catalog("heis_broken").algebroid
     witnesses = []
     for a in range(broken.rank):
         w = EForm(broken, 1, {(a,): 1})
-        dd = d_E(d_E(w)).normalized()
+        dd = d_E(d_E(w))
         if not dd.is_structurally_zero():
             witnesses.append((a, dd))
     assert witnesses, "no nonzero d^2 witness on the broken fixture"
@@ -139,10 +139,10 @@ def test_criterion_03_nijenhuis_double_computation(catalog):
     oracle = (bracket(J.apply(e1), J.apply(e2))
               - J.apply(bracket(e1, J.apply(e2)))
               - J.apply(bracket(J.apply(e1), e2))
-              - bracket(e1, e2)).normalized()
-    assert (val - oracle).normalized().is_structurally_zero()
+              - bracket(e1, e2))
+    assert (val - oracle).is_structurally_zero()
     want = e3.scale(-2)
-    assert (val - want).normalized().is_structurally_zero()
+    assert (val - want).is_structurally_zero()
 
 
 @criterion(4)
@@ -166,8 +166,8 @@ def test_criterion_05_levi_civita_certification(catalog):
     conn = warped.levi_civita
     chart = warped.algebroid.chart
     x3 = chart.scalar("x3")
-    want = (x3 / (1 + x3 ** 2)).normalize()
-    assert (conn.gamma[0][2][0] - want).normalize().is_structurally_zero()
+    want = x3 / (1 + x3 ** 2)
+    assert (conn.gamma[0][2][0] - want).is_structurally_zero()
     # complex-frame coefficients agree with the transformed real ones
     for name in HERMITIAN_NAMES:
         connF = catalog(name).complex_levi_civita
@@ -189,10 +189,10 @@ def test_criterion_06_kahler_trichotomy(catalog):
     assert warped.status == "hermitian-non-kahler"
     # hand oracle: d_E Phi = f'(x3) e3^e1^e2 = 2 x3 e1^e2^e3
     chart = catalog("warped_r4").algebroid.chart
-    dphi = warped.dphi.normalized()
+    dphi = warped.dphi
     assert set(dphi.components) == {(0, 1, 2)}
     want = chart.scalar("2 * x3")
-    assert (dphi[(0, 1, 2)] - want).normalize().is_structurally_zero()
+    assert (dphi[(0, 1, 2)] - want).is_structurally_zero()
 
 
 @criterion(7)
@@ -253,7 +253,7 @@ def test_criterion_09_product_geometry_suite(catalog):
     suite = identity_suite(catalog("heis_j"))
     assert suite.checks.ok("n_reconstruction_proportional")
     assert suite.m19_constant is not None
-    assert (suite.m19_constant - (-8)).normalize().is_structurally_zero()
+    assert (suite.m19_constant - (-8)).is_structurally_zero()
     assert not suite.n_zero
 
 
@@ -288,7 +288,7 @@ def test_criterion_11_constructions(catalog):
     for a in range(p.algebroid.rank):
         for b in range(p.algebroid.rank):
             want = -1 if a == b else 0
-            assert (sq.entry(b, a) - want).normalize() \
+            assert (sq.entry(b, a) - want) \
                 .is_structurally_zero()
     assert nijenhuis(p.algebroid, Jc).is_structurally_zero()
     # sphere restriction: flatness residual zero (structurally, and at

@@ -67,11 +67,11 @@ def test_vf_bracket_coordinate_fields():
     v1 = VectorField(chart, ["x1", "0"])
     v2 = VectorField(chart, ["0", "1"])
     br = vf_bracket(v1, v2)
-    assert all(c.normalize().is_structurally_zero() for c in br.components)
+    assert all(c.is_structurally_zero() for c in br.components)
     v3 = VectorField(chart, ["x2", "0"])
     br = vf_bracket(v2, v3)  # [d/dx2, x2 d/dx1] = d/dx1
-    assert (br.components[0] - 1).normalize().is_structurally_zero()
-    assert br.components[1].normalize().is_structurally_zero()
+    assert (br.components[0] - 1).is_structurally_zero()
+    assert br.components[1].is_structurally_zero()
 
 
 def test_bracket_leibniz_rule(tangent_r2):
@@ -82,14 +82,14 @@ def test_bracket_leibniz_rule(tangent_r2):
     f = chart.scalar("x1 * x2")
     lhs = bracket(s1, s2.scale(f))
     rhs = bracket(s1, s2).scale(f) + s2.scale(anchor_push(s1).apply(f))
-    assert (lhs - rhs).normalized().is_structurally_zero()
+    assert (lhs - rhs).is_structurally_zero()
 
 
 def test_bracket_antisymmetry(tangent_r2):
     s1 = tangent_r2.section(["x2^2", "1"])
     s2 = tangent_r2.section(["1", "x1"])
     res = bracket(s1, s2) + bracket(s2, s1)
-    assert res.normalized().is_structurally_zero()
+    assert res.is_structurally_zero()
 
 
 def test_validate_tangent_algebroid(tangent_r2):
@@ -110,7 +110,7 @@ def test_validate_broken_jacobi():
     # jacobiator agrees with the tabulated residual
     jac = jacobiator(A.frame_section(0), A.frame_section(1),
                      A.frame_section(2))
-    assert (jac.components[2] + 1).normalize().is_structurally_zero()
+    assert (jac.components[2] + 1).is_structurally_zero()
 
 
 def test_anchor_morphism_failure_detected():
@@ -127,7 +127,7 @@ def test_section_arithmetic_and_chart_guard(tangent_r2):
     with pytest.raises(Exception):
         s + Section(other, ["1"])
     assert (s - s).is_structurally_zero()
-    assert (s.scale(3).components[0] - 3).normalize().is_structurally_zero()
+    assert (s.scale(3).components[0] - 3).is_structurally_zero()
 
 
 @PROPERTY
@@ -136,7 +136,7 @@ def test_nilpotent_algebroids_are_valid(A, data):
     assert validate_structure(A).ok()
     for degree in (1, 2):
         w = _random_form(data.draw, A, degree)
-        assert d_E(d_E(w)).normalized().is_structurally_zero()
+        assert d_E(d_E(w)).is_structurally_zero()
 
 
 @PROPERTY
@@ -165,4 +165,4 @@ def test_jacobi_failures_match_jacobiator(A, data):
                         expected[(p, q, r, d)] = comp
     assert failures.keys() == expected.keys()
     for index, residual in failures.items():
-        assert (residual - expected[index]).normalize().is_structurally_zero()
+        assert (residual - expected[index]).is_structurally_zero()

@@ -30,7 +30,7 @@ def test_sphere_first_chern_form(catalog):
     assert rep.checks.ok("half_trace_equality")
     # the empirical factor between the two traces is exactly 1/2
     half = fx.algebroid.chart.scalar("1/2")
-    assert (rep.factor - half).normalize().is_structurally_zero()
+    assert (rep.factor - half).is_structurally_zero()
     # degree 2k above the rank: the zero form by degree
     rep2 = chern_form(bc, 2, "both")
     assert rep2.form.is_structurally_zero()
@@ -47,7 +47,7 @@ def test_source_selection(catalog):
     bc = block_curvature(catalog("conformal_sphere_chart"))
     a = chern_form(bc, 1, "iphi").form
     b = chern_form(bc, 1, "block").form
-    assert (a - b).normalized().is_structurally_zero()
+    assert (a - b).is_structurally_zero()
     with pytest.raises(ValueError):
         chern_form(bc, 0, "both")
     with pytest.raises(ValueError):
@@ -57,4 +57,4 @@ def test_source_selection(catalog):
 def test_chern_form_closed_under_d(catalog):
     bc = block_curvature(catalog("conformal_sphere_chart"))
     form = chern_form(bc, 1, "both").form
-    assert d_E(form).normalized().is_structurally_zero()
+    assert d_E(form).is_structurally_zero()

@@ -143,6 +143,16 @@ def test_exit_code_precondition_failures(tmp_path):
         code, out, err = run_cli(argv)
         assert code == 3 and out == "", argv
         assert err.startswith("precondition unmet:"), argv
+    # sympy keeps conjugate(sqrt(x1 + 1)) for a real x1, so the complex-frame
+    # components of this metric fail their Hermitian symmetry
+    doc = tmp_path / "sqrt_metric.alg"
+    doc.write_text(SQRT_METRIC_DOC)
+    for argv in (["levi-civita", str(doc), "--complex-frame"],
+                 ["second-fundamental", str(doc)]):
+        code, out, err = run_cli(argv)
+        assert code == 3 and out == "", argv
+        assert err == ("precondition unmet: Hermitian symmetry"
+                       " g_ab_bar = conj(g_ba_bar) fails\n"), argv
 
 
 def test_exit_code_internal_inconsistency(monkeypatch):
@@ -492,13 +502,26 @@ def documents(draw):
     return "\n".join(lines) + "\n"
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(documents(), st.sampled_from(["validate", "nijenhuis"]))
-def test_random_documents_get_a_documented_exit_code(text, command):
+def _assert_documented_exit_code(text, command):
     with tempfile.TemporaryDirectory() as tmp:
         doc = os.path.join(tmp, "fuzz.alg")
         with open(doc, "w", encoding="utf-8") as fh:
             fh.write(text)
-        code, _, err = run_cli([command, doc])
+        code, _, err = run_cli([command[0], doc] + command[1:])
     assert code in (0, 1, 2, 3), (code, err)
     assert "Traceback" not in err
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(documents(), st.sampled_from(["validate", "nijenhuis"]))
+def test_random_documents_get_a_documented_exit_code(text, command):
+    _assert_documented_exit_code(text, [command])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(documents(), st.sampled_from([
+    ["kahler-report"], ["levi-civita", "--complex-frame"],
+    ["second-fundamental"], ["identity-suite"]]))
+def test_random_documents_get_a_documented_exit_code_from_the_geometry(
+        text, command):
+    _assert_documented_exit_code(text, command)

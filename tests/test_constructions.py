@@ -96,10 +96,10 @@ def test_product_of_a_fixture_with_itself_builds_it_once(monkeypatch):
 def test_function_lifts(catalog):
     p = prolong(catalog("flat_r2").algebroid)
     fv = p.function_vertical_lift("x1 * x2")
-    assert (fv - p.chart.scalar("x1 * x2")).normalize().is_structurally_zero()
+    assert (fv - p.chart.scalar("x1 * x2")).is_structurally_zero()
     # with the identity anchor, x1^c is the first fibre coordinate
     fc = p.function_complete_lift("x1")
-    assert (fc - p.chart.scalar(p.y[0])).normalize().is_structurally_zero()
+    assert (fc - p.chart.scalar(p.y[0])).is_structurally_zero()
 
 
 def test_lift_bracket_laws(catalog):
@@ -132,7 +132,7 @@ def test_complete_lift_endo_laws(catalog):
     for a in range(fx.algebroid.rank):
         ea = fx.algebroid.frame_section(a)
         res = Jc.apply(p.vertical_lift(ea)) - p.vertical_lift(fx.J.apply(ea))
-        assert res.normalized().is_structurally_zero()
+        assert res.is_structurally_zero()
 
 
 def test_complete_lift_metric_flat(catalog):
@@ -142,10 +142,10 @@ def test_complete_lift_metric_flat(catalog):
     r = p.r
     for a in range(r):
         for b in range(r):
-            assert G[a][b].normalize().is_structurally_zero()
-            assert G[r + a][r + b].normalize().is_structurally_zero()
+            assert G[a][b].is_structurally_zero()
+            assert G[r + a][r + b].is_structurally_zero()
             want = 1 if a == b else 0
-            assert (G[a][r + b] - want).normalize().is_structurally_zero()
+            assert (G[a][r + b] - want).is_structurally_zero()
 
 
 def test_sasaki_metric_and_adapted_structure(catalog):
@@ -157,7 +157,7 @@ def test_sasaki_metric_and_adapted_structure(catalog):
     for a in range(2 * p.r):
         for b in range(2 * p.r):
             want = 1 if a == b else 0
-            assert (gL.entry(a, b) - want).normalize().is_structurally_zero()
+            assert (gL.entry(a, b) - want).is_structurally_zero()
     JL = p.adapted_complex_structure(conn)
     sq = JL.compose(JL) + EndoField.identity(p.algebroid)
     assert sq.is_structurally_zero()
@@ -215,10 +215,10 @@ def test_complete_lift_connection_laws(catalog):
             # D^c over a complete lift sends vertical lifts to vertical lifts
             res = cov_deriv(Dc, p.complete_lift(ea), p.vertical_lift(eb)) \
                 - p.vertical_lift(nab)
-            assert res.normalized().is_structurally_zero()
+            assert res.is_structurally_zero()
             # vertical directions are flat among themselves
             res = cov_deriv(Dc, p.vertical_lift(ea), p.vertical_lift(eb))
-            assert res.normalized().is_structurally_zero()
+            assert res.is_structurally_zero()
 
 
 def test_direct_product_blocks(catalog):
@@ -232,11 +232,11 @@ def test_direct_product_blocks(catalog):
     e2 = f2.algebroid.frame_section(1)
     br = bracket(prod.inject2(e1), prod.inject2(e2))
     want = prod.inject2(f2.algebroid.frame_section(2).scale(2))
-    assert (br - want).normalized().is_structurally_zero()
+    assert (br - want).is_structurally_zero()
     # J acts blockwise
     s = f1.algebroid.frame_section(0)
     res = prod.J.apply(prod.inject1(s)) - prod.inject1(f1.J.apply(s))
-    assert res.normalized().is_structurally_zero()
+    assert res.is_structurally_zero()
 
 
 def test_projector_restriction_requires_idempotent():
@@ -256,7 +256,7 @@ def test_projector_restriction_identity():
     assert res.checks.ok("J_commutes")
     assert res.checks.ok("derived_anchor_morphism")
     # identity projector on the trivial bundle reproduces the tangent data
-    assert all((res.algebroid.anchor[a][i] - eye[a][i]).normalize()
+    assert all((res.algebroid.anchor[a][i] - eye[a][i])
                .is_structurally_zero() for a in range(2) for i in range(2))
 
 

@@ -16,7 +16,7 @@ def A():
 
 def test_index_storage_antisymmetric(A):
     w = EForm(A, 2, {(1, 0): "x1"})
-    assert (w[(0, 1)] + A.chart.scalar("x1")).normalize() \
+    assert (w[(0, 1)] + A.chart.scalar("x1")) \
         .is_structurally_zero()
     assert w[(1, 1)].is_structurally_zero()
     with pytest.raises(ValueError):
@@ -29,16 +29,16 @@ def test_wedge_shuffle_normalization(A):
     w = wedge(e1, e2)
     # shuffle convention: e^1 ^ e^2 evaluated on (e_1, e_2) is 1
     val = evaluate(w, [A.frame_section(0), A.frame_section(1)])
-    assert (val - 1).normalize().is_structurally_zero()
+    assert (val - 1).is_structurally_zero()
     anti = wedge(e2, e1) + w
-    assert anti.normalized().is_structurally_zero()
+    assert anti.is_structurally_zero()
 
 
 def test_wedge_associative(A):
     e = [EForm(A, 1, {(k,): f"x{k + 1}"}) for k in range(3)]
     lhs = wedge(wedge(e[0], e[1]), e[2])
     rhs = wedge(e[0], wedge(e[1], e[2]))
-    assert (lhs - rhs).normalized().is_structurally_zero()
+    assert (lhs - rhs).is_structurally_zero()
 
 
 def test_d_of_function_is_anchor_derivative(A):
@@ -47,12 +47,12 @@ def test_d_of_function_is_anchor_derivative(A):
     want = {(0,): "2*x1*x2", (1,): "x1^2"}
     for idx in [(0,), (1,), (2,)]:
         expect = A.chart.scalar(want.get(idx, 0))
-        assert (df[idx] - expect).normalize().is_structurally_zero()
+        assert (df[idx] - expect).is_structurally_zero()
 
 
 def test_d_squared_zero_tangent(A):
     w = EForm(A, 1, {(0,): "x2 * x3", (1,): "x1^2", (2,): "x1 + x2"})
-    assert d_E(d_E(w)).normalized().is_structurally_zero()
+    assert d_E(d_E(w)).is_structurally_zero()
 
 
 def test_d_uses_structure_functions():
@@ -63,8 +63,8 @@ def test_d_uses_structure_functions():
     e1 = EForm(A, 1, {(0,): 1})
     de1 = d_E(e1)
     # d e^1 = -C^1_23 e^2 ^ e^3 on the dual side: (d e^1)(e_2, e_3) = -C^1_23
-    assert (de1[(1, 2)] + 1).normalize().is_structurally_zero()
-    assert d_E(d_E(e1)).normalized().is_structurally_zero()
+    assert (de1[(1, 2)] + 1).is_structurally_zero()
+    assert d_E(d_E(e1)).is_structurally_zero()
 
 
 def test_degree_above_frame_size_is_zero(A):
@@ -79,4 +79,4 @@ def test_leibniz_for_wedge(A):
     e = EForm(A, 1, {(1,): "x3"})
     lhs = d_E(wedge(w, e))
     rhs = wedge(d_E(w), e) - wedge(w, d_E(e))
-    assert (lhs - rhs).normalized().is_structurally_zero()
+    assert (lhs - rhs).is_structurally_zero()

@@ -30,7 +30,7 @@ def test_endofield_compose_apply(catalog):
     J = fx.J
     s = fx.algebroid.section(["x1", "x2"])
     twice = J.apply(J.apply(s))
-    assert (twice + s).normalized().is_structurally_zero()
+    assert (twice + s).is_structurally_zero()
     sq = J.compose(J) + EndoField.identity(fx.algebroid)
     assert sq.is_structurally_zero()
 
@@ -41,7 +41,7 @@ def test_nijenhuis_heis_oracle(catalog):
     A = fx.algebroid
     val = N.value(A.frame_section(0), A.frame_section(1))
     want = A.frame_section(2).scale(-2)
-    assert (val - want).normalized().is_structurally_zero()
+    assert (val - want).is_structurally_zero()
     assert not N.is_structurally_zero()
 
 
@@ -52,7 +52,7 @@ def test_nijenhuis_antisymmetry(catalog):
         for a in range(m):
             for b in range(m):
                 res = (N.components[c][a][b] + N.components[c][b][a])
-                assert res.normalize().is_structurally_zero()
+                assert res.is_structurally_zero()
 
 
 def test_complex_frame_eigen_and_conjugation(catalog):
@@ -61,7 +61,7 @@ def test_complex_frame_eigen_and_conjugation(catalog):
     for mu, f in enumerate(F.sections):
         eig = sp.I if mu < F.m else -sp.I
         res = fx.J.apply(f) - f.scale(fx.algebroid.chart.scalar(eig))
-        assert res.normalized().is_structurally_zero()
+        assert res.is_structurally_zero()
     assert F.conjugation_symmetry_ok()
     assert F.conj_index(0) == F.m
     assert F.conj_index(F.m) == 0
@@ -74,7 +74,7 @@ def test_complex_frame_expand_rebuild(catalog):
     s = A.section(["x3", "1", "0", "x1"])
     coeffs = F.expand(s)
     back = F.rebuild(coeffs)
-    assert (back - s).normalized().is_structurally_zero()
+    assert (back - s).is_structurally_zero()
 
 
 def test_projectors_split_identity(catalog):
@@ -82,11 +82,11 @@ def test_projectors_split_identity(catalog):
     p10, p01 = projectors(fx.J)
     s = fx.algebroid.section(["x1", "0", "x2", "1"])
     total = p10.apply(s) + p01.apply(s)
-    assert (total - s).normalized().is_structurally_zero()
+    assert (total - s).is_structurally_zero()
     # p10 lands in the +i eigenspace
     t = p10.apply(s)
     res = fx.J.apply(t) - t.scale(fx.algebroid.chart.scalar(sp.I))
-    assert res.normalized().is_structurally_zero()
+    assert res.is_structurally_zero()
 
 
 def test_bigrade_and_split(catalog):
@@ -131,7 +131,7 @@ def test_eigenbundle_bracket_closure_iff_integrable(catalog):
     F = catalog("flat_r2").frame
     CA = F.as_algebroid()
     br = bracket(F.sections[0], F.sections[0])
-    assert br.normalized().is_structurally_zero()
+    assert br.is_structurally_zero()
     # on heis the (1,0) x (1,0) bracket leaks into the barred part
     F = catalog("heis_j").frame
     CA = F.as_algebroid()

@@ -251,7 +251,7 @@ def test_chart_zero_and_one_are_shared(catalog):
     chart = catalog("heis_j").algebroid.chart
     assert chart.zero is chart.zero and chart.one is chart.one
     assert -chart.zero is chart.zero
-    assert chart.zero.normalize() is chart.zero
+    assert chart.zero + chart.zero is chart.zero
     assert chart.scalar("3/4").diff("x1") is chart.zero
     # a foreign coordinate or scalar is refused, numeric or not
     other = Chart("other", ["x1", "y1"])
@@ -276,7 +276,7 @@ def test_metric_compat_check_derives_each_frame_pair_once(catalog,
                 nc = cov_deriv(D, frame[a], frame[c])
                 res = (A.anchor_vf(a).apply(g.matrix[b][c])
                        - g.value(nb, frame[c]) - g.value(frame[b], nc))
-                expected.append(((a, b, c), sp.srepr(res.normalize().expr)))
+                expected.append(((a, b, c), sp.srepr(res.expr)))
     calls = _count_calls(monkeypatch, connections, "cov_deriv")
     entries = connections.metric_compat_check(D, g).entries("metric_compatible")
     assert len(calls) == m * m

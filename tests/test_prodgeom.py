@@ -61,11 +61,11 @@ def test_identity_suite_heis_constants(catalog):
     assert rep.checks.ok("im_re_relation", "j_anti_invariance",
                          "eigenbundle_isotropy")
     chart = fx.algebroid.chart
-    assert (rep.m16_constant - chart.scalar("-1/16")).normalize() \
+    assert (rep.m16_constant - chart.scalar("-1/16")) \
         .is_structurally_zero()
-    assert (rep.m17_constant - chart.scalar("1/8")).normalize() \
+    assert (rep.m17_constant - chart.scalar("1/8")) \
         .is_structurally_zero()
-    assert (rep.m19_constant - chart.scalar("-8")).normalize() \
+    assert (rep.m19_constant - chart.scalar("-8")) \
         .is_structurally_zero()
     assert not rep.b_zero and not rep.n_zero
     assert rep.geodesic_iff_hermitian
@@ -78,7 +78,7 @@ def test_identity_suite_detects_a_scaled_nijenhuis_tensor():
     shared = fixture("heis_j")
     fx = dataclasses.replace(shared)
     N = fx.nijenhuis
-    doubled = tuple(tuple(tuple((2 * e).normalize() for e in row)
+    doubled = tuple(tuple(tuple(2 * e for e in row)
                           for row in layer) for layer in N.components)
     fx.__dict__["nijenhuis"] = NijenhuisTensor(N.algebroid, doubled,
                                                N.checks)

@@ -42,7 +42,7 @@ def test_parse_precedence_and_power(chart):
     s = parse_scalar("-x1^2", chart)
     assert (s + chart.scalar(x1 ** 2)).is_structurally_zero()
     s = parse_scalar("x1^-2", chart)
-    assert (s - chart.scalar(x1 ** -2)).normalize().is_structurally_zero()
+    assert (s - chart.scalar(x1 ** -2)).is_structurally_zero()
 
 
 def test_imaginary_unit_and_functions(chart):
@@ -75,7 +75,7 @@ def test_print_round_trip(chart):
         s = parse_scalar(text, chart)
         printed = print_scalar(s)
         again = parse_scalar(printed, chart)
-        assert (s - again).normalize().is_structurally_zero()
+        assert (s - again).is_structurally_zero()
         assert print_scalar(again) == printed
 
 
@@ -119,8 +119,8 @@ def test_print_parse_print_fixed_point(text):
 @PROPERTY
 @given(GRAMMAR)
 def test_normalize_idempotent(text):
-    n = _parse_or_reject(text).normalize()
-    assert n.normalize().norm_expr == n.norm_expr
+    s = _parse_or_reject(text)
+    assert s.chart.scalar(s.norm_expr).norm_expr == s.norm_expr
 
 
 @PROPERTY
@@ -236,6 +236,21 @@ def test_only_scalars_imports(module):
     assert importers == {"scalars.py"}
 
 
+def test_only_scalars_normalises():
+    # the normal form is the scalar layer's own business: no other module
+    # asks for it, on a path the tests run or not
+    package = pathlib.Path(algebroids.__file__).parent
+    callers = []
+    for path in package.glob("*.py"):
+        if path.name == "scalars.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("normalize", "normalized")):
+                callers.append((path.name, node.lineno))
+    assert callers == []
+
+
 def test_every_imported_name_is_used():
     # cli and prodgeom keep levi_civita bound because the benchmark's
     # tracing self-test checks that its wrapper replaces those bindings
@@ -264,8 +279,8 @@ def test_every_imported_name_is_used():
 
 
 def test_normalize_result_carries_its_normal_form(chart, monkeypatch):
-    # a pair is its own normal form; a tree with an atom is cancelled once,
-    # and the Scalar that normalize returns carries the result
+    # a pair is emitted without sympy's cancel; a tree with an atom is
+    # cancelled once, and the Scalar carries the result
     calls = []
     cancel = sp.cancel
 
@@ -277,12 +292,11 @@ def test_normalize_result_carries_its_normal_form(chart, monkeypatch):
     pair = chart.scalar((x1 ** 2 - x2 ** 2) / (x1 - x2))
     atom = chart.scalar((x1 ** 2 - x2 ** 2) / (x1 - x2) + sp.sin(x1))
     monkeypatch.setattr(scalars.sp, "cancel", counted)
-    assert pair.normalize() is pair
+    assert pair.pair is not None
     assert pair.norm_expr == x1 + x2
-    n = atom.normalize()
-    assert n.norm_expr == x1 + x2 + sp.sin(x1)
-    assert n.normalize().norm_expr is n.norm_expr
-    assert not n.is_structurally_zero()
+    assert atom.norm_expr == x1 + x2 + sp.sin(x1)
+    assert atom.norm_expr is atom.norm_expr
+    assert not atom.is_structurally_zero()
     assert len(calls) == 1
 
 
@@ -290,9 +304,8 @@ def test_normalize_idempotent_and_canonical(chart):
     x1, x2 = chart.coords
     a = chart.scalar((x1 ** 2 - x2 ** 2) / (x1 - x2))
     b = chart.scalar(x1 + x2)
-    assert (a - b).normalize().is_structurally_zero()
-    n = a.normalize()
-    assert n.norm_expr == n.normalize().norm_expr
+    assert (a - b).is_structurally_zero()
+    assert chart.scalar(a.norm_expr).norm_expr == a.norm_expr
 
 
 # the generator order of sympy's polynomial rings is x2, x10, y1: neither
@@ -361,6 +374,39 @@ def test_normal_form_is_idempotent(expr):
     assert sp.srepr(scalars._canonical(norm)) == sp.srepr(norm)
 
 
+@PROPERTY
+@given(GRAMMAR, GRAMMAR)
+@example("sqrt(x1) * exp(2*x2)", "exp(x2)^2 + 1/sin(x1)")
+def test_atom_trees_take_the_normal_form_of_sympys_cancel(text_a, text_b):
+    # the walk over a field with the atoms as generators only shortcuts
+    # the zeros; every tree still gets the normal form of cancel(together)
+    chart = Chart("plane", ["x1", "x2"])
+    a, b = (_parse_or_reject(t, chart).expr for t in (text_a, text_b))
+    entry = chart._field
+    for expr in ((a + b) ** 2 - a ** 2 - 2 * a * b - b ** 2,
+                 sp.expand(a * b) - a * b, a / b - (a * a) / (a * b), a - b):
+        if expr.has(sp.zoo, sp.nan) or scalars._to_pair(expr, entry):
+            continue
+        cancelled = sp.cancel(sp.together(expr))
+        pair = scalars._to_pair(cancelled, entry)
+        want = cancelled if pair is None else scalars._emit(pair, entry[0])
+        assert sp.srepr(scalars._canonical(expr, entry)) == sp.srepr(want)
+
+
+def test_a_zero_tree_with_atoms_needs_no_cancel(chart, monkeypatch):
+    x1, x2 = chart.coords
+    s = chart.scalar(sp.sin(x1 * x2) / (2 + sp.sin(x1 * x2)))
+    t = chart.scalar(sp.sin(x1) * sp.exp(2 * x2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy's cancel/together reached")
+
+    monkeypatch.setattr(scalars.sp, "cancel", refuse)
+    monkeypatch.setattr(scalars.sp, "together", refuse)
+    assert (s * (2 + sp.sin(x1 * x2)) - sp.sin(x1 * x2)).is_structurally_zero()
+    assert ((t + 1) ** 2 - t * t - 2 * t - 1).is_structurally_zero()
+
+
 def test_equal_constants_are_equal_scalars():
     constants = Chart("c", [])
     a = constants.scalar(NON_REAL_POWER)
@@ -390,7 +436,7 @@ def test_rational_expressions_are_normalised_without_cancel(monkeypatch):
     monkeypatch.setattr(scalars.sp, "together", refuse)
     assert [chart.scalar(t).norm_expr for t in trees] == expected
     with pytest.raises(AssertionError, match="reached"):
-        atom.normalize()
+        atom.norm_expr
 
 
 def test_zero_to_a_negative_power_is_refused(chart):
@@ -471,9 +517,9 @@ def test_complex_rational_arithmetic():
 
 def test_conjugate_and_parts(chart):
     s = chart.scalar("x1 + i*x2")
-    assert (s.real_part() - chart.scalar("x1")).normalize() \
+    assert (s.real_part() - chart.scalar("x1")) \
         .is_structurally_zero()
-    assert (s.imag_part() - chart.scalar("x2")).normalize() \
+    assert (s.imag_part() - chart.scalar("x2")) \
         .is_structurally_zero()
 
 
@@ -492,9 +538,9 @@ def test_documented_functions(chart, func, derivative):
     assert func in text
     again = parse_scalar(text, chart)
     assert print_scalar(again) == text
-    assert (s - again).normalize().is_structurally_zero()
+    assert (s - again).is_structurally_zero()
     d = s.diff(chart.coords[0]) - parse_scalar(derivative, chart)
-    assert d.normalize().is_structurally_zero()
+    assert d.is_structurally_zero()
 
 
 # charts for the pair-arithmetic property: the generator order of the
