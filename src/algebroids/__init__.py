@@ -6,8 +6,6 @@ from algebroids.scalars import (
     ParseError,
     PoleError,
     Scalar,
-    ZeroStatus,
-    is_zero,
     parse_scalar,
 )
 from algebroids.algebroid import Algebroid, Section, VectorField, validate_structure
@@ -49,8 +47,6 @@ __all__ = [
     "ParseError",
     "PoleError",
     "Scalar",
-    "ZeroStatus",
-    "is_zero",
     "parse_scalar",
     "Algebroid",
     "Section",

@@ -38,7 +38,7 @@ from algebroids.scalars import (
     ChartError,
     Scalar,
     ScalarMatrix,
-    is_zero,
+    _vanishes_at_samples,
 )
 
 if TYPE_CHECKING:
@@ -87,7 +87,7 @@ class Metric:
         # sampling can only add to the structural answer when an atom
         # (sin^2 + cos^2 - 1) hides a zero from the normal form
         if det.is_structurally_zero() or (not det.is_rational_function()
-                                          and is_zero(det).all_samples_zero):
+                                          and _vanishes_at_samples(det)):
             raise ValueError("metric is structurally singular")
         self.inverse = M.inverse().rows()
 

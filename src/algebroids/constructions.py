@@ -460,27 +460,19 @@ def projector_restriction(chart: Chart, rho0, Pi, lift,
             if not (Pi2[i][j] - Pi[i][j]).is_structurally_zero():
                 raise ValueError("projector is not idempotent")
 
-    anchor = []
-    for a in range(rank):
-        row = []
-        for i in range(chart.dim):
-            acc = chart.zero
-            for j in range(rank):
-                acc = acc + rho0[i][j] * Pi[j][a]
-            row.append(acc)
-        anchor.append(row)
+    # row a of the anchor is column a of rho0 Pi, so row a of Pi^T rho0^T
+    anchor = (ScalarMatrix(chart, zip(*Pi))
+              @ ScalarMatrix(chart, zip(*rho0))).rows()
     rho_vfs = [VectorField(chart, anchor[a]) for a in range(rank)]
 
+    liftM = ScalarMatrix(chart, lift)
     cdict = {}
     brs = {}
     for a in range(rank):
         for b in range(a + 1, rank):
             br = vf_bracket(rho_vfs[a], rho_vfs[b])
             brs[(a, b)] = br
-            for c in range(rank):
-                acc = chart.zero
-                for i in range(chart.dim):
-                    acc = acc + lift[c][i] * br.components[i]
+            for c, acc in enumerate(liftM.apply(br.components)):
                 if not acc.is_structurally_zero():
                     cdict[(a, b, c)] = acc
     A = Algebroid(chart, rank, anchor, cdict)

@@ -97,17 +97,10 @@ class EndoField:
         return Section(self.algebroid, comps)
 
     def compose(self, other: "EndoField") -> "EndoField":
-        m = self.rank
-        rows = []
-        for b in range(m):
-            row = []
-            for a in range(m):
-                acc = self.algebroid.chart.zero
-                for c in range(m):
-                    acc = acc + self.matrix[b][c] * other.matrix[c][a]
-                row.append(acc)
-            rows.append(row)
-        return EndoField(self.algebroid, rows)
+        chart = self.algebroid.chart
+        product = (ScalarMatrix(chart, self.matrix)
+                   @ ScalarMatrix(chart, other.matrix))
+        return EndoField(self.algebroid, product.rows())
 
     def __add__(self, other: "EndoField") -> "EndoField":
         m = self.rank

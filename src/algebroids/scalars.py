@@ -7,25 +7,27 @@ the coordinates and in opaque transcendental atoms (sin, cos, exp, log,
 sqrt applied to subexpressions); within that fragment the normal form
 (``norm_expr``) is a canonical reduced quotient of polynomials, so
 structural zero testing is exact.  Outside the fragment (e.g. the identity
-sin^2 + cos^2 = 1) zero testing falls back to randomized rational-point
-evaluation and reports a probabilistic status.
+sin^2 + cos^2 = 1) a zero can only be seen at random rational points.
 
 A Scalar built from coordinates, rationals, ``I``, ``+``, ``*`` and
 integer powers alone holds its value as a pair (re, im) over the field of
 the chart's coordinates, ZZ(coordinates), with constants in QQ, reduced
 when it is built, so equal values are equal pairs.  A tree is built only
-to print, for ``ScalarMatrix``, ``eval`` and ``on_chart``, and to hash, as
-the tree sympy's ``cancel(together(e))`` returns.  An expression with an
-atom, or with a vanishing denominator, stays the sympy tree it was built
-as; its normal form, sympy's own ``cancel(together(e))``, is taken when it
-is read (zero test, ``==``, hash, print).  No caller normalises: the tree
-route takes its operands' normal forms only where a printed tree depends
-on it (a tree divided by a tree; ``ScalarMatrix.det`` and ``inverse``).
+to print, for ``eval`` and ``on_chart``, and to hash, as the tree sympy's
+``cancel(together(e))`` returns.  An expression with an atom, or with a
+vanishing denominator, stays the sympy tree it was built as; its normal
+form, sympy's own ``cancel(together(e))``, is taken when it is read (zero
+test, ``==``, hash, print).  No caller normalises: the tree route takes
+its operands' normal forms only where a printed tree depends on it (a
+tree divided by a tree).
+
+``ScalarMatrix`` is the package's exact linear algebra: one Gauss-Jordan
+elimination in Scalar arithmetic gives ``det``, ``inverse`` and ``rank``.
 
 Expressions are backed by sympy; the grammar, printer and normal form are
 pinned here so the text format is independent of sympy's own parser.  This
 is the only module that imports sympy: the rest of the package works through
-``Scalar``, ``ScalarMatrix`` (exact linear algebra) and the constant ``i``.
+``Scalar``, ``ScalarMatrix`` and the constant ``i``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import sympy as sp
 from sympy.core.exprtools import decompose_power
 from sympy.polys.domains import QQ, ZZ, ZZ_I
 from sympy.polys.fields import FracField
-from sympy.polys.matrices import DomainMatrix
 from sympy.polys.orderings import lex
 from sympy.polys.polyutils import _sort_gens
 from sympy.printing.precedence import PRECEDENCE
@@ -55,10 +56,8 @@ __all__ = [
     "Chart",
     "Scalar",
     "ScalarMatrix",
-    "ZeroStatus",
     "i",
     "parse_scalar",
-    "is_zero",
     "random_point",
     "nonzero_entries",
 ]
@@ -775,24 +774,13 @@ class Scalar:
         return f"Scalar({print_scalar(self)!r})"
 
 
-def _normal(chart: Chart, expr: sp.Expr) -> Scalar:
-    """The Scalar of ``expr`` in normal form: its pair, or its normal form's
-    tree, carried as its own normal form (the normal form is idempotent)."""
-    out = Scalar(chart, expr)
-    if out.pair is None:
-        norm = out.norm_expr
-        out = Scalar(chart, norm)
-        object.__setattr__(out, "_norm", norm)
-    return out
-
-
 class ScalarMatrix:
     """Matrix of Scalars on one chart with exact linear algebra.
 
-    Products are Scalar arithmetic; ``det``, ``inverse`` and ``rank`` work
-    on the entries' normal forms, and ``det`` and ``inverse`` return normal
-    forms.  ``rank`` pivots structurally: an entry is zero exactly when its
-    normal form is.
+    Products are Scalar arithmetic, and so is the one Gauss-Jordan
+    elimination of [M | I], cached per matrix, that ``det``, ``inverse``
+    and ``rank`` read.  It pivots structurally: on the first entry of a
+    column whose normal form is not zero.
     """
 
     def __init__(self, chart: Chart, rows: Iterable[Iterable]):
@@ -804,37 +792,51 @@ class ScalarMatrix:
         return self._rows
 
     @functools.cached_property
-    def _m(self) -> sp.Matrix:
-        return sp.Matrix([[e.norm_expr for e in row] for row in self._rows])
+    def _eliminated(self) -> tuple:
+        """(det, rank, rows of the reduced [M | I]); det is read only for
+        a square M, and is zero when M is singular."""
+        zero, one = self.chart.zero, self.chart.one
+        n = len(self._rows)
+        width = len(self._rows[0]) if n else 0
+        rows = [list(row) + [one if c == r else zero for c in range(n)]
+                for r, row in enumerate(self._rows)]
+        det, rank = one, 0
+        for col in range(width):
+            pivot = next((r for r in range(rank, n)
+                          if not rows[r][col].is_structurally_zero()), None)
+            if pivot is None:
+                det = zero
+                continue
+            p = rows[pivot][col]
+            det = det * p if pivot == rank else -(det * p)
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            top = rows[rank] = [e / p for e in rows[rank]]
+            for r in range(n):
+                f = rows[r][col]
+                if r != rank and not f.is_structurally_zero():
+                    rows[r] = [e - f * t for e, t in zip(rows[r], top)]
+            rank += 1
+        return det, rank, rows
 
-    @functools.cached_property
-    def _over_field(self) -> Optional[DomainMatrix]:
-        # the entries over the fraction field of the polynomial ring that
-        # sympy picks for them (e.g. QQ(x1, x2)), where elimination is exact
-        # arithmetic on reduced quotients instead of on trees; converted
-        # once for both det and inverse.  None when no such field holds
-        # them (an atom like sqrt(x1) is not independent of x1): there the
-        # normal form is not canonical, so sympy's own det/inv keep the
-        # trees they have always given (the field route prints a
-        # different, equal inverse of [[x1, x1], [x1, sqrt(x1)]]).
-        m = DomainMatrix.from_Matrix(self._m, field=True)
-        return None if m.domain.is_EX else m
+    def _square(self) -> int:
+        n = len(self._rows)
+        if any(len(row) != n for row in self._rows):
+            raise ValueError("matrix is not square")
+        return n
 
     def det(self) -> Scalar:
-        m = self._over_field
-        det = self._m.det() if m is None else m.domain.to_sympy(m.det())
-        return _normal(self.chart, det)
+        self._square()
+        return self._eliminated[0]
 
     def inverse(self) -> "ScalarMatrix":
-        m = self._over_field
-        inv = self._m.inv() if m is None else m.inv().to_Matrix()
-        return ScalarMatrix(self.chart, [
-            [_normal(self.chart, e) for e in inv.row(r)]
-            for r in range(inv.rows)])
+        n = self._square()
+        _, rank, rows = self._eliminated
+        if rank < n:
+            raise ZeroDivisionError("inverse of a structurally singular matrix")
+        return ScalarMatrix(self.chart, [row[n:] for row in rows])
 
     def rank(self) -> int:
-        entry = self.chart._field
-        return self._m.rank(iszerofunc=lambda e: _canonical(e, entry) == 0)
+        return self._eliminated[1]
 
     def _dot(self, row, col) -> Scalar:
         return sum((a * b for a, b in zip(row, col)), self.chart.zero)
@@ -867,25 +869,6 @@ def nonzero_entries(scalars: Iterable[Scalar]):
 # zero testing
 
 
-@dataclass(frozen=True)
-class ZeroStatus:
-    """Outcome of a zero test.
-
-    ``structurally_zero`` is definitive.  Otherwise the scalar was sampled
-    at random rational points: a ``witness`` point with a value above
-    tolerance proves it nonzero, while ``all_samples_zero`` flags a likely
-    identity outside the decidable fragment.
-    """
-
-    structurally_zero: bool
-    witness: Union[dict, None] = None
-    witness_value: Union[complex, None] = None
-    all_samples_zero: bool = False
-
-    def __bool__(self):
-        return self.structurally_zero
-
-
 def random_point(chart: Chart, rng: random.Random) -> dict:
     """Random rational point with coordinates p/q, |p|,|q| <= SAMPLE_BOUND."""
     point = {}
@@ -896,34 +879,26 @@ def random_point(chart: Chart, rng: random.Random) -> dict:
     return point
 
 
-def is_zero(s: Scalar) -> ZeroStatus:
-    """Structural zero test with a randomized numeric fallback: up to
-    DEFAULT_SAMPLES points off the poles, drawn with DEFAULT_SEED."""
-    if s.is_structurally_zero():
-        return ZeroStatus(structurally_zero=True)
+def _vanishes_at_samples(s: Scalar) -> bool:
+    """Whether ``s`` is numerically zero at DEFAULT_SAMPLES random rational
+    points off its poles, drawn with DEFAULT_SEED: a likely identity outside
+    the decidable fragment (sin^2 + cos^2 - 1) when ``s`` is not
+    structurally zero."""
     rng = random.Random(DEFAULT_SEED)
-    max_attempts = DEFAULT_SAMPLES * 4
     tested = 0
-    attempt = 0
-    while tested < DEFAULT_SAMPLES and attempt < max_attempts:
-        attempt += 1
-        point = random_point(s.chart, rng)
+    for _ in range(DEFAULT_SAMPLES * 4):
         try:
-            value = s.eval(point)
+            value = s.eval(random_point(s.chart, rng))
         except PoleError:
             continue
+        if abs(complex(value)) > FLOAT_TOLERANCE:
+            return False
         tested += 1
-        magnitude = abs(complex(value))
-        if magnitude > FLOAT_TOLERANCE:
-            return ZeroStatus(
-                structurally_zero=False,
-                witness={k.name: v for k, v in point.items()},
-                witness_value=complex(value),
-            )
-        # keep sampling; value is (numerically) zero here
+        if tested == DEFAULT_SAMPLES:
+            break
     if tested == 0:
         raise PoleError("every sampled point hit a pole; cannot test for zero")
-    return ZeroStatus(structurally_zero=False, all_samples_zero=True)
+    return True
 
 
 # ---------------------------------------------------------------------------
