@@ -832,7 +832,8 @@ class ScalarMatrix:
         n = self._square()
         _, rank, rows = self._eliminated
         if rank < n:
-            raise ZeroDivisionError("inverse of a structurally singular matrix")
+            raise ZeroDivisionError(
+                "inverse of a structurally singular matrix")
         return ScalarMatrix(self.chart, [row[n:] for row in rows])
 
     def rank(self) -> int:
