@@ -164,14 +164,49 @@ def test_field_det_and_inverse_match_sympy_defaults(texts):
     # sympy's own det/inv of the entries' normal forms are the reference:
     # over the fraction field the results canonicalise to the same trees
     chart = Chart("plane", ["x1", "x2"])
-    M = ScalarMatrix(chart, [[_parse_or_reject(t, chart) for t in row]
-                             for row in texts])
+    _assert_sympy_det_and_inverse(ScalarMatrix(
+        chart, [[_parse_or_reject(t, chart) for t in row] for row in texts]))
+
+
+def _sympy_det_and_inverse(M):
     m = sp.Matrix([[e.norm_expr for e in row] for row in M.rows()])
     det = scalars._canonical(m.det())
+    if det == 0:
+        return det, None
+    return det, m.inv().applyfunc(scalars._canonical).tolist()
+
+
+def _assert_sympy_det_and_inverse(M):
+    det, inverse = _sympy_det_and_inverse(M)
     assert M.det().norm_expr == det
-    if det != 0:
+    if inverse is not None:
         assert ([[e.norm_expr for e in row] for row in M.inverse().rows()]
-                == m.inv().applyfunc(scalars._canonical).tolist())
+                == inverse)
+
+
+@pytest.mark.parametrize("rows", [
+    [["exp(x1)", "x2"], ["x2", "1"]],
+    [["sqrt(x2)", "x1"], ["x1", "1"]],
+    [["sin(x1)", "x2", "0"], ["x2", "1", "x2^2"], ["1", "0", "sin(x1)"]],
+])
+def test_field_with_atom_generators_keeps_sympy_trees(chart, rows):
+    # an atom among the field's generators, e.g. ZZ(x2, exp(x1)): the
+    # elimination lands on the trees of sympy's det and inv
+    _assert_sympy_det_and_inverse(ScalarMatrix(
+        chart, [[parse_scalar(e, chart) for e in row] for row in rows]))
+
+
+def test_ex_domain_keeps_sympy_trees(chart):
+    # sqrt(x1) beside x1 has no fraction field, so the normal form of an
+    # atom tree is not canonical: the det keeps sympy's tree, the inverse
+    # prints differently from sympy's inv but is the same scalar
+    M = ScalarMatrix(chart, [[parse_scalar(e, chart) for e in row]
+                             for row in [["x1", "x1"], ["x1", "sqrt(x1)"]]])
+    det, inverse = _sympy_det_and_inverse(M)
+    assert M.det().norm_expr == det
+    for got, want in zip(M.inverse().rows(), inverse):
+        for g, w in zip(got, want):
+            assert (g - chart.scalar(w)).is_structurally_zero()
 
 
 @settings(derandomize=True, deadline=None, max_examples=4)
