@@ -4,49 +4,48 @@ Every tensor component in this package is a ``Scalar``: an immutable value
 over the coordinates of a single chart, with exact complex-rational
 constants.  The decidable fragment is the field of rational functions in
 the coordinates and in opaque transcendental atoms (sin, cos, exp, log,
-sqrt applied to subexpressions); within that fragment the normal form
-(``norm_expr``) is a canonical reduced quotient of polynomials, so
-structural zero testing is exact.  Outside the fragment (e.g. the identity
-sin^2 + cos^2 = 1) a zero can only be seen at random rational points.
+sqrt applied to subexpressions); within that fragment the normal form is a
+canonical reduced quotient of polynomials, so structural zero testing is
+exact.  Outside the fragment (e.g. the identity sin^2 + cos^2 = 1) a zero
+can only be seen at random rational points.
 
-A Scalar built from coordinates, rationals, ``I``, ``+``, ``*`` and
-integer powers alone holds its value as a pair (re, im) over the field of
-the chart's coordinates, ZZ(coordinates), with constants in QQ, reduced
-when it is built, so equal values are equal pairs.  A tree is built only
-to print, for ``eval`` and ``on_chart``, and to hash, as the tree sympy's
-``cancel(together(e))`` returns.  An expression with an atom, or with a
-vanishing denominator, stays the sympy tree it was built as; its normal
-form, sympy's own ``cancel(together(e))``, is taken when it is read (zero
-test, ``==``, hash, print).  No caller normalises: the tree route takes
-its operands' normal forms only where a printed tree depends on it (a
-tree divided by a tree).
+A Scalar built from coordinates, rationals, ``i``, ``+``, ``*`` and integer
+powers (the rational core) holds its value as a pair (re, im) over the
+field of the chart's coordinates, ZZ(coordinates), with constants in QQ,
+reduced when it is built, so equal values are equal pairs.  The pairs live
+on the stdlib polynomials of ``_poly``: arithmetic, ``diff``, ``eval``,
+``on_chart``, ``==``, hashing and printing act on the pair, and its text is
+the text sympy prints for ``cancel(together(e))``.
+
+sympy is imported lazily, by ``_sympy``, only for an atom: when a text
+calls a function (``sin``, ``sqrt``, ...) or a sympy expression is passed
+in.  An expression with an atom, or with a vanishing denominator, stays the
+sympy tree it was built as; its normal form, sympy's own
+``cancel(together(e))``, is taken when it is read (zero test, ``==``, hash,
+print).  No caller normalises: the tree route takes its operands' normal
+forms only where a printed tree depends on it (a tree divided by a tree).
+``norm_expr`` and ``expr`` are the sympy views of any Scalar.
 
 ``ScalarMatrix`` is the package's exact linear algebra: one Gauss-Jordan
 elimination in Scalar arithmetic gives ``det``, ``inverse`` and ``rank``.
 
-Expressions are backed by sympy; the grammar, printer and normal form are
-pinned here so the text format is independent of sympy's own parser.  This
-is the only module that imports sympy: the rest of the package works through
+The grammar, printer and normal form are pinned here, so the text format is
+independent of sympy's own parser.  The rest of the package works through
 ``Scalar``, ``ScalarMatrix`` and the constant ``i``.
 """
 
 from __future__ import annotations
 
 import functools
-import math
+import operator
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Mapping, Optional, Union
 
-import sympy as sp
-from sympy.core.exprtools import decompose_power
-from sympy.polys.domains import QQ, ZZ, ZZ_I
-from sympy.polys.fields import FracField
-from sympy.polys.orderings import lex
-from sympy.polys.polyutils import _sort_gens
-from sympy.printing.precedence import PRECEDENCE
-from sympy.printing.str import StrPrinter
+from algebroids import _poly
+from algebroids._poly import fadd, fdiff, fgen, finv, fmul, fpow
 
 __all__ = [
     "ChartError",
@@ -54,34 +53,36 @@ __all__ = [
     "PoleError",
     "ComplexRational",
     "Chart",
+    "Coordinate",
     "Scalar",
     "ScalarMatrix",
     "i",
     "parse_scalar",
-    "random_point",
     "nonzero_entries",
 ]
 
-KNOWN_FUNCTIONS = {
-    "sin": sp.sin,
-    "cos": sp.cos,
-    "exp": sp.exp,
-    "log": sp.log,
-    "sqrt": sp.sqrt,
-    "tan": sp.tan,
-    "sinh": sp.sinh,
-    "cosh": sp.cosh,
-    "tanh": sp.tanh,
-    "atan": sp.atan,
-    "asin": sp.asin,
-    "acos": sp.acos,
-}
+# the functions of the grammar, by their sympy names
+KNOWN_FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tan", "sinh", "cosh",
+                   "tanh", "atan", "asin", "acos")
 
 DEFAULT_SAMPLES = 8
 DEFAULT_SEED = 42
 FLOAT_TOLERANCE = 1e-9
 # numerators/denominators of sampled rational points
 SAMPLE_BOUND = 97
+
+
+@functools.cache
+def _sympy():
+    """sympy, imported on first use: only an atom, or a sympy expression
+    passed in, needs it."""
+    import sympy
+
+    return sympy
+
+
+def _is_sympy(value) -> bool:
+    return type(value).__module__.partition(".")[0] == "sympy"
 
 
 class ChartError(ValueError):
@@ -128,14 +129,15 @@ class ComplexRational:
         return ComplexRational(Fraction(re), Fraction(im))
 
     @staticmethod
-    def from_sympy(value: sp.Expr) -> "ComplexRational":
-        value = sp.nsimplify(value, rational=True)
+    def from_sympy(value) -> "ComplexRational":
+        value = _sympy().nsimplify(value, rational=True)
         re, im = value.as_real_imag()
         if not (re.is_Rational and im.is_Rational):
             raise ValueError(f"not a complex rational: {value}")
         return ComplexRational(Fraction(re.p, re.q), Fraction(im.p, im.q))
 
-    def to_sympy(self) -> sp.Expr:
+    def to_sympy(self):
+        sp = _sympy()
         return sp.Rational(self.re) + sp.Rational(self.im) * sp.I
 
     @_coercing
@@ -200,8 +202,41 @@ class ComplexRational:
 i = ComplexRational.of(0, 1)
 
 
+class Coordinate:
+    """A coordinate of a chart, known by its name: coordinates of two
+    charts with one name are equal."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __eq__(self, other):
+        return other.__class__ is Coordinate and other.name == self.name
+
+    def __hash__(self):
+        return hash((Coordinate, self.name))
+
+    def __repr__(self):
+        return self.name
+
+
+# sympy's generator order (``sympy.polys.polyutils._sort_gens``): by the
+# rank of a name's letters, then the letters, then its trailing number; the
+# name itself breaks a tie, which sympy leaves in input order
+_GENS_ORDER = {letter: rank for start, letters in
+               ((124, "xyz"), (216, "pqrstuvw"), (301, "abcdefghijklmno"))
+               for rank, letter in enumerate(letters, start)}
+_GEN_NAME = re.compile(r"^(.*?)(\d*)$", re.MULTILINE)
+
+
+def _gen_key(name: str) -> tuple:
+    letters, number = _GEN_NAME.match(name).groups()
+    return (_GENS_ORDER.get(letters, 1000), letters, int(number or 0), name)
+
+
 class Chart:
-    """Named chart with an ordered tuple of real coordinate symbols.
+    """Named chart with an ordered tuple of real coordinates.
 
     A chart with zero coordinates is allowed; it models the pure Lie
     algebra case where all structure data is constant.
@@ -215,10 +250,16 @@ class Chart:
             if cname == "i" or cname in KNOWN_FUNCTIONS:
                 raise ChartError(f"coordinate name {cname!r} is reserved")
         self.name = name
-        self.coords = tuple(sp.Symbol(c, real=True) for c in names)
+        self.coords = tuple(Coordinate(c) for c in names)
         self._by_name = {c.name: c for c in self.coords}
-        self._coord_set = frozenset(self.coords)
-        self._field = _field(self._coord_set)
+        # the generators of the chart's field, ZZ(coordinates), in lex
+        # order over sympy's generator order, as in the ring sympy's
+        # `cancel` works in (so the sign of a denominator is fixed the same
+        # way); a constant is never an element of it but a Fraction
+        self._gens = tuple(sorted(names, key=_gen_key))
+        self._index = {g: k for k, g in enumerate(self._gens)}
+        n = len(self._gens)
+        self._generators = [fgen(k, n) for k in range(n)]
         # shared by every caller; a Scalar is immutable
         self.zero = Scalar(self, _ZERO)
         self.one = Scalar(self, _ONE)
@@ -227,14 +268,23 @@ class Chart:
     def dim(self) -> int:
         return len(self.coords)
 
-    def coord(self, name: str) -> sp.Symbol:
+    def coord(self, name: str) -> Coordinate:
         try:
             return self._by_name[name]
         except KeyError:
             raise ChartError(f"chart {self.name!r} has no coordinate {name!r}")
 
+    def _generator(self, name: str) -> tuple:
+        """The pair of a coordinate, by name."""
+        try:
+            return (self._generators[self._index[name]], _Q0)
+        except KeyError:
+            raise ChartError(
+                f"symbols {[name]} not in chart {self.name!r}") from None
+
     def scalar(self, value) -> "Scalar":
-        """Coerce a string, number or sympy expression to a Scalar on this chart."""
+        """Coerce a string, number, coordinate or sympy expression to a
+        Scalar on this chart."""
         if isinstance(value, Scalar):
             if value.chart is not self:
                 raise ChartError("scalar belongs to a different chart")
@@ -242,21 +292,31 @@ class Chart:
         if isinstance(value, str):
             return parse_scalar(value, self)
         if isinstance(value, ComplexRational):
-            return Scalar(self, (QQ(value.re.numerator, value.re.denominator),
-                                 QQ(value.im.numerator, value.im.denominator)))
+            return Scalar(self, (value.re, value.im))
         if isinstance(value, (int, Fraction)):
-            return Scalar(self, (QQ(value.numerator, value.denominator), _Q0))
-        if isinstance(value, sp.Expr):
+            return Scalar(self, (Fraction(value), _Q0))
+        if isinstance(value, Coordinate):
+            return Scalar(self, self._generator(value.name))
+        if _is_sympy(value) and isinstance(value, _sympy().Expr):
             return Scalar(self, _on_chart(self, value))
         raise TypeError(f"cannot coerce {value!r} to Scalar")
+
+    @functools.cached_property
+    def _tree_field(self) -> tuple:
+        """The chart's field as the walk of a sympy tree sees it: (the
+        coordinates as real sympy symbols in generator order, {symbol: its
+        field element}, memo)."""
+        sp = _sympy()
+        symbols = tuple(sp.Symbol(g, real=True) for g in self._gens)
+        return symbols, dict(zip(symbols, self._generators)), {}
 
     def __repr__(self):
         return f"Chart({self.name!r}, {[c.name for c in self.coords]})"
 
 
-def _on_chart(chart: Chart, expr: sp.Expr) -> sp.Expr:
+def _on_chart(chart: Chart, expr):
     """``expr`` itself, once every symbol in it is a coordinate of ``chart``."""
-    bad = expr.free_symbols - set(chart.coords)
+    bad = expr.free_symbols - set(chart._tree_field[0])
     if bad:
         raise ChartError(
             f"symbols {sorted(s.name for s in bad)} not in chart {chart.name!r}"
@@ -264,7 +324,119 @@ def _on_chart(chart: Chart, expr: sp.Expr) -> sp.Expr:
     return expr
 
 
-def _canonical(expr: sp.Expr, entry: Optional[tuple] = None) -> sp.Expr:
+# ---------------------------------------------------------------------------
+# pairs
+#
+# Elements of a pair are Fractions, or non-constant elements of the field
+# (``_poly.Frac``), each reduced with a denominator of positive leading
+# coefficient.  So equal values are equal pairs.
+
+_Q0 = Fraction(0)
+# the pair of every exact zero: a zero Scalar is found by identity
+_ZERO = (_Q0, _Q0)
+_ONE = (Fraction(1), _Q0)
+_I = (_Q0, Fraction(1))
+
+
+def _plus(u: tuple, v: tuple) -> tuple:
+    return (fadd(u[0], v[0]), fadd(u[1], v[1]))
+
+
+def _negate(u: tuple) -> tuple:
+    return (-u[0], -u[1])
+
+
+def _times(u: tuple, v: tuple) -> tuple:
+    (a, b), (c, d) = u, v
+    if not b:
+        return (fmul(a, c), fmul(a, d) if d else d)
+    if not d:
+        return (fmul(a, c), fmul(b, c))
+    return (fadd(fmul(a, c), -fmul(b, d)), fadd(fmul(a, d), fmul(b, c)))
+
+
+def _power(u: tuple, n: int) -> tuple:
+    """u^n for n != 0; ZeroDivisionError for zero to a negative power."""
+    a, b = u
+    if n < 0:
+        if not b:
+            return (fpow(finv(a), -n), b)
+        norm = finv(fadd(fmul(a, a), fmul(b, b)))  # a sum of squares
+        a, b, n = fmul(a, norm), fmul(-b, norm), -n
+    if not b:
+        return (fpow(a, n), b)
+    return functools.reduce(_times, [(a, b)] * n)
+
+
+def _is_constant(u: tuple) -> bool:
+    return u[0].__class__ is Fraction and u[1].__class__ is Fraction
+
+
+def _used(u: tuple) -> set:
+    """The indices of the generators the pair ``u`` depends on."""
+    return {k for c in u if c.__class__ is not Fraction for p in (c.num, c.den)
+            for m in p for k, e in enumerate(m) if e}
+
+
+def _pair_on_chart(u: tuple, source: Chart, chart: Chart, rename) -> tuple:
+    """The pair ``u`` of ``source`` on ``chart``, its generators renamed by
+    ``rename`` (name -> name) and placed at their indices there."""
+    n = len(chart._gens)
+    names = {k: rename.get(source._gens[k], source._gens[k]) for k in _used(u)}
+    missing = {name for name in names.values() if name not in chart._index}
+    if missing:
+        raise ChartError(
+            f"symbols {sorted(missing)} not in chart {chart.name!r}")
+    target = {k: chart._index[name] for k, name in names.items()}
+    injective = len(set(target.values())) == len(target)
+
+    def move(p):
+        out = {}
+        for m, c in p.items():
+            new = [0] * n
+            for k, e in enumerate(m):
+                if e:
+                    new[target[k]] += e
+            out[tuple(new)] = out.get(tuple(new), 0) + c
+        return {m: c for m, c in out.items() if c}
+
+    def element(c):
+        if c.__class__ is Fraction:
+            return c
+        num, den = move(c.num), move(c.den)
+        if not injective:
+            return _poly.quotient(num, den, n)
+        if _poly.leading(den) < 0:
+            num, den = _poly.pneg(num), _poly.pneg(den)
+        return _poly.Frac(num, den)
+
+    return (element(u[0]), element(u[1]))
+
+
+def _pair_value(u: tuple, values: tuple, point) -> ComplexRational:
+    """The exact value of ``u`` with each generator set to its entry of
+    ``values`` (ComplexRationals); PoleError where a denominator
+    vanishes."""
+    parts = []
+    for c in u:
+        if c.__class__ is Fraction:
+            parts.append(ComplexRational(c))
+            continue
+        den = _ZERO_VALUE + _poly.evaluate(c.den, values)
+        if den.is_zero():
+            raise PoleError(f"pole at {point}")
+        parts.append((_ZERO_VALUE + _poly.evaluate(c.num, values)) / den)
+    return parts[0] + parts[1] * i
+
+
+_ZERO_VALUE = ComplexRational(_Q0)
+
+
+# ---------------------------------------------------------------------------
+# sympy trees: the atom route, and the sympy views of a pair
+
+
+def _canonical(expr, entry: Optional[tuple] = None):
     """Canonical form: reduced quotient of expanded polynomials.
 
     Coordinates and each distinct transcendental atom are independent
@@ -279,6 +451,7 @@ def _canonical(expr: sp.Expr, entry: Optional[tuple] = None) -> sp.Expr:
     ``cancel(together(expr))``, emitted as a pair's when no atom is left,
     unless its walk over a field with its atoms as generators finds zero.
     """
+    sp = _sympy()
     if entry is None:
         entry = _field(frozenset(expr.free_symbols))
     pair = _to_pair(expr, entry)
@@ -297,14 +470,11 @@ def _canonical(expr: sp.Expr, entry: Optional[tuple] = None) -> sp.Expr:
     return _emit(pair, entry[0])
 
 
-# per set of coordinates (and atoms, for the zero test): the field the pairs
-# live in, its generator of each, and the memo of the pairs of the tree
-# nodes walked in it.
-# With coordinates the field is ZZ(coordinates), in lex order over sympy's
-# generator order as in the ring `cancel` works in (so the sign of a
-# denominator is fixed the same way); a constant is never an element of
-# it but of QQ, so a chart with no coordinate has no field.  A memo that
-# reaches _MEMO_NODES nodes is emptied, which bounds its memory.
+# per set of sympy generators (coordinates and atoms, for the zero test and
+# the reference normal form of a bare expression): the field's generators in
+# sympy's order, the field element of each, and the memo of the pairs of the
+# tree nodes walked in it.  A memo that reaches _MEMO_NODES nodes is
+# emptied, which bounds its memory.
 _FIELDS: dict = {}
 _MEMO_NODES = 1 << 12
 
@@ -312,21 +482,11 @@ _MEMO_NODES = 1 << 12
 def _field(symbols: frozenset) -> tuple:
     entry = _FIELDS.get(symbols)
     if entry is None:
-        field = FracField(_sort_gens(symbols), ZZ, lex) if symbols else None
-        gens = dict(zip(field.symbols, field.gens)) if symbols else {}
-        entry = _FIELDS[symbols] = (field, gens, {})
+        gens = _sympy().polys.polyutils._sort_gens(symbols)
+        n = len(gens)
+        entry = _FIELDS[symbols] = (
+            gens, {g: fgen(k, n) for k, g in enumerate(gens)}, {})
     return entry
-
-
-# Elements of a pair are constants, sympy's QQ elements, or non-constant
-# elements of the field, each reduced with a denominator of positive
-# leading coefficient.  So equal values are equal pairs.
-_MPQ = type(QQ.one)
-_Q0 = QQ.zero
-# the pair of every exact zero: a zero Scalar is found by identity
-_ZERO = (_Q0, _Q0)
-_ONE = (QQ.one, _Q0)
-_I = (_Q0, QQ.one)
 
 
 class _NotRational(Exception):
@@ -336,10 +496,12 @@ class _NotRational(Exception):
 _UNWALKED = object()
 
 
-def _to_pair(expr: sp.Expr, entry: tuple) -> Optional[tuple]:
-    """The pair of ``expr``, or None when it has an atom that is not a
-    generator of the field, or a vanishing denominator.  The coordinates
-    are real, so ``I`` never enters the field."""
+def _to_pair(expr, entry: tuple) -> Optional[tuple]:
+    """The pair of the sympy tree ``expr``, or None when it has an atom
+    that is not a generator of the field, or a vanishing denominator.  The
+    coordinates are real, so ``I`` never enters the field."""
+    sp = _sympy()
+    decompose_power = sp.core.exprtools.decompose_power
     _, gens, memo = entry
     if len(memo) >= _MEMO_NODES:
         memo.clear()
@@ -355,7 +517,7 @@ def _to_pair(expr: sp.Expr, entry: tuple) -> Optional[tuple]:
             if node.is_Symbol:
                 pair = (gens[node], _Q0)
             elif node.is_Rational:
-                pair = (QQ(node.p, node.q), _Q0)
+                pair = (Fraction(node.p, node.q), _Q0)
             elif node is sp.I:
                 pair = _I
             elif node.is_Add:
@@ -379,11 +541,12 @@ def _to_pair(expr: sp.Expr, entry: tuple) -> Optional[tuple]:
         return None
 
 
-def _generators(expr: sp.Expr) -> Optional[frozenset]:
+def _generators(expr) -> Optional[frozenset]:
     """The coordinates of ``expr`` outside its atoms and the generator of
     each atom, as sympy's polys take them (exp(2*x) is exp(x)^2); None
     when an atom is a number such as sin(1), which sympy's ``cancel``
     takes as a coefficient instead."""
+    sp = _sympy()
     out = set()
     stack = [expr]
     while stack:
@@ -397,126 +560,37 @@ def _generators(expr: sp.Expr) -> Optional[frozenset]:
         elif not (node.is_Rational or node is sp.I):
             if node.is_number:
                 return None
-            out.add(decompose_power(node)[0])
+            out.add(sp.core.exprtools.decompose_power(node)[0])
     return frozenset(out)
 
 
-def _emit(pair: tuple, field) -> sp.Expr:
-    """The tree ``cancel(together(e))`` gives for the value of ``pair``,
-    with a constant as ``Rational(a) + Rational(b)*I``."""
+def _emit(pair: tuple, gens: tuple):
+    """The tree ``cancel(together(e))`` gives for the value of ``pair``
+    over the generators ``gens``, with a constant as
+    ``Rational(a) + Rational(b)*I``."""
+    sp = _sympy()
     re, im = pair
-    if re.__class__ is _MPQ and im.__class__ is _MPQ:
-        return QQ.to_sympy(re) + QQ.to_sympy(im) * sp.I
-    re, im = _lift(re, field), _lift(im, field)
+    if _is_constant(pair):
+        return (sp.Rational(re.numerator, re.denominator)
+                + sp.Rational(im.numerator, im.denominator) * sp.I)
     if not im:
-        p, q = re.numer, re.denom
+        p, q = re.num, re.den
     else:
-        # re + i*im over the lcm of the denominators, then one cancel in
-        # ZZ_I[coordinates], the final step of sympy's own cancel
-        _, re_only, im_only = re.denom.cofactors(im.denom)
-        gaussian = field.ring.clone(domain=ZZ_I)
-        p, q = ((re.numer * im_only).set_ring(gaussian)
-                + (im.numer * re_only).set_ring(gaussian)
-                .mul_ground(ZZ_I(0, 1))
-                ).cancel((re.denom * im_only).set_ring(gaussian))
-    return p.as_expr() / q.as_expr()
+        p, q = _poly.gaussian_quotient(re, im, len(gens))
+    return _as_expr(p, gens) / _as_expr(q, gens)
 
 
-def _lift(c, field):
-    """An element as an element of ``field``."""
-    if c.__class__ is not _MPQ:
-        return c
-    ring = field.ring
-    return field.raw_new(ring(c.numerator), ring(c.denominator))
-
-
-def _ground(f):
-    """A field element, as a constant when it is one."""
-    p, q = f.numer, f.denom
-    if p.is_ground and q.is_ground:
-        return QQ(p.LC, q.LC)
-    return f
-
-
-# A constant operand goes to the right of a field element, whose own +
-# handles a zero and reduces the sum by its cancel.  A constant c = n/d and
-# a reduced p/q share no polynomial factor, so c*p/q is reduced by integer
-# contents alone, without the cancel.
-
-def _add(a, b):
-    if a.__class__ is _MPQ:
-        if b.__class__ is _MPQ:
-            return a + b
-        a, b = b, a
-    return _ground(a + b)
-
-
-def _scale(f, c):
-    """f*c for a non-constant f and a nonzero constant c."""
-    n, d = c.numerator, c.denominator
-    p, q = f.numer, f.denom
-    if n != 1:
-        g = math.gcd(n, q.content())
-        if g != 1:
-            n, q = n // g, q.quo_ground(g)
-        p = p.mul_ground(n)
-    if d != 1:
-        g = math.gcd(d, p.content())
-        if g != 1:
-            d, p = d // g, p.quo_ground(g)
-        q = q.mul_ground(d)
-    return f.raw_new(p, q)
-
-
-def _mul(a, b):
-    if a.__class__ is _MPQ:
-        if b.__class__ is _MPQ:
-            return a * b
-        return _scale(b, a) if a else a
-    if b.__class__ is _MPQ:
-        return _scale(a, b) if b else b
-    return _ground(a * b)
-
-
-def _inv(a):
-    """1/a; ZeroDivisionError for zero."""
-    if a.__class__ is _MPQ:
-        return QQ.one / a
-    p, q = a.numer, a.denom
-    return a.raw_new(q, p) if p.LC > 0 else a.raw_new(-q, -p)
-
-
-def _deriv(a, x):
-    """da/dx for the field generator x: the field's quotient rule."""
-    if a.__class__ is _MPQ:
-        return _Q0
-    return _ground(a.diff(x))
-
-
-def _plus(u: tuple, v: tuple) -> tuple:
-    return (_add(u[0], v[0]), _add(u[1], v[1]))
-
-
-def _times(u: tuple, v: tuple) -> tuple:
-    (a, b), (c, d) = u, v
-    if not b:
-        return (_mul(a, c), _mul(a, d) if d else d)
-    if not d:
-        return (_mul(a, c), _mul(b, c))
-    return (_add(_mul(a, c), -_mul(b, d)), _add(_mul(a, d), _mul(b, c)))
-
-
-def _power(u: tuple, n: int) -> tuple:
-    """u^n for n != 0; ZeroDivisionError for zero to a negative power."""
-    a, b = u
-    if n < 0:
-        if not b:
-            return (_inv(a) ** -n, b)
-        norm = _inv(_add(_mul(a, a), _mul(b, b)))  # a sum of squares
-        a, b, n = _mul(a, norm), _mul(-b, norm), -n
-    if not b:
-        return (a ** n, b)
-    return functools.reduce(_times, [(a, b)] * n)
+def _as_expr(f: dict, gens: tuple):
+    """sympy's ``PolyElement.as_expr`` of a polynomial over ZZ or ZZ[i]."""
+    sp = _sympy()
+    terms = []
+    for m, c in f.items():
+        if c.__class__ is int:
+            coeff = sp.Integer(c)
+        else:
+            coeff = sp.Integer(c.re) + sp.I * sp.Integer(c.im)
+        terms.append(sp.Mul(coeff, *[sp.Pow(g, e) for g, e in zip(gens, m) if e]))
+    return sp.Add(*terms)
 
 
 class Scalar:
@@ -524,7 +598,7 @@ class Scalar:
 
     A scalar of the rational core holds its value as ``pair``, (re, im)
     over the chart's field, where arithmetic and ``diff`` are exact and
-    every result is reduced; its tree is built only on demand
+    every result is reduced; its sympy tree is built only on demand
     (``norm_expr``).  An expression with an atom, or one whose walk meets
     a vanishing denominator, is held as a sympy tree (``pair`` is None),
     built by sympy's arithmetic and reduced by ``cancel(together(e))``
@@ -547,7 +621,7 @@ class Scalar:
         if value.__class__ is tuple:
             pair = value
         else:
-            pair = _to_pair(value, chart._field)
+            pair = _to_pair(value, chart._tree_field)
             if pair is None:
                 tree = value
         if pair is not None and not (pair[0] or pair[1]):
@@ -561,24 +635,34 @@ class Scalar:
         raise AttributeError("Scalar is immutable")
 
     @property
-    def expr(self) -> sp.Expr:
-        """The tree: the one held when there is no pair, else the normal
-        form's."""
+    def expr(self):
+        """The sympy tree: the one held when there is no pair, else the
+        normal form's."""
         tree = self._tree
         return self.norm_expr if tree is None else tree
 
     # -- canonical form -------------------------------------------------
 
     @property
-    def norm_expr(self) -> sp.Expr:
+    def norm_expr(self):
+        """The normal form as a sympy tree."""
         cached = object.__getattribute__(self, "_norm")
         if cached is None:
+            field = self.chart._tree_field
             if self.pair is None:
-                cached = _canonical(self._tree, self.chart._field)
+                cached = _canonical(self._tree, field)
             else:
-                cached = _emit(self.pair, self.chart._field[0])
+                cached = _emit(self.pair, field[0])
             object.__setattr__(self, "_norm", cached)
         return cached
+
+    def _normal_key(self):
+        """The pair of the normal form, or its tree when it has an atom."""
+        if self.pair is not None:
+            return self.pair
+        norm = self.norm_expr
+        pair = _to_pair(norm, self.chart._tree_field)
+        return norm if pair is None else pair
 
     def is_structurally_zero(self) -> bool:
         if self.pair is None:
@@ -586,12 +670,14 @@ class Scalar:
         return self.pair is _ZERO
 
     def is_constant(self) -> bool:
-        return not self.norm_expr.free_symbols
+        if self.pair is None:
+            return not self.norm_expr.free_symbols
+        return _is_constant(self.pair)
 
     def is_rational_function(self) -> bool:
         """True when the normal form has no transcendental or algebraic atom."""
         return (self.pair is not None
-                or _to_pair(self.norm_expr, self.chart._field) is not None)
+                or _to_pair(self.norm_expr, self.chart._tree_field) is not None)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -622,7 +708,7 @@ class Scalar:
             return self
         if u is None:
             return Scalar(self.chart, -self._tree)
-        return Scalar(self.chart, (-u[0], -u[1]))
+        return Scalar(self.chart, _negate(u))
 
     def __sub__(self, other):
         if other.__class__ is not Scalar or other.chart is not self.chart:
@@ -676,34 +762,42 @@ class Scalar:
 
     # -- calculus --------------------------------------------------------
 
-    def diff(self, coord: Union[str, sp.Symbol]) -> "Scalar":
-        sym = self.chart.coord(coord) if isinstance(coord, str) else coord
-        if sym not in self.chart._coord_set:
-            raise ChartError(f"{sym} is not a coordinate of chart {self.chart.name!r}")
+    def diff(self, coord: Union[str, Coordinate]) -> "Scalar":
+        name = coord if isinstance(coord, str) else coord.name
+        k = self.chart._index.get(name)
+        if k is None:
+            raise ChartError(
+                f"{name} is not a coordinate of chart {self.chart.name!r}")
         if self.pair is None:
+            sym = self.chart._tree_field[0][k]
             if sym not in self._tree.free_symbols:
                 return self.chart.zero
-            return Scalar(self.chart, sp.diff(self._tree, sym))
-        re, im = self.pair
-        if re.__class__ is _MPQ and im.__class__ is _MPQ:
+            return Scalar(self.chart, _sympy().diff(self._tree, sym))
+        if _is_constant(self.pair):
             return self.chart.zero
-        x = self.chart._field[1][sym]
-        return Scalar(self.chart, (_deriv(re, x), _deriv(im, x)))
+        re, im = self.pair
+        return Scalar(self.chart, (fdiff(re, k), fdiff(im, k)))
 
     def on_chart(self, chart: Chart, rename: Optional[Mapping] = None) -> "Scalar":
         """The same expression on another chart, which must contain its
         coordinates once ``rename`` (coordinate -> coordinate of ``chart``)
         is applied."""
-        expr = self.expr
-        if rename is not None:
-            expr = expr.subs(rename, simultaneous=True)
+        names = {a.name: b.name for a, b in (rename or {}).items()}
+        if self.pair is not None:
+            return Scalar(chart, _pair_on_chart(self.pair, self.chart, chart,
+                                                names))
+        sp = _sympy()
+        expr = self._tree
+        if names:
+            expr = expr.subs({sp.Symbol(a, real=True): sp.Symbol(b, real=True)
+                              for a, b in names.items()}, simultaneous=True)
         return Scalar(chart, _on_chart(chart, expr))
 
     def conjugate(self) -> "Scalar":
         # coordinates are real symbols, so only the constants flip
         u = self.pair
         if u is None:
-            return Scalar(self.chart, sp.conjugate(self._tree))
+            return Scalar(self.chart, _sympy().conjugate(self._tree))
         if not u[1]:
             return self
         return Scalar(self.chart, (u[0], -u[1]))
@@ -723,17 +817,25 @@ class Scalar:
     # -- evaluation -------------------------------------------------------
 
     def eval(self, point: Mapping) -> Union[ComplexRational, complex]:
-        """Evaluate at a point (coordinate name or symbol -> value).
+        """Evaluate at a point (coordinate, or its name -> value).
 
         Rational expressions evaluate exactly to a ComplexRational;
         transcendental atoms force a floating complex result.
         """
-        expr = self.expr
-        subs = {}
+        values = {}
         for key, val in point.items():
-            sym = self.chart.coord(key) if isinstance(key, str) else key
-            subs[sym] = (val.to_sympy() if isinstance(val, ComplexRational)
-                         else sp.sympify(val))
+            name = key if isinstance(key, str) else key.name
+            if isinstance(key, str):
+                self.chart.coord(key)
+            values[name] = val
+        if self.pair is not None:
+            return self._pair_eval(values, point)
+        sp = _sympy()
+        expr = self.expr
+        subs = {sp.Symbol(name, real=True):
+                (val.to_sympy() if isinstance(val, ComplexRational)
+                 else sp.sympify(val))
+                for name, val in values.items()}
         missing = expr.free_symbols - set(subs)
         if missing:
             raise ChartError(
@@ -750,6 +852,17 @@ class Scalar:
                 raise PoleError(f"pole at {point}")
             return approx
 
+    def _pair_eval(self, values: dict, point: Mapping) -> ComplexRational:
+        gens = self.chart._gens
+        missing = {gens[k] for k in _used(self.pair)} - set(values)
+        if missing:
+            raise ChartError(
+                f"point does not cover coordinates {sorted(missing)}")
+        at = tuple(v if isinstance(v, ComplexRational)
+                   else ComplexRational(Fraction(v))
+                   for v in (values.get(g, 0) for g in gens))
+        return _pair_value(self.pair, at, point)
+
     # -- comparison / hashing ---------------------------------------------
 
     def __eq__(self, other):
@@ -761,11 +874,14 @@ class Scalar:
         if self.chart is not other.chart:
             return False
         if self.pair is None or other.pair is None:
-            return self.norm_expr == other.norm_expr
+            a, b = self._normal_key(), other._normal_key()
+            if (a.__class__ is tuple) != (b.__class__ is tuple):
+                return False
+            return a == b
         return self.pair == other.pair
 
     def __hash__(self):
-        return hash((id(self.chart), self.norm_expr))
+        return hash((id(self.chart), self._normal_key()))
 
     def __str__(self):
         return print_scalar(self)
@@ -870,7 +986,7 @@ def nonzero_entries(scalars: Iterable[Scalar]):
 # zero testing
 
 
-def random_point(chart: Chart, rng: random.Random) -> dict:
+def _random_point(chart: Chart, rng: random.Random) -> dict:
     """Random rational point with coordinates p/q, |p|,|q| <= SAMPLE_BOUND."""
     point = {}
     for c in chart.coords:
@@ -889,7 +1005,7 @@ def _vanishes_at_samples(s: Scalar) -> bool:
     tested = 0
     for _ in range(DEFAULT_SAMPLES * 4):
         try:
-            value = s.eval(random_point(s.chart, rng))
+            value = s.eval(_random_point(s.chart, rng))
         except PoleError:
             continue
         if abs(complex(value)) > FLOAT_TOLERANCE:
@@ -938,17 +1054,100 @@ def _tokenize(text: str):
     return tokens
 
 
+
+
+class _Pairs:
+    """The parser's values as pairs: a text with no function call."""
+
+    def __init__(self, chart: Chart):
+        self.chart = chart
+
+    @staticmethod
+    def number(n: int) -> tuple:
+        return (Fraction(n), _Q0)
+
+    @staticmethod
+    def imag() -> tuple:
+        return _I
+
+    def coord(self, name: str) -> tuple:
+        return self.chart._generator(name)
+
+    add = staticmethod(_plus)
+    mul = staticmethod(_times)
+    neg = staticmethod(_negate)
+
+    @staticmethod
+    def sub(u, v):
+        return _plus(u, _negate(v))
+
+    @staticmethod
+    def div(u, v):
+        return _times(u, _power(v, -1))
+
+    @staticmethod
+    def power(u, n: int):
+        return _ONE if n == 0 else _power(u, n)
+
+    @staticmethod
+    def is_zero(u) -> bool:
+        return u[0] == 0 and u[1] == 0
+
+    @staticmethod
+    def integer(u) -> Optional[int]:
+        a, b = u
+        if b == 0 and a.__class__ is Fraction and a.denominator == 1:
+            return int(a)
+        return None
+
+
+class _Trees:
+    """The parser's values as sympy trees: a text that calls a function."""
+
+    def __init__(self, chart: Chart):
+        self.chart = chart
+        self.sp = _sympy()
+
+    def number(self, n: int):
+        return self.sp.Integer(n)
+
+    def imag(self):
+        return self.sp.I
+
+    def coord(self, name: str):
+        return self.chart._tree_field[0][self.chart._index[name]]
+
+    def call(self, name: str, arg):
+        return getattr(self.sp, name)(arg)
+
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    div = staticmethod(operator.truediv)
+    neg = staticmethod(operator.neg)
+    power = staticmethod(operator.pow)
+
+    def is_zero(self, expr) -> bool:
+        return _canonical(expr, self.chart._tree_field) == 0
+
+    def integer(self, expr) -> Optional[int]:
+        value = _canonical(expr, self.chart._tree_field)
+        return int(value) if value.is_Integer else None
+
+
 class _Parser:
     """Recursive descent parser for the expression grammar.
 
     Precedence (low to high): + - ; * / ; unary - ; ^ (right associative).
+    The values are built by ``values``: sympy trees unless given.
     """
 
-    def __init__(self, text: str, chart: Chart):
+    def __init__(self, text: str, chart: Chart, values=_Trees):
         self.text = text
         self.chart = chart
         self.tokens = _tokenize(text)
         self.index = 0
+        self.values = values(chart)
 
     def peek(self):
         return self.tokens[self.index]
@@ -964,67 +1163,66 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
-    def parse(self) -> sp.Expr:
+    def parse(self):
         expr = self.sum()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
         return expr
 
-    def sum(self) -> sp.Expr:
+    def sum(self):
         expr = self.product()
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
             rhs = self.product()
-            expr = expr + rhs if op == "+" else expr - rhs
+            expr = (self.values.add if op == "+" else self.values.sub)(expr, rhs)
         return expr
 
-    def product(self) -> sp.Expr:
+    def product(self):
         expr = self.unary()
         while self.peek()[0] in ("*", "/"):
             op, _, pos = self.advance()
             rhs = self.unary()
             if op == "*":
-                expr = expr * rhs
+                expr = self.values.mul(expr, rhs)
             else:
-                if _canonical(rhs, self.chart._field) == 0:
+                if self.values.is_zero(rhs):
                     raise ParseError("division by structurally zero expression", pos)
-                expr = expr / rhs
+                expr = self.values.div(expr, rhs)
         return expr
 
-    def unary(self) -> sp.Expr:
+    def unary(self):
         if self.peek()[0] == "-":
             self.advance()
-            return -self.unary()
+            return self.values.neg(self.unary())
         if self.peek()[0] == "+":
             self.advance()
             return self.unary()
         return self.power()
 
-    def power(self) -> sp.Expr:
+    def power(self):
         base = self.atom()
         if self.peek()[0] == "^":
             _, _, pos = self.advance()
-            exponent = self.unary_power()
-            exponent = _canonical(exponent, self.chart._field)
-            if not exponent.is_Integer:
+            exponent = self.values.integer(self.unary_power())
+            if exponent is None:
                 raise ParseError("exponent must be an integer constant", pos)
-            if exponent < 0 and _canonical(base, self.chart._field) == 0:
+            if exponent < 0 and self.values.is_zero(base):
                 raise ParseError("division by structurally zero expression", pos)
-            return base ** exponent
+            return self.values.power(base, exponent)
         return base
 
-    def unary_power(self) -> sp.Expr:
+    def unary_power(self):
         # exponent position: allow a leading sign, then a power (right assoc)
         if self.peek()[0] == "-":
             self.advance()
-            return -self.unary_power()
+            return self.values.neg(self.unary_power())
         return self.power()
 
-    def atom(self) -> sp.Expr:
+    def atom(self):
         kind, value, pos = self.advance()
         if kind == "int":
-            return sp.Integer(int(value))
+            return self.values.number(int(value))
         if kind == "(":
             expr = self.sum()
             self.expect(")")
@@ -1036,20 +1234,28 @@ class _Parser:
                 self.advance()
                 arg = self.sum()
                 self.expect(")")
-                return KNOWN_FUNCTIONS[value](arg)
+                return self.values.call(value, arg)
             if value == "i":
-                return sp.I
-            try:
-                return self.chart.coord(value)
-            except ChartError:
+                return self.values.imag()
+            if value not in self.chart._index:
                 raise ParseError(f"unknown identifier {value!r}", pos)
+            return self.values.coord(value)
         raise ParseError(f"unexpected token {value!r}", pos)
 
 
+def _calls_a_function(tokens: list) -> bool:
+    return any(name[0] == "name" and name[1] in KNOWN_FUNCTIONS
+               and paren[0] == "(" for name, paren in zip(tokens, tokens[1:]))
+
+
 def parse_scalar(text: str, chart: Chart) -> Scalar:
-    """Parse the expression grammar into a Scalar: a reduced pair, or the
-    tree as parsed, whose normal form is taken when it is read."""
+    """Parse the expression grammar into a Scalar: a reduced pair, or, for
+    a text that calls a function, the sympy tree as parsed, whose normal
+    form is taken when it is read."""
+    if not _calls_a_function(_tokenize(text)):
+        return Scalar(chart, _Parser(text, chart, _Pairs).parse())
     expr = _Parser(text, chart).parse()
+    sp = _sympy()
     if expr.has(sp.zoo, sp.nan):
         raise ParseError("expression contains division by zero", 0)
     return Scalar(chart, expr)
@@ -1059,40 +1265,47 @@ def parse_scalar(text: str, chart: Chart) -> Scalar:
 # printer
 
 
-class _ScalarPrinter(StrPrinter):
-    """Deterministic printer emitting the package grammar (^ for powers)."""
+@functools.cache
+def _tree_printer():
+    """The printer of sympy trees: the package grammar, ^ for powers."""
+    sp = _sympy()
+    PRECEDENCE = sp.printing.precedence.PRECEDENCE
 
-    def __init__(self):
-        super().__init__(settings={"order": "grlex"})
+    class _ScalarPrinter(sp.StrPrinter):
+        def __init__(self):
+            super().__init__(settings={"order": "grlex"})
 
-    def _print_ImaginaryUnit(self, expr):
-        return "i"
+        def _print_ImaginaryUnit(self, expr):
+            return "i"
 
-    def _print_Exp1(self, expr):
-        return "exp(1)"
+        def _print_Exp1(self, expr):
+            return "exp(1)"
 
-    def _print_Abs(self, expr):
-        # sqrt(u^2) parses back to Abs(u) for real u
-        base = self.parenthesize(expr.args[0], PRECEDENCE["Pow"], strict=True)
-        return f"sqrt({base}^2)"
+        def _print_Abs(self, expr):
+            # sqrt(u^2) parses back to Abs(u) for real u
+            base = self.parenthesize(expr.args[0], PRECEDENCE["Pow"], strict=True)
+            return f"sqrt({base}^2)"
 
-    def _print_Pow(self, expr, rational=False):
-        # the grammar has only integer exponents: b^(k/2^j) prints as
-        # sqrt applied j times, then ^|k|, under 1/ when k < 0
-        exp = expr.exp
-        if exp.is_Rational and not exp.is_Integer and exp.q & (exp.q - 1) == 0:
-            text = self._print(expr.base)
-            for _ in range(exp.q.bit_length() - 1):
-                text = f"sqrt({text})"
-            if abs(exp.p) != 1:
-                text = f"{text}^{abs(exp.p)}"
-            return text if exp.p > 0 else f"1/{text}"
-        text = super()._print_Pow(expr, rational=rational)
-        return text.replace("**", "^")
+        def _print_Pow(self, expr, rational=False):
+            # the grammar has only integer exponents: b^(k/2^j) prints as
+            # sqrt applied j times, then ^|k|, under 1/ when k < 0
+            exp = expr.exp
+            if exp.is_Rational and not exp.is_Integer and exp.q & (exp.q - 1) == 0:
+                text = self._print(expr.base)
+                for _ in range(exp.q.bit_length() - 1):
+                    text = f"sqrt({text})"
+                if abs(exp.p) != 1:
+                    text = f"{text}^{abs(exp.p)}"
+                return text if exp.p > 0 else f"1/{text}"
+            text = super()._print_Pow(expr, rational=rational)
+            return text.replace("**", "^")
 
-
-_PRINTER = _ScalarPrinter()
+    return _ScalarPrinter()
 
 
 def print_scalar(s: Scalar) -> str:
-    return _PRINTER.doprint(s.norm_expr)
+    """The text of a Scalar: a pair's by ``_poly.print_pair``, which prints
+    what the tree printer prints for the pair's normal form tree."""
+    if s.pair is not None:
+        return _poly.print_pair(s.pair[0], s.pair[1], s.chart._gens)
+    return _tree_printer().doprint(s.norm_expr)

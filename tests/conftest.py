@@ -15,11 +15,13 @@ corrupted.
 """
 
 import functools
+from fractions import Fraction
 
 import pytest
 
 from algebroids import constructions
 from algebroids.constructions import CATALOG_NAMES, fixture
+from algebroids.scalars import ComplexRational
 
 # every catalog fixture carries both J and a metric
 HERMITIAN_NAMES = list(CATALOG_NAMES)
@@ -29,6 +31,17 @@ TOLERANCE = 1e-9
 NUM_POINTS = 10
 SEED = 42
 SAMPLES = 8
+# numerators and denominators of sampled points, as in the package's own
+# private sampler
+SAMPLE_BOUND = 97
+
+
+def random_point(chart, rng):
+    """Random rational point with coordinates p/q, |p|,|q| <= SAMPLE_BOUND:
+    a copy of the package's private sampler."""
+    return {c: ComplexRational.of(Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND),
+                                           rng.randint(1, SAMPLE_BOUND)))
+            for c in chart.coords}
 
 
 @pytest.fixture(scope="session")

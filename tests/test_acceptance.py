@@ -32,7 +32,6 @@ from algebroids.constructions import CATALOG_NAMES, Fixture, prolong
 from algebroids.eforms import EForm, d_E
 from algebroids.jstruct import IntegrabilityError, matched_pair_check, nijenhuis
 from algebroids.prodgeom import identity_suite, mean_curvature
-from algebroids.scalars import random_point
 
 from conftest import (
     HERMITIAN_NAMES,
@@ -40,6 +39,7 @@ from conftest import (
     NUM_POINTS,
     SEED,
     TOLERANCE,
+    random_point,
 )
 
 
@@ -90,7 +90,8 @@ def _random_form(algebroid, degree, rng, linear):
     for idx in w.keys():
         expr = sp.Rational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
         if chart.dim and linear:
-            coord = chart.coords[rng.randrange(chart.dim)]
+            coord = sp.Symbol(chart.coords[rng.randrange(chart.dim)].name,
+                              real=True)
             expr = expr + sp.Rational(
                 Fraction(rng.randint(-9, 9), rng.randint(1, 9))) * coord
         w[idx] = chart.scalar(expr)

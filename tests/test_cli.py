@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import pathlib
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -352,6 +354,55 @@ def test_sectional_with_an_algebraic_atom_prints_its_pinned_tree(tmp_path):
         point = {"x1": x1, "x2": 0}
         assert (parse_scalar(K, chart).eval(point)
                 == parse_scalar(ALGEBRAIC_K_TREE_BUILT, chart).eval(point))
+
+
+# one command of each shape on atom-free inputs, with its exit code; the
+# levi-civita one prints Gaussian values
+RATIONAL_COMMANDS = [
+    (["validate", "flat_r2"], 0),
+    (["kahler-report", "warped_r4"], 0),
+    (["levi-civita", "conformal_sphere_chart", "--complex-frame"], 0),
+    (["chern", "heis_j", "--order", "1"], 3),
+    (["emit", "warped_r4"], 0),
+    (["restrict", "flat_r2", "--projector", "bench/inputs/identity.proj"], 0),
+]
+
+FRESH_PROCESS = """\
+import contextlib, io, json, sys
+from algebroids import cli
+commands, document = json.loads(sys.argv[1])
+codes = []
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+if document is not None:
+    cli.document_to_fixture(cli.parse_document(document))
+print(json.dumps([codes, "sympy" in sys.modules]))
+"""
+
+
+def _fresh_process(commands, document=None):
+    """(exit codes, whether sympy was imported) of a fresh process that
+    imports algebroids.cli and runs the commands through cli.main."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH_PROCESS, json.dumps([commands, document])],
+        cwd=root, env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def test_the_rational_path_runs_without_sympy():
+    codes, loaded = _fresh_process([argv for argv, _ in RATIONAL_COMMANDS])
+    assert codes == [code for _, code in RATIONAL_COMMANDS]
+    assert not loaded
+
+
+def test_an_atom_imports_sympy():
+    codes, loaded = _fresh_process([], SQRT_METRIC_DOC)
+    assert codes == [] and loaded
 
 
 def test_deterministic_reports():

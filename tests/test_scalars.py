@@ -11,7 +11,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import algebroids
-from algebroids import scalars
+from algebroids import _poly, scalars
 from algebroids.scalars import (
     Chart,
     ChartError,
@@ -22,10 +22,20 @@ from algebroids.scalars import (
     i,
     parse_scalar,
     print_scalar,
-    random_point,
 )
+from conftest import random_point
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+def _symbol(chart, name):
+    """The sympy symbol of a coordinate, for trees built by hand."""
+    chart.coord(name)
+    return sp.Symbol(name, real=True)
+
+
+def _symbols(chart):
+    return [sp.Symbol(c.name, real=True) for c in chart.coords]
 
 
 @pytest.fixture
@@ -35,7 +45,7 @@ def chart():
 
 def test_parse_precedence_and_power(chart):
     s = parse_scalar("2 + 3 * x1 ^ 2", chart)
-    x1 = chart.coords[0]
+    x1 = _symbols(chart)[0]
     assert (s - chart.scalar(2 + 3 * x1 ** 2)).is_structurally_zero()
     # ^ binds tighter than unary minus and is right associative
     s = parse_scalar("-x1^2", chart)
@@ -46,7 +56,7 @@ def test_parse_precedence_and_power(chart):
 
 def test_imaginary_unit_and_functions(chart):
     s = parse_scalar("i * x1 + sin(x2)", chart)
-    x1, x2 = chart.coords
+    x1, x2 = _symbols(chart)
     assert (s - chart.scalar(sp.I * x1 + sp.sin(x2))).is_structurally_zero()
     with pytest.raises(ParseError):
         parse_scalar("foo(x1)", chart)
@@ -107,6 +117,32 @@ def _parse_or_reject(text, chart=None):
         reject()
 
 
+def _outcome(text, chart, values):
+    """The Scalar a parser's values give for ``text``, or its error."""
+    try:
+        return scalars.Scalar(chart, scalars._Parser(text, chart, values).parse())
+    except ParseError as exc:
+        return str(exc)
+
+
+@PROPERTY
+@given(RATIONAL, st.integers(0, 40), st.sampled_from(["", "(", ")", "^", "/",
+                                                         "x3", "0", "-", "*i"]))
+@example("x1 / (x2 - x2)", 0, "")
+@example("(x1 + 1)^(1/2)", 0, "")
+@example("x1^(x2 - x2 - 1) + (x2 - x2)^-1", 0, "")
+@example("3^(4 - 2*2)", 0, "")
+def test_a_text_without_a_call_parses_to_pairs_as_to_trees(text, at, insert):
+    # the pair route has the tree route's values, errors and positions
+    chart = Chart("plane", ["x1", "x2"])
+    text = text[:at] + insert + text[at:]
+    pairs = _outcome(text, chart, scalars._Pairs)
+    trees = _outcome(text, chart, scalars._Trees)
+    assert pairs == trees
+    if not isinstance(pairs, str):
+        assert pairs.pair is not None
+
+
 @PROPERTY
 @given(GRAMMAR)
 def test_print_parse_print_fixed_point(text):
@@ -133,7 +169,7 @@ def test_fast_paths_keep_the_normal_form(text_a, text_b, x):
         assert (u + v).norm_expr == canonical(u.expr + v.expr)
         assert (u * v).norm_expr == canonical(u.expr * v.expr)
         assert (u.diff(x).norm_expr
-                == canonical(sp.diff(u.expr, a.chart.coord(x))))
+                == canonical(sp.diff(u.expr, _symbol(a.chart, x))))
 
 
 @PROPERTY
@@ -257,6 +293,16 @@ def test_complex_rational_on_the_left_of_a_scalar(chart):
     assert i * s == chart.scalar("i*x1 + 2*i*x2")
 
 
+def _imports(node, module) -> bool:
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    else:
+        return False
+    return any(n == module or n.startswith(module + ".") for n in names)
+
+
 @pytest.mark.parametrize("module", ["sympy", "random"])
 def test_only_scalars_imports(module):
     # symbolic algebra and random sampling both stay in the scalar layer
@@ -264,13 +310,7 @@ def test_only_scalars_imports(module):
     importers = set()
     for path in package.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if any(n == module or n.startswith(module + ".") for n in names):
+            if _imports(node, module):
                 importers.add(path.name)
     assert importers == {"scalars.py"}
 
@@ -327,10 +367,10 @@ def test_normalize_result_carries_its_normal_form(chart, monkeypatch):
         calls.append(expr)
         return cancel(expr)
 
-    x1, x2 = chart.coords
+    x1, x2 = _symbols(chart)
     pair = chart.scalar((x1 ** 2 - x2 ** 2) / (x1 - x2))
     atom = chart.scalar((x1 ** 2 - x2 ** 2) / (x1 - x2) + sp.sin(x1))
-    monkeypatch.setattr(scalars.sp, "cancel", counted)
+    monkeypatch.setattr(sp, "cancel", counted)
     assert pair.pair is not None
     assert pair.norm_expr == x1 + x2
     assert atom.norm_expr == x1 + x2 + sp.sin(x1)
@@ -340,7 +380,7 @@ def test_normalize_result_carries_its_normal_form(chart, monkeypatch):
 
 
 def test_normalize_idempotent_and_canonical(chart):
-    x1, x2 = chart.coords
+    x1, x2 = _symbols(chart)
     a = chart.scalar((x1 ** 2 - x2 ** 2) / (x1 - x2))
     b = chart.scalar(x1 + x2)
     assert (a - b).is_structurally_zero()
@@ -352,9 +392,11 @@ def test_normalize_idempotent_and_canonical(chart):
 SORTED_APART = Chart("sorted_apart", ["y1", "x10", "x2"])
 
 
-def _rational_functions():
-    """Random sympy expressions over SORTED_APART: Gaussian-rational
-    constants, sums, products, nested quotients, integer powers."""
+def _rational_functions(chart=None):
+    """Random sympy expressions over the coordinates of ``chart`` (by
+    default SORTED_APART): Gaussian-rational constants, sums, products,
+    nested quotients, integer powers."""
+    symbols = _symbols(chart or SORTED_APART)
     small = st.fractions(-3, 3, max_denominator=3).map(sp.Rational)
     constants = st.tuples(small, small).map(lambda c: c[0] + c[1] * sp.I)
 
@@ -366,11 +408,11 @@ def _rational_functions():
             st.tuples(inner, st.integers(-3, 3)).map(lambda t: t[0] ** t[1]),
         )
 
-    return st.recursive(st.sampled_from(SORTED_APART.coords) | constants,
-                        extend, max_leaves=10)
+    leaves = st.sampled_from(symbols) | constants if symbols else constants
+    return st.recursive(leaves, extend, max_leaves=10)
 
 
-_X10 = SORTED_APART.coord("x10")
+_X10 = _symbol(SORTED_APART, "x10")
 # the constant (103 + 369 i)/36 from two trees: together() drops the
 # coordinate of the first, and sympy's cancel gives a + b*I; it keeps it in
 # the second, and cancel gives a quotient over 18 + 18 i
@@ -413,6 +455,117 @@ def test_normal_form_is_idempotent(expr):
     assert sp.srepr(scalars._canonical(norm)) == sp.srepr(norm)
 
 
+# charts of the printer oracle: the generator order of SORTED_APART differs
+# from its own, and the last has no coordinate
+ORACLE_CHARTS = (Chart("plane", ["x1", "x2"]), SORTED_APART, Chart("c", []))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.sampled_from(ORACLE_CHARTS).flatmap(
+    lambda c: st.tuples(st.just(c), _rational_functions(c))))
+@example((SORTED_APART, KEPT_X10))
+@example((SORTED_APART, (_X10 + sp.I) ** -2 * (1 - sp.I) / 6))
+@example((ORACLE_CHARTS[0], (1 + sp.I) / (2 * _symbols(ORACLE_CHARTS[0])[0])))
+@example((ORACLE_CHARTS[2], NON_REAL_POWER))
+def test_pair_text_is_the_tree_printers_text_of_cancel(case):
+    # sympy is the oracle: the text of a pair, real or Gaussian, is the
+    # text sympy's printer gives to cancel(together(e))
+    chart, expr = case
+    if expr.has(sp.zoo, sp.nan):
+        reject()
+    s = chart.scalar(expr)
+    if s.pair is None:  # a denominator that vanishes as the walk meets it
+        reject()
+    printer = scalars._tree_printer()
+    real = (expr + sp.conjugate(expr)) / 2
+    for value, tree in ((s, expr), (s.real_part(), real)):
+        assert print_scalar(value) == printer.doprint(_cancel_reference(tree))
+
+
+def test_chart_generators_are_in_sympys_order():
+    # the order fixes the sign of every denominator, as in sympy's cancel
+    from sympy.polys.polyutils import _sort_gens
+
+    names = ["y1", "x10", "x2", "u3", "a", "b2", "theta", "p", "z", "w1",
+             "x", "X1", "t_2", "o"]
+    symbols = [sp.Symbol(name, real=True) for name in names]
+    assert Chart("c", names)._gens == tuple(
+        str(s) for s in _sort_gens(symbols))
+
+
+def _polynomials(n, gaussian):
+    """Random polynomials in n generators, as dicts, over ZZ or ZZ[i]."""
+    small = st.integers(-6, 6)
+    coefficient = (st.builds(_poly.Gaussian, small, small) if gaussian
+                   else small)
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), coefficient,
+                            min_size=1, max_size=4)
+    return terms.map(lambda f: {m: c for m, c in f.items() if c}).filter(bool)
+
+
+def _canonical_unit(f, domain):
+    return _poly.pmul_ground(f, domain.unit(_poly.leading(f)))
+
+
+def _sympy_gcd(f, g, n, gaussian):
+    from sympy.polys.domains import ZZ, ZZ_I
+    from sympy.polys.rings import ring
+
+    domain = ZZ_I if gaussian else ZZ
+    R = ring([f"x{k}" for k in range(n)], domain)[0]
+
+    def convert(c):
+        if c.__class__ is int:
+            return domain(c)
+        return domain(c.re, c.im)
+
+    h = R.from_dict({m: convert(c) for m, c in f.items()}).gcd(
+        R.from_dict({m: convert(c) for m, c in g.items()}))
+    if not gaussian:
+        return {m: int(c) for m, c in h.items()}
+    return {m: _poly.Gaussian(int(c.x), int(c.y)) for m, c in h.items()}
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(st.tuples(st.integers(1, 3), st.booleans()).flatmap(
+    lambda nz: st.tuples(st.just(nz[0]), st.just(nz[1]),
+                         *[_polynomials(*nz)] * 3)))
+def test_gcd_is_sympys_up_to_a_unit(case):
+    # a planted common factor h: the gcd of f*h and g*h, by the heuristic
+    # and by the exact fallback, is sympy's (dense PRS over ZZ_I)
+    n, gaussian, f, g, h = case
+    domain = _poly.GAUSSIAN_INTEGERS if gaussian else _poly.INTEGERS
+    F, G = _poly.pmul(f, h), _poly.pmul(g, h)
+    want = _canonical_unit(_sympy_gcd(F, G, n, gaussian), domain)
+    gcd, cff, cfg = _poly.cofactors(F, G, n, domain)
+    assert _canonical_unit(gcd, domain) == want
+    assert _poly.pmul(gcd, cff) == F and _poly.pmul(gcd, cfg) == G
+    assert _canonical_unit(_poly._gcd_prs(F, G, n, domain), domain) == want
+
+
+def test_sympy_is_imported_only_by_the_lazy_accessor():
+    # the rational path runs without sympy: scalars imports it in one
+    # function on first use, and no module names sympy's polynomial types
+    package = pathlib.Path(algebroids.__file__).parent
+    imports, lazy, names = set(), set(), set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if _imports(node, "sympy"):
+                imports.add((path.name, node.lineno))
+            elif isinstance(node, ast.FunctionDef) and node.name == "_sympy":
+                lazy |= {(path.name, n.lineno) for n in ast.walk(node)
+                         if _imports(n, "sympy")}
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+    assert imports and imports == lazy
+    assert {name for name, _ in lazy} == {"scalars.py"}
+    assert not names & {"FracField", "PolyElement", "ZZ_I"}
+
+
 @PROPERTY
 @given(GRAMMAR, GRAMMAR)
 @example("sqrt(x1) * exp(2*x2)", "exp(x2)^2 + 1/sin(x1)")
@@ -421,7 +574,7 @@ def test_atom_trees_take_the_normal_form_of_sympys_cancel(text_a, text_b):
     # the zeros; every tree still gets the normal form of cancel(together)
     chart = Chart("plane", ["x1", "x2"])
     a, b = (_parse_or_reject(t, chart).expr for t in (text_a, text_b))
-    entry = chart._field
+    entry = chart._tree_field
     for expr in ((a + b) ** 2 - a ** 2 - 2 * a * b - b ** 2,
                  sp.expand(a * b) - a * b, a / b - (a * a) / (a * b), a - b):
         if expr.has(sp.zoo, sp.nan) or scalars._to_pair(expr, entry):
@@ -433,15 +586,15 @@ def test_atom_trees_take_the_normal_form_of_sympys_cancel(text_a, text_b):
 
 
 def test_a_zero_tree_with_atoms_needs_no_cancel(chart, monkeypatch):
-    x1, x2 = chart.coords
+    x1, x2 = _symbols(chart)
     s = chart.scalar(sp.sin(x1 * x2) / (2 + sp.sin(x1 * x2)))
     t = chart.scalar(sp.sin(x1) * sp.exp(2 * x2))
 
     def refuse(*args, **kwargs):
         raise AssertionError("sympy's cancel/together reached")
 
-    monkeypatch.setattr(scalars.sp, "cancel", refuse)
-    monkeypatch.setattr(scalars.sp, "together", refuse)
+    monkeypatch.setattr(sp, "cancel", refuse)
+    monkeypatch.setattr(sp, "together", refuse)
     assert (s * (2 + sp.sin(x1 * x2)) - sp.sin(x1 * x2)).is_structurally_zero()
     assert ((t + 1) ** 2 - t * t - 2 * t - 1).is_structurally_zero()
 
@@ -457,7 +610,7 @@ def test_equal_constants_are_equal_scalars():
 
 def test_rational_expressions_are_normalised_without_cancel(monkeypatch):
     chart = SORTED_APART
-    x2, x10, y1 = chart.coord("x2"), chart.coord("x10"), chart.coord("y1")
+    x2, x10, y1 = (_symbol(chart, name) for name in ("x2", "x10", "y1"))
     trees = [
         (x2 ** 2 - y1 ** 2) / (x2 - y1) + x10 / 3,
         (x10 + sp.I * y1) ** -2 * (x2 - sp.I) / 2,
@@ -471,8 +624,8 @@ def test_rational_expressions_are_normalised_without_cancel(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sympy's cancel/together reached")
 
-    monkeypatch.setattr(scalars.sp, "cancel", refuse)
-    monkeypatch.setattr(scalars.sp, "together", refuse)
+    monkeypatch.setattr(sp, "cancel", refuse)
+    monkeypatch.setattr(sp, "together", refuse)
     assert [chart.scalar(t).norm_expr for t in trees] == expected
     with pytest.raises(AssertionError, match="reached"):
         atom.norm_expr
@@ -492,7 +645,7 @@ def test_cross_chart_rejection(chart):
 
 
 def test_outside_expressions_are_chart_checked(chart):
-    x1 = chart.coords[0]
+    x1 = _symbols(chart)[0]
     with pytest.raises(ChartError):
         chart.scalar(x1 + sp.Symbol("y", real=True))
     line = Chart("line", ["x1"])
@@ -609,7 +762,7 @@ def _tree_ops(x, y, n, chart, divide, power):
     conj = sp.conjugate
     trees = [x + y, x - y, x * y, conj(x), (x + conj(x)) / 2,
              (x - conj(x)) / (2 * sp.I)]
-    trees += [sp.diff(x, c) for c in chart.coords]
+    trees += [sp.diff(x, c) for c in _symbols(chart)]
     return trees + [x / y] * divide + [x ** n] * power
 
 
@@ -656,7 +809,7 @@ def test_pair_arithmetic_is_the_normal_form_of_the_tree_op(case, n):
            for r, t, h in zip(results, raw, held)]
     if a.pair is not None:
         # a tree with an atom that cancels: (a*s + s)/s is a + 1
-        s = sp.sin(chart.coords[0]) if chart.coords else sp.exp(2)
+        s = sp.sin(_symbols(chart)[0]) if chart.coords else sp.exp(2)
         ops.append((a + 1, (ta * s + s) / s))
     for result, tree in ops:
         assert result.norm_expr == scalars._canonical(tree)
