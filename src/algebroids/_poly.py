@@ -12,13 +12,18 @@ as in sympy's ``FracField``.  When the heuristic finds no gcd, a primitive
 pseudo-remainder sequence, which is always exact, takes over.
 
 ``Frac`` is a reduced quotient with a denominator of positive lex-leading
-coefficient, so equal values are equal ``Frac``s.  ``print_pair`` prints a
+coefficient, so equal values are equal ``Frac``s.  As both operands of a
+field operation are reduced, ``+``, ``*`` and ``d/dx`` take gcds of their
+parts, not of the cross-multiplied result (Henrici's rational arithmetic,
+Knuth, TAOCP 2, 4.5.1), and keep their last ``MEMO_SIZE`` results on two
+``Frac``s in a bounded memo.  ``print_pair`` prints a
 value (re, im) as sympy's ``StrPrinter`` (grlex order, ``^``, ``i``) prints
 the tree ``cancel(together(e))`` gives for it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import insort
 from fractions import Fraction
@@ -26,6 +31,8 @@ from operator import add as _add, sub as _sub
 
 # attempts of the heuristic gcd before the exact fallback, as in sympy
 HEU_GCD_MAX = 6
+# entries of each memo of the field operations on two Fracs
+MEMO_SIZE = 1024
 
 
 class Gaussian:
@@ -589,18 +596,21 @@ def quotient(p: dict, q: dict, n: int):
     """p/q in the field: a Fraction when constant, else a reduced Frac."""
     if not p:
         return Fraction(0)
-    p, q = cancel(p, q, n)
-    if is_ground(q) and is_ground(p):
-        return Fraction(leading(p), leading(q))
-    return Frac(p, q)
+    _, p, q = cofactors(p, q, n)
+    return _reduced(p, q)
 
 
-def _content_reduced(p: dict, q: dict) -> Frac:
-    """p/q for p, q sharing no non-constant factor: reduced by the integer
-    gcd of their contents alone."""
+def _reduced(p: dict, q: dict):
+    """p/q in the field for a nonzero p and a q sharing no non-constant
+    factor with it: reduced by the integer gcd of their contents, with q's
+    leading coefficient made positive."""
     g = math.gcd(content(p), content(q))
+    if leading(q) < 0:
+        g = -g
     if g != 1:
         p, q = pquo_ground(p, g), pquo_ground(q, g)
+    if is_ground(q) and is_ground(p):
+        return Fraction(leading(p), leading(q))
     return Frac(p, q)
 
 
@@ -615,14 +625,28 @@ def fadd(a, b):
             return a
         n, d = b.numerator, b.denominator
         q = a.den
-        return _content_reduced(
-            padd(pmul_ground(a.num, d), pmul_ground(q, n)),
-            pmul_ground(q, d) if d != 1 else q)
-    nv = a.nvars()
-    if a.den == b.den:
-        return quotient(padd(a.num, b.num), a.den, nv)
-    return quotient(padd(pmul(a.num, b.den), pmul(a.den, b.num)),
-                    pmul(a.den, b.den), nv)
+        return _reduced(padd(pmul_ground(a.num, d), pmul_ground(q, n)),
+                        pmul_ground(q, d) if d != 1 else q)
+    # the operands in an order of their own, so that b + a finds a + b
+    return _fadd(a, b) if hash(a) <= hash(b) else _fadd(b, a)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _fadd(a: Frac, b: Frac):
+    """a + b for Fracs by Henrici's gcds of the operands (Knuth, TAOCP 2,
+    4.5.1): with d1 = gcd(u', v'), u/u' + v/v' = t/(u' v'/d1) for
+    t = u v'/d1 + v u'/d1, and t shares a factor with u' v'/d1 only
+    through d1."""
+    u, du, v, dv = a.num, a.den, b.num, b.den
+    n = a.nvars()
+    if du == dv:
+        return quotient(padd(u, v), du, n)
+    d1, du1, dv1 = cofactors(du, dv, n)
+    t = padd(pmul(u, dv1), pmul(v, du1))
+    if is_ground(d1):
+        return _reduced(t, pmul(du, dv1))
+    _, t, d12 = cofactors(t, d1, n)
+    return _reduced(t, pmul(pmul(du1, d12), dv1))
 
 
 def _scale(f: Frac, c: Fraction) -> Frac:
@@ -649,7 +673,17 @@ def fmul(a, b):
         return _scale(b, a) if a else a
     if b.__class__ is Fraction:
         return _scale(a, b) if b else b
-    return quotient(pmul(a.num, b.num), pmul(a.den, b.den), a.nvars())
+    return _fmul(a, b) if hash(a) <= hash(b) else _fmul(b, a)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _fmul(a: Frac, b: Frac):
+    """a * b for Fracs: each numerator reduced against the other's
+    denominator, as the operands are reduced already."""
+    n = a.nvars()
+    _, u, dv = cofactors(a.num, b.den, n)
+    _, v, du = cofactors(b.num, a.den, n)
+    return _reduced(pmul(u, v), pmul(du, dv))
 
 
 def finv(a):
@@ -671,16 +705,24 @@ def fdiff(a, k: int):
     """da/dx_k: the quotient rule."""
     if a.__class__ is Fraction:
         return Fraction(0)
+    return _fdiff(a, k)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _fdiff(a: Frac, k: int):
+    """d(p/q)/dx_k.  With g = gcd(q, q'), s = q/g and t = q'/g it is
+    (p' s - p t)/(g s^2).  A factor of q with x_k in it divides q once
+    more than g, so it divides s and neither p nor t, hence not p' s - p t;
+    a factor free of x_k divides g as often as q, and not s.  So the
+    numerator shares a factor with g alone."""
     p, q = a.num, a.den
-    dp = pdiff(p, k)
-    if is_ground(q):
-        if not dp:
-            return Fraction(0)
-        if is_ground(dp):
-            return Fraction(leading(dp), leading(q))
-        return _content_reduced(dp, q)
-    return quotient(psub(pmul(dp, q), pmul(p, pdiff(q, k))), pmul(q, q),
-                    a.nvars())
+    n = a.nvars()
+    dq = pdiff(q, k)
+    if not dq:
+        return quotient(pdiff(p, k), q, n)
+    g, s, t = cofactors(q, dq, n)
+    _, num, g = cofactors(psub(pmul(pdiff(p, k), s), pmul(p, t)), g, n)
+    return _reduced(num, pmul(g, pmul(s, s)))
 
 
 def fgen(k: int, n: int) -> Frac:

@@ -7,9 +7,10 @@ lets every test share the derived objects cached on it.  It also matters
 for correctness: charts compare by identity, so scalars from two
 independently built copies of the same fixture cannot be mixed.
 
-`constructions.fixture` keeps its own process-wide memo.  Each test starts
-and ends with that memo empty, so a test that patches a builder, counts
-builds or times a cold build sees its own builds, and no later test (the
+`constructions.fixture` keeps its own process-wide memo, and `_poly` one
+per field operation on two Fracs.  Each test starts and ends with these
+memos empty, so a test that patches a builder, counts builds or gcds, or
+times a cold build sees its own work, and no later test (the
 benchmark self-tests included) inherits what an earlier one built or
 corrupted.
 """
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from algebroids import constructions
+from algebroids import _poly, constructions
 from algebroids.constructions import CATALOG_NAMES, fixture
 from algebroids.scalars import ComplexRational
 
@@ -50,9 +51,16 @@ def catalog():
     return functools.cache(fixture)
 
 
+def _clear_memos():
+    constructions._fixture.cache_clear()
+    for memo in (_poly._fadd, _poly._fmul, _poly._fdiff):
+        memo.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def cold_fixture_memo():
-    """Empty the process-wide fixture memo before and after each test."""
-    constructions._fixture.cache_clear()
+    """Empty the process-wide fixture memo and the memos of the field
+    operations before and after each test."""
+    _clear_memos()
     yield
-    constructions._fixture.cache_clear()
+    _clear_memos()

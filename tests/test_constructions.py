@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from algebroids import constructions, scalars
+from algebroids import _poly, constructions, scalars
 from algebroids.algebroid import bracket, validate_structure
 from algebroids.cli import emit_document
 from algebroids.connections import cov_deriv, hermitian_check
@@ -179,11 +179,32 @@ def test_sasaki_metric_and_adapted_structure_hermitian(catalog):
 
 def test_s3_projector_is_built_promptly(monkeypatch):
     # the one catalog fixture with real rational-function work: a fresh
-    # build, with no fraction field or normal form kept from other tests
+    # build, with no fraction field, normal form or field operation kept
+    # from other tests
     monkeypatch.setattr(scalars, "_FIELDS", {})
     start = time.perf_counter()
     fixture("s3_projector")
     assert time.perf_counter() - start < 10
+
+
+# terms of the polynomials whose gcd (`_poly.cofactors`) a cold s3_projector
+# build takes, summed: 13,474 with gcds of the operands' parts and the field
+# operations' memos, 26,609 with a gcd of each cross-multiplied result
+S3_PROJECTOR_GCD_TERMS = 14_000
+
+
+def test_s3_projector_takes_gcds_of_operand_size(monkeypatch):
+    monkeypatch.setattr(scalars, "_FIELDS", {})
+    cofactors = _poly.cofactors
+    terms = []
+
+    def counted(f, g, n, dom=_poly.INTEGERS):
+        terms.append(len(f) + len(g))
+        return cofactors(f, g, n, dom)
+
+    monkeypatch.setattr(_poly, "cofactors", counted)
+    fixture("s3_projector")
+    assert sum(terms) <= S3_PROJECTOR_GCD_TERMS
 
 
 @pytest.mark.parametrize("name", ["warped_r4", "conformal_sphere_chart"])

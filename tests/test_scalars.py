@@ -543,6 +543,94 @@ def test_gcd_is_sympys_up_to_a_unit(case):
     assert _canonical_unit(_poly._gcd_prs(F, G, n, domain), domain) == want
 
 
+def _frac(text, names=("x1", "x2")):
+    """The field element of a text on a chart of the given coordinates."""
+    return Chart("field", list(names)).scalar(text).pair[0]
+
+
+def _product(factors, n):
+    out = _poly.constant(1, n)
+    for f in factors:
+        out = _poly.pmul(out, f)
+    return out
+
+
+@st.composite
+def _frac_cases(draw):
+    """(n, a, b, k): reduced Fracs a, b in n generators and a generator
+    index k.  Each part of a and b is an integer times a random polynomial
+    times powers of two polynomials they share, so a numerator can share a
+    factor with the other denominator and the denominators can share
+    factors.  Or b is a plus a polynomial, over a's denominator."""
+    n = draw(st.integers(1, 3))
+    polys = _polynomials(n, False)
+    shared = [draw(polys), draw(polys)]
+
+    def part():
+        c = draw(st.integers(-6, 6).filter(bool))
+        powers = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+        factors = [h for h, e in zip(shared, powers) for _ in range(e)]
+        return _poly.pmul_ground(_product([draw(polys)] + factors, n), c)
+
+    a = _poly.quotient(part(), part(), n)
+    if a.__class__ is not _poly.Frac:
+        reject()
+    if draw(st.booleans()):
+        b = _poly.quotient(_poly.padd(a.num, _poly.pmul(draw(polys), a.den)),
+                           a.den, n)
+    else:
+        b = _poly.quotient(part(), part(), n)
+    if b.__class__ is not _poly.Frac:
+        reject()
+    return n, a, b, draw(st.integers(0, n - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_frac_cases())
+# d/dx2 of x2 + 1/(1 + x1^2): 1, once the x2-free factor 1 + x1^2 cancels
+@example((2, _frac("(x2*(1 + x1^2) + 1)/(1 + x1^2)"), _frac("x1"), 1))
+# equal denominators; a numerator sharing x1 + 1 with the other's
+# denominator; denominators sharing a square; contents and signs; a sum
+# 2/(x1^2 - 1) whose numerator cancels the denominators' common x1
+@example((2, _frac("1/(x1*(x1 + 1))"), _frac("1/(x1*(x1 - 1))"), 0))
+@example((2, _frac("x1/(x2 + 1)"), _frac("(x2 - x1)/(x2 + 1)"), 0))
+@example((2, _frac("(2*x1 + 2)/(3*x2)"), _frac("-x2/(x1 + 1)"), 1))
+@example((2, _frac("-6*x2/(x1^2*(x2 - x1)^2)"), _frac("4/(x1*(x2 - x1))"), 0))
+@example((3, _frac("(x3^2 - 1)/(-2*x1 + 4*x2)", ("x1", "x2", "x3")),
+          _frac("x3/(x1^2 - 4*x2^2)", ("x1", "x2", "x3")), 2))
+def test_field_operations_are_the_schoolbook_quotients(case):
+    # +, * and d/dx reduce only by gcds of their operands' parts: the
+    # result is the reduced quotient of the cross-multiplied formula
+    n, a, b, k = case
+    p, q, r, s = a.num, a.den, b.num, b.den
+    pmul = _poly.pmul
+    assert _poly.fadd(a, b) == _poly.quotient(
+        _poly.padd(pmul(p, s), pmul(q, r)), pmul(q, s), n)
+    assert _poly.fmul(a, b) == _poly.quotient(pmul(p, r), pmul(q, s), n)
+    assert _poly.fdiff(a, k) == _poly.quotient(
+        _poly.psub(pmul(_poly.pdiff(p, k), q), pmul(p, _poly.pdiff(q, k))),
+        pmul(q, q), n)
+
+
+def test_equal_fracs_are_one_memo_entry():
+    # the field operations on two Fracs are memoised by value: equal but
+    # distinct operands, for + and * in either order, find the result of
+    # their equals
+    a, b = _frac("x1/(x2 + 1)"), _frac("(x1 + x2)/(x1 - 1)")
+
+    def copy(f):
+        return _poly.Frac(dict(f.num), dict(f.den))
+
+    calls = [(_poly.fadd, _poly._fadd, (a, b), (copy(b), copy(a))),
+             (_poly.fmul, _poly._fmul, (a, b), (copy(b), copy(a))),
+             (_poly.fdiff, _poly._fdiff, (a, 1), (copy(a), 1))]
+    for op, memo, args, equal_args in calls:
+        result = op(*args)
+        hits = memo.cache_info().hits
+        assert op(*equal_args) == result
+        assert memo.cache_info().hits == hits + 1
+
+
 def test_sympy_is_imported_only_by_the_lazy_accessor():
     # the rational path runs without sympy: scalars imports it in one
     # function on first use, and no module names sympy's polynomial types
