@@ -23,11 +23,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, List
 
 from algebroids.algebroid import Algebroid, Residuals, Section
-from algebroids.connections import (
-    Connection,
-    almost_complex_check,
-    curvature_operator,
-)
+from algebroids.connections import Connection, curvature_operator
 from algebroids.eforms import EForm, d_E, wedge
 from algebroids.jstruct import ComplexFrame, IntegrabilityError
 from algebroids.scalars import Scalar, ScalarMatrix, i, nonzero_entries
@@ -92,7 +88,7 @@ def block_curvature(fx: Fixture) -> BlockCurvature:
     """
     A, J = fx.algebroid, fx.J
     conn = fx.levi_civita
-    if not almost_complex_check(conn, J).ok():
+    if not fx.almost_complex.ok():
         raise IntegrabilityError("connection is not almost complex (nabla J != 0)")
     F = fx.frame
     m = F.m
@@ -206,21 +202,20 @@ class ChernReport:
     ``form`` is the Chern form itself (real part of trace((iPhi)^k)).
     ``factor`` is the stated constant 1/2 of Re trace((iPhi)^k) =
     (1/2) trace(block^k), which ``half_trace_equality`` (indexed by form
-    component) checks when both routes ran; None when every component of
-    trace(block^k) vanishes or only one route ran.  ``checks`` holds
-    ``closed``, plus ``trace_real`` when the iPhi route ran.
+    component) checks; None when every component of trace(block^k)
+    vanishes.  ``checks`` holds ``closed``, ``half_trace_equality`` and
+    ``trace_real``.
     """
 
     order: int
-    source: str
     form: EForm
     checks: Residuals
     factor: Scalar = None
 
 
-def chern_form(bc: BlockCurvature, k: int, source: str = "both") -> ChernReport:
-    """Chern form of order k from the iPhi trace, the half block trace,
-    or both (compared).
+def chern_form(bc: BlockCurvature, k: int) -> ChernReport:
+    """Chern form of order k from the iPhi trace, cross-checked against the
+    half block trace.
 
     Matrix powers use the wedge product entrywise; the entries have even
     degree, so they commute and the power is unambiguous.  2k above the
@@ -228,26 +223,17 @@ def chern_form(bc: BlockCurvature, k: int, source: str = "both") -> ChernReport:
     """
     if k < 1:
         raise ValueError("order must be at least 1")
-    if source not in ("iphi", "block", "both"):
-        raise ValueError("source must be iphi, block or both")
     half = Fraction(1, 2)
-
-    re = im = t_block = None
-    if source in ("iphi", "both"):
-        re, im = _real_imag(_trace(_mat_power(bc.iphi_matrix(), k)))
-    if source in ("block", "both"):
-        t_block = _trace(_mat_power(bc.block(), k))
-    form = t_block.scale(half) if source == "block" else re
+    form, im = _real_imag(_trace(_mat_power(bc.iphi_matrix(), k)))
+    t_block = _trace(_mat_power(bc.block(), k))
 
     checks = Residuals()
-    report = ChernReport(order=k, source=source, form=form, checks=checks)
+    report = ChernReport(order=k, form=form, checks=checks)
     checks.add("closed", (), d_E(form))
-    if im is not None:
-        checks.add("trace_real", (), im)
-    if source == "both":
-        for key in t_block.keys():
-            checks.add("half_trace_equality", key,
-                       re[key] - t_block[key] * half)
-        if not t_block.is_structurally_zero():
-            report.factor = form.chart.scalar(half)
+    checks.add("trace_real", (), im)
+    for key in t_block.keys():
+        checks.add("half_trace_equality", key,
+                   form[key] - t_block[key] * half)
+    if not t_block.is_structurally_zero():
+        report.factor = form.chart.scalar(half)
     return report

@@ -440,16 +440,11 @@ def cmd_kahler_report(fx: Fixture, args) -> Tuple[dict, bool]:
 
 def cmd_chern(fx: Fixture, args) -> Tuple[dict, bool]:
     _need(fx, j=True, g=True)
-    rep = chern_form(block_curvature(fx), args.order, args.source_mode)
-    names = ["closed"]
-    if rep.source == "both":
-        names.append("half_trace_equality")
-    if rep.source in ("iphi", "both"):
-        names.append("trace_real")
-    checks = [_check(name, rep.checks.ok(name)) for name in names]
+    rep = chern_form(block_curvature(fx), args.order)
+    checks = [_check(name, rep.checks.ok(name))
+              for name in ("closed", "half_trace_equality", "trace_real")]
     ok = all(c["status"] == "StructurallyZero" for c in checks)
-    out = {"order": rep.order, "source": rep.source,
-           "form": _form_str(rep.form), "checks": checks}
+    out = {"order": rep.order, "form": _form_str(rep.form), "checks": checks}
     if rep.factor is not None:
         out["factor"] = print_scalar(rep.factor)
     return (out, ok)
@@ -566,8 +561,7 @@ def cmd_restrict(fx: Fixture, args) -> Tuple[dict, bool]:
     except ValueError as exc:
         raise PreconditionError(str(exc))
     checks = [
-        _check("validate",
-               res.checks.ok("anchor_morphism", "antisymmetry", "jacobi")),
+        _check("validate", validate_structure(res.algebroid).ok()),
         _check("anchor_morphism", res.checks.ok("derived_anchor_morphism")),
         _check("flatness", res.checks.ok("flatness")),
     ]
@@ -650,8 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("kahler-report", parents=[common])
     p = sub.add_parser("chern", parents=[common])
     p.add_argument("--order", type=int, default=1)
-    p.add_argument("--source", dest="source_mode", default="both",
-                   choices=["iphi", "block", "both"])
     sub.add_parser("second-fundamental", parents=[common])
     sub.add_parser("identity-suite", parents=[common])
     sub.add_parser("prolong", parents=[common])

@@ -59,8 +59,7 @@ __all__ = [
     "require_hermitian",
     "fundamental_form",
     "kahler_report",
-    "HermitianComponents",
-    "hermitian_components",
+    "hermitian_table",
     "levi_civita_complex_frame",
     "kahler_complex_curvature",
     "riemann4",
@@ -287,8 +286,8 @@ class HermitianError(PreconditionError):
     """An operation needing a Hermitian metric received a non-Hermitian one."""
 
 
-def require_hermitian(g: Metric, J: EndoField) -> None:
-    if not hermitian_check(g, J).ok():
+def require_hermitian(fx: Fixture) -> None:
+    if not fx.hermitian.ok():
         raise HermitianError("metric is not Hermitian for this J")
 
 
@@ -349,12 +348,10 @@ def kahler_report(fx: Fixture) -> KahlerReport:
     means an implementation bug).
     """
     A, J, g = fx.algebroid, fx.J, fx.g
-    require_hermitian(g, J)
+    require_hermitian(fx)
     N = fx.nijenhuis
-    phi = fundamental_form(g, J)
-    dphi = d_E(phi)
+    dphi = d_E(fx.fundamental_form)
     D = fx.levi_civita
-    ac = almost_complex_check(D, J)
 
     frame = A.frame
     checks = Residuals()
@@ -368,7 +365,7 @@ def kahler_report(fx: Fixture) -> KahlerReport:
                 checks.add("fundamental_form_identity", (a, b, c), lhs - rhs)
     n_zero = N.is_structurally_zero()
     dphi_zero = dphi.is_structurally_zero()
-    lc_ac = ac.ok()
+    lc_ac = fx.almost_complex.ok()
     equivalence = lc_ac == (n_zero and dphi_zero)
     return KahlerReport(n_zero, dphi_zero, lc_ac, equivalence, checks,
                         dphi=dphi)
@@ -378,67 +375,53 @@ def kahler_report(fx: Fixture) -> KahlerReport:
 # Hermitian components over a complex frame
 
 
-@dataclass
-class HermitianComponents:
-    """g_{a bbar} = g(f_a, fbar_b) and its inverse g^{bbar a}.
+def hermitian_table(g: Metric, F: ComplexFrame) -> tuple:
+    """h(F_mu, F_nu) = g(F_mu, conj F_nu) over complex-frame indices.
 
-    ``h`` is the m x m matrix h[a][b] = g_{a bbar}; ``hinv`` satisfies
-    sum_b h[a][b] hinv[b][c] = delta_a^c, so hinv[b][c] = g^{bbar c}.
+    The block h[a][b] (a, b < m) is g_{a bbar}; the block h[a][m + b] is
+    g(f_a, f_b), which must vanish, and g_{a bbar} = conj(g_{b abar}) must
+    hold, or HermitianError is raised.
     """
-
-    F: ComplexFrame
-    h: tuple
-    hinv: tuple
-
-
-def hermitian_components(g: Metric, F: ComplexFrame) -> HermitianComponents:
-    m = F.m
-    f = F.sections[:m]
-    fbar = F.sections[m:]
+    m, two_m = F.m, 2 * F.m
+    h = tuple(tuple(g.value(F.sections[mu], F.sections[F.conj_index(nu)])
+                    for nu in range(two_m)) for mu in range(two_m))
     for a in range(m):
         for b in range(m):
-            if not g.value(f[a], f[b]).is_structurally_zero():
+            if not h[a][m + b].is_structurally_zero():
                 raise HermitianError(
                     "g(f_a, f_b) must vanish for a Hermitian metric")
-    h = [[g.value(f[a], fbar[b]) for b in range(m)] for a in range(m)]
     for a in range(m):
         for b in range(m):
             if not (h[a][b] - h[b][a].conjugate()).is_structurally_zero():
                 raise HermitianError(
                     "Hermitian symmetry g_ab_bar = conj(g_ba_bar) fails")
-    return HermitianComponents(
-        F,
-        tuple(tuple(row) for row in h),
-        ScalarMatrix(g.algebroid.chart, h).inverse().rows(),
-    )
+    return h
 
 
 def levi_civita_complex_frame(fx: Fixture) -> Connection:
     """Levi-Civita coefficients over the complex frame.
 
     The four displayed coefficient families (and their conjugates) are
-    computed from the Hermitian components; the result is cross-checked
+    computed from the Hermitian components g_{a bbar} = h[a][b] of
+    ``fx.h`` and their inverse g^{bbar a}; the result is cross-checked
     against the frame transformation of the real-frame Levi-Civita.  The
     residuals are recorded in the returned connection's ``checks`` under
     ``formula_vs_transform`` rather than silently patched.
     """
-    A, g = fx.algebroid, fx.g
     F = fx.frame
-    require_hermitian(g, fx.J)
-    hc = hermitian_components(g, F)
-    CA = F.as_algebroid()
-    chart = A.chart
+    require_hermitian(fx)
+    CA = F.as_algebroid
+    chart = CA.chart
     m = F.m
     two_m = 2 * m
 
     def bar(x: int) -> int:
         return x + m
 
-    def rho_apply(mu: int, s: Scalar) -> Scalar:
-        vf = anchor_push(F.sections[mu])
-        return vf.apply(s)
-
-    h, hinv = hc.h, hc.hinv
+    h = fx.h
+    # sum_b h[a][b] hinv[b][c] = delta_a^c, so hinv[b][c] = g^{bbar c}
+    hinv = ScalarMatrix(chart, [row[:m] for row in h[:m]]).inverse().rows()
+    rho = [CA.anchor_vf(mu) for mu in range(two_m)]
     C = CA.C
     half = Fraction(1, 2)
 
@@ -450,7 +433,7 @@ def levi_civita_complex_frame(fx: Fixture) -> Connection:
             for b in range(m):
                 acc = chart.zero
                 for c in range(m):
-                    inner = rho_apply(a, h[b][c]) + rho_apply(b, h[a][c])
+                    inner = rho[a].apply(h[b][c]) + rho[b].apply(h[a][c])
                     for e in range(m):
                         inner = inner + C[e][a][b] * h[e][c]
                         inner = inner - C[bar(e)][b][bar(c)] * h[a][e]
@@ -464,8 +447,8 @@ def levi_civita_complex_frame(fx: Fixture) -> Connection:
             for b in range(m):
                 acc = chart.zero
                 for c in range(m):
-                    inner = (rho_apply(bar(b), h[a][c])
-                             - rho_apply(bar(c), h[a][b]))
+                    inner = (rho[bar(b)].apply(h[a][c])
+                             - rho[bar(c)].apply(h[a][b]))
                     for e in range(m):
                         inner = inner + C[e][a][bar(b)] * h[e][c]
                         inner = inner - C[bar(e)][bar(b)][bar(c)] * h[a][e]
@@ -479,8 +462,8 @@ def levi_civita_complex_frame(fx: Fixture) -> Connection:
             for b in range(m):
                 acc = chart.zero
                 for c in range(m):
-                    inner = (rho_apply(bar(a), h[b][c])
-                             - rho_apply(bar(c), h[b][a]))
+                    inner = (rho[bar(a)].apply(h[b][c])
+                             - rho[bar(c)].apply(h[b][a]))
                     for e in range(m):
                         inner = inner + C[e][bar(a)][b] * h[e][c]
                         inner = inner - C[e][b][bar(c)] * h[e][a]
@@ -577,9 +560,9 @@ def kahler_complex_curvature(connF: Connection,
     checks = Residuals()
     for d in range(m):
         for a in range(m):
+            rho_a = CA.anchor_vf(a)
             for b in range(m):
                 for c in range(m):
-                    rho_a = anchor_push(F.sections[a])
                     disp = rho_a.apply(connF.gamma[bar(d)][bar(b)][bar(c)])
                     for e in range(m):
                         disp = disp - CA.C[bar(e)][a][bar(b)] * connF.gamma[bar(d)][bar(e)][bar(c)]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from algebroids.algebroid import (
     Algebroid,
@@ -40,9 +40,14 @@ from algebroids.algebroid import (
 from algebroids.connections import (
     Connection,
     Metric,
+    almost_complex_check,
+    fundamental_form,
+    hermitian_check,
+    hermitian_table,
     levi_civita,
     levi_civita_complex_frame,
 )
+from algebroids.eforms import EForm
 from algebroids.jstruct import (
     ComplexFrame,
     EndoField,
@@ -50,6 +55,7 @@ from algebroids.jstruct import (
     adapted_complex_frame,
     almost_complex_structure,
     nijenhuis,
+    projectors,
 )
 from algebroids.prodgeom import (
     ProductConnection,
@@ -423,10 +429,11 @@ def direct_product(A1: Algebroid, A2: Algebroid,
 class ProjectorRestriction:
     """Restriction of ambient anchored data through an idempotent Pi.
 
-    ``checks`` holds the structure equations of the restriction (the
-    checks of ``validate_structure``), ``derived_anchor_morphism`` indexed
-    (a, b, i), ``flatness`` indexed (a, b, c) and, when an ambient J is
-    given, ``J_commutes`` (Pi J - J Pi) indexed (i, j).
+    ``checks`` holds ``derived_anchor_morphism`` indexed (a, b, i),
+    ``flatness`` indexed (a, b, c) and, when an ambient J is given,
+    ``J_commutes`` (Pi J - J Pi) indexed (i, j).  The structure equations
+    of ``algebroid`` are not among them: ``validate_structure`` checks
+    them when a caller asks.
     """
 
     chart: Chart
@@ -476,7 +483,7 @@ def projector_restriction(chart: Chart, rho0, Pi, lift,
                 if not acc.is_structurally_zero():
                     cdict[(a, b, c)] = acc
     A = Algebroid(chart, rank, anchor, cdict)
-    checks = validate_structure(A)
+    checks = Residuals()
 
     # anchor morphism of the derived bracket against the chart bracket
     for (a, b), br in brs.items():
@@ -550,9 +557,34 @@ class Fixture:
         return nijenhuis(self.algebroid, self.J)
 
     @cached_property
+    def projectors(self) -> Tuple[EndoField, EndoField]:
+        """p10 and p01 of J over the real frame."""
+        return projectors(self.J)
+
+    @cached_property
+    def hermitian(self) -> Residuals:
+        """Check ``hermitian`` of g and J over the real frame."""
+        return hermitian_check(self.g, self.J)
+
+    @cached_property
+    def fundamental_form(self) -> EForm:
+        """Phi(s1, s2) = g(s1, J s2)."""
+        return fundamental_form(self.g, self.J)
+
+    @cached_property
+    def h(self) -> tuple:
+        """h(F_mu, F_nu) = g(F_mu, conj F_nu) over the complex frame."""
+        return hermitian_table(self.g, self.frame)
+
+    @cached_property
     def levi_civita(self) -> Connection:
         """The Levi-Civita connection of g over the real frame."""
         return levi_civita(self.algebroid, self.g)
+
+    @cached_property
+    def almost_complex(self) -> Residuals:
+        """Check ``almost_complex`` of the Levi-Civita connection."""
+        return almost_complex_check(self.levi_civita, self.J)
 
     @cached_property
     def complex_levi_civita(self) -> Connection:
@@ -568,8 +600,9 @@ class Fixture:
         return second_fundamental(self)
 
     @cached_property
-    def real_B(self) -> Callable[[int, int], Section]:
-        """B(e_a, e_b) over the real frame, each entry computed once."""
+    def real_B(self) -> Callable[[Section, Section], Section]:
+        """B over the real algebroid; ``real_B.at(a, b)`` = B(e_a, e_b),
+        each entry computed once."""
         return real_frame_B(self)
 
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from algebroids.algebroid import (
     Algebroid,
@@ -290,7 +291,6 @@ class ComplexFrame:
         if P.det().is_structurally_zero():
             raise ValueError("complex frame is degenerate")
         self._Pinv = P.inverse()
-        self._complex_algebroid: Optional[Algebroid] = None
 
         # J f_a = i f_a and J fbar_a = -i fbar_a must hold structurally
         checks = Residuals()
@@ -317,10 +317,9 @@ class ComplexFrame:
                 comps[b] = comps[b] + coeff * self.sections[mu].components[b]
         return Section(self.algebroid, comps)
 
+    @cached_property
     def as_algebroid(self) -> Algebroid:
         """Algebroid over the same chart whose frame is this complex frame."""
-        if self._complex_algebroid is not None:
-            return self._complex_algebroid
         A = self.algebroid
         two_m = 2 * self.m
         anchor = [list(anchor_push(self.sections[mu]).components)
@@ -333,15 +332,13 @@ class ComplexFrame:
                 for lam in range(two_m):
                     if not coeffs[lam].is_structurally_zero():
                         table[(mu, nu, lam)] = coeffs[lam]
-        out = Algebroid(A.chart, two_m, anchor, table,
-                        frame_labels=[f"f{a + 1}" for a in range(self.m)]
-                        + [f"fbar{a + 1}" for a in range(self.m)])
-        self._complex_algebroid = out
-        return out
+        return Algebroid(A.chart, two_m, anchor, table,
+                         frame_labels=[f"f{a + 1}" for a in range(self.m)]
+                         + [f"fbar{a + 1}" for a in range(self.m)])
 
     def conjugation_symmetry_ok(self) -> bool:
         """conj(C^lam_munu) = C^lambar_mubar nubar structurally."""
-        CA = self.as_algebroid()
+        CA = self.as_algebroid
         two_m = 2 * self.m
         for lam in range(two_m):
             for mu in range(two_m):
@@ -355,7 +352,7 @@ class ComplexFrame:
     # forms over this frame ------------------------------------------------
 
     def form(self, degree: int, components=None) -> EForm:
-        return EForm(self.as_algebroid(), degree, components)
+        return EForm(self.as_algebroid, degree, components)
 
 
 def adapted_complex_frame(A: Algebroid, J: EndoField) -> ComplexFrame:
@@ -395,7 +392,7 @@ def adapted_complex_frame(A: Algebroid, J: EndoField) -> ComplexFrame:
 
 def bigrade(w: EForm, F: ComplexFrame) -> Dict[Tuple[int, int], EForm]:
     """Split a complex-frame form by (unbarred, barred) slot counts."""
-    if w.algebroid is not F.as_algebroid():
+    if w.algebroid is not F.as_algebroid:
         raise ChartError("form does not live over this complex frame")
     pieces: Dict[Tuple[int, int], EForm] = {}
     for key, val in w.components.items():
@@ -466,7 +463,7 @@ class NNReport:
 def newlander_nirenberg_report(fx: Fixture) -> NNReport:
     A = fx.algebroid
     F = fx.frame
-    CA = F.as_algebroid()
+    CA = F.as_algebroid
     m = F.m
     checks = Residuals()
 
@@ -535,11 +532,11 @@ def matched_pair_check(fx: Fixture) -> Residuals:
     which agree with the plain bracket on eigen-sections once J is
     integrable.
     """
-    A, J = fx.algebroid, fx.J
+    A = fx.algebroid
     F = fx.frame
     if not fx.nijenhuis.is_structurally_zero():
         raise IntegrabilityError("matched pair requires integrable J")
-    p10, p01 = projectors(J)
+    p10, p01 = fx.projectors
     m = F.m
     f = F.sections[:m]
     fbar = F.sections[m:]

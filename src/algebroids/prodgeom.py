@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from algebroids.algebroid import (
     Algebroid,
@@ -37,7 +37,6 @@ from algebroids.algebroid import (
 )
 from algebroids.connections import (
     Connection,
-    Metric,
     cov_deriv,
     levi_civita,  # unused; bench/test_harness.py checks tracing patches it
     nabla_J,
@@ -45,7 +44,7 @@ from algebroids.connections import (
     torsion,
 )
 from algebroids.eforms import EForm
-from algebroids.jstruct import ComplexFrame, EndoField, projectors
+from algebroids.jstruct import ComplexFrame, EndoField
 from algebroids.scalars import Scalar, i
 
 if TYPE_CHECKING:
@@ -97,16 +96,9 @@ def _project(s: Section, m: int, barred: bool) -> Section:
     return Section(s.algebroid, comps)
 
 
-def _h_matrix(g: Metric, F: ComplexFrame):
-    """h(F_mu, F_nu) = g(F_mu, conj F_nu) over complex-frame indices."""
-    two_m = 2 * F.m
-    return [[g.value(F.sections[mu], F.sections[F.conj_index(nu)])
-             for nu in range(two_m)] for mu in range(two_m)]
-
-
-def _h_value(hmat, s1: Section, s2: Section) -> Scalar:
+def _h_value(h, s1: Section, s2: Section) -> Scalar:
     """h extended from the frame values; conjugate-linear in slot 2."""
-    return bilinear(s1.algebroid.chart.zero, hmat, s1, s2.conjugate())
+    return bilinear(s1.algebroid.chart.zero, h, s1, s2.conjugate())
 
 
 @dataclass
@@ -124,7 +116,6 @@ class ProductConnection:
     tilde: Connection          # metric product connection
     checks: Residuals
     JC: EndoField              # J over the complex frame
-    hmat: List[List[Scalar]]   # h(F_mu, F_nu)
 
 
 def product_connection(fx: Fixture) -> ProductConnection:
@@ -137,7 +128,7 @@ def product_connection(fx: Fixture) -> ProductConnection:
     chart = fx.algebroid.chart
     JC = _complex_J(CA, m)
     frame = CA.frame
-    hmat = _h_matrix(fx.g, F)
+    h = fx.h
 
     D = partial(cov_deriv, connF)
     p10 = partial(_project, m=m, barred=False)
@@ -174,14 +165,14 @@ def product_connection(fx: Fixture) -> ProductConnection:
     # (D~ h)(s; s1, s2) with the conjugate-equivariant extension in slot 2:
     # rho(s) h(s1,s2) - h(D~_s s1, s2) - h(s1, D~_{conj s} s2)
     for lam in range(two_m):
-        rho = anchor_push(frame[lam])
+        rho = CA.anchor_vf(lam)
         for mu in range(two_m):
             for nu in range(two_m):
-                acc = rho.apply(hmat[mu][nu])
+                acc = rho.apply(h[mu][nu])
                 for k in range(two_m):
-                    acc = acc - tilde.gamma[k][lam][mu] * hmat[k][nu]
+                    acc = acc - tilde.gamma[k][lam][mu] * h[k][nu]
                     acc = acc - (tilde.gamma[k][F.conj_index(lam)][nu]
-                                 .conjugate() * hmat[mu][k])
+                                 .conjugate() * h[mu][k])
                 checks.add("parallel_h", (lam, mu, nu), acc)
 
     # torsion three ways
@@ -216,7 +207,7 @@ def product_connection(fx: Fixture) -> ProductConnection:
             checks.add("local_displays", ("mixed", a, b),
                        t2 - Section(CA, want2))
 
-    return ProductConnection(F, connF, tilde, checks, JC, hmat)
+    return ProductConnection(F, connF, tilde, checks, JC)
 
 
 @dataclass
@@ -256,7 +247,7 @@ def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
     m = F.m
     two_m = 2 * m
     chart = fx.algebroid.chart
-    JC, hmat = prod.JC, prod.hmat
+    JC, h = prod.JC, fx.h
     frame = CA.frame
     half = Fraction(1, 2)
 
@@ -330,7 +321,7 @@ def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
     #
     # Both are checked on all frame triples; the displayed identity is
     # evaluated separately and reported as verbatim_duality.
-    gmat = [[hmat[p][F.conj_index(q)] for q in range(two_m)]
+    gmat = [[h[p][F.conj_index(q)] for q in range(two_m)]
             for p in range(two_m)]
 
     def g_value(sa: Section, sb: Section) -> Scalar:
@@ -345,8 +336,8 @@ def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
                 res_w = (g_value(W[nu][mu], frame[lam])
                          + g_value(frame[nu], W[lam][mu]))
                 checks.add("metric_duality", ("W", lam, mu, nu), res_w)
-                lhs = _h_value(hmat, W[lam][mu], frame[nu])
-                rhs = _h_value(hmat, frame[lam], B[mu][nu])
+                lhs = _h_value(h, W[lam][mu], frame[nu])
+                rhs = _h_value(h, frame[lam], B[mu][nu])
                 checks.add("verbatim_duality", (lam, mu, nu), lhs - rhs)
 
     return SecondFundamentalForm(
@@ -357,26 +348,21 @@ def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
     )
 
 
-def _real_B(A: Algebroid, J: EndoField, D: Connection
-            ) -> Callable[[Section, Section], Section]:
-    """B over the real algebroid (complex-component sections)."""
-    p10r, p01r = projectors(J)
+def real_frame_B(fx: Fixture) -> Callable[[Section, Section], Section]:
+    """B(s1, s2) = p10 D_{p01 s1} p01 s2 over the real algebroid, for
+    complex-component sections.
+
+    ``Fixture.real_B`` holds it; ``B.at(a, b)`` = B(e_a, e_b) is computed
+    on first use, so mean_curvature and identity_suite share one B and the
+    entries they both read.
+    """
+    (p10, p01), D, frame = fx.projectors, fx.levi_civita, fx.algebroid.frame
 
     def B(s1: Section, s2: Section) -> Section:
-        return p10r.apply(cov_deriv(D, p01r.apply(s1), p01r.apply(s2)))
+        return p10.apply(cov_deriv(D, p01.apply(s1), p01.apply(s2)))
 
+    B.at = cache(lambda a, b: B(frame[a], frame[b]))
     return B
-
-
-def real_frame_B(fx: Fixture) -> Callable[[int, int], Section]:
-    """B(e_a, e_b) over the real frame, each entry computed on first use.
-
-    ``Fixture.real_B`` holds it, so mean_curvature and identity_suite
-    share the entries they both read.
-    """
-    A = fx.algebroid
-    B, frame = _real_B(A, fx.J, fx.levi_civita), A.frame
-    return cache(lambda a, b: B(frame[a], frame[b]))
 
 
 def _re_section(s: Section) -> Section:
@@ -416,7 +402,7 @@ def mean_curvature(fx: Fixture) -> MeanCurvatureReport:
     m = F.m
     CA = sf.connF.algebroid
     two_m = 2 * m
-    hmat = fx.product_connection.hmat
+    h = fx.h
 
     # verbatim trace: sum_{a,b} B(f_a, fbar_b); the first slot is (1,0)
     acc = Section(CA, [CA.chart.zero] * two_m)
@@ -430,7 +416,7 @@ def mean_curvature(fx: Fixture) -> MeanCurvatureReport:
     for lam in range(two_m):
         val = CA.chart.zero
         for a in range(m):
-            val = val + _h_value(hmat, sf.W[lam][a], CA.frame_section(m + a))
+            val = val + _h_value(h, sf.W[lam][a], CA.frame_section(m + a))
         k[(lam,)] = val
     k_zero = k.is_structurally_zero()
 
@@ -440,7 +426,7 @@ def mean_curvature(fx: Fixture) -> MeanCurvatureReport:
         for b in range(A.rank):
             gab = g.inverse[a][b]
             if not gab.is_structurally_zero():
-                H = H + fx.real_B(a, b).scale(gab)
+                H = H + fx.real_B.at(a, b).scale(gab)
 
     return MeanCurvatureReport(H, verbatim_zero, k_zero)
 
@@ -480,15 +466,15 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
     over real frame tuples, with the module's stated constants.
     """
     A, J, g = fx.algebroid, fx.J, fx.g
-    require_hermitian(g, J)
+    require_hermitian(fx)
     D = fx.levi_civita
-    B = _real_B(A, J, D)
+    B = fx.real_B
     N = fx.nijenhuis
     frame = A.frame
     mr = A.rank
 
-    phi = [[g.value(frame[a], J.apply(frame[b]))
-            for b in range(mr)] for a in range(mr)]
+    phi = [[fx.fundamental_form[(a, b)] for b in range(mr)]
+           for a in range(mr)]
 
     def phi_value(s1: Section, s2: Section) -> Scalar:
         return bilinear(A.chart.zero, phi, s1, s2)
@@ -512,7 +498,7 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
     def stated(check: str, c: Fraction) -> Optional[Scalar]:
         return A.chart.scalar(c) if check in nonzero_rhs else None
 
-    Btab = [[fx.real_B(a, b) for b in range(mr)] for a in range(mr)]
+    Btab = [[B.at(a, b) for b in range(mr)] for a in range(mr)]
     for a in range(mr):
         for b in range(mr):
             checks.add("im_re_relation", (a, b),
@@ -542,12 +528,11 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
                 proportional("dphi_pairing_proportional", (a, b, c),
                              lhs, DPHI_PAIRING, raw17)
 
-    p10r, p01r = projectors(J)
+    p01 = fx.projectors[1]
     for a in range(mr):
         for b in range(mr):
             checks.add("eigenbundle_isotropy", (a, b),
-                       g.value(p01r.apply(frame[a]),
-                               p01r.apply(frame[b])))
+                       g.value(p01.apply(frame[a]), p01.apply(frame[b])))
 
     b_zero = all(Btab[a][b].is_structurally_zero()
                  for a in range(mr) for b in range(mr))

@@ -217,7 +217,7 @@ def test_criterion_08_chern_forms(catalog):
     for name in kahler_names:
         bc = block_curvature(catalog(name))
         for k in (1, 2):
-            rep = chern_form(bc, k, "both")
+            rep = chern_form(bc, k)
             assert rep.checks.ok("closed"), \
                 f"chern form not closed: {name}, k={k}"
             assert rep.checks.ok("trace_real"), f"trace not real: {name}, k={k}"
@@ -227,7 +227,7 @@ def test_criterion_08_chern_forms(catalog):
                 assert rep.form.is_structurally_zero()
     # nontrivial curvature actually exercises the equality somewhere
     bc = block_curvature(catalog("conformal_sphere_chart"))
-    assert not chern_form(bc, 1, "both").form.is_structurally_zero()
+    assert not chern_form(bc, 1).form.is_structurally_zero()
     # a non-almost-complex Levi-Civita is rejected, not silently accepted
     with pytest.raises(IntegrabilityError):
         block_curvature(catalog("warped_r4"))

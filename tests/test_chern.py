@@ -15,7 +15,7 @@ def test_block_curvature_requires_almost_complex_connection(catalog):
 def test_flat_chern_forms_vanish(catalog):
     bc = block_curvature(catalog("flat_r4"))
     for k in (1, 2):
-        rep = chern_form(bc, k, "both")
+        rep = chern_form(bc, k)
         assert rep.form.is_structurally_zero()
         assert rep.checks.ok("closed")
 
@@ -23,7 +23,7 @@ def test_flat_chern_forms_vanish(catalog):
 def test_sphere_first_chern_form(catalog):
     fx = catalog("conformal_sphere_chart")
     bc = block_curvature(fx)
-    rep = chern_form(bc, 1, "both")
+    rep = chern_form(bc, 1)
     assert not rep.form.is_structurally_zero()
     assert rep.checks.ok("closed")
     assert rep.checks.ok("trace_real")
@@ -32,7 +32,7 @@ def test_sphere_first_chern_form(catalog):
     half = fx.algebroid.chart.scalar("1/2")
     assert (rep.factor - half).is_structurally_zero()
     # degree 2k above the rank: the zero form by degree
-    rep2 = chern_form(bc, 2, "both")
+    rep2 = chern_form(bc, 2)
     assert rep2.form.is_structurally_zero()
 
 
@@ -43,18 +43,20 @@ def test_iphi_cross_check(catalog):
     assert len(phi) == bc.m
 
 
-def test_source_selection(catalog):
+def test_chern_routes_agree(catalog):
+    # every Chern form is built by both routes: half_trace_equality
+    # compares Re trace((iPhi)^k) with (1/2) trace(block^k) on each form
+    # component, here the one component of the sphere's first Chern form
     bc = block_curvature(catalog("conformal_sphere_chart"))
-    a = chern_form(bc, 1, "iphi").form
-    b = chern_form(bc, 1, "block").form
-    assert (a - b).is_structurally_zero()
+    rep = chern_form(bc, 1)
+    compared = rep.checks.entries("half_trace_equality")
+    assert [key for key, _ in compared] == [(0, 1)]
+    assert rep.checks.ok("half_trace_equality")
     with pytest.raises(ValueError):
-        chern_form(bc, 0, "both")
-    with pytest.raises(ValueError):
-        chern_form(bc, 1, "bogus")
+        chern_form(bc, 0)
 
 
 def test_chern_form_closed_under_d(catalog):
     bc = block_curvature(catalog("conformal_sphere_chart"))
-    form = chern_form(bc, 1, "both").form
+    form = chern_form(bc, 1).form
     assert d_E(form).is_structurally_zero()

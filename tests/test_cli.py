@@ -7,13 +7,14 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroids import connections, constructions, jstruct
+from algebroids import algebroid, connections, constructions, jstruct
 from algebroids.cli import (
     DocumentError,
     build_parser,
@@ -442,41 +443,87 @@ def test_half_plane_mean_curvature_is_exact(tmp_path, seed):
     assert checks["mean_curvature_zero"] == "StructurallyZero"
 
 
+def _counted(monkeypatch, module, name):
+    """Replace ``module.<name>`` in every algebroids module namespace that
+    bound it, so a call anywhere in the library is seen; return the list
+    of the argument tuples of its calls."""
+    builder = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return builder(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if (modname.startswith("algebroids")
+                and getattr(mod, name, None) is builder):
+            monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
 def test_each_derived_builder_runs_once_per_fixture(monkeypatch):
-    # count calls through every module namespace that bound a builder, so
-    # a rebuild anywhere in the library is seen; from a cold fixture memo,
-    # the three commands build each derived object at most once per fixture
-    builders = {"levi_civita": connections.levi_civita,
-                "adapted_complex_frame": jstruct.adapted_complex_frame,
-                "nijenhuis": jstruct.nijenhuis}
-    calls = {}
-
-    def counted(name, builder):
-        def wrapper(A, *args, **kwargs):
-            key = (name, A.chart.name)
-            calls[key] = calls.get(key, 0) + 1
-            return builder(A, *args, **kwargs)
-        return wrapper
-
-    for name, builder in builders.items():
-        wrapper = counted(name, builder)
-        for modname, module in list(sys.modules.items()):
-            if (modname.startswith("algebroids")
-                    and getattr(module, name, None) is builder):
-                monkeypatch.setattr(module, name, wrapper)
-
+    # from a cold fixture memo, the three commands build each derived
+    # object at most once per fixture
+    calls = {name: _counted(monkeypatch, module, name)
+             for module, name in ((connections, "levi_civita"),
+                                  (jstruct, "adapted_complex_frame"),
+                                  (jstruct, "nijenhuis"))}
     for argv in (["second-fundamental", "heis_j"],
                  ["identity-suite", "heis_j"],
                  ["kahler-report", "warped_r4"]):
         code, _, _ = run_cli(argv)
         assert code == 0, argv
-    assert calls == {
+    assert Counter((name, args[0].chart.name)
+                   for name, records in calls.items()
+                   for args in records) == {
         ("levi_civita", "heis_j"): 1,
         ("adapted_complex_frame", "heis_j"): 1,
         ("nijenhuis", "heis_j"): 1,
         ("levi_civita", "warped_r4"): 1,
         ("nijenhuis", "warped_r4"): 1,
     }
+
+
+def test_each_check_and_h_is_built_once_per_fixture(monkeypatch):
+    # one pass of the Hermitian commands on one fixture runs the real-frame
+    # Hermitian check, the almost-complex check of Levi-Civita and the
+    # projectors of J once, and pairs each h(F_mu, F_nu) once
+    calls = {name: _counted(monkeypatch, module, name)
+             for module, name in ((connections, "hermitian_check"),
+                                  (connections, "almost_complex_check"),
+                                  (jstruct, "projectors"))}
+    pairs = []
+    value = connections.Metric.value
+
+    def recorded(g, s1, s2):
+        pairs.append((s1, s2))
+        return value(g, s1, s2)
+
+    monkeypatch.setattr(connections.Metric, "value", recorded)
+    source = "conformal_sphere_chart"
+    for argv in (["kahler-report", source],
+                 ["levi-civita", source, "--complex-frame"],
+                 ["chern", source, "--order", "1"],
+                 ["second-fundamental", source],
+                 ["identity-suite", source]):
+        code, _, _ = run_cli(argv)
+        assert code == 0, argv
+    assert {name: len(records) for name, records in calls.items()} == {
+        "hermitian_check": 1, "almost_complex_check": 1, "projectors": 1}
+    F = constructions.fixture(source).frame
+    slot = {id(s): mu for mu, s in enumerate(F.sections)}
+    h_pairs = Counter((slot[id(s1)], slot[id(s2)]) for s1, s2 in pairs
+                      if id(s1) in slot and id(s2) in slot)
+    two_m = 2 * F.m
+    assert h_pairs == {(mu, nu): 1 for mu in range(two_m)
+                       for nu in range(two_m)}
+
+
+def test_s3_projector_is_validated_once(monkeypatch):
+    calls = _counted(monkeypatch, algebroid, "validate_structure")
+    code, _, _ = run_cli(["validate", "s3_projector"])
+    assert code == 0
+    assert len(calls) == 1
 
 
 SESSION_COMMANDS = [

@@ -129,11 +129,11 @@ def test_matched_pair_requires_integrability(catalog):
 def test_eigenbundle_bracket_closure_iff_integrable(catalog):
     # the +i eigenbundle of the integrable flat structure is closed
     F = catalog("flat_r2").frame
-    CA = F.as_algebroid()
+    CA = F.as_algebroid
     br = bracket(F.sections[0], F.sections[0])
     assert br.is_structurally_zero()
     # on heis the (1,0) x (1,0) bracket leaks into the barred part
     F = catalog("heis_j").frame
-    CA = F.as_algebroid()
+    CA = F.as_algebroid
     leak = [CA.C[lam][0][1] for lam in range(F.m, 2 * F.m)]
     assert any(not c.is_structurally_zero() for c in leak)
