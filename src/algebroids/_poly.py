@@ -12,13 +12,15 @@ as in sympy's ``FracField``.  When the heuristic finds no gcd, a primitive
 pseudo-remainder sequence, which is always exact, takes over.
 
 ``Frac`` is a reduced quotient with a denominator of positive lex-leading
-coefficient, so equal values are equal ``Frac``s.  As both operands of a
-field operation are reduced, ``+``, ``*`` and ``d/dx`` take gcds of their
-parts, not of the cross-multiplied result (Henrici's rational arithmetic,
-Knuth, TAOCP 2, 4.5.1), and keep their last ``MEMO_SIZE`` results on two
-``Frac``s in a bounded memo.  ``print_pair`` prints a
-value (re, im) as sympy's ``StrPrinter`` (grlex order, ``^``, ``i``) prints
-the tree ``cancel(together(e))`` gives for it.
+coefficient, so equal values are equal ``Frac``s.  A ``Frac`` also keeps
+its denominator factored over a coprime base, den = c * prod b_i^e_i, so
+that ``+``, ``*`` and ``d/dx`` reduce by exponent arithmetic and trial
+division by the b_i, not by gcds of full operands; what those rules do not
+cover takes gcds of the operands' parts (Henrici's rational arithmetic,
+Knuth, TAOCP 2, 4.5.1).  The three operations keep their last
+``MEMO_SIZE`` results on two ``Frac``s in bounded memos.  ``print_pair``
+prints a value (re, im) as sympy's ``StrPrinter`` (grlex order, ``^``,
+``i``) prints the tree ``cancel(together(e))`` gives for it.
 """
 
 from __future__ import annotations
@@ -564,12 +566,15 @@ def cancel(p: dict, q: dict, n: int, dom=INTEGERS) -> tuple:
 
 class Frac:
     """A non-constant element num/den of the field of fractions, reduced,
-    with a positive lex-leading coefficient of den.  Immutable."""
+    with a positive lex-leading coefficient of den.  Immutable.  ``fac``
+    (found on first use if not given) is den = c * prod b^e, c > 0, as
+    triples (b, e, certified irreducible) over squarefree, pairwise coprime
+    b of positive leading coefficient, each primitive in its generators."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den", "_hash", "fac")
 
-    def __init__(self, num: dict, den: dict):
-        self.num, self.den, self._hash = num, den, None
+    def __init__(self, num: dict, den: dict, fac=None):
+        self.num, self.den, self._hash, self.fac = num, den, None, fac
 
     def __eq__(self, other):
         return (other.__class__ is Frac and self.num == other.num
@@ -583,7 +588,7 @@ class Frac:
         return h
 
     def __neg__(self):
-        return Frac(pneg(self.num), self.den)
+        return Frac(pneg(self.num), self.den, self.fac)
 
     def __repr__(self):
         return f"Frac({self.num!r}, {self.den!r})"
@@ -600,10 +605,10 @@ def quotient(p: dict, q: dict, n: int):
     return _reduced(p, q)
 
 
-def _reduced(p: dict, q: dict):
+def _reduced(p: dict, q: dict, fac=None):
     """p/q in the field for a nonzero p and a q sharing no non-constant
     factor with it: reduced by the integer gcd of their contents, with q's
-    leading coefficient made positive."""
+    leading coefficient made positive; ``fac`` is q's, if known."""
     g = math.gcd(content(p), content(q))
     if leading(q) < 0:
         g = -g
@@ -611,7 +616,144 @@ def _reduced(p: dict, q: dict):
         p, q = pquo_ground(p, g), pquo_ground(q, g)
     if is_ground(q) and is_ground(p):
         return Fraction(leading(p), leading(q))
-    return Frac(p, q)
+    return Frac(p, q, None if fac is None else tuple(fac))
+
+
+# ---------------------------------------------------------------------------
+# factored denominators
+
+
+def _fac(a: Frac, n: int) -> tuple:
+    if a.fac is None:
+        a.fac = _factored(frozenset(a.den.items()), n)
+    return a.fac
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _factored(den: frozenset, n: int) -> tuple:
+    """The ``fac`` of a denominator given by its items: each generator
+    dividing it, then the squarefree decomposition of what is left in its
+    first generator x_k (Yun, SYMSAC 1976), whose parts are primitive in
+    x_k and coprime to the content in x_k, which is decomposed next.  A
+    part with a content in another generator is split by it, so that each
+    b is primitive in every generator it has."""
+    q = dict(den)
+    low = [min(e) for e in zip(*q)]
+    out = [(fgen(k, n).num, e, True) for k, e in enumerate(low) if e]
+    q = {tuple(map(_sub, m, low)): c for m, c in q.items()}
+    while not is_ground(q):
+        k = next(k for k in range(n) if any(m[k] for m in q))
+        _, w, y = cofactors(q, pdiff(q, k), n)
+        i = 1
+        while not is_ground(w):
+            z = psub(y, pdiff(w, k))
+            b, w, y = cofactors(w, z, n) if z else (w, constant(1, n), z)
+            parts = [] if is_ground(b) else [b]
+            while parts:
+                b = parts.pop()
+                for j in range(n):
+                    g = _content_in(b, j, n)
+                    if not is_ground(g) and g != b:
+                        parts += [g, pquo(b, g)]
+                        break
+                else:
+                    u = content(b) if leading(b) > 0 else -content(b)
+                    b = pquo_ground(b, u)
+                    out.append((b, i, _irreducible(b, n)))
+                    q = pquo(q, ppow(b, i))
+            i += 1
+    return tuple(out)
+
+
+def _content_in(b: dict, k: int, n: int) -> dict:
+    """A gcd of b's coefficients as a polynomial in x_k."""
+    parts = {}
+    for m, c in b.items():
+        parts.setdefault(m[k], {})[m[:k] + (0,) + m[k + 1:]] = c
+    g = None
+    for f in sorted(parts.values(), key=len):
+        g = f if g is None else cofactors(g, f, n)[0]
+        if is_ground(g):
+            break
+    return g
+
+
+def _irreducible(b: dict, n: int) -> bool:
+    """A certificate that b is irreducible over ZZ.
+
+    Theorem: let b have content 1 and degree d in x_k, and be primitive in
+    x_k.  If d = 1, b is irreducible.  If d = 2 and b, at an integer point
+    of the other generators where its leading coefficient in x_k does not
+    vanish, has a discriminant that is not a square, b is irreducible: a
+    factorisation would have two factors linear in x_k, and at that point
+    two linear factors over ZZ, whose product has a square discriminant."""
+    if content(b) != 1:
+        return False
+    for k in range(n):
+        d = max(m[k] for m in b)
+        if not 0 < d <= 2 or not is_ground(_content_in(b, k, n)):
+            continue
+        if d == 1:
+            return True
+        for s in range(4):
+            point = (s,) * k + (1,) + (s,) * (n - k - 1)
+            a = [0, 0, 0]
+            for m, c in b.items():
+                a[m[k]] += c * math.prod(map(pow, point, m))
+            disc = a[1] * a[1] - 4 * a[2] * a[0]
+            if a[2] and (disc < 0 or math.isqrt(disc) ** 2 != disc):
+                return True
+    return False
+
+
+def _value(f: dict, point: tuple) -> int:
+    return sum(c * math.prod(map(pow, point, m)) for m, c in f.items())
+
+
+def _strip(t: dict, den: dict, b: dict, e: int, irreducible: bool, n: int):
+    """(t/b^j, den/b^j, e - j) for the largest j <= e with b^j dividing t,
+    or None when a proper factor of b divides t.  Trial division decides
+    for a certified b, after the witness b(x) not dividing t(x) at an
+    integer point x; a gcd with b decides otherwise."""
+    point = tuple(range(3, n + 3))
+    v = _value(b, point)
+    for j in range(e):
+        if irreducible:
+            q = None if v and _value(t, point) % v else pquo(t, b)
+        else:
+            g, _, r = cofactors(t, b, n)
+            if not (is_ground(g) or is_ground(r)):
+                return None
+            q = None if is_ground(g) else pquo(t, b)
+        if q is None:
+            return t, den, e - j
+        t, den = q, pquo(den, b)
+    return t, den, 0
+
+
+def _merged(A: tuple, B: tuple, n: int):
+    """Rows [b, e, f, irreducible] over the bases A and B, e and f b's
+    exponents in each (0 where absent): a coprime base of both, or None
+    when an element of B equals no element of A but shares a factor with
+    one.  Two different certified elements are coprime without a gcd."""
+    rows = [[b, e, 0, irr] for b, e, irr in A]
+    own = rows[:]
+    for b, f, irr in B:
+        for row in own:
+            if row[0] == b:
+                row[2] = f
+                break
+        else:
+            if any(not (irr and row[3])
+                   and not is_ground(cofactors(b, row[0], n)[0])
+                   for row in own):
+                return None
+            rows.append([b, 0, f, irr])
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# the field operations
 
 
 def fadd(a, b):
@@ -626,19 +768,57 @@ def fadd(a, b):
         n, d = b.numerator, b.denominator
         q = a.den
         return _reduced(padd(pmul_ground(a.num, d), pmul_ground(q, n)),
-                        pmul_ground(q, d) if d != 1 else q)
+                        pmul_ground(q, d) if d != 1 else q, a.fac)
     # the operands in an order of their own, so that b + a finds a + b
     return _fadd(a, b) if hash(a) <= hash(b) else _fadd(b, a)
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _fadd(a: Frac, b: Frac):
-    """a + b for Fracs by Henrici's gcds of the operands (Knuth, TAOCP 2,
-    4.5.1): with d1 = gcd(u', v'), u/u' + v/v' = t/(u' v'/d1) for
+    """a + b for Fracs over a coprime base of both denominators.
+
+    Theorem: let p/q and r/s be reduced, q = c_q prod b^e and
+    s = c_s prod b^f over the base, u = prod b^(max(e, f) - e),
+    v = prod b^(max(e, f) - f) and t = p u c_s/g + r v c_q/g for
+    g = gcd(c_q, c_s).  Then p/q + r/s = t/(q u c_s/g), and no factor of
+    a b with e != f divides t: it divides the term of the operand with the
+    smaller exponent of b, and not the other term, as p is coprime to q
+    and r to s.  So t is tested against the b with e = f alone."""
+    n = a.nvars()
+    rows = _merged(_fac(a, n), _fac(b, n), n)
+    if rows is None:
+        return _fadd_gcd(a, b, n)
+    p, q, r, s = a.num, a.den, b.num, b.den
+    cq, cs = content(q), content(s)
+    g = math.gcd(cq, cs)
+    for c, e, f, _ in rows:
+        if e < f:
+            u = ppow(c, f - e)
+            p, q = pmul(p, u), pmul(q, u)
+        elif f < e:
+            r = pmul(r, ppow(c, e - f))
+    t = padd(_scaled(p, cs // g), _scaled(r, cq // g))
+    if not t:
+        return Fraction(0)
+    den, fac = _scaled(q, cs // g), []
+    for c, e, f, irr in rows:
+        if e == f:
+            stripped = _strip(t, den, c, e, irr, n)
+            if stripped is None:
+                return _fadd_gcd(a, b, n)
+            t, den, e = stripped
+            f = e
+        if max(e, f):
+            fac.append((c, max(e, f), irr))
+    return _reduced(t, den, fac)
+
+
+def _fadd_gcd(a: Frac, b: Frac, n: int):
+    """a + b by Henrici's gcds of the operands (Knuth, TAOCP 2, 4.5.1):
+    with d1 = gcd(u', v'), u/u' + v/v' = t/(u' v'/d1) for
     t = u v'/d1 + v u'/d1, and t shares a factor with u' v'/d1 only
     through d1."""
     u, du, v, dv = a.num, a.den, b.num, b.den
-    n = a.nvars()
     if du == dv:
         return quotient(padd(u, v), du, n)
     d1, du1, dv1 = cofactors(du, dv, n)
@@ -663,7 +843,7 @@ def _scale(f: Frac, c: Fraction) -> Frac:
         if g != 1:
             d, p = d // g, pquo_ground(p, g)
         q = pmul_ground(q, d)
-    return Frac(p, q)
+    return Frac(p, q, f.fac)
 
 
 def fmul(a, b):
@@ -678,9 +858,34 @@ def fmul(a, b):
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _fmul(a: Frac, b: Frac):
-    """a * b for Fracs: each numerator reduced against the other's
-    denominator, as the operands are reduced already."""
+    """a * b for Fracs over a coprime base of both denominators.
+
+    Theorem: for p/q and r/s reduced, p is coprime to every b of q's base
+    and r to every b of s's.  So p r/(q s) is reduced once p is stripped
+    of the b of s's base that are not in q's, and r of those of q's that
+    are not in s's; a base shared by q and s needs no test at all."""
     n = a.nvars()
+    rows = _merged(_fac(a, n), _fac(b, n), n)
+    if rows is None:
+        return _fmul_gcd(a, b, n)
+    p, r, fac, den = a.num, b.num, [], pmul(a.den, b.den)
+    for c, e, f, irr in rows:
+        if not (e and f):
+            stripped = _strip(p if f else r, den, c, e + f, irr, n)
+            if stripped is None:
+                return _fmul_gcd(a, b, n)
+            if f:
+                p, den, f = stripped
+            else:
+                r, den, e = stripped
+        if e + f:
+            fac.append((c, e + f, irr))
+    return _reduced(pmul(p, r), den, fac)
+
+
+def _fmul_gcd(a: Frac, b: Frac, n: int):
+    """a * b: each numerator reduced against the other's denominator by a
+    gcd, as the operands are reduced already."""
     _, u, dv = cofactors(a.num, b.den, n)
     _, v, du = cofactors(b.num, a.den, n)
     return _reduced(pmul(u, v), pmul(du, dv))
@@ -698,7 +903,8 @@ def fpow(a, n: int):
     """a^n for n >= 1."""
     if a.__class__ is Fraction:
         return a ** n
-    return Frac(ppow(a.num, n), ppow(a.den, n))
+    fac = tuple((b, e * n, irr) for b, e, irr in _fac(a, a.nvars()))
+    return Frac(ppow(a.num, n), ppow(a.den, n), fac)
 
 
 def fdiff(a, k: int):
@@ -710,13 +916,47 @@ def fdiff(a, k: int):
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _fdiff(a: Frac, k: int):
-    """d(p/q)/dx_k.  With g = gcd(q, q'), s = q/g and t = q'/g it is
-    (p' s - p t)/(g s^2).  A factor of q with x_k in it divides q once
+    """d(p/q)/dx_k over q's base, q = c prod b_i^e_i.
+
+    With R the product of the b_i that have x_k, and S the sum over them of
+    e_i b_i' R/b_i, it is (p' R - p S)/(q R).  Theorem: a b_i of R,
+    squarefree and primitive in x_k as every base element is in each
+    generator it has, shares no factor with the numerator, which is
+    -p e_i b_i' R/b_i modulo b_i: p and R/b_i are coprime to b_i, and so is
+    b_i', as every factor of b_i has x_k and divides b_i once.  The
+    numerator is tested against the b_i free of x_k."""
+    n, p, q = a.nvars(), a.num, a.den
+    t, den, rows, fac = pdiff(p, k), q, [], []
+    R = S = None
+    for c, e, irr in _fac(a, n):
+        dc = pdiff(c, k)
+        if dc:
+            dc = pmul_ground(dc, e)
+            S = dc if R is None else padd(pmul(S, c), pmul(dc, R))
+            R = c if R is None else pmul(R, c)
+        rows.append((c, e + bool(dc), irr, not dc))
+    if R is not None:
+        t, den = psub(pmul(t, R), pmul(p, S)), pmul(q, R)
+    if not t:
+        return Fraction(0)
+    for c, e, irr, tested in rows:
+        if tested:
+            stripped = _strip(t, den, c, e, irr, n)
+            if stripped is None:
+                return _fdiff_gcd(a, k, n)
+            t, den, e = stripped
+        if e:
+            fac.append((c, e, irr))
+    return _reduced(t, den, fac)
+
+
+def _fdiff_gcd(a: Frac, k: int, n: int):
+    """d(p/q)/dx_k by gcds.  With g = gcd(q, q'), s = q/g and t = q'/g it
+    is (p' s - p t)/(g s^2).  A factor of q with x_k in it divides q once
     more than g, so it divides s and neither p nor t, hence not p' s - p t;
     a factor free of x_k divides g as often as q, and not s.  So the
     numerator shares a factor with g alone."""
     p, q = a.num, a.den
-    n = a.nvars()
     dq = pdiff(q, k)
     if not dq:
         return quotient(pdiff(p, k), q, n)
@@ -727,7 +967,7 @@ def _fdiff(a: Frac, k: int):
 
 def fgen(k: int, n: int) -> Frac:
     """The generator x_k of the field in n generators."""
-    return Frac({tuple(int(j == k) for j in range(n)): 1}, constant(1, n))
+    return Frac({tuple(int(j == k) for j in range(n)): 1}, constant(1, n), ())
 
 
 def _parts(a, n: int) -> tuple:

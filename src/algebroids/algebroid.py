@@ -14,6 +14,7 @@ Leibniz extension of the frame brackets.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from algebroids.scalars import Chart, ChartError, Scalar, nonzero_entries
@@ -50,6 +51,12 @@ class VectorField:
             out = out + comp * f.diff(self.chart.coords[i])
         return out
 
+    @cached_property
+    def jacobian(self) -> tuple:
+        """d X^i / dx^j at [i][j], taken once per field."""
+        return tuple(tuple(c.diff(x) for x in self.chart.coords)
+                     for c in self.components)
+
     def __add__(self, other: "VectorField") -> "VectorField":
         return VectorField(
             self.chart, [a + b for a, b in zip(self.components, other.components)]
@@ -71,11 +78,11 @@ def vf_bracket(v1: VectorField, v2: VectorField) -> VectorField:
     """Ordinary Lie bracket of vector fields on the chart."""
     chart = v1.chart
     comps = []
-    for i, coord_i in enumerate(chart.coords):
+    for d1, d2 in zip(v1.jacobian, v2.jacobian):
         acc = chart.zero
-        for v1j, v2j, coord_j in zip(v1.components, v2.components, chart.coords):
-            acc = acc + v1j * v2.components[i].diff(coord_j)
-            acc = acc - v2j * v1.components[i].diff(coord_j)
+        for v1j, v2j, d1j, d2j in zip(v1.components, v2.components, d1, d2):
+            acc = acc + v1j * d2j
+            acc = acc - v2j * d1j
         comps.append(acc)
     return VectorField(chart, comps)
 

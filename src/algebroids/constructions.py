@@ -493,13 +493,14 @@ def projector_restriction(chart: Chart, rho0, Pi, lift,
                 acc = acc + A.C[c][a][b] * A.anchor[c][i]
             checks.add("derived_anchor_morphism", (a, b, i), acc)
 
-    # flatness: (I - Pi) [Pi e_a, Pi e_b] with constant ambient extensions
+    # flatness: (I - Pi) [Pi e_a, Pi e_b] with constant ambient extensions;
+    # rho[c][b][a] = rho_a(Pi^c_b), from the gradient of Pi^c_b taken once
+    anchorM = ScalarMatrix(chart, anchor)
+    rho = [[anchorM.apply([v.diff(x) for x in chart.coords]) for v in row]
+           for row in Pi]
     for a in range(rank):
         for b in range(a + 1, rank):
-            amb = []
-            for c in range(rank):
-                val = rho_vfs[a].apply(Pi[c][b]) - rho_vfs[b].apply(Pi[c][a])
-                amb.append(val)
+            amb = [rho[c][b][a] - rho[c][a][b] for c in range(rank)]
             for c in range(rank):
                 acc = amb[c]
                 for d in range(rank):

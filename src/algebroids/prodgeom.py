@@ -479,12 +479,13 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
     def phi_value(s1: Section, s2: Section) -> Scalar:
         return bilinear(A.chart.zero, phi, s1, s2)
 
-    def dphi(s: Section, t1: Section, t2: Section) -> Scalar:
-        """(D_s Phi)(t1, t2) for frame sections (constant components)."""
-        rho = anchor_push(s)
-        return (rho.apply(phi_value(t1, t2))
-                - phi_value(cov_deriv(D, s, t1), t2)
-                - phi_value(t1, cov_deriv(D, s, t2)))
+    def dphi(s: Section, t1: Section) -> Callable[[Section], Scalar]:
+        """t2 -> (D_s Phi)(t1, t2) for frame sections (constant
+        components)."""
+        rho, ds_t1 = anchor_push(s), cov_deriv(D, s, t1)
+        return lambda t2: (rho.apply(phi_value(t1, t2))
+                           - phi_value(ds_t1, t2)
+                           - phi_value(t1, cov_deriv(D, s, t2)))
 
     checks = Residuals()
     nonzero_rhs = set()
@@ -499,13 +500,14 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
         return A.chart.scalar(c) if check in nonzero_rhs else None
 
     Btab = [[B.at(a, b) for b in range(mr)] for a in range(mr)]
+    Jframe = [J.apply(s) for s in frame]
     for a in range(mr):
         for b in range(mr):
             checks.add("im_re_relation", (a, b),
                        _im_section(Btab[a][b])
-                       - _re_section(B(frame[a], J.apply(frame[b]))))
+                       - _re_section(B(frame[a], Jframe[b])))
             checks.add("j_anti_invariance", (a, b),
-                       B(J.apply(frame[a]), J.apply(frame[b])) + Btab[a][b])
+                       B(Jframe[a], Jframe[b]) + Btab[a][b])
             alt_re = _re_section(Btab[a][b] - Btab[b][a])
             nval = N.value(frame[a], frame[b])
             for c in range(mr):
@@ -513,18 +515,17 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
                              nval.components[c], N_FROM_B,
                              alt_re.components[c])
             reb = _re_section(Btab[a][b])
+            dphi_a = dphi(Jframe[a], frame[b])
+            dphi_b = dphi(frame[a], Jframe[b])
             for c in range(mr):
                 s3 = frame[c]
                 lhs = g.value(reb, s3)
-                raw16 = (g.value(N.value(frame[a], frame[b]), s3)
-                         + g.value(N.value(frame[b], J.apply(s3)),
-                                   J.apply(frame[a]))
-                         - g.value(N.value(J.apply(s3), frame[a]),
-                                   J.apply(frame[b])))
+                raw16 = (g.value(nval, s3)
+                         + g.value(N.value(frame[b], Jframe[c]), Jframe[a])
+                         - g.value(N.value(Jframe[c], frame[a]), Jframe[b]))
                 proportional("nijenhuis_pairing_proportional", (a, b, c),
                              lhs, NIJENHUIS_PAIRING, raw16)
-                raw17 = (dphi(J.apply(frame[a]), frame[b], s3)
-                         + dphi(frame[a], J.apply(frame[b]), s3))
+                raw17 = dphi_a(s3) + dphi_b(s3)
                 proportional("dphi_pairing_proportional", (a, b, c),
                              lhs, DPHI_PAIRING, raw17)
 

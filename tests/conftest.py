@@ -8,11 +8,11 @@ for correctness: charts compare by identity, so scalars from two
 independently built copies of the same fixture cannot be mixed.
 
 `constructions.fixture` keeps its own process-wide memo, and `_poly` one
-per field operation on two Fracs.  Each test starts and ends with these
-memos empty, so a test that patches a builder, counts builds or gcds, or
-times a cold build sees its own work, and no later test (the
-benchmark self-tests included) inherits what an earlier one built or
-corrupted.
+per field operation on two Fracs and one of factored denominators.  Each
+test starts and ends with these memos empty, so a test that patches a
+builder, counts builds or gcds, or times a cold build sees its own work,
+and no later test (the benchmark self-tests included) inherits what an
+earlier one built or corrupted.
 """
 
 import functools
@@ -53,7 +53,7 @@ def catalog():
 
 def _clear_memos():
     constructions._fixture.cache_clear()
-    for memo in (_poly._fadd, _poly._fmul, _poly._fdiff):
+    for memo in (_poly._fadd, _poly._fmul, _poly._fdiff, _poly._factored):
         memo.cache_clear()
 
 

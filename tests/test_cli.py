@@ -406,6 +406,37 @@ def test_an_atom_imports_sympy():
     assert codes == [] and loaded
 
 
+# the top-level modules that `import algebroids.cli` adds to a fresh
+# `python -I -S` process (CPython 3.11): every one is paid for by every
+# `algebroid` command before it does any work
+CLI_IMPORTS = [
+    "__future__", "_ast", "_bisect", "_decimal", "_opcode", "_random",
+    "_sha512", "_stat", "_typing", "_weakrefset", "algebroids", "argparse",
+    "ast", "bisect", "collections", "contextlib", "copy", "dataclasses",
+    "decimal", "dis", "fractions", "genericpath", "gettext", "importlib",
+    "inspect", "linecache", "math", "numbers", "opcode", "os", "posixpath",
+    "random", "stat", "token", "tokenize", "typing", "warnings", "weakref",
+]
+
+IMPORT_ONLY = """\
+import json, sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import algebroids.cli
+print(json.dumps(sorted({m.split(".")[0] for m in set(sys.modules) - before})))
+"""
+
+
+def test_the_cli_import_adds_only_the_pinned_modules():
+    # a new import-time dependency shows here, before it shows as set-up
+    # time in every fresh process
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", IMPORT_ONLY,
+                           str(src)], capture_output=True, text=True,
+                          check=True)
+    assert json.loads(done.stdout) == CLI_IMPORTS
+
+
 def test_deterministic_reports():
     argv = ["second-fundamental", "flat_r2", "--samples", "4", "--seed", "11"]
     first = run_cli(argv)

@@ -188,9 +188,11 @@ def test_s3_projector_is_built_promptly(monkeypatch):
 
 
 # terms of the polynomials whose gcd (`_poly.cofactors`) a cold s3_projector
-# build takes, summed: 13,474 with gcds of the operands' parts and the field
-# operations' memos, 26,609 with a gcd of each cross-multiplied result
-S3_PROJECTOR_GCD_TERMS = 14_000
+# build takes, summed: 5 with factored denominators, the one gcd being the
+# squarefree test of 1 + u1^2 + u2^2 + u3^2; 13,474 with gcds of the
+# operands' parts and the field operations' memos, 26,609 with a gcd of
+# each cross-multiplied result
+S3_PROJECTOR_GCD_TERMS = 5
 
 
 def test_s3_projector_takes_gcds_of_operand_size(monkeypatch):

@@ -585,10 +585,65 @@ def _frac_cases(draw):
     return n, a, b, draw(st.integers(0, n - 1))
 
 
+def _over(num, den, names=("x1", "x2")):
+    """num/den for polynomial texts by ``_poly.quotient`` of their expanded
+    polynomials, so that the denominator is factored from scratch."""
+    return _poly.quotient(_frac(num, names).num, _frac(den, names).num,
+                          len(names))
+
+
+# base elements already found primitive, squarefree and, where certified,
+# irreducible, by sympy
+_SOUND_ELEMENTS = set()
+
+
+def _assert_factored(x, n):
+    """x's denominator is c * prod b^e, c > 0, over a base of squarefree
+    and pairwise coprime b of positive leading coefficient, each primitive
+    in every generator it has and marked irreducible only when it is (by
+    sympy)."""
+    if x.__class__ is not _poly.Frac:
+        return
+    base, prod = [], _poly.constant(1, n)
+    for b, e, irreducible in _poly._fac(x, n):
+        assert e > 0 and not _poly.is_ground(b) and _poly.leading(b) > 0
+        key = (frozenset(b.items()), irreducible)
+        if key not in _SOUND_ELEMENTS:
+            poly = sp.Poly.from_dict(b, *sp.symbols(f"x0:{n}"))
+            assert poly.content() == 1 and poly.is_sqf
+            assert poly.is_irreducible or not irreducible
+            for gen in poly.free_symbols:
+                coeffs = sp.Poly(poly.as_expr(), gen).all_coeffs()
+                assert sp.gcd_list(coeffs).is_number
+            _SOUND_ELEMENTS.add(key)
+        assert all(_poly.is_ground(_poly.cofactors(b, c, n)[0]) for c in base)
+        base.append(b)
+        prod = _poly.pmul(prod, _poly.ppow(b, e))
+    c = _poly.pquo(x.den, prod)
+    assert c is not None and _poly.is_ground(c) and _poly.leading(c) > 0
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(_frac_cases())
 # d/dx2 of x2 + 1/(1 + x1^2): 1, once the x2-free factor 1 + x1^2 cancels
 @example((2, _frac("(x2*(1 + x1^2) + 1)/(1 + x1^2)"), _frac("x1"), 1))
+# a shared base, certified irreducible, with exponents 2 and 1
+@example((2, _frac("x2/(1 + x1^2)^2"), _frac("(x1 + x2)/(1 + x1^2)"), 0))
+# a reducible base element: the sum x1/(x1^2 - 1) + 1/(x1^2 - 1) cancels
+# x1 + 1 alone, and x1 - 1 shares a factor with x1^2 - 1
+@example((2, _frac("x1/(x1^2 - 1)"), _frac("1/(x1^2 - 1)"), 0))
+@example((2, _frac("1/(x1^2 - 1)"), _frac("x2/(x1 - 1)"), 0))
+# a denominator that is not squarefree, factored from scratch
+@example((2, _over("x1 + x2", "(x1 + 1)^2*x2"), _over("x2", "(x1 + 1)*x2^3"),
+          0))
+# d/dx1 of (x1*x2 + 1)/x2: the base element x2 is free of x1 and cancels
+@example((2, _frac("(x1*x2 + 1)/x2"), _frac("x1"), 0))
+# d/dx2 over (x1 + x2)*(x1 + 1), which is not primitive in x2: the
+# derivative cancels x1 + 1
+@example((2, _over("x2", "(x1 + x2)*(x1 + 1)"), _frac("x1"), 1))
+# d/dx1 over x2^2 - 1, reducible and free of x1: the derivative cancels
+# x2 - 1 alone
+@example((2, _frac("(x1*(x2 - 1) + 1)/(x2^2 - 1)"), _frac("x1"), 0))
 # equal denominators; a numerator sharing x1 + 1 with the other's
 # denominator; denominators sharing a square; contents and signs; a sum
 # 2/(x1^2 - 1) whose numerator cancels the denominators' common x1
@@ -610,6 +665,52 @@ def test_field_operations_are_the_schoolbook_quotients(case):
     assert _poly.fdiff(a, k) == _poly.quotient(
         _poly.psub(pmul(_poly.pdiff(p, k), q), pmul(p, _poly.pdiff(q, k))),
         pmul(q, q), n)
+    for x in (a, b, _poly.fadd(a, b), _poly.fmul(a, b), _poly.fdiff(a, k)):
+        _assert_factored(x, n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_frac_cases())
+@example((2, _frac("x1/(x1^2 - 1)"), _frac("1/(x1^2 - 1)"), 0))
+@example((2, _over("x1 + x2", "(x1 + 1)^2*x2"), _frac("x2/(x1 + 1)"), 1))
+def test_operation_orders_give_equal_fracs(case):
+    # one value reached by different operations is one Frac, however the
+    # denominators' bases grew on the way
+    n, a, b, k = case
+    add, mul, diff = _poly.fadd, _poly.fmul, _poly.fdiff
+    pairs = [(mul(add(a, b), b), add(mul(a, b), mul(b, b))),
+             (diff(mul(a, b), k), add(mul(diff(a, k), b), mul(a, diff(b, k)))),
+             (add(add(a, b), a), add(mul(a, Fraction(2)), b))]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+        _assert_factored(x, n)
+        _assert_factored(y, n)
+
+
+@pytest.mark.parametrize("text", ["x1^2 - 4", "(x1 + x2)*(x1 - x2)",
+                                  "x1*x2 + x1", "4*x1^2 - 9*x2^2",
+                                  "x1^2 + 2*x1*x2 + x2^2 - 1"])
+def test_no_reducible_polynomial_is_certified_irreducible(text):
+    assert not _poly._irreducible(_frac(text).num, 2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.just(n), *[_polynomials(n, False)] * 2)))
+def test_a_product_is_never_certified_irreducible(case):
+    n, f, g = case
+    if _poly.is_ground(f) or _poly.is_ground(g):
+        reject()
+    product = _poly._primitive(_poly.pmul(f, g), _poly.INTEGERS)
+    assert not _poly._irreducible(product, n)
+
+
+@pytest.mark.parametrize("text", ["1 + x1^2 + x2^2", "x1*x2 + 1", "x2 - x1",
+                                  "x1^2 + x1 + x2"])
+def test_certified_polynomials_are_irreducible(text):
+    b = _frac(text).num
+    assert _poly._irreducible(b, 2)
+    assert len(sp.factor_list(sp.sympify(text.replace("^", "**")))[1]) == 1
 
 
 def test_equal_fracs_are_one_memo_entry():
