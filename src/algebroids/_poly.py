@@ -15,12 +15,13 @@ pseudo-remainder sequence, which is always exact, takes over.
 coefficient, so equal values are equal ``Frac``s.  A ``Frac`` also keeps
 its denominator factored over a coprime base, den = c * prod b_i^e_i, so
 that ``+``, ``*`` and ``d/dx`` reduce by exponent arithmetic and trial
-division by the b_i, not by gcds of full operands; what those rules do not
-cover takes gcds of the operands' parts (Henrici's rational arithmetic,
-Knuth, TAOCP 2, 4.5.1).  The three operations keep their last
-``MEMO_SIZE`` results on two ``Frac``s in bounded memos.  ``print_pair``
-prints a value (re, im) as sympy's ``StrPrinter`` (grlex order, ``^``,
-``i``) prints the tree ``cancel(together(e))`` gives for it.
+division by the b_i, not by gcds of full operands.  Where a gcd finds a
+proper factor of a base element, the element is split by it in place
+(the gcd-splitting step of Bernstein's coprime base, J. Algorithms 54,
+2005), so every operand takes this one route.  The three operations keep
+their last ``MEMO_SIZE`` results on two ``Frac``s in bounded memos.
+``print_pair`` prints a value (re, im) as sympy's ``StrPrinter`` (grlex
+order, ``^``, ``i``) prints the tree ``cancel(together(e))`` gives for it.
 """
 
 from __future__ import annotations
@@ -550,16 +551,6 @@ def _prem(a: dict, b: dict) -> dict:
     return r
 
 
-def cancel(p: dict, q: dict, n: int, dom=INTEGERS) -> tuple:
-    """p/q reduced, with q's leading coefficient canonical (positive over
-    ZZ), as sympy's ``PolyElement.cancel``; p is nonzero."""
-    _, p, q = cofactors(p, q, n, dom)
-    u = dom.unit(leading(q))
-    if u != 1:
-        p, q = pmul_ground(p, u), pmul_ground(q, u)
-    return p, q
-
-
 # ---------------------------------------------------------------------------
 # the field
 
@@ -657,12 +648,18 @@ def _factored(den: frozenset, n: int) -> tuple:
                         parts += [g, pquo(b, g)]
                         break
                 else:
-                    u = content(b) if leading(b) > 0 else -content(b)
-                    b = pquo_ground(b, u)
-                    out.append((b, i, _irreducible(b, n)))
-                    q = pquo(q, ppow(b, i))
+                    out.append(_element(b, i, n))
+                    q = pquo(q, ppow(out[-1][0], i))
             i += 1
     return tuple(out)
+
+
+def _element(b: dict, e: int, n: int) -> tuple:
+    """The base entry (b/u, e, certified irreducible) of a non-constant
+    divisor b of a denominator, u = ±content(b) of the sign of its leading
+    coefficient."""
+    b = pquo_ground(b, content(b) if leading(b) > 0 else -content(b))
+    return b, e, _irreducible(b, n)
 
 
 def _content_in(b: dict, k: int, n: int) -> dict:
@@ -711,10 +708,14 @@ def _value(f: dict, point: tuple) -> int:
 
 
 def _strip(t: dict, den: dict, b: dict, e: int, irreducible: bool, n: int):
-    """(t/b^j, den/b^j, e - j) for the largest j <= e with b^j dividing t,
-    or None when a proper factor of b divides t.  Trial division decides
-    for a certified b, after the witness b(x) not dividing t(x) at an
-    integer point x; a gcd with b decides otherwise."""
+    """(t/d, den/d, base) for d = gcd(t, b^e), base the entries (b_i, e_i,
+    certified), e_i > 0, with b^e/d = prod b_i^e_i.  Trial division
+    decides for a certified b, after the witness b(x) not dividing t(x) at
+    an integer point x; a gcd g with b decides otherwise, and a proper
+    factor g splits b into g, stripped next, and b/g.
+
+    Theorem: if b is squarefree and gcd(t, b) = g, then b/g is coprime to
+    t: a common factor of t and b/g divides g, so its square divides b."""
     point = tuple(range(3, n + 3))
     v = _value(b, point)
     for j in range(e):
@@ -723,33 +724,52 @@ def _strip(t: dict, den: dict, b: dict, e: int, irreducible: bool, n: int):
         else:
             g, _, r = cofactors(t, b, n)
             if not (is_ground(g) or is_ground(r)):
-                return None
+                piece = _element(g, e - j, n)
+                t, den, base = _strip(t, den, *piece, n)
+                return t, den, [_element(r, e - j, n)] + base
             q = None if is_ground(g) else pquo(t, b)
         if q is None:
-            return t, den, e - j
+            return t, den, [(b, e - j, irreducible)]
         t, den = q, pquo(den, b)
-    return t, den, 0
+    return t, den, []
 
 
-def _merged(A: tuple, B: tuple, n: int):
-    """Rows [b, e, f, irreducible] over the bases A and B, e and f b's
-    exponents in each (0 where absent): a coprime base of both, or None
-    when an element of B equals no element of A but shares a factor with
-    one.  Two different certified elements are coprime without a gcd."""
+def _merged(A: tuple, B: tuple, n: int) -> list:
+    """Rows [b, e, f, irreducible] over a coprime base of the bases A and
+    B, e and f b's exponents in each (0 where absent).  An element b of B
+    equal to no element a of A is tested coprime to each by a gcd g,
+    unless both are certified (distinct canonical irreducibles); where g
+    is not constant, g and a/g take a's place in A, g and b/g b's in B,
+    and the merge starts again.
+
+    Theorem: for squarefree a and b with g = gcd(a, b), the pieces g, a/g
+    and b/g are pairwise coprime: a factor of g and a/g, or of a/g and
+    b/g (so of g), would divide a twice.  So A and B stay coprime bases
+    of their denominators, and the merge ends, as each restart splits an
+    element."""
     rows = [[b, e, 0, irr] for b, e, irr in A]
     own = rows[:]
-    for b, f, irr in B:
+    for j, (b, f, irr) in enumerate(B):
         for row in own:
             if row[0] == b:
                 row[2] = f
                 break
         else:
-            if any(not (irr and row[3])
-                   and not is_ground(cofactors(b, row[0], n)[0])
-                   for row in own):
-                return None
+            for i, (a, _, irr_a) in enumerate(A):
+                if not (irr and irr_a):
+                    g, b_g, a_g = cofactors(b, a, n)
+                    if not is_ground(g):
+                        return _merged(_refined(A, i, g, a_g, n),
+                                       _refined(B, j, g, b_g, n), n)
             rows.append([b, 0, f, irr])
     return rows
+
+
+def _refined(base: tuple, i: int, g: dict, r: dict, n: int) -> tuple:
+    """``base`` with its element i, g r, replaced by the non-constant ones
+    of g and r, with its exponent."""
+    pieces = [_element(p, base[i][1], n) for p in (g, r) if not is_ground(p)]
+    return (*base[:i], *pieces, *base[i + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -786,8 +806,6 @@ def _fadd(a: Frac, b: Frac):
     and r to s.  So t is tested against the b with e = f alone."""
     n = a.nvars()
     rows = _merged(_fac(a, n), _fac(b, n), n)
-    if rows is None:
-        return _fadd_gcd(a, b, n)
     p, q, r, s = a.num, a.den, b.num, b.den
     cq, cs = content(q), content(s)
     g = math.gcd(cq, cs)
@@ -803,30 +821,11 @@ def _fadd(a: Frac, b: Frac):
     den, fac = _scaled(q, cs // g), []
     for c, e, f, irr in rows:
         if e == f:
-            stripped = _strip(t, den, c, e, irr, n)
-            if stripped is None:
-                return _fadd_gcd(a, b, n)
-            t, den, e = stripped
-            f = e
-        if max(e, f):
+            t, den, base = _strip(t, den, c, e, irr, n)
+            fac += base
+        else:
             fac.append((c, max(e, f), irr))
     return _reduced(t, den, fac)
-
-
-def _fadd_gcd(a: Frac, b: Frac, n: int):
-    """a + b by Henrici's gcds of the operands (Knuth, TAOCP 2, 4.5.1):
-    with d1 = gcd(u', v'), u/u' + v/v' = t/(u' v'/d1) for
-    t = u v'/d1 + v u'/d1, and t shares a factor with u' v'/d1 only
-    through d1."""
-    u, du, v, dv = a.num, a.den, b.num, b.den
-    if du == dv:
-        return quotient(padd(u, v), du, n)
-    d1, du1, dv1 = cofactors(du, dv, n)
-    t = padd(pmul(u, dv1), pmul(v, du1))
-    if is_ground(d1):
-        return _reduced(t, pmul(du, dv1))
-    _, t, d12 = cofactors(t, d1, n)
-    return _reduced(t, pmul(pmul(du1, d12), dv1))
 
 
 def _scale(f: Frac, c: Fraction) -> Frac:
@@ -866,29 +865,17 @@ def _fmul(a: Frac, b: Frac):
     are not in s's; a base shared by q and s needs no test at all."""
     n = a.nvars()
     rows = _merged(_fac(a, n), _fac(b, n), n)
-    if rows is None:
-        return _fmul_gcd(a, b, n)
     p, r, fac, den = a.num, b.num, [], pmul(a.den, b.den)
     for c, e, f, irr in rows:
-        if not (e and f):
-            stripped = _strip(p if f else r, den, c, e + f, irr, n)
-            if stripped is None:
-                return _fmul_gcd(a, b, n)
-            if f:
-                p, den, f = stripped
-            else:
-                r, den, e = stripped
-        if e + f:
+        if e and f:
             fac.append((c, e + f, irr))
+        elif f:
+            p, den, base = _strip(p, den, c, f, irr, n)
+            fac += base
+        else:
+            r, den, base = _strip(r, den, c, e, irr, n)
+            fac += base
     return _reduced(pmul(p, r), den, fac)
-
-
-def _fmul_gcd(a: Frac, b: Frac, n: int):
-    """a * b: each numerator reduced against the other's denominator by a
-    gcd, as the operands are reduced already."""
-    _, u, dv = cofactors(a.num, b.den, n)
-    _, v, du = cofactors(b.num, a.den, n)
-    return _reduced(pmul(u, v), pmul(du, dv))
 
 
 def finv(a):
@@ -941,28 +928,11 @@ def _fdiff(a: Frac, k: int):
         return Fraction(0)
     for c, e, irr, tested in rows:
         if tested:
-            stripped = _strip(t, den, c, e, irr, n)
-            if stripped is None:
-                return _fdiff_gcd(a, k, n)
-            t, den, e = stripped
-        if e:
+            t, den, base = _strip(t, den, c, e, irr, n)
+            fac += base
+        else:
             fac.append((c, e, irr))
     return _reduced(t, den, fac)
-
-
-def _fdiff_gcd(a: Frac, k: int, n: int):
-    """d(p/q)/dx_k by gcds.  With g = gcd(q, q'), s = q/g and t = q'/g it
-    is (p' s - p t)/(g s^2).  A factor of q with x_k in it divides q once
-    more than g, so it divides s and neither p nor t, hence not p' s - p t;
-    a factor free of x_k divides g as often as q, and not s.  So the
-    numerator shares a factor with g alone."""
-    p, q = a.num, a.den
-    dq = pdiff(q, k)
-    if not dq:
-        return quotient(pdiff(p, k), q, n)
-    g, s, t = cofactors(q, dq, n)
-    _, num, g = cofactors(psub(pmul(pdiff(p, k), s), pmul(p, t)), g, n)
-    return _reduced(num, pmul(g, pmul(s, s)))
 
 
 def fgen(k: int, n: int) -> Frac:
@@ -986,7 +956,11 @@ def gaussian_quotient(re, im, n: int) -> tuple:
     _, b_only, d_only = cofactors(b, d, n)
     p = padd(pmul(a, d_only),
              {m: Gaussian(0, v) for m, v in pmul(c, b_only).items()})
-    return cancel(p, pmul(b, d_only), n, GAUSSIAN_INTEGERS)
+    _, p, q = cofactors(p, pmul(b, d_only), n, GAUSSIAN_INTEGERS)
+    u = GAUSSIAN_INTEGERS.unit(leading(q))
+    if u != 1:
+        p, q = pmul_ground(p, u), pmul_ground(q, u)
+    return p, q
 
 
 def evaluate(f: dict, point: tuple):

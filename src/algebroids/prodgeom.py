@@ -479,13 +479,13 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
     def phi_value(s1: Section, s2: Section) -> Scalar:
         return bilinear(A.chart.zero, phi, s1, s2)
 
-    def dphi(s: Section, t1: Section) -> Callable[[Section], Scalar]:
-        """t2 -> (D_s Phi)(t1, t2) for frame sections (constant
-        components)."""
-        rho, ds_t1 = anchor_push(s), cov_deriv(D, s, t1)
-        return lambda t2: (rho.apply(phi_value(t1, t2))
-                           - phi_value(ds_t1, t2)
-                           - phi_value(t1, cov_deriv(D, s, t2)))
+    def dphi(s: Section, t1: Section, ds_t1: Section, ds: list):
+        """c -> (D_s Phi)(t1, e_c) for frame sections (constant
+        components), with D_s t1 = ds_t1 and D_s e_c = ds[c]."""
+        rho = anchor_push(s)
+        return lambda c: (rho.apply(phi_value(t1, frame[c]))
+                          - phi_value(ds_t1, frame[c])
+                          - phi_value(t1, ds[c]))
 
     checks = Residuals()
     nonzero_rhs = set()
@@ -501,6 +501,9 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
 
     Btab = [[B.at(a, b) for b in range(mr)] for a in range(mr)]
     Jframe = [J.apply(s) for s in frame]
+    # D_s e_c for s = e_a and s = J e_a, once per (a, c)
+    d_frame = [[cov_deriv(D, s, t) for t in frame] for s in frame]
+    d_jframe = [[cov_deriv(D, s, t) for t in frame] for s in Jframe]
     for a in range(mr):
         for b in range(mr):
             checks.add("im_re_relation", (a, b),
@@ -515,8 +518,9 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
                              nval.components[c], N_FROM_B,
                              alt_re.components[c])
             reb = _re_section(Btab[a][b])
-            dphi_a = dphi(Jframe[a], frame[b])
-            dphi_b = dphi(frame[a], Jframe[b])
+            dphi_a = dphi(Jframe[a], frame[b], d_jframe[a][b], d_jframe[a])
+            dphi_b = dphi(frame[a], Jframe[b],
+                          cov_deriv(D, frame[a], Jframe[b]), d_frame[a])
             for c in range(mr):
                 s3 = frame[c]
                 lhs = g.value(reb, s3)
@@ -525,7 +529,7 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
                          - g.value(N.value(Jframe[c], frame[a]), Jframe[b]))
                 proportional("nijenhuis_pairing_proportional", (a, b, c),
                              lhs, NIJENHUIS_PAIRING, raw16)
-                raw17 = dphi_a(s3) + dphi_b(s3)
+                raw17 = dphi_a(c) + dphi_b(c)
                 proportional("dphi_pairing_proportional", (a, b, c),
                              lhs, DPHI_PAIRING, raw17)
 

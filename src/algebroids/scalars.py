@@ -405,6 +405,9 @@ def _pair_on_chart(u: tuple, source: Chart, chart: Chart, rename) -> tuple:
             return c
         num, den = move(c.num), move(c.den)
         if not injective:
+            if not den:
+                raise ZeroDivisionError(
+                    f"a denominator vanishes on chart {chart.name!r}")
             return _poly.quotient(num, den, n)
         if _poly.leading(den) < 0:
             num, den = _poly.pneg(num), _poly.pneg(den)
@@ -781,7 +784,8 @@ class Scalar:
     def on_chart(self, chart: Chart, rename: Optional[Mapping] = None) -> "Scalar":
         """The same expression on another chart, which must contain its
         coordinates once ``rename`` (coordinate -> coordinate of ``chart``)
-        is applied."""
+        is applied; ZeroDivisionError where the rename makes a denominator
+        vanish."""
         names = {a.name: b.name for a, b in (rename or {}).items()}
         if self.pair is not None:
             return Scalar(chart, _pair_on_chart(self.pair, self.chart, chart,
@@ -791,6 +795,9 @@ class Scalar:
         if names:
             expr = expr.subs({sp.Symbol(a, real=True): sp.Symbol(b, real=True)
                               for a, b in names.items()}, simultaneous=True)
+            if expr.has(sp.zoo, sp.nan):
+                raise ZeroDivisionError(
+                    f"a denominator vanishes on chart {chart.name!r}")
         return Scalar(chart, _on_chart(chart, expr))
 
     def conjugate(self) -> "Scalar":
