@@ -17,7 +17,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from algebroids.scalars import Chart, ChartError, Scalar, nonzero_entries
+from algebroids.scalars import (
+    Chart, ChartError, Scalar, Table, add_product, nonzero_terms)
 
 __all__ = [
     "Algebroid",
@@ -30,6 +31,7 @@ __all__ = [
     "validate_structure",
     "anchor_push",
     "bilinear",
+    "derivatives",
     "vf_bracket",
 ]
 
@@ -42,12 +44,15 @@ class VectorField:
         self.components = tuple(chart.scalar(c) for c in components)
         if len(self.components) != chart.dim:
             raise ChartError("component count does not match chart dimension")
+        self.terms = nonzero_terms(self.components)
 
     def apply(self, f: Scalar) -> Scalar:
         """Derivation action on a scalar: sum_i X^i df/dx^i."""
         f = self.chart.scalar(f)
         out = self.chart.zero
-        for i, comp in nonzero_entries(self.components):
+        if f.pair is not None and f.is_constant():  # a tree is not normalised
+            return out
+        for i, comp in self.terms:
             out = out + comp * f.diff(self.chart.coords[i])
         return out
 
@@ -107,8 +112,8 @@ class Algebroid:
             raise ValueError("rank must be at least 1")
         self.chart = chart
         self.rank = rank
-        self.anchor = tuple(
-            tuple(chart.scalar(anchor[a][i]) for i in range(chart.dim))
+        self.anchor = Table(
+            [chart.scalar(anchor[a][i]) for i in range(chart.dim)]
             for a in range(rank)
         )
         self.C = self._build_bracket(bracket)
@@ -133,7 +138,7 @@ class Algebroid:
                 for a in range(self.rank):
                     for b in range(self.rank):
                         table[c][a][b] = self.chart.scalar(bracket[c][a][b])
-        return tuple(tuple(tuple(row) for row in layer) for layer in table)
+        return tuple(Table(layer) for layer in table)
 
     # C[c][a][b] is C^c_ab
 
@@ -142,9 +147,9 @@ class Algebroid:
         comps[a] = self.chart.one
         return Section(self, comps)
 
-    @property
-    def frame(self) -> List["Section"]:
-        return [self.frame_section(a) for a in range(self.rank)]
+    @cached_property
+    def frame(self) -> Tuple["Section", ...]:
+        return tuple(map(self.frame_section, range(self.rank)))
 
     def section(self, components: Sequence) -> "Section":
         return Section(self, components)
@@ -153,7 +158,11 @@ class Algebroid:
         return Section(self, [self.chart.zero] * self.rank)
 
     def anchor_vf(self, a: int) -> VectorField:
-        return VectorField(self.chart, list(self.anchor[a]))
+        return self._anchor_vfs[a]
+
+    @cached_property
+    def _anchor_vfs(self) -> Tuple[VectorField, ...]:
+        return tuple(VectorField(self.chart, row) for row in self.anchor)
 
     def __repr__(self):
         return (f"Algebroid(rank={self.rank}, chart={self.chart.name!r}, "
@@ -174,6 +183,10 @@ class Section:
     @property
     def chart(self) -> Chart:
         return self.algebroid.chart
+
+    @cached_property
+    def terms(self) -> tuple:
+        return nonzero_terms(self.components)
 
     def __add__(self, other: "Section") -> "Section":
         self._check(other)
@@ -213,14 +226,14 @@ class Section:
         return f"Section({[str(c) for c in self.components]})"
 
 
-def bilinear(acc: Scalar, table, s1: Section, s2: Section) -> Scalar:
+def bilinear(acc: Scalar, table: Table, s1: Section, s2: Section) -> Scalar:
     """acc + sum_ab table[a][b] s1^a s2^b, adding the terms in (a, b) order.
 
     A term with a literal-zero factor would add nothing and is skipped.
     """
-    right = dict(nonzero_entries(s2.components))
-    for a, x in nonzero_entries(s1.components):
-        for b, t in nonzero_entries(table[a]):
+    right = dict(s2.terms)
+    for a, x in s1.terms:
+        for b, t in table.terms[a]:
             if b in right:
                 acc = acc + t * x * right[b]
     return acc
@@ -230,10 +243,17 @@ def anchor_push(s: Section) -> VectorField:
     """Pushforward rho(s) = s^a rho^i_a d/dx^i."""
     A = s.algebroid
     comps = [A.chart.zero] * A.chart.dim
-    for a, sa in nonzero_entries(s.components):
-        for i, rho in nonzero_entries(A.anchor[a]):
+    for a, sa in s.terms:
+        for i, rho in A.anchor.terms[a]:
             comps[i] = comps[i] + sa * rho
     return VectorField(A.chart, comps)
+
+
+def derivatives(s1: Section, s2: Section) -> List[Scalar]:
+    """rho(s1)(s2^c) for each c, with no push when s2 is constant."""
+    if all(c.pair is not None and c.is_constant() for c in s2.components):
+        return [s2.chart.zero] * len(s2.components)
+    return list(map(anchor_push(s1).apply, s2.components))
 
 
 def bracket(s1: Section, s2: Section) -> Section:
@@ -243,15 +263,13 @@ def bracket(s1: Section, s2: Section) -> Section:
     """
     A = s1.algebroid
     s1._check(s2)
-    v1 = anchor_push(s1)
-    v2 = anchor_push(s2)
-    left = list(nonzero_entries(s1.components))
-    right = dict(nonzero_entries(s2.components))
+    d12, d21 = derivatives(s1, s2), derivatives(s2, s1)
+    left, right = s1.terms, dict(s2.terms)
     comps = []
     for c in range(A.rank):
-        acc = v1.apply(s2.components[c]) - v2.apply(s1.components[c])
+        acc = d12[c] - d21[c]
         for a, x in left:
-            for b, cab in nonzero_entries(A.C[c][a]):
+            for b, cab in A.C[c].terms[a]:
                 if b in right:
                     acc = acc + x * right[b] * cab
         comps.append(acc)
@@ -338,28 +356,32 @@ def validate_structure(A: Algebroid) -> Residuals:
     """
     report = Residuals()
     n, m = A.chart.dim, A.rank
-    coords = A.chart.coords
+    coords, rho, C = A.chart.coords, A.anchor, A.C
     # grad[a][i][j] = d rho^i_a / dx^j
-    grad = [[[A.anchor[a][i].diff(x) for x in coords] for i in range(n)]
+    grad = [Table([rho[a][i].diff(x) for x in coords] for i in range(n))
             for a in range(m)]
+    # upper[a][b] = the nonzero (c, C^c_ab)
+    upper = [[nonzero_terms(C[c][a][b] for c in range(m)) for b in range(m)]
+             for a in range(m)]
 
     for a in range(m):
         for b in range(a + 1, m):
             for i in range(n):
                 lhs = A.chart.zero
-                for j in range(n):
-                    lhs = lhs + A.anchor[a][j] * grad[b][i][j]
-                    lhs = lhs - A.anchor[b][j] * grad[a][i][j]
+                # each term has a factor d rho^i / dx^j
+                for j in sorted({j for j, _ in grad[a].terms[i] + grad[b].terms[i]}):
+                    lhs = add_product(lhs, 1, rho[a][j], grad[b][i][j])
+                    lhs = add_product(lhs, -1, rho[b][j], grad[a][i][j])
                 rhs = A.chart.zero
-                for c in range(m):
-                    rhs = rhs + A.anchor[c][i] * A.C[c][a][b]
+                for c, cab in upper[a][b]:
+                    rhs = add_product(rhs, 1, rho[c][i], cab)
                 report.add("anchor_morphism", (a, b, i), lhs - rhs)
 
     for c in range(m):
         for a in range(m):
             for b in range(a, m):
                 report.add("antisymmetry", (a, b, c),
-                           A.C[c][a][b] + A.C[c][b][a])
+                           C[c][a][b] + C[c][b][a])
 
     for a in range(m):
         for b in range(a + 1, m):
@@ -367,11 +389,11 @@ def validate_structure(A: Algebroid) -> Residuals:
                 for d in range(m):
                     acc = A.chart.zero
                     for (p, q, r) in ((a, b, c), (b, c, a), (c, a, b)):
-                        for i, rho in nonzero_entries(A.anchor[p]):
-                            acc = acc + rho * A.C[d][q][r].diff(coords[i])
-                        for e, cpq in nonzero_entries(
-                                A.C[e][p][q] for e in range(m)):
-                            acc = acc + cpq * A.C[d][e][r]
+                        for i, x in rho.terms[p]:
+                            acc = add_product(acc, 1, x,
+                                              C[d][q][r].diff(coords[i]))
+                        for e, cpq in upper[p][q]:
+                            acc = add_product(acc, 1, cpq, C[d][e][r])
                     report.add("jacobi", (a, b, c, d), acc)
 
     return report

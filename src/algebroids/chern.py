@@ -26,7 +26,7 @@ from algebroids.algebroid import Algebroid, Residuals, Section
 from algebroids.connections import Connection, curvature_operator
 from algebroids.eforms import EForm, d_E, wedge
 from algebroids.jstruct import ComplexFrame, IntegrabilityError
-from algebroids.scalars import Scalar, ScalarMatrix, i, nonzero_entries
+from algebroids.scalars import Scalar, ScalarMatrix, i, nonzero_terms
 
 if TYPE_CHECKING:
     from algebroids.constructions import Fixture
@@ -114,7 +114,7 @@ def block_curvature(fx: Fixture) -> BlockCurvature:
             for a in range(m):
                 coeffs = Pinv.apply(J.apply(rop[a]).components)
                 # the forms hold no exact zero component
-                for b, c in nonzero_entries(coeffs):
+                for b, c in nonzero_terms(coeffs):
                     (Rmat if b < m else Rstar)[a][b % m][(p, q)] = c
                 # displayed pattern on the starred basis vector
                 star = Pinv.apply(J.apply(rop[m + a]).components)

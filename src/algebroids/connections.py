@@ -28,9 +28,9 @@ from algebroids.algebroid import (
     PreconditionError,
     Residuals,
     Section,
-    anchor_push,
     bilinear,
     bracket,
+    derivatives,
 )
 from algebroids.eforms import EForm, d_E, evaluate
 from algebroids.jstruct import ComplexFrame, EndoField, IntegrabilityError
@@ -38,7 +38,9 @@ from algebroids.scalars import (
     ChartError,
     Scalar,
     ScalarMatrix,
+    Table,
     _vanishes_at_samples,
+    add_product,
 )
 
 if TYPE_CHECKING:
@@ -74,8 +76,8 @@ class Metric:
         self.algebroid = algebroid
         m = algebroid.rank
         chart = algebroid.chart
-        self.matrix = tuple(
-            tuple(chart.scalar(matrix[a][b]) for b in range(m)) for a in range(m)
+        self.matrix = Table(
+            [chart.scalar(matrix[a][b]) for b in range(m)] for a in range(m)
         )
         for a in range(m):
             for b in range(a + 1, m):
@@ -88,7 +90,7 @@ class Metric:
         if det.is_structurally_zero() or (not det.is_rational_function()
                                           and _vanishes_at_samples(det)):
             raise ValueError("metric is structurally singular")
-        self.inverse = M.inverse().rows()
+        self.inverse = Table(M.inverse().rows())
 
     def value(self, s1: Section, s2: Section) -> Scalar:
         return bilinear(self.algebroid.chart.zero, self.matrix, s1, s2)
@@ -113,7 +115,7 @@ class Connection:
         m = algebroid.rank
         chart = algebroid.chart
         self.gamma = tuple(
-            tuple(tuple(chart.scalar(gamma[c][a][b]) for b in range(m))
+            Table([chart.scalar(gamma[c][a][b]) for b in range(m)]
                   for a in range(m))
             for c in range(m)
         )
@@ -124,10 +126,8 @@ def cov_deriv(conn: Connection, s1: Section, s2: Section) -> Section:
     A = conn.algebroid
     if s1.algebroid is not A or s2.algebroid is not A:
         raise ChartError("sections do not live over the connection's frame")
-    v1 = anchor_push(s1)
-    return Section(A, [bilinear(v1.apply(s2.components[c]), conn.gamma[c],
-                                s1, s2)
-                       for c in range(A.rank)])
+    return Section(A, [bilinear(d, layer, s1, s2)
+                       for d, layer in zip(derivatives(s1, s2), conn.gamma)])
 
 
 def torsion(conn: Connection):
@@ -164,6 +164,7 @@ def curvature_components(conn: Connection):
     A = conn.algebroid
     m = A.rank
     chart = A.chart
+    G = conn.gamma
     out = [[[[chart.zero] * m for _ in range(m)] for _ in range(m)]
            for _ in range(m)]
     for a in range(m):
@@ -172,12 +173,12 @@ def curvature_components(conn: Connection):
             rho_b = A.anchor_vf(b)
             for c in range(m):
                 for d in range(m):
-                    acc = rho_a.apply(conn.gamma[d][b][c])
-                    acc = acc - rho_b.apply(conn.gamma[d][a][c])
+                    acc = rho_a.apply(G[d][b][c])
+                    acc = acc - rho_b.apply(G[d][a][c])
                     for e in range(m):
-                        acc = acc + conn.gamma[e][b][c] * conn.gamma[d][a][e]
-                        acc = acc - conn.gamma[e][a][c] * conn.gamma[d][b][e]
-                        acc = acc - A.C[e][a][b] * conn.gamma[d][e][c]
+                        acc = add_product(acc, 1, G[e][b][c], G[d][a][e])
+                        acc = add_product(acc, -1, G[e][a][c], G[d][b][e])
+                        acc = add_product(acc, -1, A.C[e][a][b], G[d][e][c])
                     out[d][a][b][c] = acc
                     out[d][b][a][c] = -acc
     return tuple(tuple(tuple(tuple(r) for r in s) for s in t) for t in out)
@@ -192,6 +193,7 @@ def levi_civita(A: Algebroid, g: Metric) -> Connection:
     """
     m = A.rank
     chart = A.chart
+    C, G = A.C, g.matrix
     gamma = [[[chart.zero] * m for _ in range(m)] for _ in range(m)]
     rho = [A.anchor_vf(x) for x in range(m)]
     # koszul[b][c][d] = 2 g(nabla_{e_b} e_c, e_d)
@@ -199,22 +201,21 @@ def levi_civita(A: Algebroid, g: Metric) -> Connection:
     for b in range(m):
         for c in range(m):
             for d in range(m):
-                inner = (rho[b].apply(g.matrix[c][d])
-                         + rho[c].apply(g.matrix[b][d])
-                         - rho[d].apply(g.matrix[b][c]))
+                inner = (rho[b].apply(G[c][d]) + rho[c].apply(G[b][d])
+                         - rho[d].apply(G[b][c]))
                 # bracket terms of the Koszul identity:
                 # g([e_d,e_b],e_c) + g([e_d,e_c],e_b) + g([e_b,e_c],e_d)
                 for e in range(m):
-                    inner = inner + A.C[e][d][c] * g.matrix[e][b]
-                    inner = inner + A.C[e][d][b] * g.matrix[e][c]
-                    inner = inner + A.C[e][b][c] * g.matrix[e][d]
+                    inner = add_product(inner, 1, C[e][d][c], G[e][b])
+                    inner = add_product(inner, 1, C[e][d][b], G[e][c])
+                    inner = add_product(inner, 1, C[e][b][c], G[e][d])
                 koszul[b][c][d] = inner
     for a in range(m):
         for b in range(m):
             for c in range(m):
                 acc = chart.zero
-                for d in range(m):
-                    acc = acc + g.inverse[a][d] * koszul[b][c][d]
+                for d, x in g.inverse.terms[a]:
+                    acc = add_product(acc, 1, x, koszul[b][c][d])
                 gamma[a][b][c] = acc / 2
     conn = Connection(A, gamma)
 
@@ -375,7 +376,7 @@ def kahler_report(fx: Fixture) -> KahlerReport:
 # Hermitian components over a complex frame
 
 
-def hermitian_table(g: Metric, F: ComplexFrame) -> tuple:
+def hermitian_table(g: Metric, F: ComplexFrame) -> Table:
     """h(F_mu, F_nu) = g(F_mu, conj F_nu) over complex-frame indices.
 
     The block h[a][b] (a, b < m) is g_{a bbar}; the block h[a][m + b] is
@@ -383,8 +384,8 @@ def hermitian_table(g: Metric, F: ComplexFrame) -> tuple:
     hold, or HermitianError is raised.
     """
     m, two_m = F.m, 2 * F.m
-    h = tuple(tuple(g.value(F.sections[mu], F.sections[F.conj_index(nu)])
-                    for nu in range(two_m)) for mu in range(two_m))
+    h = Table([g.value(F.sections[mu], F.sections[F.conj_index(nu)])
+               for nu in range(two_m)] for mu in range(two_m))
     for a in range(m):
         for b in range(m):
             if not h[a][m + b].is_structurally_zero():

@@ -64,7 +64,7 @@ from algebroids.prodgeom import (
     real_frame_B,
     second_fundamental,
 )
-from algebroids.scalars import Chart, Scalar, ScalarMatrix
+from algebroids.scalars import Chart, Scalar, ScalarMatrix, add_product
 
 __all__ = [
     "Prolongation",
@@ -160,10 +160,10 @@ class Prolongation:
             acc = self.chart.zero
             for f in range(self.r):
                 term = base.anchor_vf(f).apply(s.components[a])
-                for b in range(self.r):
-                    term = term - base.C[a][b][f] * s.components[b]
-                acc = acc + self.chart.scalar(self.y[f]) \
-                    * term.on_chart(self.chart)
+                for b, x in s.terms:
+                    term = add_product(term, -1, base.C[a][b][f], x)
+                acc = add_product(acc, 1, self.chart.scalar(self.y[f]),
+                                  term.on_chart(self.chart))
             vert.append(acc)
         return Section(self.algebroid, comps + vert)
 

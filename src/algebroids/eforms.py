@@ -17,7 +17,7 @@ from itertools import combinations, permutations
 from typing import Dict, Sequence, Tuple
 
 from algebroids.algebroid import Algebroid, Section
-from algebroids.scalars import Chart, ChartError, Scalar
+from algebroids.scalars import Chart, ChartError, Scalar, add_product
 
 __all__ = ["EForm", "wedge", "d_E", "evaluate"]
 
@@ -175,11 +175,8 @@ def evaluate(w: EForm, sections: Sequence[Section]) -> Scalar:
         # sum over permutations of the increasing index onto the slots
         for perm in permutations(range(w.degree)):
             _, sign = _sort_index(perm)
-            seq = [key[perm[k]] for k in range(w.degree)]
-            term = value
-            for slot in range(w.degree):
-                term = term * comp_lists[slot][seq[slot]]
-            acc = acc + (term if sign > 0 else -term)
+            acc = add_product(acc, sign, value, *(
+                comp_lists[slot][key[perm[slot]]] for slot in range(w.degree)))
     return acc
 
 

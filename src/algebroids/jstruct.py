@@ -37,8 +37,10 @@ from algebroids.scalars import (
     ChartError,
     Scalar,
     ScalarMatrix,
+    Table,
+    add_product,
     i,
-    nonzero_entries,
+    nonzero_terms,
 )
 
 if TYPE_CHECKING:
@@ -74,8 +76,8 @@ class EndoField:
     def __init__(self, algebroid: Algebroid, matrix: Sequence[Sequence]):
         self.algebroid = algebroid
         m = algebroid.rank
-        self.matrix = tuple(
-            tuple(algebroid.chart.scalar(matrix[b][a]) for a in range(m))
+        self.matrix = Table(
+            [algebroid.chart.scalar(matrix[b][a]) for a in range(m)]
             for b in range(m)
         )
 
@@ -87,11 +89,11 @@ class EndoField:
         return self.matrix[b][a]
 
     def apply(self, s: Section) -> Section:
-        col = dict(nonzero_entries(s.components))
+        col = dict(s.terms)
         comps = []
-        for row in self.matrix:
+        for row in self.matrix.terms:
             acc = self.algebroid.chart.zero
-            for a, t in nonzero_entries(row):
+            for a, t in row:
                 if a in col:
                     acc = acc + t * col[a]
             comps.append(acc)
@@ -170,6 +172,9 @@ class NijenhuisTensor:
     components: tuple  # components[c][a][b]
     checks: Residuals
 
+    def __post_init__(self):
+        self.components = tuple(Table(layer) for layer in self.components)
+
     def value(self, s1: Section, s2: Section) -> Section:
         A = self.algebroid
         return Section(A, [bilinear(A.chart.zero, layer, s1, s2)
@@ -202,6 +207,7 @@ def nijenhuis(A: Algebroid, J: EndoField) -> NijenhuisTensor:
     m = A.rank
     chart = A.chart
     frame = A.frame
+    rho, T, C = A.anchor, J.matrix, A.C
 
     by_eval = [[[chart.zero] * m for _ in range(m)] for _ in range(m)]
     for a in range(m):
@@ -212,12 +218,12 @@ def nijenhuis(A: Algebroid, J: EndoField) -> NijenhuisTensor:
                 by_eval[c][b][a] = -val.components[c]
 
     # dJ[i][d][a] = d J^d_a / dx^i
-    dJ = [[[J.matrix[d][a].diff(x) for a in range(m)] for d in range(m)]
+    dJ = [Table([T[d][a].diff(x) for a in range(m)] for d in range(m))
           for x in chart.coords]
     # each term of the first sum has a factor from dJ[i]: a coordinate that
     # no entry of J depends on contributes nothing
-    active = [i for i, grad in enumerate(dJ)
-              if any(nonzero_entries(e for row in grad for e in row))]
+    active = [i for i, grad in enumerate(dJ) if any(grad.terms)]
+    cols = [nonzero_terms(T[d][a] for d in range(m)) for a in range(m)]
     by_coeff = [[[chart.zero] * m for _ in range(m)] for _ in range(m)]
     for c in range(m):
         for a in range(m):
@@ -225,16 +231,17 @@ def nijenhuis(A: Algebroid, J: EndoField) -> NijenhuisTensor:
                 acc = chart.zero
                 for i in active:
                     for d in range(m):
-                        acc = acc + A.anchor[b][i] * dJ[i][d][a] * J.matrix[c][d]
-                        acc = acc - A.anchor[a][i] * dJ[i][d][b] * J.matrix[c][d]
-                        acc = acc + A.anchor[d][i] * dJ[i][c][b] * J.matrix[d][a]
-                        acc = acc - A.anchor[d][i] * dJ[i][c][a] * J.matrix[d][b]
-                for d in range(m):
+                        acc = add_product(acc, 1, rho[b][i], dJ[i][d][a], T[c][d])
+                        acc = add_product(acc, -1, rho[a][i], dJ[i][d][b], T[c][d])
+                        acc = add_product(acc, 1, rho[d][i], dJ[i][c][b], T[d][a])
+                        acc = add_product(acc, -1, rho[d][i], dJ[i][c][a], T[d][b])
+                # each term has a factor J^d_a or J^d_b
+                for d in sorted({d for d, _ in cols[a] + cols[b]}):
                     for e in range(m):
-                        acc = acc + J.matrix[d][a] * J.matrix[c][e] * A.C[e][b][d]
-                        acc = acc - J.matrix[d][b] * J.matrix[c][e] * A.C[e][a][d]
-                        acc = acc + J.matrix[e][b] * J.matrix[d][a] * A.C[c][d][e]
-                acc = acc - A.C[c][a][b]
+                        acc = add_product(acc, 1, T[d][a], T[c][e], C[e][b][d])
+                        acc = add_product(acc, -1, T[d][b], T[c][e], C[e][a][d])
+                        acc = add_product(acc, 1, T[e][b], T[d][a], C[c][d][e])
+                acc = acc - C[c][a][b]
                 by_coeff[c][a][b] = acc
 
     checks = Residuals()
@@ -245,8 +252,7 @@ def nijenhuis(A: Algebroid, J: EndoField) -> NijenhuisTensor:
                            by_eval[c][a][b] - by_coeff[c][a][b])
     checks.require()
 
-    comps = tuple(tuple(tuple(row) for row in layer) for layer in by_eval)
-    return NijenhuisTensor(A, comps, checks)
+    return NijenhuisTensor(A, by_eval, checks)
 
 
 # ---------------------------------------------------------------------------

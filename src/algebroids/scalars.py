@@ -58,7 +58,9 @@ __all__ = [
     "ScalarMatrix",
     "i",
     "parse_scalar",
-    "nonzero_entries",
+    "nonzero_terms",
+    "Table",
+    "add_product",
 ]
 
 # the functions of the grammar, by their sympy names
@@ -627,8 +629,11 @@ class Scalar:
             pair = _to_pair(value, chart._tree_field)
             if pair is None:
                 tree = value
-        if pair is not None and not (pair[0] or pair[1]):
-            pair = _ZERO
+        if pair is not None and not pair[1]:
+            if not pair[0]:
+                pair = _ZERO
+            elif pair[0].__class__ is Fraction and pair[0] == 1:
+                pair = _ONE
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "_tree", tree)
@@ -687,7 +692,8 @@ class Scalar:
     def _coerce(self, other) -> "Scalar":
         return self.chart.scalar(other)
 
-    # a zero operand returns the other operand (sum) or itself (product).
+    # a zero operand returns the other operand (sum) or itself (product),
+    # and a one returns the other operand of a product.
     # An operand that is a Scalar of this chart needs no coercion.  A
     # scalar without a pair makes the result a tree.
 
@@ -725,9 +731,9 @@ class Scalar:
         if other.__class__ is not Scalar or other.chart is not self.chart:
             other = self._coerce(other)
         u, v = self.pair, other.pair
-        if u is _ZERO:
+        if u is _ZERO or v is _ONE:
             return self
-        if v is _ZERO:
+        if v is _ZERO or u is _ONE:
             return other
         if u is None or v is None:
             return Scalar(self.chart, self.expr * other.expr)
@@ -976,17 +982,34 @@ class ScalarMatrix:
         return [self._dot(row, col) for row in self._rows]
 
 
-def nonzero_entries(scalars: Iterable[Scalar]):
+def nonzero_terms(scalars: Iterable[Scalar]) -> tuple:
     """The (index, scalar) pairs of ``scalars`` that are not an exact zero.
 
-    Tensor kernels sum over these only.  Every zero of the rational core,
-    such as ``(x1+1)^2 - x1^2 - 2*x1 - 1``, holds the shared zero pair, so
-    one identity test finds it, and a skipped term adds nothing.  A tree
-    with an atom that only its normal form shows to be zero is kept.
+    Every zero of the rational core, such as ``(x1+1)^2 - x1^2 - 2*x1 - 1``,
+    holds the shared zero pair, so one identity test finds it, and a
+    skipped term adds nothing.  A tree with an atom that only its normal
+    form shows to be zero is kept.
     """
-    for index, s in enumerate(scalars):
-        if s.pair is not _ZERO:
-            yield index, s
+    return tuple((k, s) for k, s in enumerate(scalars) if s.pair is not _ZERO)
+
+
+class Table(tuple):
+    """Rows of Scalars; ``terms[k]`` holds the nonzero_terms of row k."""
+
+    def __new__(cls, rows: Iterable[Iterable[Scalar]]):
+        table = super().__new__(cls, map(tuple, rows))
+        table.terms = tuple(map(nonzero_terms, table))
+        return table
+
+
+def add_product(acc: Scalar, sign: int, *factors: Scalar) -> Scalar:
+    """acc + sign * (the factors multiplied left to right); acc itself, with
+    no arithmetic, when a factor is an exact zero."""
+    for f in factors:
+        if f.pair is _ZERO:
+            return acc
+    product = functools.reduce(operator.mul, factors)
+    return acc + product if sign > 0 else acc - product
 
 
 # ---------------------------------------------------------------------------

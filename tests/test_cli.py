@@ -431,7 +431,7 @@ def test_the_cli_import_adds_only_the_pinned_modules():
     # a new import-time dependency shows here, before it shows as set-up
     # time in every fresh process
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run([sys.executable, "-I", "-S", "-c", IMPORT_ONLY,
+    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", IMPORT_ONLY,
                            str(src)], capture_output=True, text=True,
                           check=True)
     assert json.loads(done.stdout) == CLI_IMPORTS

@@ -4,9 +4,12 @@ The reference loops below run over every index and make every product,
 zero factors included; the Scalar layer's zero shortcuts decide what each
 term contributes.  The library kernels must give component trees that are
 `srepr`-identical to them, on sections and tables that hold literal zeros,
-nonzero scalars and zeros that are not literal (a hidden zero has to be
-kept as a term, not skipped).
+nonzero scalars, zeros that are not literal (a hidden zero has to be
+kept as a term, not skipped) and a one reached by arithmetic, which holds
+the shared one and so multiplies for free.
 """
+
+import dataclasses
 
 import pytest
 import sympy as sp
@@ -15,22 +18,34 @@ from hypothesis import strategies as st
 
 from algebroids.algebroid import (
     Algebroid,
+    Residuals,
     Section,
     VectorField,
     anchor_push,
     bracket,
+    validate_structure,
 )
-from algebroids import connections
-from algebroids.connections import Connection, Metric, cov_deriv
+from algebroids import connections, jstruct, scalars
+from algebroids.connections import (
+    Connection,
+    Metric,
+    cov_deriv,
+    curvature_components,
+    kahler_report,
+)
 from algebroids.jstruct import EndoField
 from algebroids.scalars import Chart, ChartError, Scalar
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+# the coefficient builders run their cross-checks on tables of up to rank^4
+# entries, whose trees are then printed: fewer examples fit the suite's time
+COEFFICIENTS = settings(derandomize=True, deadline=None, max_examples=12)
 NAMES = ["warped_r4", "heis_j", "conformal_sphere_chart"]
 
 
 def _pool(chart):
-    """Candidate entries: literal zeros, a hidden zero, nonzero scalars."""
+    """Candidate entries: literal zeros, a hidden zero, nonzero scalars and
+    a one that is not ``chart.one``."""
     x = [chart.scalar(c) for c in chart.coords]
     u, v = x[0], x[-1]
     return [
@@ -44,10 +59,11 @@ def _pool(chart):
         v * v + 1,
         1 / (1 + u ** 2),
         chart.scalar("i") * v - u,
+        (u + 1) - u,
     ]
 
 
-ENTRY = st.integers(0, 9)
+ENTRY = st.integers(0, 10)
 
 
 def _entries(draw, chart, count):
@@ -147,6 +163,121 @@ def dense_metric_value(g, s1, s2):
     return acc
 
 
+def dense_nijenhuis_coefficients(A, J):
+    m, chart = A.rank, A.chart
+    dJ = [[[J.matrix[d][a].diff(x) for a in range(m)] for d in range(m)]
+          for x in chart.coords]
+    out = [[[None] * m for _ in range(m)] for _ in range(m)]
+    for c in range(m):
+        for a in range(m):
+            for b in range(m):
+                acc = chart.zero
+                for i in range(chart.dim):
+                    for d in range(m):
+                        acc = acc + A.anchor[b][i] * dJ[i][d][a] * J.matrix[c][d]
+                        acc = acc - A.anchor[a][i] * dJ[i][d][b] * J.matrix[c][d]
+                        acc = acc + A.anchor[d][i] * dJ[i][c][b] * J.matrix[d][a]
+                        acc = acc - A.anchor[d][i] * dJ[i][c][a] * J.matrix[d][b]
+                for d in range(m):
+                    for e in range(m):
+                        acc = acc + J.matrix[d][a] * J.matrix[c][e] * A.C[e][b][d]
+                        acc = acc - J.matrix[d][b] * J.matrix[c][e] * A.C[e][a][d]
+                        acc = acc + J.matrix[e][b] * J.matrix[d][a] * A.C[c][d][e]
+                out[c][a][b] = acc - A.C[c][a][b]
+    return out
+
+
+def dense_curvature_components(conn):
+    A, G = conn.algebroid, conn.gamma
+    m = A.rank
+    out = [[[[A.chart.zero] * m for _ in range(m)] for _ in range(m)]
+           for _ in range(m)]
+    for a in range(m):
+        rho_a = VectorField(A.chart, A.anchor[a])
+        for b in range(a + 1, m):
+            rho_b = VectorField(A.chart, A.anchor[b])
+            for c in range(m):
+                for d in range(m):
+                    acc = dense_apply(rho_a, G[d][b][c])
+                    acc = acc - dense_apply(rho_b, G[d][a][c])
+                    for e in range(m):
+                        acc = acc + G[e][b][c] * G[d][a][e]
+                        acc = acc - G[e][a][c] * G[d][b][e]
+                        acc = acc - A.C[e][a][b] * G[d][e][c]
+                    out[d][a][b][c] = acc
+                    out[d][b][a][c] = -acc
+    return out
+
+
+def dense_koszul_gamma(A, g):
+    m = A.rank
+    rho = [VectorField(A.chart, A.anchor[x]) for x in range(m)]
+    koszul = [[[None] * m for _ in range(m)] for _ in range(m)]
+    for b in range(m):
+        for c in range(m):
+            for d in range(m):
+                inner = (dense_apply(rho[b], g.matrix[c][d])
+                         + dense_apply(rho[c], g.matrix[b][d])
+                         - dense_apply(rho[d], g.matrix[b][c]))
+                for e in range(m):
+                    inner = inner + A.C[e][d][c] * g.matrix[e][b]
+                    inner = inner + A.C[e][d][b] * g.matrix[e][c]
+                    inner = inner + A.C[e][b][c] * g.matrix[e][d]
+                koszul[b][c][d] = inner
+    gamma = [[[None] * m for _ in range(m)] for _ in range(m)]
+    for a in range(m):
+        for b in range(m):
+            for c in range(m):
+                acc = A.chart.zero
+                for d in range(m):
+                    acc = acc + g.inverse[a][d] * koszul[b][c][d]
+                gamma[a][b][c] = acc / 2
+    return gamma
+
+
+def dense_validate_structure(A):
+    """(check, index, residual) in the order validate_structure adds them."""
+    n, m = A.chart.dim, A.rank
+    coords = A.chart.coords
+    grad = [[[A.anchor[a][i].diff(x) for x in coords] for i in range(n)]
+            for a in range(m)]
+    out = []
+    for a in range(m):
+        for b in range(a + 1, m):
+            for i in range(n):
+                lhs = A.chart.zero
+                for j in range(n):
+                    lhs = lhs + A.anchor[a][j] * grad[b][i][j]
+                    lhs = lhs - A.anchor[b][j] * grad[a][i][j]
+                rhs = A.chart.zero
+                for c in range(m):
+                    rhs = rhs + A.anchor[c][i] * A.C[c][a][b]
+                out.append(("anchor_morphism", (a, b, i), lhs - rhs))
+    for c in range(m):
+        for a in range(m):
+            for b in range(a, m):
+                out.append(("antisymmetry", (a, b, c),
+                            A.C[c][a][b] + A.C[c][b][a]))
+    for a in range(m):
+        for b in range(a + 1, m):
+            for c in range(b + 1, m):
+                for d in range(m):
+                    acc = A.chart.zero
+                    for (p, q, r) in ((a, b, c), (b, c, a), (c, a, b)):
+                        for i in range(n):
+                            acc = acc + A.anchor[p][i] * A.C[d][q][r].diff(coords[i])
+                        for e in range(m):
+                            acc = acc + A.C[e][p][q] * A.C[d][e][r]
+                    out.append(("jacobi", (a, b, c, d), acc))
+    return out
+
+
+def _flat(table):
+    if isinstance(table, Scalar):
+        return [table]
+    return [x for row in table for x in _flat(row)]
+
+
 # -- properties ---------------------------------------------------------------
 
 @PROPERTY
@@ -188,13 +319,10 @@ def test_catalog_kernels_match_dense_loops(catalog, data):
     assert _trees(bracket(s1, s2).components) == _trees(dense_bracket(s1, s2))
 
 
-@PROPERTY
-@given(st.data())
-def test_metric_value_matches_dense_loop(catalog, data):
-    draw = data.draw
-    fx, A, _, _ = _setup(catalog, draw)
-    # nonzero diagonal entries and off-diagonal zeros, literal or hidden,
-    # or constants: the metric is built fast and is seldom singular
+def _metric(draw, A):
+    """A random metric on A: nonzero diagonal entries and off-diagonal
+    zeros, literal or hidden, or constants, so it is built fast and is
+    seldom singular."""
     pool = _pool(A.chart)
     diagonal = st.sampled_from(pool[4:])
     off = st.sampled_from(pool[:6])
@@ -204,11 +332,58 @@ def test_metric_value_matches_dense_loop(catalog, data):
         for b in range(a + 1, A.rank):
             rows[a][b] = rows[b][a] = draw(off)
     try:
-        g = Metric(A, rows)
+        return Metric(A, rows)
     except ValueError:  # singular
         reject()
+
+
+@PROPERTY
+@given(st.data())
+def test_metric_value_matches_dense_loop(catalog, data):
+    draw = data.draw
+    fx, A, _, _ = _setup(catalog, draw)
+    g = _metric(draw, A)
     s1, s2 = _section(draw, A), _section(draw, A)
     assert _trees([g.value(s1, s2)]) == _trees([dense_metric_value(g, s1, s2)])
+
+
+@COEFFICIENTS
+@given(st.data())
+def test_coefficient_sums_match_dense_loops(catalog, data):
+    draw = data.draw
+    fx, A, conn, T = _setup(catalog, draw)
+    with pytest.MonkeyPatch.context() as mp:
+        # a random algebroid fails the cross-check; its residuals
+        # N - (coefficient route) are what is compared
+        mp.setattr(Residuals, "require", lambda self: None)
+        N = jstruct.nijenhuis(A, T)
+    dense = dense_nijenhuis_coefficients(A, T)
+    m = A.rank
+    want = [N.components[c][a][b] - dense[c][a][b]
+            for c in range(m) for a in range(m) for b in range(m)]
+    got = [r for _, r in N.checks.entries("dual_route_agreement")]
+    assert _trees(got) == _trees(want)
+    assert (_trees(_flat(curvature_components(conn)))
+            == _trees(_flat(dense_curvature_components(conn))))
+    report = validate_structure(A)
+    got = [(check, index, sp.srepr(r.expr))
+           for check in ("anchor_morphism", "antisymmetry", "jacobi")
+           for index, r in report.entries(check)]
+    assert got == [(check, index, sp.srepr(r.expr))
+                   for check, index, r in dense_validate_structure(A)]
+
+
+@COEFFICIENTS
+@given(st.data())
+def test_koszul_sum_matches_dense_loop(catalog, data):
+    draw = data.draw
+    fx, A, _, _ = _setup(catalog, draw)
+    g = _metric(draw, A)
+    with pytest.MonkeyPatch.context() as mp:
+        # the torsion and metric re-verification fail on a random bracket
+        mp.setattr(Residuals, "require", lambda self: None)
+        D = connections.levi_civita(A, g)
+    assert _trees(_flat(D.gamma)) == _trees(_flat(dense_koszul_gamma(A, g)))
 
 
 # -- work counts ----------------------------------------------------------------
@@ -234,7 +409,37 @@ def test_cov_deriv_of_frame_sections_skips_zero_terms(catalog, monkeypatch):
     derivatives = _count_calls(monkeypatch, Scalar, "diff")
     cov_deriv(D, frame[0], frame[1])
     assert len(products) <= 16
-    assert len(derivatives) == 4  # one per component of e_1
+    assert len(derivatives) == 0  # the components of e_1 are constants
+
+
+def _count_zero_operands(monkeypatch):
+    """The Scalar.__add__ and Scalar.__mul__ calls with an exact-zero
+    operand."""
+    calls = []
+
+    def zero(x):
+        return x.__class__ is Scalar and x.pair is scalars._ZERO
+
+    for name in ("__add__", "__mul__"):
+        def counted(self, other, name=name, original=getattr(Scalar, name)):
+            if zero(self) or zero(other):
+                calls.append(name)
+            return original(self, other)
+
+        monkeypatch.setattr(Scalar, name, counted)
+    return calls
+
+
+def test_nijenhuis_and_kahler_report_skip_zero_operands(catalog, monkeypatch):
+    # with cold derived objects; kernels that rescanned dense tuples and
+    # looped over every index made 9,324 and 12,791 such calls here
+    fx = dataclasses.replace(catalog("heis_j"))
+    calls = _count_zero_operands(monkeypatch)
+    jstruct.nijenhuis(fx.algebroid, fx.J)
+    assert len(calls) <= 312
+    calls.clear()
+    kahler_report(fx)
+    assert len(calls) <= 1755
 
 
 def test_vector_field_differentiates_along_nonzero_components(catalog,
