@@ -14,11 +14,12 @@ Leibniz extension of the frame brackets.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from algebroids.scalars import (
-    Chart, ChartError, Scalar, Table, add_product, nonzero_terms)
+    _ZERO, Chart, ChartError, Scalar, Table, add_product, nonzero_terms)
 
 __all__ = [
     "Algebroid",
@@ -31,6 +32,7 @@ __all__ = [
     "validate_structure",
     "anchor_push",
     "bilinear",
+    "bilinear_section",
     "derivatives",
     "vf_bracket",
 ]
@@ -41,14 +43,16 @@ class VectorField:
 
     def __init__(self, chart: Chart, components: Sequence):
         self.chart = chart
-        self.components = tuple(chart.scalar(c) for c in components)
+        self.components = tuple(c if c.__class__ is Scalar and c.chart is chart
+                                else chart.scalar(c) for c in components)
         if len(self.components) != chart.dim:
             raise ChartError("component count does not match chart dimension")
         self.terms = nonzero_terms(self.components)
 
     def apply(self, f: Scalar) -> Scalar:
         """Derivation action on a scalar: sum_i X^i df/dx^i."""
-        f = self.chart.scalar(f)
+        if f.__class__ is not Scalar or f.chart is not self.chart:
+            f = self.chart.scalar(f)
         out = self.chart.zero
         if f.pair is not None and f.is_constant():  # a tree is not normalised
             return out
@@ -63,14 +67,12 @@ class VectorField:
                      for c in self.components)
 
     def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(
-            self.chart, [a + b for a, b in zip(self.components, other.components)]
-        )
+        return VectorField(self.chart, list(map(
+            operator.add, self.components, other.components)))
 
     def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(
-            self.chart, [a - b for a, b in zip(self.components, other.components)]
-        )
+        return VectorField(self.chart, list(map(
+            operator.sub, self.components, other.components)))
 
     def is_structurally_zero(self) -> bool:
         return all(c.is_structurally_zero() for c in self.components)
@@ -143,9 +145,7 @@ class Algebroid:
     # C[c][a][b] is C^c_ab
 
     def frame_section(self, a: int) -> "Section":
-        comps = [self.chart.zero] * self.rank
-        comps[a] = self.chart.one
-        return Section(self, comps)
+        return Section.of_terms(self, [(a, self.chart.one)])
 
     @cached_property
     def frame(self) -> Tuple["Section", ...]:
@@ -155,7 +155,7 @@ class Algebroid:
         return Section(self, components)
 
     def zero_section(self) -> "Section":
-        return Section(self, [self.chart.zero] * self.rank)
+        return Section.of_terms(self, ())
 
     def anchor_vf(self, a: int) -> VectorField:
         return self._anchor_vfs[a]
@@ -170,53 +170,76 @@ class Algebroid:
 
 
 class Section:
-    """Section of the algebroid: component Scalars over the frame."""
+    """Section of the algebroid, held as ``terms``: its nonzero (index,
+    Scalar) terms over the frame, in index order, none an exact zero.
+    ``components``, the dense tuple, is built on first read."""
 
     def __init__(self, algebroid: Algebroid, components: Sequence):
-        self.algebroid = algebroid
-        self.components = tuple(
-            algebroid.chart.scalar(c) for c in components
-        )
-        if len(self.components) != algebroid.rank:
+        chart = algebroid.chart
+        comps = tuple(c if c.__class__ is Scalar and c.chart is chart
+                      else chart.scalar(c) for c in components)
+        if len(comps) != algebroid.rank:
             raise ChartError("component count does not match rank")
+        self.algebroid = algebroid
+        self.components = comps
+        self.terms = nonzero_terms(comps)
+
+    @classmethod
+    def of_terms(cls, algebroid: Algebroid, terms) -> "Section":
+        """The section with these terms, taken as they are: (index, Scalar)
+        pairs in index order, none an exact zero."""
+        s = cls.__new__(cls)
+        s.algebroid = algebroid
+        s.terms = tuple(terms)
+        return s
 
     @property
     def chart(self) -> Chart:
         return self.algebroid.chart
 
     @cached_property
-    def terms(self) -> tuple:
-        return nonzero_terms(self.components)
+    def components(self) -> tuple:
+        comps = [self.algebroid.chart.zero] * self.algebroid.rank
+        for k, c in self.terms:
+            comps[k] = c
+        return tuple(comps)
+
+    def _merged(self, other: "Section", op, lone) -> "Section":
+        """op(x, y) at an index where both sections have a term, and x or
+        lone(y) where only one has."""
+        self._check(other)
+        out = dict(self.terms)
+        for k, y in other.terms:
+            out[k] = op(out[k], y) if k in out else lone(y)
+        return Section.of_terms(self.algebroid, sorted(
+            t for t in out.items() if t[1].pair is not _ZERO))
 
     def __add__(self, other: "Section") -> "Section":
-        self._check(other)
-        return Section(
-            self.algebroid,
-            [a + b for a, b in zip(self.components, other.components)],
-        )
+        return self._merged(other, operator.add, lambda y: y)
 
     def __sub__(self, other: "Section") -> "Section":
-        self._check(other)
-        return Section(
-            self.algebroid,
-            [a - b for a, b in zip(self.components, other.components)],
-        )
+        return self._merged(other, operator.sub, operator.neg)
+
+    def map(self, op) -> "Section":
+        """The section with components op(c), for an op with op(0) = 0."""
+        return Section.of_terms(self.algebroid, [
+            t for t in ((k, op(c)) for k, c in self.terms)
+            if t[1].pair is not _ZERO])
 
     def __neg__(self) -> "Section":
-        return Section(self.algebroid, [-c for c in self.components])
+        return self.map(operator.neg)
 
     def scale(self, f) -> "Section":
-        f = self.chart.scalar(f)
-        return Section(self.algebroid, [f * c for c in self.components])
+        return self.map(self.chart.scalar(f).__mul__)
 
     def __rmul__(self, f) -> "Section":
         return self.scale(f)
 
     def conjugate(self) -> "Section":
-        return Section(self.algebroid, [c.conjugate() for c in self.components])
+        return self.map(Scalar.conjugate)
 
     def is_structurally_zero(self) -> bool:
-        return all(c.is_structurally_zero() for c in self.components)
+        return all(c.is_structurally_zero() for _, c in self.terms)
 
     def _check(self, other: "Section"):
         if other.algebroid is not self.algebroid:
@@ -226,17 +249,32 @@ class Section:
         return f"Section({[str(c) for c in self.components]})"
 
 
+def _bilinear(acc: Scalar, table: Table, left, right: dict) -> Scalar:
+    for a, x in left:
+        for b, t in table.terms[a]:
+            if b in right:
+                acc = acc + t * x * right[b]
+    return acc
+
+
 def bilinear(acc: Scalar, table: Table, s1: Section, s2: Section) -> Scalar:
     """acc + sum_ab table[a][b] s1^a s2^b, adding the terms in (a, b) order.
 
     A term with a literal-zero factor would add nothing and is skipped.
     """
-    right = dict(s2.terms)
-    for a, x in s1.terms:
-        for b, t in table.terms[a]:
-            if b in right:
-                acc = acc + t * x * right[b]
-    return acc
+    return _bilinear(acc, table, s1.terms, dict(s2.terms))
+
+
+def bilinear_section(accs: Sequence[Scalar], layers: Sequence[Table],
+                     s1: Section, s2: Section) -> Section:
+    """The section with components bilinear(accs[c], layers[c], s1, s2)."""
+    left, right = s1.terms, dict(s2.terms)
+    terms = []
+    for c, (acc, layer) in enumerate(zip(accs, layers)):
+        acc = _bilinear(acc, layer, left, right)
+        if acc.pair is not _ZERO:
+            terms.append((c, acc))
+    return Section.of_terms(s1.algebroid, terms)
 
 
 def anchor_push(s: Section) -> VectorField:
@@ -251,9 +289,12 @@ def anchor_push(s: Section) -> VectorField:
 
 def derivatives(s1: Section, s2: Section) -> List[Scalar]:
     """rho(s1)(s2^c) for each c, with no push when s2 is constant."""
-    if all(c.pair is not None and c.is_constant() for c in s2.components):
-        return [s2.chart.zero] * len(s2.components)
-    return list(map(anchor_push(s1).apply, s2.components))
+    out = [s2.chart.zero] * s2.algebroid.rank
+    if not all(c.pair is not None and c.is_constant() for _, c in s2.terms):
+        X = anchor_push(s1)
+        for k, c in s2.terms:
+            out[k] = X.apply(c)
+    return out
 
 
 def bracket(s1: Section, s2: Section) -> Section:
@@ -265,15 +306,16 @@ def bracket(s1: Section, s2: Section) -> Section:
     s1._check(s2)
     d12, d21 = derivatives(s1, s2), derivatives(s2, s1)
     left, right = s1.terms, dict(s2.terms)
-    comps = []
+    terms = []
     for c in range(A.rank):
         acc = d12[c] - d21[c]
         for a, x in left:
             for b, cab in A.C[c].terms[a]:
                 if b in right:
                     acc = acc + x * right[b] * cab
-        comps.append(acc)
-    return Section(A, comps)
+        if acc.pair is not _ZERO:
+            terms.append((c, acc))
+    return Section.of_terms(A, terms)
 
 
 def jacobiator(s1: Section, s2: Section, s3: Section) -> Section:

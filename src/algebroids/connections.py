@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import TYPE_CHECKING, Sequence
 
 from algebroids.algebroid import (
@@ -29,6 +30,7 @@ from algebroids.algebroid import (
     Residuals,
     Section,
     bilinear,
+    bilinear_section,
     bracket,
     derivatives,
 )
@@ -126,8 +128,7 @@ def cov_deriv(conn: Connection, s1: Section, s2: Section) -> Section:
     A = conn.algebroid
     if s1.algebroid is not A or s2.algebroid is not A:
         raise ChartError("sections do not live over the connection's frame")
-    return Section(A, [bilinear(d, layer, s1, s2)
-                       for d, layer in zip(derivatives(s1, s2), conn.gamma)])
+    return bilinear_section(derivatives(s1, s2), conn.gamma, s1, s2)
 
 
 def torsion(conn: Connection):
@@ -210,20 +211,16 @@ def levi_civita(A: Algebroid, g: Metric) -> Connection:
                     inner = add_product(inner, 1, C[e][d][b], G[e][c])
                     inner = add_product(inner, 1, C[e][b][c], G[e][d])
                 koszul[b][c][d] = inner
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                acc = chart.zero
-                for d, x in g.inverse.terms[a]:
-                    acc = add_product(acc, 1, x, koszul[b][c][d])
-                gamma[a][b][c] = acc / 2
+    for a, b, c in product(range(m), repeat=3):
+        acc = chart.zero
+        for d, x in g.inverse.terms[a]:
+            acc = add_product(acc, 1, x, koszul[b][c][d])
+        gamma[a][b][c] = acc / 2
     conn = Connection(A, gamma)
 
     T = torsion(conn)
-    for c in range(m):
-        for a in range(m):
-            for b in range(m):
-                conn.checks.add("torsion_free", (c, a, b), T[c][a][b])
+    for c, a, b in product(range(m), repeat=3):
+        conn.checks.add("torsion_free", (c, a, b), T[c][a][b])
     conn.checks.update(metric_compat_check(conn, g))
     conn.checks.require()
     return conn
@@ -354,15 +351,19 @@ def kahler_report(fx: Fixture) -> KahlerReport:
     dphi = d_E(fx.fundamental_form)
     D = fx.levi_civita
 
-    frame = A.frame
+    frame, m = A.frame, A.rank
+    Jframe = [J.apply(s) for s in frame]
+    # N(e_b, e_c), once per (b, c)
+    Ntab = [[N.value(s2, s3) for s3 in frame] for s2 in frame]
     checks = Residuals()
-    for a in range(A.rank):
-        for b in range(A.rank):
-            for c in range(A.rank):
-                lhs = 2 * g.value(nabla_J(D, J, frame[a], frame[b]), frame[c])
-                rhs = (evaluate(dphi, [frame[a], J.apply(frame[b]), J.apply(frame[c])])
+    for a in range(m):
+        for b in range(m):
+            dj = nabla_J(D, J, frame[a], frame[b])
+            for c in range(m):
+                lhs = 2 * g.value(dj, frame[c])
+                rhs = (evaluate(dphi, [frame[a], Jframe[b], Jframe[c]])
                        - evaluate(dphi, [frame[a], frame[b], frame[c]])
-                       + g.value(N.value(frame[b], frame[c]), J.apply(frame[a])))
+                       + g.value(Ntab[b][c], Jframe[a]))
                 checks.add("fundamental_form_identity", (a, b, c), lhs - rhs)
     n_zero = N.is_structurally_zero()
     dphi_zero = dphi.is_structurally_zero()
@@ -386,16 +387,14 @@ def hermitian_table(g: Metric, F: ComplexFrame) -> Table:
     m, two_m = F.m, 2 * F.m
     h = Table([g.value(F.sections[mu], F.sections[F.conj_index(nu)])
                for nu in range(two_m)] for mu in range(two_m))
-    for a in range(m):
-        for b in range(m):
-            if not h[a][m + b].is_structurally_zero():
-                raise HermitianError(
-                    "g(f_a, f_b) must vanish for a Hermitian metric")
-    for a in range(m):
-        for b in range(m):
-            if not (h[a][b] - h[b][a].conjugate()).is_structurally_zero():
-                raise HermitianError(
-                    "Hermitian symmetry g_ab_bar = conj(g_ba_bar) fails")
+    for a, b in product(range(m), repeat=2):
+        if not h[a][m + b].is_structurally_zero():
+            raise HermitianError(
+                "g(f_a, f_b) must vanish for a Hermitian metric")
+    for a, b in product(range(m), repeat=2):
+        if not (h[a][b] - h[b][a].conjugate()).is_structurally_zero():
+            raise HermitianError(
+                "Hermitian symmetry g_ab_bar = conj(g_ba_bar) fails")
     return h
 
 
@@ -428,73 +427,53 @@ def levi_civita_complex_frame(fx: Fixture) -> Connection:
 
     gamma = [[[chart.zero] * two_m for _ in range(two_m)] for _ in range(two_m)]
 
-    # Gamma^d_ab, all indices unbarred
-    for d in range(m):
-        for a in range(m):
-            for b in range(m):
-                acc = chart.zero
-                for c in range(m):
-                    inner = rho[a].apply(h[b][c]) + rho[b].apply(h[a][c])
-                    for e in range(m):
-                        inner = inner + C[e][a][b] * h[e][c]
-                        inner = inner - C[bar(e)][b][bar(c)] * h[a][e]
-                        inner = inner + C[bar(e)][bar(c)][a] * h[b][e]
-                    acc = acc + hinv[c][d] * inner
-                gamma[d][a][b] = half * acc
+    def family(d, init, terms, inverse=lambda c, d: hinv[c][d]):
+        """(1/2) sum_c inverse(c, d) (init(c) + the sign * x * y of
+        terms(c, e) for each e), every term added in index order."""
+        acc = chart.zero
+        for c in range(m):
+            inner = init(c)
+            for e in range(m):
+                for sign, x, y in terms(c, e):
+                    inner = add_product(inner, sign, x, y)
+            acc = add_product(acc, 1, inverse(c, d), inner)
+        return half * acc
 
-    # Gamma^d_{a bbar}
-    for d in range(m):
-        for a in range(m):
-            for b in range(m):
-                acc = chart.zero
-                for c in range(m):
-                    inner = (rho[bar(b)].apply(h[a][c])
-                             - rho[bar(c)].apply(h[a][b]))
-                    for e in range(m):
-                        inner = inner + C[e][a][bar(b)] * h[e][c]
-                        inner = inner - C[bar(e)][bar(b)][bar(c)] * h[a][e]
-                        inner = inner + C[e][bar(c)][a] * h[e][b]
-                    acc = acc + hinv[c][d] * inner
-                gamma[d][a][bar(b)] = half * acc
-
-    # Gamma^d_{abar b}
-    for d in range(m):
-        for a in range(m):
-            for b in range(m):
-                acc = chart.zero
-                for c in range(m):
-                    inner = (rho[bar(a)].apply(h[b][c])
-                             - rho[bar(c)].apply(h[b][a]))
-                    for e in range(m):
-                        inner = inner + C[e][bar(a)][b] * h[e][c]
-                        inner = inner - C[e][b][bar(c)] * h[e][a]
-                        inner = inner + C[bar(e)][bar(c)][bar(a)] * h[b][e]
-                    acc = acc + hinv[c][d] * inner
-                gamma[d][bar(a)][b] = half * acc
-
-    # Gamma^{dbar}_{ab}
-    for d in range(m):
-        for a in range(m):
-            for b in range(m):
-                acc = chart.zero
-                for c in range(m):
-                    inner = chart.zero
-                    for e in range(m):
-                        inner = inner + C[bar(e)][a][b] * h[c][e]
-                        inner = inner - C[bar(e)][b][c] * h[a][e]
-                        inner = inner + C[bar(e)][c][a] * h[b][e]
-                    # g^{dbar c} = conj(g^{cbar d})
-                    acc = acc + hinv[c][d].conjugate() * inner
-                gamma[bar(d)][a][b] = half * acc
+    for d, a, b in product(range(m), repeat=3):
+        # Gamma^d_ab, all indices unbarred
+        gamma[d][a][b] = family(
+            d, lambda c: rho[a].apply(h[b][c]) + rho[b].apply(h[a][c]),
+            lambda c, e: ((1, C[e][a][b], h[e][c]),
+                          (-1, C[bar(e)][b][bar(c)], h[a][e]),
+                          (1, C[bar(e)][bar(c)][a], h[b][e])))
+        # Gamma^d_{a bbar}
+        gamma[d][a][bar(b)] = family(
+            d, lambda c: (rho[bar(b)].apply(h[a][c])
+                          - rho[bar(c)].apply(h[a][b])),
+            lambda c, e: ((1, C[e][a][bar(b)], h[e][c]),
+                          (-1, C[bar(e)][bar(b)][bar(c)], h[a][e]),
+                          (1, C[e][bar(c)][a], h[e][b])))
+        # Gamma^d_{abar b}
+        gamma[d][bar(a)][b] = family(
+            d, lambda c: (rho[bar(a)].apply(h[b][c])
+                          - rho[bar(c)].apply(h[b][a])),
+            lambda c, e: ((1, C[e][bar(a)][b], h[e][c]),
+                          (-1, C[e][b][bar(c)], h[e][a]),
+                          (1, C[bar(e)][bar(c)][bar(a)], h[b][e])))
+        # Gamma^{dbar}_{ab}, with g^{dbar c} = conj(g^{cbar d})
+        gamma[bar(d)][a][b] = family(
+            d, lambda c: chart.zero,
+            lambda c, e: ((1, C[bar(e)][a][b], h[c][e]),
+                          (-1, C[bar(e)][b][c], h[a][e]),
+                          (1, C[bar(e)][c][a], h[b][e])),
+            lambda c, d: hinv[c][d].conjugate())
 
     # conjugate families
-    for d in range(m):
-        for a in range(m):
-            for b in range(m):
-                gamma[bar(d)][bar(a)][bar(b)] = gamma[d][a][b].conjugate()
-                gamma[bar(d)][bar(a)][b] = gamma[d][a][bar(b)].conjugate()
-                gamma[bar(d)][a][bar(b)] = gamma[d][bar(a)][b].conjugate()
-                gamma[d][bar(a)][bar(b)] = gamma[bar(d)][a][b].conjugate()
+    for d, a, b in product(range(m), repeat=3):
+        gamma[bar(d)][bar(a)][bar(b)] = gamma[d][a][b].conjugate()
+        gamma[bar(d)][bar(a)][b] = gamma[d][a][bar(b)].conjugate()
+        gamma[bar(d)][a][bar(b)] = gamma[d][bar(a)][b].conjugate()
+        gamma[d][bar(a)][bar(b)] = gamma[bar(d)][a][b].conjugate()
 
     conn = Connection(CA, gamma)
 
@@ -570,13 +549,10 @@ def kahler_complex_curvature(connF: Connection,
                     checks.add("barred_formula", (d, a, b, c),
                                R[bar(d)][a][bar(b)][bar(c)] - disp)
 
-    for d in range(two_m):
-        for a in range(two_m):
-            for b in range(two_m):
-                for c in range(two_m):
-                    lhs = R[d][a][b][c].conjugate()
-                    rhs = R[bar(d)][bar(a)][bar(b)][bar(c)]
-                    checks.add("conjugation", (d, a, b, c), lhs - rhs)
+    for d, a, b, c in product(range(two_m), repeat=4):
+        lhs = R[d][a][b][c].conjugate()
+        rhs = R[bar(d)][bar(a)][bar(b)][bar(c)]
+        checks.add("conjugation", (d, a, b, c), lhs - rhs)
 
     # allowed nonzero families: R^d_{ab,c}, R^dbar_{a bbar, cbar} and all
     # images under conjugation and first-pair antisymmetry
@@ -589,13 +565,9 @@ def kahler_complex_curvature(connF: Connection,
                 (False, False, True, False)}
         return (barred(d), barred(a), barred(b), barred(c)) in pats
 
-    for d in range(two_m):
-        for a in range(two_m):
-            for b in range(two_m):
-                for c in range(two_m):
-                    if not allowed(d, a, b, c):
-                        checks.add("outside_families", (d, a, b, c),
-                                   R[d][a][b][c])
+    for d, a, b, c in product(range(two_m), repeat=4):
+        if not allowed(d, a, b, c):
+            checks.add("outside_families", (d, a, b, c), R[d][a][b][c])
     return KahlerCurvatureReport(R, checks)
 
 

@@ -64,7 +64,7 @@ from algebroids.prodgeom import (
     real_frame_B,
     second_fundamental,
 )
-from algebroids.scalars import Chart, Scalar, ScalarMatrix, add_product
+from algebroids.scalars import _ZERO, Chart, Scalar, ScalarMatrix, add_product
 
 __all__ = [
     "Prolongation",
@@ -103,7 +103,9 @@ class Prolongation:
             + [f"{prefix}{a + 1}" for a in range(r)]
         chart = Chart(f"{base.chart.name}_prolong", names)
         self.chart = chart
-        self.y = [chart.coord(f"{prefix}{a + 1}") for a in range(r)]
+        # the fibre coordinates y^a, as Scalars
+        self.y = [chart.scalar(chart.coord(f"{prefix}{a + 1}"))
+                  for a in range(r)]
 
         anchor = []
         for a in range(r):
@@ -143,29 +145,31 @@ class Prolongation:
         acc = self.chart.zero
         for a in range(self.r):
             df = self.base.anchor_vf(a).apply(f)
-            acc = acc + self.chart.scalar(self.y[a]) * df.on_chart(self.chart)
+            acc = acc + self.y[a] * df.on_chart(self.chart)
         return acc
 
+    def _lifted(self, s: Section) -> list:
+        return [(k, c.on_chart(self.chart)) for k, c in s.terms]
+
     def vertical_lift(self, s: Section) -> Section:
-        comps = [self.chart.zero] * self.r \
-            + [c.on_chart(self.chart) for c in s.components]
-        return Section(self.algebroid, comps)
+        return Section.of_terms(self.algebroid,
+                                [(self.r + k, c) for k, c in self._lifted(s)])
 
     def complete_lift(self, s: Section) -> Section:
         """s^c = s^a X_a + (rho(e_f)(s^a) - C^a_{bf} s^b) y^f V_a."""
         base = self.base
-        comps = [c.on_chart(self.chart) for c in s.components]
-        vert = []
-        for a in range(self.r):
+        terms = self._lifted(s)
+        for a, sa in enumerate(s.components):
             acc = self.chart.zero
             for f in range(self.r):
-                term = base.anchor_vf(f).apply(s.components[a])
+                term = base.anchor_vf(f).apply(sa)
                 for b, x in s.terms:
                     term = add_product(term, -1, base.C[a][b][f], x)
-                acc = add_product(acc, 1, self.chart.scalar(self.y[f]),
-                                  term.on_chart(self.chart))
-            vert.append(acc)
-        return Section(self.algebroid, comps + vert)
+                if term.pair is not _ZERO:
+                    acc = acc + self.y[f] * term.on_chart(self.chart)
+            if acc.pair is not _ZERO:
+                terms.append((self.r + a, acc))
+        return Section.of_terms(self.algebroid, terms)
 
     def horizontal_lift(self, s: Section, conn: Connection) -> Section:
         """s^h = s^a H_a with H_a = X_a - Gamma^b_{af} y^f V_b."""
@@ -175,7 +179,7 @@ class Prolongation:
             acc = self.chart.zero
             for a in range(self.r):
                 for f in range(self.r):
-                    acc = acc - comps[a] * self.chart.scalar(self.y[f]) \
+                    acc = acc - comps[a] * self.y[f] \
                         * conn.gamma[b][a][f].on_chart(self.chart)
             vert.append(acc)
         return Section(self.algebroid, comps + vert)
@@ -286,10 +290,10 @@ class _ShiftedFrame:
 
     def _combine(self, terms) -> List[Scalar]:
         """Components of sum(coeff * section) over (coeff, section) pairs."""
-        acc = [self.algebroid.chart.zero] * self.algebroid.rank
+        acc = self.algebroid.zero_section()
         for coeff, s in terms:
-            acc = [x + coeff * y for x, y in zip(acc, s.components)]
-        return acc
+            acc = acc + s.scale(coeff)
+        return acc.components
 
     def endo(self, images: List[Section]) -> EndoField:
         """T with T(U_kappa) = images[kappa]."""

@@ -27,10 +27,10 @@ def _sort_index(idx: Tuple[int, ...]):
     when an index repeats."""
     if len(set(idx)) != len(idx):
         return None
-    pairs = sorted(range(len(idx)), key=lambda k: idx[k])
-    # the sign of the sorting permutation: -1 to its number of inversions
-    inversions = sum(p > q for k, p in enumerate(pairs) for q in pairs[k + 1:])
-    return tuple(idx[k] for k in pairs), (-1) ** inversions
+    # the sign of the sorting permutation: -1 to the number of inversions
+    # of idx, which are those of the permutation
+    inversions = sum(p > q for k, p in enumerate(idx) for q in idx[k + 1:])
+    return tuple(sorted(idx)), (-1) ** inversions
 
 
 class EForm:

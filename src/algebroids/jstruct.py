@@ -15,10 +15,11 @@ conjugate of index mu is (mu + m) mod 2m.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from algebroids.algebroid import (
@@ -26,14 +27,14 @@ from algebroids.algebroid import (
     PreconditionError,
     Residuals,
     Section,
-    VectorField,
     anchor_push,
-    bilinear,
+    bilinear_section,
     bracket,
     vf_bracket,
 )
 from algebroids.eforms import EForm, d_E
 from algebroids.scalars import (
+    _ZERO,
     ChartError,
     Scalar,
     ScalarMatrix,
@@ -80,6 +81,8 @@ class EndoField:
             [algebroid.chart.scalar(matrix[b][a]) for a in range(m)]
             for b in range(m)
         )
+        # the nonzero (b, T^b_a) of each column a
+        self.columns = Table(zip(*self.matrix)).terms
 
     @property
     def rank(self) -> int:
@@ -89,15 +92,13 @@ class EndoField:
         return self.matrix[b][a]
 
     def apply(self, s: Section) -> Section:
-        col = dict(s.terms)
-        comps = []
-        for row in self.matrix.terms:
-            acc = self.algebroid.chart.zero
-            for a, t in row:
-                if a in col:
-                    acc = acc + t * col[a]
-            comps.append(acc)
-        return Section(self.algebroid, comps)
+        # each output term sums T^b_a s^a in the order of a
+        out = {}
+        for a, x in s.terms:
+            for b, t in self.columns[a]:
+                out[b] = out[b] + t * x if b in out else t * x
+        return Section.of_terms(self.algebroid, sorted(
+            bt for bt in out.items() if bt[1].pair is not _ZERO))
 
     def compose(self, other: "EndoField") -> "EndoField":
         chart = self.algebroid.chart
@@ -105,26 +106,21 @@ class EndoField:
                    @ ScalarMatrix(chart, other.matrix))
         return EndoField(self.algebroid, product.rows())
 
-    def __add__(self, other: "EndoField") -> "EndoField":
-        m = self.rank
+    def _entrywise(self, op, other: "EndoField") -> "EndoField":
         return EndoField(self.algebroid, [
-            [self.matrix[b][a] + other.matrix[b][a] for a in range(m)]
-            for b in range(m)
-        ])
+            list(map(op, row, orow))
+            for row, orow in zip(self.matrix, other.matrix)])
+
+    def __add__(self, other: "EndoField") -> "EndoField":
+        return self._entrywise(operator.add, other)
 
     def __sub__(self, other: "EndoField") -> "EndoField":
-        m = self.rank
-        return EndoField(self.algebroid, [
-            [self.matrix[b][a] - other.matrix[b][a] for a in range(m)]
-            for b in range(m)
-        ])
+        return self._entrywise(operator.sub, other)
 
     def scale(self, f) -> "EndoField":
         f = self.algebroid.chart.scalar(f)
-        m = self.rank
-        return EndoField(self.algebroid, [
-            [f * self.matrix[b][a] for a in range(m)] for b in range(m)
-        ])
+        return EndoField(self.algebroid,
+                         [[f * e for e in row] for row in self.matrix])
 
     def is_structurally_zero(self) -> bool:
         return all(
@@ -177,8 +173,8 @@ class NijenhuisTensor:
 
     def value(self, s1: Section, s2: Section) -> Section:
         A = self.algebroid
-        return Section(A, [bilinear(A.chart.zero, layer, s1, s2)
-                           for layer in self.components])
+        zeros = [A.chart.zero] * A.rank
+        return bilinear_section(zeros, self.components, s1, s2)
 
     def is_structurally_zero(self) -> bool:
         return all(
@@ -245,11 +241,9 @@ def nijenhuis(A: Algebroid, J: EndoField) -> NijenhuisTensor:
                 by_coeff[c][a][b] = acc
 
     checks = Residuals()
-    for c in range(m):
-        for a in range(m):
-            for b in range(m):
-                checks.add("dual_route_agreement", (c, a, b),
-                           by_eval[c][a][b] - by_coeff[c][a][b])
+    for c, a, b in product(range(m), repeat=3):
+        checks.add("dual_route_agreement", (c, a, b),
+                   by_eval[c][a][b] - by_coeff[c][a][b])
     checks.require()
 
     return NijenhuisTensor(A, by_eval, checks)
@@ -280,12 +274,7 @@ class ComplexFrame:
         chart = algebroid.chart
         self.sections: List[Section] = []
         for u in generators:
-            Ju = J.apply(u)
-            f = Section(algebroid, [
-                u.components[b] - i * Ju.components[b]
-                for b in range(algebroid.rank)
-            ])
-            self.sections.append(f)
+            self.sections.append(u - J.apply(u).scale(i))
         for f in list(self.sections):
             self.sections.append(f.conjugate())
 
@@ -315,13 +304,10 @@ class ComplexFrame:
 
     def rebuild(self, coeffs: Sequence[Scalar]) -> Section:
         """Real-frame section from complex-frame coefficients."""
-        chart = self.algebroid.chart
-        comps = [chart.zero] * self.algebroid.rank
-        for mu, coeff in enumerate(coeffs):
-            coeff = chart.scalar(coeff)
-            for b in range(self.algebroid.rank):
-                comps[b] = comps[b] + coeff * self.sections[mu].components[b]
-        return Section(self.algebroid, comps)
+        out = self.algebroid.zero_section()
+        for coeff, f in zip(coeffs, self.sections):
+            out = out + f.scale(coeff)
+        return out
 
     @cached_property
     def as_algebroid(self) -> Algebroid:
@@ -501,10 +487,8 @@ def newlander_nirenberg_report(fx: Fixture) -> NNReport:
                 checks.add("no_leak_degree2", ((mu, nu), (pp, qq)), piece)
 
     N = fx.nijenhuis
-    for c in range(A.rank):
-        for a in range(A.rank):
-            for b in range(A.rank):
-                checks.add("nijenhuis_zero", (c, a, b), N.components[c][a][b])
+    for c, a, b in product(range(A.rank), repeat=3):
+        checks.add("nijenhuis_zero", (c, a, b), N.components[c][a][b])
 
     return NNReport(checks)
 
@@ -562,30 +546,19 @@ def matched_pair_check(fx: Fixture) -> Residuals:
             s, t = f[a], fbar[b]
             lhs = vf_bracket(anchor_push(s), anchor_push(t))
             # residual of [rho(s), rho(t)] = -rho(nabla_t s) + rho(nabla_s t)
-            res = VectorField(A.chart, [
-                lhs.components[i]
-                + anchor_push(nab_ts(t, s)).components[i]
-                - anchor_push(nab_st(s, t)).components[i]
-                for i in range(A.chart.dim)
-            ])
+            res = (lhs + anchor_push(nab_ts(t, s))
+                   - anchor_push(nab_st(s, t)))
             report.add("mp1", (a, b), res)
 
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                s, t1, t2 = f[a], fbar[b], fbar[c]
-                lhs = nab_st(s, nab_st(t1, t2))
-                rhs = (nab_st(nab_st(s, t1), t2) + nab_st(t1, nab_st(s, t2))
-                       + nab_st(nab_ts(t2, s), t1) - nab_st(nab_ts(t1, s), t2))
-                report.add("mp2", (a, b, c), lhs - rhs)
-
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                t, s1, s2 = fbar[a], f[b], f[c]
-                lhs = nab_ts(t, nab_ts(s1, s2))
-                rhs = (nab_ts(nab_ts(t, s1), s2) + nab_ts(s1, nab_ts(t, s2))
-                       + nab_ts(nab_st(s2, t), s1) - nab_ts(nab_st(s1, t), s2))
-                report.add("mp3", (a, b, c), lhs - rhs)
+    # mp2 on (f_a, fbar_b, fbar_c) and, with the roles of the two actions
+    # and of the bundles swapped, mp3 on (fbar_a, f_b, f_c)
+    for check, X, Y, u, v in (("mp2", nab_st, nab_ts, f, fbar),
+                              ("mp3", nab_ts, nab_st, fbar, f)):
+        for a, b, c in product(range(m), repeat=3):
+            s, t1, t2 = u[a], v[b], v[c]
+            lhs = X(s, X(t1, t2))
+            rhs = (X(X(s, t1), t2) + X(t1, X(s, t2))
+                   + X(Y(t2, s), t1) - X(Y(t1, s), t2))
+            report.add(check, (a, b, c), lhs - rhs)
 
     return report

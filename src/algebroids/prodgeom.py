@@ -88,12 +88,8 @@ def _complex_J(CA: Algebroid, m: int) -> EndoField:
 
 def _project(s: Section, m: int, barred: bool) -> Section:
     """p10 (barred=False) or p01 (barred=True) over the complex frame."""
-    chart = s.algebroid.chart
-    comps = []
-    for mu in range(2 * m):
-        keep = (mu >= m) == barred
-        comps.append(s.components[mu] if keep else chart.zero)
-    return Section(s.algebroid, comps)
+    return Section.of_terms(s.algebroid,
+                            [t for t in s.terms if (t[0] >= m) == barred])
 
 
 def _h_value(h, s1: Section, s2: Section) -> Scalar:
@@ -146,11 +142,12 @@ def product_connection(fx: Fixture) -> ProductConnection:
     checks = Residuals()
 
     # the correction form D + (1/2)(DJ)J must agree
-    half = Fraction(1, 2)
+    half = chart.scalar(Fraction(1, 2))
+    # dj_j[mu][nu] = (D_{F_mu} J) J F_nu, read again by the torsion
+    dj_j = [[nabla_J(connF, JC, s, JC.apply(t)) for t in frame] for s in frame]
     for mu in range(two_m):
         for nu in range(two_m):
-            dj_j = nabla_J(connF, JC, frame[mu], JC.apply(frame[nu]))
-            rhs = D(frame[mu], frame[nu]) + dj_j.scale(chart.scalar(half))
+            rhs = D(frame[mu], frame[nu]) + dj_j[mu][nu].scale(half)
             lhs = cov_deriv(tilde, frame[mu], frame[nu])
             checks.add("two_forms", (mu, nu), lhs - rhs)
 
@@ -182,9 +179,7 @@ def product_connection(fx: Fixture) -> ProductConnection:
             s1, s2 = frame[mu], frame[nu]
             t4 = (p01(D(s2, p10(s1)) - D(s1, p10(s2)))
                   + p10(D(s2, p01(s1)) - D(s1, p01(s2))))
-            t5 = (nabla_J(connF, JC, s1, JC.apply(s2))
-                  - nabla_J(connF, JC, s2, JC.apply(s1))
-                  ).scale(chart.scalar(half))
+            t5 = (dj_j[mu][nu] - dj_j[nu][mu]).scale(half)
             checks.add("torsion_m4_vs_m5", (mu, nu), t4 - t5)
             ttab = Section(CA, [Ttab[d][mu][nu] for d in range(two_m)])
             checks.add("torsion_vs_table", (mu, nu), t4 - ttab)
@@ -192,17 +187,14 @@ def product_connection(fx: Fixture) -> ProductConnection:
     # local displays: T(f_a,f_b) = C^dbar_{ba} fbar_d and the mixed display
     for a in range(m):
         for b in range(m):
-            want = [chart.zero] * two_m
-            for d in range(m):
-                want[m + d] = CA.C[m + d][b][a]
+            want = [chart.zero] * m + [CA.C[m + d][b][a] for d in range(m)]
             t = Section(CA, [Ttab[d][a][b] for d in range(two_m)])
             checks.add("local_displays", ("unbarred", a, b),
                        t - Section(CA, want))
-            want2 = [chart.zero] * two_m
-            for d in range(m):
-                want2[d] = CA.C[d][m + b][a] - connF.gamma[d][m + b][a]
-                want2[m + d] = (connF.gamma[m + d][a][m + b]
-                                - CA.C[m + d][a][m + b])
+            want2 = ([CA.C[d][m + b][a] - connF.gamma[d][m + b][a]
+                      for d in range(m)]
+                     + [connF.gamma[m + d][a][m + b] - CA.C[m + d][a][m + b]
+                        for d in range(m)])
             t2 = Section(CA, [Ttab[d][a][m + b] for d in range(two_m)])
             checks.add("local_displays", ("mixed", a, b),
                        t2 - Section(CA, want2))
@@ -249,7 +241,7 @@ def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
     chart = fx.algebroid.chart
     JC, h = prod.JC, fx.h
     frame = CA.frame
-    half = Fraction(1, 2)
+    half = chart.scalar(Fraction(1, 2))
 
     D = partial(cov_deriv, connF)
     p10 = partial(_project, m=m, barred=False)
@@ -257,18 +249,24 @@ def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
 
     B = [[None] * two_m for _ in range(two_m)]
     W = [[None] * two_m for _ in range(two_m)]
+    # for s1 = p01 F_mu and s2 = p01 F_nu, then p10 F_nu: D_{s1} s2 and
+    # (D_{s1} J) J s2, read by both_forms and again by gauss and weingarten
+    bar_frame = [p01(s) for s in frame]
+    slots = (bar_frame, [p10(s) for s in frame])
+    Ds = [[[D(s1b, s2[nu]) for s2 in slots] for nu in range(two_m)]
+          for s1b in bar_frame]
+    djs = [[[nabla_J(connF, JC, s1b, JC.apply(s2[nu])) for s2 in slots]
+            for nu in range(two_m)] for s1b in bar_frame]
     checks = Residuals()
     for mu in range(two_m):
         for nu in range(two_m):
-            s1b = p01(frame[mu])
-            b1 = p10(D(s1b, p01(frame[nu])))
-            b2 = nabla_J(connF, JC, s1b, JC.apply(p01(frame[nu]))) \
-                .scale(chart.scalar(-half))
+            (d01, d10), (dj01, dj10) = Ds[mu][nu], djs[mu][nu]
+            b1 = p10(d01)
+            b2 = dj01.scale(-half)
             checks.add("both_forms", ("B", mu, nu), b1 - b2)
             B[mu][nu] = b1
-            w1 = p01(D(s1b, p10(frame[nu]))).scale(-1)
-            w2 = nabla_J(connF, JC, s1b, JC.apply(p10(frame[nu]))) \
-                .scale(chart.scalar(half))
+            w1 = p01(d10).scale(-1)
+            w2 = dj10.scale(half)
             checks.add("both_forms", ("W", mu, nu), w1 - w2)
             # W[nu][mu] = W_{F_nu} F_mu
             W[nu][mu] = w1
@@ -276,11 +274,9 @@ def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
     for mu in range(two_m):
         for nu in range(two_m):
             if mu >= m and nu >= m:
-                want = [chart.zero] * two_m
-                for d in range(m):
-                    want[d] = connF.gamma[d][mu][nu]
+                want = [connF.gamma[d][mu][nu] for d in range(m)]
                 checks.add("local_B", (mu, nu),
-                           B[mu][nu] - Section(CA, want))
+                           B[mu][nu] - Section(CA, want + [chart.zero] * m))
             else:
                 checks.add("vanishing", (mu, nu), B[mu][nu])
 
@@ -288,26 +284,19 @@ def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
     for nu in range(two_m):
         for mu in range(two_m):
             if mu >= m and nu < m:
-                want = [chart.zero] * two_m
-                for d in range(m):
-                    want[m + d] = -connF.gamma[m + d][mu][nu]
+                want = [-connF.gamma[m + d][mu][nu] for d in range(m)]
                 checks.add("local_W", (nu, mu),
-                           W[nu][mu] - Section(CA, want))
+                           W[nu][mu] - Section(CA, [chart.zero] * m + want))
             else:
                 checks.add("local_W", (nu, mu), W[nu][mu])
 
     for mu in range(two_m):
         for nu in range(two_m):
-            s1b, s2b = p01(frame[mu]), p01(frame[nu])
-            res = (D(s1b, s2b) - cov_deriv(prod.tilde, s1b, s2b)
-                   + nabla_J(connF, JC, s1b, JC.apply(s2b))
-                   .scale(chart.scalar(half)))
-            checks.add("gauss", (mu, nu), res)
-            s2t = p10(frame[nu])
-            res = (D(s1b, s2t) - cov_deriv(prod.tilde, s1b, s2t)
-                   + nabla_J(connF, JC, s1b, JC.apply(s2t))
-                   .scale(chart.scalar(half)))
-            checks.add("weingarten", (mu, nu), res)
+            for check, s2, d, dj in zip(("gauss", "weingarten"), slots,
+                                        Ds[mu][nu], djs[mu][nu]):
+                res = (d - cov_deriv(prod.tilde, bar_frame[mu], s2[nu])
+                       + dj.scale(half))
+                checks.add(check, (mu, nu), res)
 
     # Metric duality.  The displayed identity h(W_{s3}s1,s2) = h(s3,B(s1,s2))
     # is not what metric compatibility of D gives when J is non-integrable
@@ -366,11 +355,11 @@ def real_frame_B(fx: Fixture) -> Callable[[Section, Section], Section]:
 
 
 def _re_section(s: Section) -> Section:
-    return Section(s.algebroid, [c.real_part() for c in s.components])
+    return s.map(Scalar.real_part)
 
 
 def _im_section(s: Section) -> Section:
-    return Section(s.algebroid, [c.imag_part() for c in s.components])
+    return s.map(Scalar.imag_part)
 
 
 @dataclass
@@ -405,7 +394,7 @@ def mean_curvature(fx: Fixture) -> MeanCurvatureReport:
     h = fx.h
 
     # verbatim trace: sum_{a,b} B(f_a, fbar_b); the first slot is (1,0)
-    acc = Section(CA, [CA.chart.zero] * two_m)
+    acc = CA.zero_section()
     for a in range(m):
         for b in range(m):
             acc = acc + sf.B[a][m + b]
@@ -421,7 +410,7 @@ def mean_curvature(fx: Fixture) -> MeanCurvatureReport:
     k_zero = k.is_structurally_zero()
 
     # H = sum_{a,b} g^{ab} B(e_a, e_b) over the real frame
-    H = Section(A, [A.chart.zero] * A.rank)
+    H = A.zero_section()
     for a in range(A.rank):
         for b in range(A.rank):
             gab = g.inverse[a][b]
@@ -505,6 +494,9 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
     d_jframe = [[cov_deriv(D, s, t) for t in frame] for s in Jframe]
     rho_frame = [anchor_push(s) for s in frame]
     rho_jframe = [anchor_push(s) for s in Jframe]
+    # N(e_b, J e_c) and N(J e_c, e_a), once per pair
+    n_ej = [[N.value(s, t) for t in Jframe] for s in frame]
+    n_je = [[N.value(t, s) for s in frame] for t in Jframe]
     for a in range(mr):
         for b in range(mr):
             checks.add("im_re_relation", (a, b),
@@ -526,8 +518,8 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
                 s3 = frame[c]
                 lhs = g.value(reb, s3)
                 raw16 = (g.value(nval, s3)
-                         + g.value(N.value(frame[b], Jframe[c]), Jframe[a])
-                         - g.value(N.value(Jframe[c], frame[a]), Jframe[b]))
+                         + g.value(n_ej[b][c], Jframe[a])
+                         - g.value(n_je[c][a], Jframe[b]))
                 proportional("nijenhuis_pairing_proportional", (a, b, c),
                              lhs, NIJENHUIS_PAIRING, raw16)
                 raw17 = dphi_a(c) + dphi_b(c)

@@ -634,10 +634,10 @@ class Scalar:
                 pair = _ZERO
             elif pair[0].__class__ is Fraction and pair[0] == 1:
                 pair = _ONE
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "_tree", tree)
-        object.__setattr__(self, "_norm", None)
+        _set_chart(self, chart)
+        _set_pair(self, pair)
+        _set_tree(self, tree)
+        _set_norm(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -654,14 +654,14 @@ class Scalar:
     @property
     def norm_expr(self):
         """The normal form as a sympy tree."""
-        cached = object.__getattribute__(self, "_norm")
+        cached = self._norm
         if cached is None:
             field = self.chart._tree_field
             if self.pair is None:
                 cached = _canonical(self._tree, field)
             else:
                 cached = _emit(self.pair, field[0])
-            object.__setattr__(self, "_norm", cached)
+            _set_norm(self, cached)
         return cached
 
     def _normal_key(self):
@@ -722,7 +722,12 @@ class Scalar:
     def __sub__(self, other):
         if other.__class__ is not Scalar or other.chart is not self.chart:
             other = self._coerce(other)
-        return self + (-other)
+        u, v = self.pair, other.pair
+        if v is _ZERO:
+            return self
+        if u is None or v is None or u is _ZERO:
+            return self + (-other)
+        return Scalar(self.chart, _plus(u, _negate(v)))
 
     def __rsub__(self, other):
         return self._coerce(other) + (-self)
@@ -792,6 +797,8 @@ class Scalar:
         coordinates once ``rename`` (coordinate -> coordinate of ``chart``)
         is applied; ZeroDivisionError where the rename makes a denominator
         vanish."""
+        if self.pair is not None and _is_constant(self.pair):
+            return Scalar(chart, self.pair)
         names = {a.name: b.name for a, b in (rename or {}).items()}
         if self.pair is not None:
             return Scalar(chart, _pair_on_chart(self.pair, self.chart, chart,
@@ -903,6 +910,11 @@ class Scalar:
         return f"Scalar({print_scalar(self)!r})"
 
 
+# the slots' own setters, which pass by the immutability guard
+_set_chart, _set_pair, _set_tree, _set_norm = (
+    Scalar.__dict__[name].__set__ for name in Scalar.__slots__)
+
+
 class ScalarMatrix:
     """Matrix of Scalars on one chart with exact linear algebra.
 
@@ -969,7 +981,9 @@ class ScalarMatrix:
         return self._eliminated[1]
 
     def _dot(self, row, col) -> Scalar:
-        return sum((a * b for a, b in zip(row, col)), self.chart.zero)
+        return sum((a * b for a, b in zip(row, col)
+                    if a.pair is not _ZERO and b.pair is not _ZERO),
+                   self.chart.zero)
 
     def __matmul__(self, other: "ScalarMatrix") -> "ScalarMatrix":
         cols = list(zip(*other._rows))

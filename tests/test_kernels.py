@@ -25,7 +25,7 @@ from algebroids.algebroid import (
     bracket,
     validate_structure,
 )
-from algebroids import connections, jstruct, scalars
+from algebroids import connections, jstruct, prodgeom, scalars
 from algebroids.connections import (
     Connection,
     Metric,
@@ -92,6 +92,28 @@ def _setup(catalog, draw):
 
 def _section(draw, A):
     return Section(A, _entries(draw, A.chart, A.rank))
+
+
+def _terms_pool(chart):
+    """_pool's entries and two trees with an atom: sin(u)^2 + cos(u)^2 - 1,
+    a zero that only its normal form shows, and sqrt(u^2 + 1)."""
+    u = chart.coords[0].name
+    return _pool(chart) + [chart.scalar(f"sin({u})^2 + cos({u})^2 - 1"),
+                           chart.scalar(f"sqrt({u}^2 + 1)")]
+
+
+def _assert_terms(s):
+    """s.terms holds, in index order, the components of s that are not an
+    exact zero, and those components themselves."""
+    indices = [k for k, _ in s.terms]
+    assert indices == sorted(set(indices))
+    held = dict(s.terms)
+    assert len(s.components) == s.algebroid.rank
+    for k, c in enumerate(s.components):
+        if k in held:
+            assert c is held[k] and c.pair is not scalars._ZERO
+        else:
+            assert c.pair is scalars._ZERO
 
 
 def _trees(values):
@@ -295,6 +317,51 @@ def test_section_kernels_match_dense_loops(catalog, data):
 
 @PROPERTY
 @given(st.data())
+def test_section_terms_and_operators_match_dense_components(catalog, data):
+    draw = data.draw
+    fx, A, conn, T = _setup(catalog, draw)
+    entry = st.sampled_from(_terms_pool(A.chart))
+    s1, s2 = (Section(A, [draw(entry) for _ in range(A.rank)])
+              for _ in range(2))
+    f = draw(entry)
+    c1, c2 = s1.components, s2.components
+    cases = [
+        (s1 + s2, [a + b for a, b in zip(c1, c2)]),
+        (s1 - s2, [a - b for a, b in zip(c1, c2)]),
+        (-s1, [-a for a in c1]),
+        (s1.scale(f), [f * a for a in c1]),
+        (-2 * s2, [A.chart.scalar(-2) * b for b in c2]),
+        (s1.conjugate(), [a.conjugate() for a in c1]),
+        (T.apply(s1), dense_endo_apply(T, s1)),
+        (cov_deriv(conn, s1, s2), dense_cov_deriv(conn, s1, s2)),
+    ]
+    if A.rank >= 2:
+        # the two terms of each output component cancel
+        ones = EndoField(A, [[1] * A.rank] * A.rank)
+        s3 = Section(A, [c1[0], -c1[0]] + [0] * (A.rank - 2))
+        cases.append((ones.apply(s3), dense_endo_apply(ones, s3)))
+    _assert_terms(s1)
+    _assert_terms(s2)
+    for s, dense in cases:
+        _assert_terms(s)
+        assert _trees(s.components) == _trees(dense)
+
+
+def test_section_constructor_coerces_and_checks_rank(catalog):
+    A = catalog("heis_j").algebroid
+    x1 = A.chart.scalar("x1")
+    s = Section(A, ["x1", 0, x1 - x1, "1/2"])
+    assert [(k, str(c)) for k, c in s.terms] == [(0, "x1"), (3, "1/2")]
+    assert s.components[0] == x1 and s.components[2].pair is scalars._ZERO
+    assert Section(A, [0] * A.rank).terms == ()
+    with pytest.raises(ChartError):
+        Section(A, [0] * (A.rank - 1))
+    with pytest.raises(ChartError):
+        Section(A, [Chart("other", ["x1"]).one] + [0] * (A.rank - 1))
+
+
+@PROPERTY
+@given(st.data())
 def test_vector_field_apply_matches_dense_loop(catalog, data):
     draw = data.draw
     fx, A, _, _ = _setup(catalog, draw)
@@ -486,3 +553,28 @@ def test_metric_compat_check_derives_each_frame_pair_once(catalog,
     entries = connections.metric_compat_check(D, g).entries("metric_compatible")
     assert len(calls) == m * m
     assert [(index, sp.srepr(r.expr)) for index, r in entries] == expected
+
+
+def test_kahler_report_takes_nabla_j_once_per_frame_pair(catalog,
+                                                        monkeypatch):
+    # taking (nabla_{e_a} J) e_b once per triple (a, b, c) made 64 calls
+    fx = catalog("heis_j")
+    calls = _count_calls(monkeypatch, connections, "nabla_J")
+    kahler_report(fx)
+    assert len(calls) == fx.algebroid.rank ** 2 == 16
+
+
+def test_hermitian_builders_take_nabla_j_once_per_frame_pair(catalog,
+                                                            monkeypatch):
+    # kahler_report, product_connection and second_fundamental on the three
+    # fixtures of the benchmark's session: rank^2 calls each, where taking
+    # the operands once per residual made 342
+    calls = [_count_calls(monkeypatch, module, "nabla_J")
+             for module in (connections, prodgeom)]
+    ranks = []
+    for name in ("warped_r4", "heis_j", "conformal_sphere_chart"):
+        fx = dataclasses.replace(catalog(name))
+        kahler_report(fx)
+        assert fx.second_fundamental.ok
+        ranks.append(fx.algebroid.rank)
+    assert sum(map(len, calls)) == 4 * sum(r * r for r in ranks) == 144
