@@ -431,9 +431,11 @@ def validate_structure(A: Algebroid) -> Residuals:
                 for d in range(m):
                     acc = A.chart.zero
                     for (p, q, r) in ((a, b, c), (b, c, a), (c, a, b)):
-                        for i, x in rho.terms[p]:
-                            acc = add_product(acc, 1, x,
-                                              C[d][q][r].diff(coords[i]))
+                        cqr = C[d][q][r]
+                        # rho(e_p) C^d_qr is zero when C^d_qr is a constant
+                        if cqr.pair is None or not cqr.is_constant():
+                            for i, x in rho.terms[p]:
+                                acc = add_product(acc, 1, x, cqr.diff(coords[i]))
                         for e, cpq in upper[p][q]:
                             acc = add_product(acc, 1, cpq, C[d][e][r])
                     report.add("jacobi", (a, b, c, d), acc)

@@ -168,15 +168,15 @@ def evaluate(w: EForm, sections: Sequence[Section]) -> Scalar:
         raise ValueError("section count does not match degree")
     if w.degree == 0:
         return w[()]
-    chart = w.chart
-    acc = chart.zero
-    comp_lists = [s.components for s in sections]
+    acc = w.chart.zero
+    rows = [dict(s.terms) for s in sections]
     for key, value in w.components.items():
-        # sum over permutations of the increasing index onto the slots
-        for perm in permutations(range(w.degree)):
-            _, sign = _sort_index(perm)
-            acc = add_product(acc, sign, value, *(
-                comp_lists[slot][key[perm[slot]]] for slot in range(w.degree)))
+        # sum over the orders of the increasing index onto the slots; an
+        # order that meets an exact-zero component adds nothing
+        for perm in permutations(key):
+            if all(k in row for k, row in zip(perm, rows)):
+                acc = add_product(acc, _sort_index(perm)[1], value,
+                                  *(row[k] for k, row in zip(perm, rows)))
     return acc
 
 

@@ -10,6 +10,7 @@ the shared one and so multiplies for free.
 """
 
 import dataclasses
+from itertools import combinations, permutations
 
 import pytest
 import sympy as sp
@@ -33,6 +34,7 @@ from algebroids.connections import (
     curvature_components,
     kahler_report,
 )
+from algebroids.eforms import EForm, evaluate
 from algebroids.jstruct import EndoField
 from algebroids.scalars import Chart, ChartError, Scalar
 
@@ -175,6 +177,19 @@ def dense_endo_apply(T, s):
             acc = acc + T.matrix[b][a] * s.components[a]
         comps.append(acc)
     return comps
+
+
+def dense_evaluate(w, sections):
+    acc = w.chart.zero
+    for key, value in w.components.items():
+        for perm in permutations(range(w.degree)):
+            term = value
+            for slot, k in enumerate(perm):
+                term = term * sections[slot].components[key[k]]
+            inversions = sum(p > q for i, p in enumerate(perm)
+                             for q in perm[i + 1:])
+            acc = acc + term if inversions % 2 == 0 else acc - term
+    return acc
 
 
 def dense_metric_value(g, s1, s2):
@@ -345,6 +360,12 @@ def test_section_terms_and_operators_match_dense_components(catalog, data):
     for s, dense in cases:
         _assert_terms(s)
         assert _trees(s.components) == _trees(dense)
+    # a form of degree up to 3 on sections with zero and hidden-zero terms
+    p = min(3, A.rank)
+    w = EForm(A, p, {key: draw(entry)
+                     for key in combinations(range(A.rank), p)})
+    on = [s1, s2, s1 - s2][:p]
+    assert _trees([evaluate(w, on)]) == _trees([dense_evaluate(w, on)])
 
 
 def test_section_constructor_coerces_and_checks_rank(catalog):
