@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from algebroids.scalars import (
-    _ZERO, Chart, ChartError, Scalar, Table, add_product, nonzero_terms)
+    _ZERO, Chart, ChartError, Scalar, Table, add_product, dense, nonzero_terms)
 
 __all__ = [
     "Algebroid",
@@ -114,10 +114,7 @@ class Algebroid:
             raise ValueError("rank must be at least 1")
         self.chart = chart
         self.rank = rank
-        self.anchor = Table(
-            [chart.scalar(anchor[a][i]) for i in range(chart.dim)]
-            for a in range(rank)
-        )
+        self.anchor = Table(chart, anchor)
         self.C = self._build_bracket(bracket)
         if frame_labels is None:
             frame_labels = [f"e{a + 1}" for a in range(rank)]
@@ -126,21 +123,17 @@ class Algebroid:
         self.frame_labels = tuple(frame_labels)
 
     def _build_bracket(self, bracket):
-        zero = self.chart.zero
-        table = [[[zero for _ in range(self.rank)] for _ in range(self.rank)]
-                 for _ in range(self.rank)]
         if isinstance(bracket, dict):
+            zero = self.chart.zero
+            table = [[[zero] * self.rank for _ in range(self.rank)]
+                     for _ in range(self.rank)]
             for (a, b, c), value in bracket.items():
                 value = self.chart.scalar(value)
                 # antisymmetrize: the (a,b) entry wins, (b,a) gets the sign
                 table[c][a][b] = table[c][a][b] + value
                 table[c][b][a] = table[c][b][a] - value
-        else:
-            for c in range(self.rank):
-                for a in range(self.rank):
-                    for b in range(self.rank):
-                        table[c][a][b] = self.chart.scalar(bracket[c][a][b])
-        return tuple(Table(layer) for layer in table)
+            bracket = table
+        return tuple(Table(self.chart, layer) for layer in bracket)
 
     # C[c][a][b] is C^c_ab
 
@@ -199,10 +192,7 @@ class Section:
 
     @cached_property
     def components(self) -> tuple:
-        comps = [self.algebroid.chart.zero] * self.algebroid.rank
-        for k, c in self.terms:
-            comps[k] = c
-        return tuple(comps)
+        return tuple(dense(self.chart, self.terms, self.algebroid.rank))
 
     def _merged(self, other: "Section", op, lone) -> "Section":
         """op(x, y) at an index where both sections have a term, and x or
@@ -279,12 +269,9 @@ def bilinear_section(accs: Sequence[Scalar], layers: Sequence[Table],
 
 def anchor_push(s: Section) -> VectorField:
     """Pushforward rho(s) = s^a rho^i_a d/dx^i."""
-    A = s.algebroid
-    comps = [A.chart.zero] * A.chart.dim
-    for a, sa in s.terms:
-        for i, rho in A.anchor.terms[a]:
-            comps[i] = comps[i] + sa * rho
-    return VectorField(A.chart, comps)
+    chart = s.chart
+    return VectorField(chart, dense(chart, s.algebroid.anchor.combine(s.terms),
+                                    chart.dim))
 
 
 def derivatives(s1: Section, s2: Section) -> List[Scalar]:
@@ -302,20 +289,9 @@ def bracket(s1: Section, s2: Section) -> Section:
 
     [s1, s2]^c = s1^a s2^b C^c_ab + rho(s1)(s2^c) - rho(s2)(s1^c)
     """
-    A = s1.algebroid
     s1._check(s2)
-    d12, d21 = derivatives(s1, s2), derivatives(s2, s1)
-    left, right = s1.terms, dict(s2.terms)
-    terms = []
-    for c in range(A.rank):
-        acc = d12[c] - d21[c]
-        for a, x in left:
-            for b, cab in A.C[c].terms[a]:
-                if b in right:
-                    acc = acc + x * right[b] * cab
-        if acc.pair is not _ZERO:
-            terms.append((c, acc))
-    return Section.of_terms(A, terms)
+    accs = list(map(operator.sub, derivatives(s1, s2), derivatives(s2, s1)))
+    return bilinear_section(accs, s1.algebroid.C, s1, s2)
 
 
 def jacobiator(s1: Section, s2: Section, s3: Section) -> Section:
@@ -400,7 +376,8 @@ def validate_structure(A: Algebroid) -> Residuals:
     n, m = A.chart.dim, A.rank
     coords, rho, C = A.chart.coords, A.anchor, A.C
     # grad[a][i][j] = d rho^i_a / dx^j
-    grad = [Table([rho[a][i].diff(x) for x in coords] for i in range(n))
+    grad = [Table(A.chart, [[rho[a][i].diff(x) for x in coords]
+                            for i in range(n)])
             for a in range(m)]
     # upper[a][b] = the nonzero (c, C^c_ab)
     upper = [[nonzero_terms(C[c][a][b] for c in range(m)) for b in range(m)]

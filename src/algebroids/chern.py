@@ -26,7 +26,7 @@ from algebroids.algebroid import Algebroid, Residuals, Section
 from algebroids.connections import Connection, curvature_operator
 from algebroids.eforms import EForm, d_E, wedge
 from algebroids.jstruct import ComplexFrame, IntegrabilityError
-from algebroids.scalars import Scalar, ScalarMatrix, i, nonzero_terms
+from algebroids.scalars import Scalar, Table, dense, i
 
 if TYPE_CHECKING:
     from algebroids.constructions import Fixture
@@ -95,9 +95,7 @@ def block_curvature(fx: Fixture) -> BlockCurvature:
     frame = F.generators + [J.apply(u) for u in F.generators]
 
     # inverse of the adapted-frame change matrix (columns = adapted sections)
-    Pinv = ScalarMatrix(A.chart, [[frame[mu].components[b]
-                                   for mu in range(2 * m)]
-                                  for b in range(A.rank)]).inverse()
+    Pinv = Table(A.chart, [s.components for s in frame]).T.inverse()
 
     Rmat = [[EForm(A, 2) for _ in range(m)] for _ in range(m)]
     Rstar = [[EForm(A, 2) for _ in range(m)] for _ in range(m)]
@@ -112,12 +110,14 @@ def block_curvature(fx: Fixture) -> BlockCurvature:
                 checks.add("jr_commutes", (p, q, a),
                            J.apply(rop[a]) - rop[m + a])
             for a in range(m):
-                coeffs = Pinv.apply(J.apply(rop[a]).components)
+                terms = Pinv.T.combine(J.apply(rop[a]).terms)
                 # the forms hold no exact zero component
-                for b, c in nonzero_terms(coeffs):
+                for b, c in terms:
                     (Rmat if b < m else Rstar)[a][b % m][(p, q)] = c
+                coeffs = dense(A.chart, terms, 2 * m)
                 # displayed pattern on the starred basis vector
-                star = Pinv.apply(J.apply(rop[m + a]).components)
+                star = dense(A.chart,
+                             Pinv.T.combine(J.apply(rop[m + a]).terms), 2 * m)
                 for b in range(m):
                     checks.add("block_pattern", (p, q, a, b),
                                star[b] + coeffs[m + b])

@@ -102,14 +102,13 @@ def _split_entries(text: str) -> List[str]:
     return [part.strip() for part in text.split(",")] if text.strip() else []
 
 
-def parse_document(text: str, source: str = "<doc>") -> AlgebroidDocument:
-    name = None
-    coords: Optional[List[str]] = None
-    sections = {"anchor": [], "J": [], "metric": []}
-    brackets: List[Tuple[int, int, int, str]] = []
-    lines: Dict[Tuple[str, int], int] = {}
+def _section_lines(text: str, source: str, known: Tuple[str, ...],
+                   rows: Tuple[str, ...]):
+    """(line number, section, key, value) for each `key = value` line of
+    ``text``, `#` comments stripped, and (line number, section, None, None)
+    for each `[section]` header.  A section outside ``known`` is refused,
+    and so is a line of a section in ``rows`` whose key is not `row`."""
     current = None
-    known = ("chart", "anchor", "bracket", "J", "metric")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -119,6 +118,7 @@ def parse_document(text: str, source: str = "<doc>") -> AlgebroidDocument:
             if current not in known:
                 raise DocumentError(source, lineno,
                                     f"unknown section [{current}]")
+            yield lineno, current, None, None
             continue
         if current is None:
             raise DocumentError(source, lineno,
@@ -127,7 +127,23 @@ def parse_document(text: str, source: str = "<doc>") -> AlgebroidDocument:
             raise DocumentError(source, lineno, "expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
+        if current in rows and key != "row":
+            raise DocumentError(source, lineno,
+                                f"[{current}] lines must be 'row = ...'")
+        yield lineno, current, key, value.strip()
+
+
+def parse_document(text: str, source: str = "<doc>") -> AlgebroidDocument:
+    name = None
+    coords: Optional[List[str]] = None
+    sections = {"anchor": [], "J": [], "metric": []}
+    brackets: List[Tuple[int, int, int, str]] = []
+    lines: Dict[Tuple[str, int], int] = {}
+    known = ("chart", "anchor", "bracket", "J", "metric")
+    for lineno, current, key, value in _section_lines(text, source, known,
+                                                      tuple(sections)):
+        if key is None:
+            continue
         if current == "chart":
             if key == "name":
                 name = value
@@ -136,10 +152,7 @@ def parse_document(text: str, source: str = "<doc>") -> AlgebroidDocument:
             else:
                 raise DocumentError(source, lineno,
                                     f"unknown chart key {key!r}")
-        elif current in ("anchor", "J", "metric"):
-            if key != "row":
-                raise DocumentError(source, lineno,
-                                    f"[{current}] lines must be 'row = ...'")
+        elif current in sections:
             lines[(current, len(sections[current]))] = lineno
             sections[current].append(_split_entries(value))
         else:  # bracket
@@ -582,27 +595,17 @@ def _load_matrix_file(path: str, chart: Chart) -> Tuple[dict, dict]:
         raise DocumentError(path, 0, f"cannot read projector file: {exc}")
     out: dict = {}
     lines: dict = {}
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    known = ("Pi", "lift", "J")
+    for lineno, section, key, value in _section_lines(text, path, known,
+                                                      known):
+        rows = out.setdefault(section, [])
+        if key is None:
+            lines.setdefault(section, lineno)
             continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if current not in ("Pi", "lift", "J"):
-                raise DocumentError(path, lineno,
-                                    f"unknown section [{current}]")
-            out.setdefault(current, [])
-            lines.setdefault(current, lineno)
-            continue
-        if current is None or not line.startswith("row"):
-            raise DocumentError(path, lineno, "expected 'row = ...'")
-        _, _, value = line.partition("=")
-        if not out[current]:
-            lines[current] = lineno
+        if not rows:
+            lines[section] = lineno
         try:
-            out[current].append([chart.scalar(v)
-                                 for v in _split_entries(value)])
+            rows.append([chart.scalar(v) for v in _split_entries(value)])
         except Exception as exc:
             raise DocumentError(path, lineno, str(exc))
     return out, lines

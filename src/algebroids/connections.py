@@ -39,7 +39,6 @@ from algebroids.jstruct import ComplexFrame, EndoField, IntegrabilityError
 from algebroids.scalars import (
     ChartError,
     Scalar,
-    ScalarMatrix,
     Table,
     _vanishes_at_samples,
     add_product,
@@ -77,22 +76,18 @@ class Metric:
     def __init__(self, algebroid: Algebroid, matrix: Sequence[Sequence]):
         self.algebroid = algebroid
         m = algebroid.rank
-        chart = algebroid.chart
-        self.matrix = Table(
-            [chart.scalar(matrix[a][b]) for b in range(m)] for a in range(m)
-        )
+        M = self.matrix = Table(algebroid.chart, matrix)
         for a in range(m):
             for b in range(a + 1, m):
-                if not (self.matrix[a][b] - self.matrix[b][a]).is_structurally_zero():
+                if not (M[a][b] - M[b][a]).is_structurally_zero():
                     raise ValueError("metric is not symmetric")
-        M = ScalarMatrix(chart, self.matrix)
         det = M.det()
         # sampling can only add to the structural answer when an atom
         # (sin^2 + cos^2 - 1) hides a zero from the normal form
         if det.is_structurally_zero() or (not det.is_rational_function()
                                           and _vanishes_at_samples(det)):
             raise ValueError("metric is structurally singular")
-        self.inverse = Table(M.inverse().rows())
+        self.inverse = M.inverse()
 
     def value(self, s1: Section, s2: Section) -> Scalar:
         return bilinear(self.algebroid.chart.zero, self.matrix, s1, s2)
@@ -114,13 +109,7 @@ class Connection:
     def __init__(self, algebroid: Algebroid, gamma):
         self.algebroid = algebroid
         self.checks = Residuals()
-        m = algebroid.rank
-        chart = algebroid.chart
-        self.gamma = tuple(
-            Table([chart.scalar(gamma[c][a][b]) for b in range(m)]
-                  for a in range(m))
-            for c in range(m)
-        )
+        self.gamma = tuple(Table(algebroid.chart, layer) for layer in gamma)
 
 
 def cov_deriv(conn: Connection, s1: Section, s2: Section) -> Section:
@@ -272,10 +261,10 @@ def hermitian_check(g: Metric, J: EndoField) -> Residuals:
     """Check ``hermitian``: residuals g(J e_a, J e_b) - g_ab indexed (a, b)."""
     A = g.algebroid
     residuals = Residuals()
-    frame = A.frame
+    Jframe = [J.apply(s) for s in A.frame]
     for a in range(A.rank):
         for b in range(a, A.rank):
-            res = g.value(J.apply(frame[a]), J.apply(frame[b])) - g.matrix[a][b]
+            res = g.value(Jframe[a], Jframe[b]) - g.matrix[a][b]
             residuals.add("hermitian", (a, b), res)
     return residuals
 
@@ -293,20 +282,22 @@ def fundamental_form(g: Metric, J: EndoField) -> EForm:
     """Phi(s1,s2) = g(s1, J s2), re-verified antisymmetric and J-invariant."""
     A = g.algebroid
     frame = A.frame
+    # J e_a and J J e_a, and g(e_a, J e_b), once each
+    Jframe = [J.apply(s) for s in frame]
+    JJframe = [J.apply(s) for s in Jframe]
+    gJ = [[g.value(s, t) for t in Jframe] for s in frame]
     phi = EForm(A, 2)
     for a in range(A.rank):
         for b in range(a + 1, A.rank):
-            phi[(a, b)] = g.value(frame[a], J.apply(frame[b]))
+            phi[(a, b)] = gJ[a][b]
     # re-verify the defining antisymmetry and J-invariance on frame pairs
     checks = Residuals()
     for a in range(A.rank):
         for b in range(A.rank):
             checks.add("fundamental_form_antisymmetric", (a, b),
-                       g.value(frame[a], J.apply(frame[b]))
-                       + g.value(frame[b], J.apply(frame[a])))
+                       gJ[a][b] + gJ[b][a])
             checks.add("fundamental_form_j_invariant", (a, b),
-                       g.value(J.apply(frame[a]), J.apply(J.apply(frame[b])))
-                       - g.value(frame[a], J.apply(frame[b])))
+                       g.value(Jframe[a], JJframe[b]) - gJ[a][b])
     checks.require()
     return phi
 
@@ -385,8 +376,9 @@ def hermitian_table(g: Metric, F: ComplexFrame) -> Table:
     hold, or HermitianError is raised.
     """
     m, two_m = F.m, 2 * F.m
-    h = Table([g.value(F.sections[mu], F.sections[F.conj_index(nu)])
-               for nu in range(two_m)] for mu in range(two_m))
+    h = Table(F.algebroid.chart,
+              [[g.value(F.sections[mu], F.sections[F.conj_index(nu)])
+                for nu in range(two_m)] for mu in range(two_m)])
     for a, b in product(range(m), repeat=2):
         if not h[a][m + b].is_structurally_zero():
             raise HermitianError(
@@ -420,7 +412,7 @@ def levi_civita_complex_frame(fx: Fixture) -> Connection:
 
     h = fx.h
     # sum_b h[a][b] hinv[b][c] = delta_a^c, so hinv[b][c] = g^{bbar c}
-    hinv = ScalarMatrix(chart, [row[:m] for row in h[:m]]).inverse().rows()
+    hinv = Table(chart, [row[:m] for row in h[:m]]).inverse()
     rho = [CA.anchor_vf(mu) for mu in range(two_m)]
     C = CA.C
     half = Fraction(1, 2)

@@ -64,7 +64,7 @@ from algebroids.prodgeom import (
     real_frame_B,
     second_fundamental,
 )
-from algebroids.scalars import _ZERO, Chart, Scalar, ScalarMatrix, add_product
+from algebroids.scalars import _ZERO, Chart, Scalar, Table, add_product
 
 __all__ = [
     "Prolongation",
@@ -442,7 +442,7 @@ class ProjectorRestriction:
 
     chart: Chart
     ambient_rank: int
-    Pi: list
+    Pi: Table
     algebroid: Algebroid
     checks: Residuals
     J: Optional[EndoField]
@@ -460,30 +460,25 @@ def projector_restriction(chart: Chart, rho0, Pi, lift,
     (I - Pi)[Pi e_a, Pi e_b] is recorded for every frame pair.
     """
     rank = len(Pi)
-    rho0 = [[chart.scalar(v) for v in row] for row in rho0]
-    Pi = [[chart.scalar(v) for v in row] for row in Pi]
-    lift = [[chart.scalar(v) for v in row] for row in lift]
+    Pi, lift = Table(chart, Pi), Table(chart, lift)
     # idempotency
-    PiM = ScalarMatrix(chart, Pi)
-    Pi2 = (PiM @ PiM).rows()
+    Pi2 = Pi @ Pi
     for i in range(rank):
         for j in range(rank):
             if not (Pi2[i][j] - Pi[i][j]).is_structurally_zero():
                 raise ValueError("projector is not idempotent")
 
     # row a of the anchor is column a of rho0 Pi, so row a of Pi^T rho0^T
-    anchor = (ScalarMatrix(chart, zip(*Pi))
-              @ ScalarMatrix(chart, zip(*rho0))).rows()
-    rho_vfs = [VectorField(chart, anchor[a]) for a in range(rank)]
+    anchor = Pi.T @ Table(chart, rho0).T
+    rho_vfs = [VectorField(chart, row) for row in anchor]
 
-    liftM = ScalarMatrix(chart, lift)
     cdict = {}
     brs = {}
     for a in range(rank):
         for b in range(a + 1, rank):
             br = vf_bracket(rho_vfs[a], rho_vfs[b])
             brs[(a, b)] = br
-            for c, acc in enumerate(liftM.apply(br.components)):
+            for c, acc in lift.T.combine(br.terms):
                 if not acc.is_structurally_zero():
                     cdict[(a, b, c)] = acc
     A = Algebroid(chart, rank, anchor, cdict)
@@ -499,8 +494,7 @@ def projector_restriction(chart: Chart, rho0, Pi, lift,
 
     # flatness: (I - Pi) [Pi e_a, Pi e_b] with constant ambient extensions;
     # rho[c][b][a] = rho_a(Pi^c_b), from the gradient of Pi^c_b taken once
-    anchorM = ScalarMatrix(chart, anchor)
-    rho = [[anchorM.apply([v.diff(x) for x in chart.coords]) for v in row]
+    rho = [[anchor.apply([v.diff(x) for x in chart.coords]) for v in row]
            for row in Pi]
     for a in range(rank):
         for b in range(a + 1, rank):
@@ -514,9 +508,7 @@ def projector_restriction(chart: Chart, rho0, Pi, lift,
     J = None
     if ambient_J is not None:
         J = almost_complex_structure(A, ambient_J)
-        JM = ScalarMatrix(chart, [[J.entry(i, j) for j in range(rank)]
-                                  for i in range(rank)])
-        PiJ, JPi = (PiM @ JM).rows(), (JM @ PiM).rows()
+        PiJ, JPi = Pi @ J.matrix, J.matrix @ Pi
         for i in range(rank):
             for j in range(rank):
                 checks.add("J_commutes", (i, j), PiJ[i][j] - JPi[i][j])
@@ -606,8 +598,8 @@ class Fixture:
 
     @cached_property
     def real_B(self) -> Callable[[Section, Section], Section]:
-        """B over the real algebroid; ``real_B.at(a, b)`` = B(e_a, e_b),
-        each entry computed once."""
+        """B over the real algebroid, on p01-projected operands;
+        ``real_B.at(a, b)`` = B(e_a, e_b), each entry computed once."""
         return real_frame_B(self)
 
 

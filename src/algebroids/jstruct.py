@@ -34,14 +34,12 @@ from algebroids.algebroid import (
 )
 from algebroids.eforms import EForm, d_E
 from algebroids.scalars import (
-    _ZERO,
     ChartError,
     Scalar,
-    ScalarMatrix,
     Table,
     add_product,
+    dense,
     i,
-    nonzero_terms,
 )
 
 if TYPE_CHECKING:
@@ -76,13 +74,7 @@ class EndoField:
 
     def __init__(self, algebroid: Algebroid, matrix: Sequence[Sequence]):
         self.algebroid = algebroid
-        m = algebroid.rank
-        self.matrix = Table(
-            [algebroid.chart.scalar(matrix[b][a]) for a in range(m)]
-            for b in range(m)
-        )
-        # the nonzero (b, T^b_a) of each column a
-        self.columns = Table(zip(*self.matrix)).terms
+        self.matrix = Table(algebroid.chart, matrix)
 
     @property
     def rank(self) -> int:
@@ -93,18 +85,10 @@ class EndoField:
 
     def apply(self, s: Section) -> Section:
         # each output term sums T^b_a s^a in the order of a
-        out = {}
-        for a, x in s.terms:
-            for b, t in self.columns[a]:
-                out[b] = out[b] + t * x if b in out else t * x
-        return Section.of_terms(self.algebroid, sorted(
-            bt for bt in out.items() if bt[1].pair is not _ZERO))
+        return Section.of_terms(self.algebroid, self.matrix.T.combine(s.terms))
 
     def compose(self, other: "EndoField") -> "EndoField":
-        chart = self.algebroid.chart
-        product = (ScalarMatrix(chart, self.matrix)
-                   @ ScalarMatrix(chart, other.matrix))
-        return EndoField(self.algebroid, product.rows())
+        return EndoField(self.algebroid, self.matrix @ other.matrix)
 
     def _entrywise(self, op, other: "EndoField") -> "EndoField":
         return EndoField(self.algebroid, [
@@ -169,7 +153,8 @@ class NijenhuisTensor:
     checks: Residuals
 
     def __post_init__(self):
-        self.components = tuple(Table(layer) for layer in self.components)
+        self.components = tuple(Table(self.algebroid.chart, layer)
+                                for layer in self.components)
 
     def value(self, s1: Section, s2: Section) -> Section:
         A = self.algebroid
@@ -214,12 +199,12 @@ def nijenhuis(A: Algebroid, J: EndoField) -> NijenhuisTensor:
                 by_eval[c][b][a] = -val.components[c]
 
     # dJ[i][d][a] = d J^d_a / dx^i
-    dJ = [Table([T[d][a].diff(x) for a in range(m)] for d in range(m))
+    dJ = [Table(chart, [[T[d][a].diff(x) for a in range(m)] for d in range(m)])
           for x in chart.coords]
     # each term of the first sum has a factor from dJ[i]: a coordinate that
     # no entry of J depends on contributes nothing
     active = [i for i, grad in enumerate(dJ) if any(grad.terms)]
-    cols = [nonzero_terms(T[d][a] for d in range(m)) for a in range(m)]
+    cols = T.T.terms
     by_coeff = [[[chart.zero] * m for _ in range(m)] for _ in range(m)]
     for c in range(m):
         for a in range(m):
@@ -279,10 +264,7 @@ class ComplexFrame:
             self.sections.append(f.conjugate())
 
         # change-of-frame matrix: column mu holds F_mu in the real frame
-        P = ScalarMatrix(chart, [
-            [self.sections[mu].components[b] for mu in range(2 * self.m)]
-            for b in range(algebroid.rank)
-        ])
+        P = Table(chart, [f.components for f in self.sections]).T
         if P.det().is_structurally_zero():
             raise ValueError("complex frame is degenerate")
         self._Pinv = P.inverse()
@@ -300,7 +282,7 @@ class ComplexFrame:
     def expand(self, s: Section) -> List[Scalar]:
         """Coefficients of a (complexified) real-frame section over the
         complex frame."""
-        return self._Pinv.apply(s.components)
+        return dense(s.chart, self._Pinv.T.combine(s.terms), 2 * self.m)
 
     def rebuild(self, coeffs: Sequence[Scalar]) -> Section:
         """Real-frame section from complex-frame coefficients."""
@@ -314,16 +296,14 @@ class ComplexFrame:
         """Algebroid over the same chart whose frame is this complex frame."""
         A = self.algebroid
         two_m = 2 * self.m
-        anchor = [list(anchor_push(self.sections[mu]).components)
-                  for mu in range(two_m)]
+        anchor = [anchor_push(f).components for f in self.sections]
         table = {}
         for mu in range(two_m):
             for nu in range(mu + 1, two_m):
                 br = bracket(self.sections[mu], self.sections[nu])
-                coeffs = self.expand(br)
-                for lam in range(two_m):
-                    if not coeffs[lam].is_structurally_zero():
-                        table[(mu, nu, lam)] = coeffs[lam]
+                for lam, c in self._Pinv.T.combine(br.terms):
+                    if not c.is_structurally_zero():
+                        table[(mu, nu, lam)] = c
         return Algebroid(A.chart, two_m, anchor, table,
                          frame_labels=[f"f{a + 1}" for a in range(self.m)]
                          + [f"fbar{a + 1}" for a in range(self.m)])
@@ -357,18 +337,14 @@ def adapted_complex_frame(A: Algebroid, J: EndoField) -> ComplexFrame:
         raise ValueError("rank must be even")
     m = A.rank // 2
     chosen: List[Section] = []
-    columns: List[List[Scalar]] = []
-
-    def independent(cols) -> bool:
-        return ScalarMatrix(A.chart, zip(*cols)).rank() == len(cols)
-
+    columns: List[Sequence[Scalar]] = []
     for a in range(A.rank):
         if len(chosen) == m:
             break
         u = A.frame_section(a)
         Ju = J.apply(u)
-        cand = columns + [list(u.components), list(Ju.components)]
-        if independent(cand):
+        cand = columns + [u.components, Ju.components]
+        if Table(A.chart, cand).T.rank() == len(cand):
             chosen.append(u)
             columns = cand
     # the residual is the number of generators the selection is short of

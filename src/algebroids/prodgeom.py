@@ -310,8 +310,8 @@ def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
     #
     # Both are checked on all frame triples; the displayed identity is
     # evaluated separately and reported as verbatim_duality.
-    gmat = Table([h[p][F.conj_index(q)] for q in range(two_m)]
-                 for p in range(two_m))
+    gmat = Table(chart, [[h[p][F.conj_index(q)] for q in range(two_m)]
+                         for p in range(two_m)])
 
     def g_value(sa: Section, sb: Section) -> Scalar:
         return bilinear(chart.zero, gmat, sa, sb)
@@ -338,19 +338,20 @@ def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
 
 
 def real_frame_B(fx: Fixture) -> Callable[[Section, Section], Section]:
-    """B(s1, s2) = p10 D_{p01 s1} p01 s2 over the real algebroid, for
-    complex-component sections.
+    """B(p01 s1, p01 s2) = p10 D_{p01 s1} p01 s2 over the real algebroid,
+    for complex-component sections, called on the projections.
 
-    ``Fixture.real_B`` holds it; ``B.at(a, b)`` = B(e_a, e_b) is computed
-    on first use, so mean_curvature and identity_suite share one B and the
-    entries they both read.
+    ``Fixture.real_B`` holds it, with ``B.frame01[a]`` = p01 e_a; ``B.at(a,
+    b)`` = B(e_a, e_b) is computed on first use, so mean_curvature and
+    identity_suite share one B and the entries they both read.
     """
     (p10, p01), D, frame = fx.projectors, fx.levi_civita, fx.algebroid.frame
 
-    def B(s1: Section, s2: Section) -> Section:
-        return p10.apply(cov_deriv(D, p01.apply(s1), p01.apply(s2)))
+    def B(t1: Section, t2: Section) -> Section:
+        return p10.apply(cov_deriv(D, t1, t2))
 
-    B.at = cache(lambda a, b: B(frame[a], frame[b]))
+    B.frame01 = [p01.apply(s) for s in frame]
+    B.at = cache(lambda a, b: B(B.frame01[a], B.frame01[b]))
     return B
 
 
@@ -462,8 +463,8 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
     frame = A.frame
     mr = A.rank
 
-    phi = Table([fx.fundamental_form[(a, b)] for b in range(mr)]
-                for a in range(mr))
+    phi = Table(A.chart, [[fx.fundamental_form[(a, b)] for b in range(mr)]
+                          for a in range(mr)])
 
     def phi_value(s1: Section, s2: Section) -> Scalar:
         return bilinear(A.chart.zero, phi, s1, s2)
@@ -489,6 +490,8 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
 
     Btab = [[B.at(a, b) for b in range(mr)] for a in range(mr)]
     Jframe = [J.apply(s) for s in frame]
+    # p01 e_a and p01 J e_a, each projected once
+    frame01, jframe01 = B.frame01, [fx.projectors[1].apply(s) for s in Jframe]
     # D_s e_c and rho(s) for s = e_a and s = J e_a, once per (a, c) and a
     d_frame = [[cov_deriv(D, s, t) for t in frame] for s in frame]
     d_jframe = [[cov_deriv(D, s, t) for t in frame] for s in Jframe]
@@ -501,9 +504,9 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
         for b in range(mr):
             checks.add("im_re_relation", (a, b),
                        _im_section(Btab[a][b])
-                       - _re_section(B(frame[a], Jframe[b])))
+                       - _re_section(B(frame01[a], jframe01[b])))
             checks.add("j_anti_invariance", (a, b),
-                       B(Jframe[a], Jframe[b]) + Btab[a][b])
+                       B(jframe01[a], jframe01[b]) + Btab[a][b])
             alt_re = _re_section(Btab[a][b] - Btab[b][a])
             nval = N.value(frame[a], frame[b])
             for c in range(mr):
@@ -526,11 +529,10 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
                 proportional("dphi_pairing_proportional", (a, b, c),
                              lhs, DPHI_PAIRING, raw17)
 
-    p01 = fx.projectors[1]
     for a in range(mr):
         for b in range(mr):
             checks.add("eigenbundle_isotropy", (a, b),
-                       g.value(p01.apply(frame[a]), p01.apply(frame[b])))
+                       g.value(frame01[a], frame01[b]))
 
     b_zero = all(Btab[a][b].is_structurally_zero()
                  for a in range(mr) for b in range(mr))

@@ -26,12 +26,14 @@ print).  No caller normalises: the tree route takes its operands' normal
 forms only where a printed tree depends on it (a tree divided by a tree).
 ``norm_expr`` and ``expr`` are the sympy views of any Scalar.
 
-``ScalarMatrix`` is the package's exact linear algebra: one Gauss-Jordan
-elimination in Scalar arithmetic gives ``det``, ``inverse`` and ``rank``.
+``Table`` is the package's one matrix type: rows of Scalars on a chart,
+with one sparse kernel, ``combine``, behind every product, and one
+Gauss-Jordan elimination in Scalar arithmetic behind ``det``, ``inverse``
+and ``rank``.
 
 The grammar, printer and normal form are pinned here, so the text format is
 independent of sympy's own parser.  The rest of the package works through
-``Scalar``, ``ScalarMatrix`` and the constant ``i``.
+``Scalar``, ``Table`` and the constant ``i``.
 """
 
 from __future__ import annotations
@@ -55,10 +57,10 @@ __all__ = [
     "Chart",
     "Coordinate",
     "Scalar",
-    "ScalarMatrix",
     "i",
     "parse_scalar",
     "nonzero_terms",
+    "dense",
     "Table",
     "add_product",
 ]
@@ -915,32 +917,81 @@ _set_chart, _set_pair, _set_tree, _set_norm = (
     Scalar.__dict__[name].__set__ for name in Scalar.__slots__)
 
 
-class ScalarMatrix:
-    """Matrix of Scalars on one chart with exact linear algebra.
+def nonzero_terms(scalars: Iterable[Scalar]) -> tuple:
+    """The (index, scalar) pairs of ``scalars`` that are not an exact zero.
 
-    Products are Scalar arithmetic, and so is the one Gauss-Jordan
-    elimination of [M | I], cached per matrix, that ``det``, ``inverse``
-    and ``rank`` read.  It pivots structurally: on the first entry of a
-    column whose normal form is not zero.
+    Every zero of the rational core, such as ``(x1+1)^2 - x1^2 - 2*x1 - 1``,
+    holds the shared zero pair, so one identity test finds it, and a
+    skipped term adds nothing.  A tree with an atom that only its normal
+    form shows to be zero is kept.
+    """
+    return tuple((k, s) for k, s in enumerate(scalars) if s.pair is not _ZERO)
+
+
+def dense(chart: Chart, terms, width: int) -> list:
+    """The ``width`` Scalars whose nonzero (index, Scalar) terms are
+    ``terms``, with ``chart.zero`` at every other index."""
+    out = [chart.zero] * width
+    for k, s in terms:
+        out[k] = s
+    return out
+
+
+class Table(tuple):
+    """Matrix of Scalars on one chart: a tuple of rows with exact linear
+    algebra.  ``terms[k]`` holds the nonzero_terms of row k.
+
+    The chart is carried, not read from an entry: a Lie algebra chart has
+    no coordinates, so its anchor's rows are empty.  Every product is the
+    one sparse kernel ``combine``.  ``det``, ``inverse`` and ``rank`` read
+    one Gauss-Jordan elimination of [M | I] in Scalar arithmetic, cached
+    per table; it pivots structurally, on the first entry of a column
+    whose normal form is not zero.
     """
 
-    def __init__(self, chart: Chart, rows: Iterable[Iterable]):
-        self.chart = chart
-        self._rows = tuple(tuple(chart.scalar(e) for e in row) for row in rows)
+    def __new__(cls, chart: Chart, rows: Iterable[Iterable]):
+        table = super().__new__(cls, (
+            tuple(e if e.__class__ is Scalar and e.chart is chart
+                  else chart.scalar(e) for e in row) for row in rows))
+        table.chart = chart
+        table.terms = tuple(map(nonzero_terms, table))
+        return table
 
-    def rows(self) -> tuple:
-        """The entries, as a tuple of rows of Scalars."""
-        return self._rows
+    def combine(self, terms) -> list:
+        """The nonzero terms, in index order, of sum_k x_k row_k over the
+        (k, x_k) ``terms`` in index order; each entry adds its products
+        row_k[j] * x_k in the order of k, skipping the exact zeros."""
+        out = {}
+        rows = self.terms
+        for k, x in terms:
+            for j, t in rows[k]:
+                out[j] = out[j] + t * x if j in out else t * x
+        return sorted(jt for jt in out.items() if jt[1].pair is not _ZERO)
+
+    @functools.cached_property
+    def T(self) -> "Table":
+        """The transpose; it has no rows when this table's rows are empty."""
+        return Table(self.chart, zip(*self))
+
+    def apply(self, vector: Iterable) -> List[Scalar]:
+        """The matrix times a column of Scalars."""
+        col = nonzero_terms(map(self.chart.scalar, vector))
+        return dense(self.chart, self.T.combine(col), len(self))
+
+    def __matmul__(self, other: "Table") -> "Table":
+        width = len(other[0]) if other else 0
+        return Table(self.chart, [dense(self.chart, other.combine(t), width)
+                                  for t in self.terms])
 
     @functools.cached_property
     def _eliminated(self) -> tuple:
         """(det, rank, rows of the reduced [M | I]); det is read only for
         a square M, and is zero when M is singular."""
         zero, one = self.chart.zero, self.chart.one
-        n = len(self._rows)
-        width = len(self._rows[0]) if n else 0
+        n = len(self)
+        width = len(self[0]) if n else 0
         rows = [list(row) + [one if c == r else zero for c in range(n)]
-                for r, row in enumerate(self._rows)]
+                for r, row in enumerate(self)]
         det, rank = one, 0
         for col in range(width):
             pivot = next((r for r in range(rank, n)
@@ -960,8 +1011,8 @@ class ScalarMatrix:
         return det, rank, rows
 
     def _square(self) -> int:
-        n = len(self._rows)
-        if any(len(row) != n for row in self._rows):
+        n = len(self)
+        if any(len(row) != n for row in self):
             raise ValueError("matrix is not square")
         return n
 
@@ -969,51 +1020,16 @@ class ScalarMatrix:
         self._square()
         return self._eliminated[0]
 
-    def inverse(self) -> "ScalarMatrix":
+    def inverse(self) -> "Table":
         n = self._square()
         _, rank, rows = self._eliminated
         if rank < n:
             raise ZeroDivisionError(
                 "inverse of a structurally singular matrix")
-        return ScalarMatrix(self.chart, [row[n:] for row in rows])
+        return Table(self.chart, [row[n:] for row in rows])
 
     def rank(self) -> int:
         return self._eliminated[1]
-
-    def _dot(self, row, col) -> Scalar:
-        return sum((a * b for a, b in zip(row, col)
-                    if a.pair is not _ZERO and b.pair is not _ZERO),
-                   self.chart.zero)
-
-    def __matmul__(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        cols = list(zip(*other._rows))
-        return ScalarMatrix(self.chart, [[self._dot(row, col) for col in cols]
-                                         for row in self._rows])
-
-    def apply(self, vector: Iterable) -> List[Scalar]:
-        """The matrix times a column of Scalars."""
-        col = [self.chart.scalar(c) for c in vector]
-        return [self._dot(row, col) for row in self._rows]
-
-
-def nonzero_terms(scalars: Iterable[Scalar]) -> tuple:
-    """The (index, scalar) pairs of ``scalars`` that are not an exact zero.
-
-    Every zero of the rational core, such as ``(x1+1)^2 - x1^2 - 2*x1 - 1``,
-    holds the shared zero pair, so one identity test finds it, and a
-    skipped term adds nothing.  A tree with an atom that only its normal
-    form shows to be zero is kept.
-    """
-    return tuple((k, s) for k, s in enumerate(scalars) if s.pair is not _ZERO)
-
-
-class Table(tuple):
-    """Rows of Scalars; ``terms[k]`` holds the nonzero_terms of row k."""
-
-    def __new__(cls, rows: Iterable[Iterable[Scalar]]):
-        table = super().__new__(cls, map(tuple, rows))
-        table.terms = tuple(map(nonzero_terms, table))
-        return table
 
 
 def add_product(acc: Scalar, sign: int, *factors: Scalar) -> Scalar:

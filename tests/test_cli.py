@@ -255,6 +255,18 @@ def test_repeated_projector_section_keeps_its_rows(tmp_path):
     assert results[0] == results[1]
 
 
+def test_projector_rows_read_the_document_grammar(tmp_path):
+    # a projector line whose key is not `row` is refused as in a document,
+    # where it was once read as a row
+    proj = tmp_path / "rowdy.proj"
+    proj.write_text("[Pi]\nrow = 1, 0\nrowdy = 0, 1\n"
+                    "[lift]\nrow = 1, 0\nrow = 0, 1\n")
+    code, out, err = run_cli(["restrict", "flat_r2", "--projector",
+                              str(proj)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {proj}:3: [Pi] lines must be 'row = ...'\n"
+
+
 def test_fixtures_list():
     code, out, _ = run_cli(["fixtures", "--list"])
     assert code == 0

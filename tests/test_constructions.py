@@ -19,7 +19,7 @@ from algebroids.constructions import (
     prolong,
 )
 from algebroids.jstruct import EndoField
-from algebroids.scalars import Chart, ScalarMatrix
+from algebroids.scalars import Chart, Table
 
 
 def test_fixture_catalog():
@@ -218,8 +218,8 @@ def test_sasaki_metric_of_a_curved_base_is_built_promptly(catalog, name):
     start = time.perf_counter()
     gL = prolong(fx.algebroid).sasaki_metric(fx.g, conn)
     assert time.perf_counter() - start < 5
-    G = ScalarMatrix(gL.algebroid.chart, gL.matrix)
-    identity = (ScalarMatrix(gL.algebroid.chart, gL.inverse) @ G).rows()
+    G = Table(gL.algebroid.chart, gL.matrix)
+    identity = Table(gL.algebroid.chart, gL.inverse) @ G
     for a, row in enumerate(identity):
         for b, entry in enumerate(row):
             assert entry == int(a == b)

@@ -36,7 +36,7 @@ from algebroids.connections import (
 )
 from algebroids.eforms import EForm, evaluate
 from algebroids.jstruct import EndoField
-from algebroids.scalars import Chart, ChartError, Scalar
+from algebroids.scalars import Chart, ChartError, Scalar, Table, nonzero_terms
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 # the coefficient builders run their cross-checks on tables of up to rank^4
@@ -309,6 +309,42 @@ def dense_validate_structure(A):
     return out
 
 
+def dense_combine(M, xs):
+    """sum_k xs[k] * row k of M, with the entries that are not an exact
+    zero as (index, Scalar) terms."""
+    width = len(M[0]) if M else 0
+    out = []
+    for j in range(width):
+        acc = M.chart.zero
+        for k in range(len(M)):
+            acc = acc + M[k][j] * xs[k]
+        out.append(acc)
+    return [(j, v) for j, v in enumerate(out) if v.pair is not scalars._ZERO]
+
+
+def dense_matrix_apply(M, vector):
+    out = []
+    for row in M:
+        acc = M.chart.zero
+        for a, b in zip(row, vector):
+            acc = acc + a * b
+        out.append(acc)
+    return out
+
+
+def dense_matmul(M, N):
+    width = len(N[0]) if N else 0
+    out = []
+    for row in M:
+        out.append([])
+        for j in range(width):
+            acc = M.chart.zero
+            for k in range(len(N)):
+                acc = acc + row[k] * N[k][j]
+            out[-1].append(acc)
+    return out
+
+
 def _flat(table):
     if isinstance(table, Scalar):
         return [table]
@@ -433,6 +469,43 @@ def test_metric_value_matches_dense_loop(catalog, data):
     g = _metric(draw, A)
     s1, s2 = _section(draw, A), _section(draw, A)
     assert _trees([g.value(s1, s2)]) == _trees([dense_metric_value(g, s1, s2)])
+
+
+@PROPERTY
+@given(st.data())
+def test_table_kernel_matches_dense_loops(catalog, data):
+    # rectangular tables, and tables whose rows are empty (the anchor of a
+    # Lie algebra), over entries with hidden zeros and atoms
+    draw = data.draw
+    chart = catalog("heis_j").algebroid.chart
+    entry = st.sampled_from(_terms_pool(chart))
+    n = draw(st.integers(1, 3))
+    k, p = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    M = Table(chart, [[draw(entry) for _ in range(k)] for _ in range(n)])
+    N = Table(chart, [[draw(entry) for _ in range(p)] for _ in range(k)])
+    xs = [draw(entry) for _ in range(n)]
+    vector = [draw(entry) for _ in range(k)]
+
+    def trees(terms):
+        return [(j, sp.srepr(v.expr)) for j, v in terms]
+
+    assert trees(M.combine(nonzero_terms(xs))) == trees(dense_combine(M, xs))
+    # the two products of each entry cancel: an exact zero is not a term
+    twice, signed = Table(chart, [M[0], M[0]]), [xs[0], -xs[0]]
+    assert (trees(twice.combine(nonzero_terms(signed)))
+            == trees(dense_combine(twice, signed)))
+    # an atom's tree, then two pairs: the order of the sum shows in the tree
+    pool = _terms_pool(chart)
+    route = Table(chart, [[pool[-1]], [pool[8]], [pool[6]]])
+    ones = [chart.one] * 3
+    assert (trees(route.combine(nonzero_terms(ones)))
+            == trees(dense_combine(route, ones)))
+    assert _trees(M.apply(vector)) == _trees(dense_matrix_apply(M, vector))
+    assert M.T == tuple(zip(*M)) and M.T.chart is M.chart
+    assert [_trees(row) for row in M @ N] == [
+        _trees(row) for row in dense_matmul(M, N)]
+    for table in (M, M.T, M @ N):
+        assert table.terms == tuple(map(nonzero_terms, table))
 
 
 @COEFFICIENTS
@@ -599,3 +672,26 @@ def test_hermitian_builders_take_nabla_j_once_per_frame_pair(catalog,
         assert fx.second_fundamental.ok
         ranks.append(fx.algebroid.rank)
     assert sum(map(len, calls)) == 4 * sum(r * r for r in ranks) == 144
+
+
+def test_each_projection_and_j_image_is_taken_once(catalog, monkeypatch):
+    # on the three fixtures of the benchmark's session: identity_suite
+    # projected both operands of B on each call and of each isotropy pair
+    # (396 calls of p01 and p10), fundamental_form took J e_a and J J e_b
+    # per frame pair (229 calls of J) and hermitian_check J e_a per pair (46)
+    calls = _count_calls(monkeypatch, EndoField, "apply")
+    taken = {"fundamental_form": 0, "hermitian_check": 0, "identity_suite": 0}
+    for name in NAMES:
+        fx = dataclasses.replace(catalog(name))
+        g, J, p10_p01 = fx.g, fx.J, fx.projectors
+        for check in ("fundamental_form", "hermitian_check"):
+            del calls[:]
+            getattr(connections, check)(g, J)
+            taken[check] += len(calls)
+        del calls[:]
+        prodgeom.identity_suite(fx)
+        taken["identity_suite"] += sum(args[0] in p10_p01 for args in calls)
+    # 2 rank J images in fundamental_form, rank in hermitian_check, and in
+    # identity_suite 2 rank projections and one p10 per call of B
+    assert taken == {"fundamental_form": 20, "hermitian_check": 10,
+                     "identity_suite": 128}

@@ -18,7 +18,7 @@ from algebroids.scalars import (
     ComplexRational,
     ParseError,
     PoleError,
-    ScalarMatrix,
+    Table,
     i,
     parse_scalar,
     print_scalar,
@@ -179,14 +179,14 @@ def test_fast_paths_keep_the_normal_form(text_a, text_b, x):
 @example([[1, 2], [2, 4]])
 def test_scalar_matrix_inverse(rows):
     chart = Chart("plane", ["x1", "x2"])
-    M = ScalarMatrix(chart, rows)
+    M = Table(chart, rows)
     if M.det().is_structurally_zero():
         assert M.rank() < len(rows)
         with pytest.raises(ZeroDivisionError, match="structurally singular"):
             M.inverse()
         return
     assert M.rank() == len(rows)
-    product = (M.inverse() @ M).rows()
+    product = M.inverse() @ M
     for r, row in enumerate(product):
         for c, entry in enumerate(row):
             assert entry == int(r == c)
@@ -200,12 +200,12 @@ def test_field_det_and_inverse_match_sympy_defaults(texts):
     # sympy's own det/inv of the entries' normal forms are the reference:
     # over the fraction field the results canonicalise to the same trees
     chart = Chart("plane", ["x1", "x2"])
-    _assert_sympy_det_and_inverse(ScalarMatrix(
+    _assert_sympy_det_and_inverse(Table(
         chart, [[_parse_or_reject(t, chart) for t in row] for row in texts]))
 
 
 def _sympy_det_and_inverse(M):
-    m = sp.Matrix([[e.norm_expr for e in row] for row in M.rows()])
+    m = sp.Matrix([[e.norm_expr for e in row] for row in M])
     det = scalars._canonical(m.det())
     if det == 0:
         return det, None
@@ -216,7 +216,7 @@ def _assert_sympy_det_and_inverse(M):
     det, inverse = _sympy_det_and_inverse(M)
     assert M.det().norm_expr == det
     if inverse is not None:
-        assert ([[e.norm_expr for e in row] for row in M.inverse().rows()]
+        assert ([[e.norm_expr for e in row] for row in M.inverse()]
                 == inverse)
 
 
@@ -228,7 +228,7 @@ def _assert_sympy_det_and_inverse(M):
 def test_field_with_atom_generators_keeps_sympy_trees(chart, rows):
     # an atom among the field's generators, e.g. ZZ(x2, exp(x1)): the
     # elimination lands on the trees of sympy's det and inv
-    _assert_sympy_det_and_inverse(ScalarMatrix(
+    _assert_sympy_det_and_inverse(Table(
         chart, [[parse_scalar(e, chart) for e in row] for row in rows]))
 
 
@@ -236,11 +236,11 @@ def test_ex_domain_keeps_sympy_trees(chart):
     # sqrt(x1) beside x1 has no fraction field, so the normal form of an
     # atom tree is not canonical: the det keeps sympy's tree, the inverse
     # prints differently from sympy's inv but is the same scalar
-    M = ScalarMatrix(chart, [[parse_scalar(e, chart) for e in row]
-                             for row in [["x1", "x1"], ["x1", "sqrt(x1)"]]])
+    M = Table(chart, [[parse_scalar(e, chart) for e in row]
+                      for row in [["x1", "x1"], ["x1", "sqrt(x1)"]]])
     det, inverse = _sympy_det_and_inverse(M)
     assert M.det().norm_expr == det
-    for got, want in zip(M.inverse().rows(), inverse):
+    for got, want in zip(M.inverse(), inverse):
         for g, w in zip(got, want):
             assert (g - chart.scalar(w)).is_structurally_zero()
 
@@ -257,8 +257,8 @@ def test_elimination_with_atoms_is_structural(texts):
     # rank, det and inverse read one elimination, also beside an atom whose
     # normal form is not canonical (sqrt(x1) beside x1)
     chart = Chart("plane", ["x1", "x2"])
-    M = ScalarMatrix(chart, [[_parse_or_reject(t, chart) for t in row]
-                             for row in texts])
+    M = Table(chart, [[_parse_or_reject(t, chart) for t in row]
+                      for row in texts])
     n = len(texts)
     singular = M.det().is_structurally_zero()
     assert (M.rank() == n) != singular
@@ -266,7 +266,7 @@ def test_elimination_with_atoms_is_structural(texts):
         with pytest.raises(ZeroDivisionError, match="structurally singular"):
             M.inverse()
         return
-    for r, row in enumerate((M.inverse() @ M).rows()):
+    for r, row in enumerate(M.inverse() @ M):
         for c, entry in enumerate(row):
             assert (entry - int(r == c)).is_structurally_zero()
 
