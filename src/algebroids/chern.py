@@ -105,19 +105,18 @@ def block_curvature(fx: Fixture) -> BlockCurvature:
         for q in range(p + 1, A.rank):
             rop = [curvature_operator(conn, real_frame[p], real_frame[q],
                                       frame[mu]) for mu in range(2 * m)]
+            jrop = [J.apply(r) for r in rop]
             # J R = R J on the adapted frame
             for a in range(m):
-                checks.add("jr_commutes", (p, q, a),
-                           J.apply(rop[a]) - rop[m + a])
+                checks.add("jr_commutes", (p, q, a), jrop[a] - rop[m + a])
             for a in range(m):
-                terms = Pinv.T.combine(J.apply(rop[a]).terms)
+                terms = Pinv.apply(jrop[a].terms)
                 # the forms hold no exact zero component
                 for b, c in terms:
                     (Rmat if b < m else Rstar)[a][b % m][(p, q)] = c
                 coeffs = dense(A.chart, terms, 2 * m)
                 # displayed pattern on the starred basis vector
-                star = dense(A.chart,
-                             Pinv.T.combine(J.apply(rop[m + a]).terms), 2 * m)
+                star = dense(A.chart, Pinv.apply(jrop[m + a].terms), 2 * m)
                 for b in range(m):
                     checks.add("block_pattern", (p, q, a, b),
                                star[b] + coeffs[m + b])

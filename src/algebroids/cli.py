@@ -546,17 +546,13 @@ def cmd_product(fx: Fixture, args) -> Tuple[dict, bool]:
 
 def cmd_restrict(fx: Fixture, args) -> Tuple[dict, bool]:
     A = fx.algebroid
-    for c in range(A.rank):
-        for a in range(A.rank):
-            for b in range(A.rank):
-                if not A.C[c][a][b].is_structurally_zero():
-                    raise PreconditionError(
-                        "restrict needs a trivial ambient bracket")
+    if not all(c.is_structurally_zero() for layer in A.C for row in layer
+               for c in row):
+        raise PreconditionError("restrict needs a trivial ambient bracket")
     pdoc, lines = _load_matrix_file(args.projector, A.chart)
-    if "Pi" not in pdoc:
-        raise DocumentError(args.projector, 0, "missing [Pi] section")
-    if "lift" not in pdoc:
-        raise DocumentError(args.projector, 0, "missing [lift] section")
+    for name in ("Pi", "lift"):
+        if name not in pdoc:
+            raise DocumentError(args.projector, 0, f"missing [{name}] section")
     shapes = {"Pi": (A.rank, A.rank), "lift": (A.rank, A.chart.dim),
               "J": (A.rank, A.rank)}
     for name, (rows, cols) in shapes.items():
@@ -565,12 +561,9 @@ def cmd_restrict(fx: Fixture, args) -> Tuple[dict, bool]:
                               or any(len(row) != cols for row in M)):
             raise DocumentError(args.projector, lines[name],
                                 f"[{name}] must be a {rows} x {cols} matrix")
-    rho0 = [[A.anchor[a][i] for a in range(A.rank)]
-            for i in range(A.chart.dim)]
-    jrows = pdoc.get("J")
     try:
-        res = projector_restriction(A.chart, rho0, pdoc["Pi"], pdoc["lift"],
-                                    ambient_J=jrows)
+        res = projector_restriction(A.chart, A.anchor, pdoc["Pi"],
+                                    pdoc["lift"], ambient_J=pdoc.get("J"))
     except ValueError as exc:
         raise PreconditionError(str(exc))
     checks = [

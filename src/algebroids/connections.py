@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 from typing import TYPE_CHECKING, Sequence
 
 from algebroids.algebroid import (
@@ -262,10 +262,9 @@ def hermitian_check(g: Metric, J: EndoField) -> Residuals:
     A = g.algebroid
     residuals = Residuals()
     Jframe = [J.apply(s) for s in A.frame]
-    for a in range(A.rank):
-        for b in range(a, A.rank):
-            res = g.value(Jframe[a], Jframe[b]) - g.matrix[a][b]
-            residuals.add("hermitian", (a, b), res)
+    for a, b in combinations_with_replacement(range(A.rank), 2):
+        res = g.value(Jframe[a], Jframe[b]) - g.matrix[a][b]
+        residuals.add("hermitian", (a, b), res)
     return residuals
 
 
@@ -287,17 +286,15 @@ def fundamental_form(g: Metric, J: EndoField) -> EForm:
     JJframe = [J.apply(s) for s in Jframe]
     gJ = [[g.value(s, t) for t in Jframe] for s in frame]
     phi = EForm(A, 2)
-    for a in range(A.rank):
-        for b in range(a + 1, A.rank):
-            phi[(a, b)] = gJ[a][b]
+    for a, b in combinations(range(A.rank), 2):
+        phi[(a, b)] = gJ[a][b]
     # re-verify the defining antisymmetry and J-invariance on frame pairs
     checks = Residuals()
-    for a in range(A.rank):
-        for b in range(A.rank):
-            checks.add("fundamental_form_antisymmetric", (a, b),
-                       gJ[a][b] + gJ[b][a])
-            checks.add("fundamental_form_j_invariant", (a, b),
-                       g.value(Jframe[a], JJframe[b]) - gJ[a][b])
+    for a, b in product(range(A.rank), repeat=2):
+        checks.add("fundamental_form_antisymmetric", (a, b),
+                   gJ[a][b] + gJ[b][a])
+        checks.add("fundamental_form_j_invariant", (a, b),
+                   g.value(Jframe[a], JJframe[b]) - gJ[a][b])
     checks.require()
     return phi
 

@@ -12,10 +12,11 @@ Three factories produce new algebroids from old:
   inconsistency raises InconsistencyError instead of being patched.
 * ``direct_product``: block anchor and structure functions over the
   concatenated chart, with block complex structure and metric.
-* ``projector_restriction``: given anchor data rho0 on a chart, an
-  idempotent ambient projector Pi and a lift L with rho0 L generically
-  the identity on chart vector fields, the restriction has anchor
-  rho0 Pi and bracket coefficients C^c_ab = L(vf_bracket(rho_a, rho_b)).
+* ``projector_restriction``: given the ambient anchor rho on a chart (row
+  c the anchor of e_c), an idempotent ambient projector Pi and a lift L
+  with rho^T L generically the identity on chart vector fields, the
+  restriction has anchor rows rho(Pi e_a) and bracket coefficients
+  C^c_ab = L(vf_bracket(rho_a, rho_b)).
 
 The fixture catalog exposes the named examples used throughout the test
 suite, plus the syntax ``prolong(<name>)`` and ``product(<a>,<b>)``.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import combinations, product
 from typing import Callable, List, Optional, Tuple
 
 from algebroids.algebroid import (
@@ -64,7 +66,8 @@ from algebroids.prodgeom import (
     real_frame_B,
     second_fundamental,
 )
-from algebroids.scalars import _ZERO, Chart, Scalar, Table, add_product
+from algebroids.scalars import (
+    _ZERO, Chart, Scalar, Table, add_product, dense, nonzero_terms)
 
 __all__ = [
     "Prolongation",
@@ -448,39 +451,36 @@ class ProjectorRestriction:
     J: Optional[EndoField]
 
 
-def projector_restriction(chart: Chart, rho0, Pi, lift,
+def projector_restriction(chart: Chart, rho, Pi, lift,
                           ambient_J=None) -> ProjectorRestriction:
     """Restrict the trivial ambient bundle through the projector Pi.
 
-    ``rho0`` is chart.dim x rank (the ambient anchor), ``Pi`` is
-    rank x rank and must be idempotent, ``lift`` is rank x chart.dim and
-    maps chart vector fields back to sections.  The restriction has
-    anchor rho0 Pi and bracket coefficients C^c_ab =
-    lift(vf_bracket(rho_a, rho_b))^c; the flatness residual
-    (I - Pi)[Pi e_a, Pi e_b] is recorded for every frame pair.
+    ``rho`` is rank x chart.dim, row a the ambient anchor of e_a (an
+    `Algebroid.anchor`), ``Pi`` is rank x rank and must be idempotent,
+    ``lift`` is rank x chart.dim and maps chart vector fields back to
+    sections.  The restriction has anchor rows rho(Pi e_a) and bracket
+    coefficients C^c_ab = lift(vf_bracket(rho_a, rho_b))^c; the flatness
+    residual (I - Pi)[Pi e_a, Pi e_b] is recorded for every frame pair.
     """
     rank = len(Pi)
     Pi, lift = Table(chart, Pi), Table(chart, lift)
-    # idempotency
-    Pi2 = Pi @ Pi
-    for i in range(rank):
-        for j in range(rank):
-            if not (Pi2[i][j] - Pi[i][j]).is_structurally_zero():
-                raise ValueError("projector is not idempotent")
+    if not all((x - y).is_structurally_zero()
+               for r2, r in zip(Pi @ Pi, Pi) for x, y in zip(r2, r)):
+        raise ValueError("projector is not idempotent")
 
-    # row a of the anchor is column a of rho0 Pi, so row a of Pi^T rho0^T
-    anchor = Pi.T @ Table(chart, rho0).T
+    # row a of the anchor is rho(Pi e_a) = sum_c Pi^c_a rho_c; rho has rank
+    # rows, so the product knows its width on a chart without coordinates
+    anchor = Pi.T @ Table(chart, rho)
     rho_vfs = [VectorField(chart, row) for row in anchor]
 
     cdict = {}
     brs = {}
-    for a in range(rank):
-        for b in range(a + 1, rank):
-            br = vf_bracket(rho_vfs[a], rho_vfs[b])
-            brs[(a, b)] = br
-            for c, acc in lift.T.combine(br.terms):
-                if not acc.is_structurally_zero():
-                    cdict[(a, b, c)] = acc
+    for a, b in combinations(range(rank), 2):
+        br = vf_bracket(rho_vfs[a], rho_vfs[b])
+        brs[(a, b)] = br
+        for c, acc in lift.apply(br.terms):
+            if not acc.is_structurally_zero():
+                cdict[(a, b, c)] = acc
     A = Algebroid(chart, rank, anchor, cdict)
     checks = Residuals()
 
@@ -494,24 +494,22 @@ def projector_restriction(chart: Chart, rho0, Pi, lift,
 
     # flatness: (I - Pi) [Pi e_a, Pi e_b] with constant ambient extensions;
     # rho[c][b][a] = rho_a(Pi^c_b), from the gradient of Pi^c_b taken once
-    rho = [[anchor.apply([v.diff(x) for x in chart.coords]) for v in row]
-           for row in Pi]
-    for a in range(rank):
-        for b in range(a + 1, rank):
-            amb = [rho[c][b][a] - rho[c][a][b] for c in range(rank)]
-            for c in range(rank):
-                acc = amb[c]
-                for d in range(rank):
-                    acc = acc - Pi[c][d] * amb[d]
-                checks.add("flatness", (a, b, c), acc)
+    rho = [[dense(chart, anchor.apply(nonzero_terms(
+        map(v.diff, chart.coords))), rank) for v in row] for row in Pi]
+    for a, b in combinations(range(rank), 2):
+        amb = [rho[c][b][a] - rho[c][a][b] for c in range(rank)]
+        for c in range(rank):
+            acc = amb[c]
+            for d in range(rank):
+                acc = acc - Pi[c][d] * amb[d]
+            checks.add("flatness", (a, b, c), acc)
 
     J = None
     if ambient_J is not None:
         J = almost_complex_structure(A, ambient_J)
         PiJ, JPi = Pi @ J.matrix, J.matrix @ Pi
-        for i in range(rank):
-            for j in range(rank):
-                checks.add("J_commutes", (i, j), PiJ[i][j] - JPi[i][j])
+        for i, j in product(range(rank), repeat=2):
+            checks.add("J_commutes", (i, j), PiJ[i][j] - JPi[i][j])
     return ProjectorRestriction(chart, rank, Pi, A, checks, J)
 
 
@@ -559,6 +557,11 @@ class Fixture:
         return projectors(self.J)
 
     @cached_property
+    def frame01(self) -> List[Section]:
+        """p01 e_a for each frame section e_a, each projected once."""
+        return [self.projectors[1].apply(s) for s in self.algebroid.frame]
+
+    @cached_property
     def hermitian(self) -> Residuals:
         """Check ``hermitian`` of g and J over the real frame."""
         return hermitian_check(self.g, self.J)
@@ -598,8 +601,8 @@ class Fixture:
 
     @cached_property
     def real_B(self) -> Callable[[Section, Section], Section]:
-        """B over the real algebroid, on p01-projected operands;
-        ``real_B.at(a, b)`` = B(e_a, e_b), each entry computed once."""
+        """B over the real algebroid; ``real_B.at(a, b)`` = B(e_a, e_b),
+        each entry computed once."""
         return real_frame_B(self)
 
 
@@ -665,13 +668,13 @@ def _s3_projector() -> Fixture:
     n = [2 * u[0] / q, 2 * u[1] / q, 2 * u[2] / q, (q - 2) / q]
     Pi = [[int(a == b) - n[a] * n[b] for b in range(4)] for a in range(4)]
     P = [[n[a].diff(c) for c in chart.coords] for a in range(4)]  # 4 x 3 lift
-    # Jacobian of the stereographic chart map at n(u)
-    rho0 = [[chart.zero] * 4 for _ in range(3)]
+    # Jacobian of the stereographic chart map at n(u), row a for e_a
+    rho = [[chart.zero] * 3 for _ in range(4)]
     for a in range(3):
-        rho0[a][a] = q / 2
-        rho0[a][3] = u[a] * q / 2
+        rho[a][a] = q / 2
+        rho[3][a] = u[a] * q / 2
     Jmat = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-    restriction = projector_restriction(chart, rho0, Pi, P, ambient_J=Jmat)
+    restriction = projector_restriction(chart, rho, Pi, P, ambient_J=Jmat)
     A = restriction.algebroid
     eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     g = Metric(A, eye)

@@ -85,7 +85,7 @@ class EndoField:
 
     def apply(self, s: Section) -> Section:
         # each output term sums T^b_a s^a in the order of a
-        return Section.of_terms(self.algebroid, self.matrix.T.combine(s.terms))
+        return Section.of_terms(self.algebroid, self.matrix.apply(s.terms))
 
     def compose(self, other: "EndoField") -> "EndoField":
         return EndoField(self.algebroid, self.matrix @ other.matrix)
@@ -282,7 +282,7 @@ class ComplexFrame:
     def expand(self, s: Section) -> List[Scalar]:
         """Coefficients of a (complexified) real-frame section over the
         complex frame."""
-        return dense(s.chart, self._Pinv.T.combine(s.terms), 2 * self.m)
+        return dense(s.chart, self._Pinv.apply(s.terms), 2 * self.m)
 
     def rebuild(self, coeffs: Sequence[Scalar]) -> Section:
         """Real-frame section from complex-frame coefficients."""
@@ -301,7 +301,7 @@ class ComplexFrame:
         for mu in range(two_m):
             for nu in range(mu + 1, two_m):
                 br = bracket(self.sections[mu], self.sections[nu])
-                for lam, c in self._Pinv.T.combine(br.terms):
+                for lam, c in self._Pinv.apply(br.terms):
                     if not c.is_structurally_zero():
                         table[(mu, nu, lam)] = c
         return Algebroid(A.chart, two_m, anchor, table,

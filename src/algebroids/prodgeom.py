@@ -338,21 +338,26 @@ def second_fundamental(fx: Fixture) -> SecondFundamentalForm:
 
 
 def real_frame_B(fx: Fixture) -> Callable[[Section, Section], Section]:
-    """B(p01 s1, p01 s2) = p10 D_{p01 s1} p01 s2 over the real algebroid,
-    for complex-component sections, called on the projections.
+    """B(s1, s2) = p10 D_{p01 s1} p01 s2 over the real algebroid, for
+    complex-component sections.
 
-    ``Fixture.real_B`` holds it, with ``B.frame01[a]`` = p01 e_a; ``B.at(a,
-    b)`` = B(e_a, e_b) is computed on first use, so mean_curvature and
-    identity_suite share one B and the entries they both read.
+    ``Fixture.real_B`` holds it; ``B.at(a, b)`` = B(e_a, e_b) is computed
+    on first use from ``fx.frame01``, so mean_curvature and identity_suite
+    share one B and the entries they both read.
     """
-    (p10, p01), D, frame = fx.projectors, fx.levi_civita, fx.algebroid.frame
+    p01 = fx.projectors[1]
 
-    def B(t1: Section, t2: Section) -> Section:
-        return p10.apply(cov_deriv(D, t1, t2))
+    def B(s1: Section, s2: Section) -> Section:
+        return _b01(fx, p01.apply(s1), p01.apply(s2))
 
-    B.frame01 = [p01.apply(s) for s in frame]
-    B.at = cache(lambda a, b: B(B.frame01[a], B.frame01[b]))
+    B.at = cache(lambda a, b: _b01(fx, fx.frame01[a], fx.frame01[b]))
     return B
+
+
+def _b01(fx: Fixture, t1: Section, t2: Section) -> Section:
+    """B on operands already projected: p10 D_{t1} t2 for t1 = p01 s1 and
+    t2 = p01 s2."""
+    return fx.projectors[0].apply(cov_deriv(fx.levi_civita, t1, t2))
 
 
 def _re_section(s: Section) -> Section:
@@ -491,7 +496,7 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
     Btab = [[B.at(a, b) for b in range(mr)] for a in range(mr)]
     Jframe = [J.apply(s) for s in frame]
     # p01 e_a and p01 J e_a, each projected once
-    frame01, jframe01 = B.frame01, [fx.projectors[1].apply(s) for s in Jframe]
+    frame01, jframe01 = fx.frame01, [fx.projectors[1].apply(s) for s in Jframe]
     # D_s e_c and rho(s) for s = e_a and s = J e_a, once per (a, c) and a
     d_frame = [[cov_deriv(D, s, t) for t in frame] for s in frame]
     d_jframe = [[cov_deriv(D, s, t) for t in frame] for s in Jframe]
@@ -504,9 +509,9 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
         for b in range(mr):
             checks.add("im_re_relation", (a, b),
                        _im_section(Btab[a][b])
-                       - _re_section(B(frame01[a], jframe01[b])))
+                       - _re_section(_b01(fx, frame01[a], jframe01[b])))
             checks.add("j_anti_invariance", (a, b),
-                       B(jframe01[a], jframe01[b]) + Btab[a][b])
+                       _b01(fx, jframe01[a], jframe01[b]) + Btab[a][b])
             alt_re = _re_section(Btab[a][b] - Btab[b][a])
             nval = N.value(frame[a], frame[b])
             for c in range(mr):

@@ -44,7 +44,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from algebroids import _poly
 from algebroids._poly import fadd, fdiff, fgen, finv, fmul, fpow
@@ -943,10 +943,11 @@ class Table(tuple):
 
     The chart is carried, not read from an entry: a Lie algebra chart has
     no coordinates, so its anchor's rows are empty.  Every product is the
-    one sparse kernel ``combine``.  ``det``, ``inverse`` and ``rank`` read
-    one Gauss-Jordan elimination of [M | I] in Scalar arithmetic, cached
-    per table; it pivots structurally, on the first entry of a column
-    whose normal form is not zero.
+    one sparse kernel ``combine``, a combination of rows; ``apply`` runs
+    it on the rows of ``T``.  ``det``, ``inverse`` and ``rank`` read one
+    Gauss-Jordan elimination of [M | I] in Scalar arithmetic, cached per
+    table; it pivots structurally, on the first entry of a column whose
+    normal form is not zero.
     """
 
     def __new__(cls, chart: Chart, rows: Iterable[Iterable]):
@@ -970,13 +971,16 @@ class Table(tuple):
 
     @functools.cached_property
     def T(self) -> "Table":
-        """The transpose; it has no rows when this table's rows are empty."""
+        """The transpose.  It has no rows when this table's rows are empty,
+        and a table with no rows has no width, so a product's operand that
+        may have no rows is built by rows, not transposed."""
         return Table(self.chart, zip(*self))
 
-    def apply(self, vector: Iterable) -> List[Scalar]:
-        """The matrix times a column of Scalars."""
-        col = nonzero_terms(map(self.chart.scalar, vector))
-        return dense(self.chart, self.T.combine(col), len(self))
+    def apply(self, terms) -> list:
+        """The nonzero terms of the matrix times the column whose nonzero
+        (index, Scalar) terms are ``terms``: the columns combined, each
+        entry summing row[k] * x_k in the order of k."""
+        return self.T.combine(terms)
 
     def __matmul__(self, other: "Table") -> "Table":
         width = len(other[0]) if other else 0

@@ -267,6 +267,19 @@ def test_projector_rows_read_the_document_grammar(tmp_path):
     assert err == f"error: {proj}:3: [Pi] lines must be 'row = ...'\n"
 
 
+def test_restrict_on_a_chart_without_coordinates(tmp_path):
+    # an abelian Lie algebra: its anchor rows are empty, and the identity
+    # projector restricts it to itself
+    doc = tmp_path / "abelian.alg"
+    doc.write_text("[chart]\nname = ab\ncoords =\n[anchor]\nrow =\nrow =\n")
+    proj = tmp_path / "identity.proj"
+    proj.write_text("[Pi]\nrow = 1, 0\nrow = 0, 1\n[lift]\nrow =\nrow =\n")
+    code, out, _ = run_cli(["restrict", str(doc), "--projector", str(proj)])
+    assert code == 0
+    report = json.loads(out)
+    assert (report["rank"], report["ok"]) == (2, True)
+
+
 def test_fixtures_list():
     code, out, _ = run_cli(["fixtures", "--list"])
     assert code == 0

@@ -265,7 +265,7 @@ def test_direct_product_blocks(catalog):
 def test_projector_restriction_requires_idempotent():
     chart = Chart("p", ["x1"])
     with pytest.raises(ValueError):
-        projector_restriction(chart, [[1, 0]], [[1, 1], [0, 1]],
+        projector_restriction(chart, [[1], [0]], [[1, 1], [0, 1]],
                               [[1], [0]])
 
 
