@@ -8,7 +8,7 @@ from algebroids.scalars import (
     Scalar,
     parse_scalar,
 )
-from algebroids.algebroid import Algebroid, Section, VectorField, validate_structure
+from algebroids.algebroid import Algebroid, Section, tangent, validate_structure
 from algebroids.eforms import EForm
 from algebroids.jstruct import EndoField, ComplexFrame, nijenhuis
 from algebroids.connections import Connection, Metric, levi_civita
@@ -50,7 +50,7 @@ __all__ = [
     "parse_scalar",
     "Algebroid",
     "Section",
-    "VectorField",
+    "tangent",
     "validate_structure",
     "EForm",
     "EndoField",

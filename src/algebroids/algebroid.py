@@ -9,7 +9,9 @@ bracket structure functions C^c_ab.  The structure equations checked by
     sum_cyclic(a,b,c) (rho^i_a d_i C^d_bc + C^e_ab C^d_ce) = 0     (Jacobi)
 
 Sections are frame-component tuples of Scalars; the bracket is the unique
-Leibniz extension of the frame brackets.
+Leibniz extension of the frame brackets.  A vector field is a section of
+the chart's tangent algebroid ``tangent(chart)``, whose bracket is the Lie
+bracket.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from algebroids.scalars import (
 __all__ = [
     "Algebroid",
     "Section",
-    "VectorField",
     "Residuals",
     "Witness",
     "InconsistencyError",
@@ -34,64 +35,8 @@ __all__ = [
     "bilinear",
     "bilinear_section",
     "derivatives",
-    "vf_bracket",
+    "tangent",
 ]
-
-
-class VectorField:
-    """Vector field on the chart, the image side of the anchor."""
-
-    def __init__(self, chart: Chart, components: Sequence):
-        self.chart = chart
-        self.components = tuple(c if c.__class__ is Scalar and c.chart is chart
-                                else chart.scalar(c) for c in components)
-        if len(self.components) != chart.dim:
-            raise ChartError("component count does not match chart dimension")
-        self.terms = nonzero_terms(self.components)
-
-    def apply(self, f: Scalar) -> Scalar:
-        """Derivation action on a scalar: sum_i X^i df/dx^i."""
-        if f.__class__ is not Scalar or f.chart is not self.chart:
-            f = self.chart.scalar(f)
-        out = self.chart.zero
-        if f.pair is not None and f.is_constant():  # a tree is not normalised
-            return out
-        for i, comp in self.terms:
-            out = out + comp * f.diff(self.chart.coords[i])
-        return out
-
-    @cached_property
-    def jacobian(self) -> tuple:
-        """d X^i / dx^j at [i][j], taken once per field."""
-        return tuple(tuple(c.diff(x) for x in self.chart.coords)
-                     for c in self.components)
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.chart, list(map(
-            operator.add, self.components, other.components)))
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.chart, list(map(
-            operator.sub, self.components, other.components)))
-
-    def is_structurally_zero(self) -> bool:
-        return all(c.is_structurally_zero() for c in self.components)
-
-    def __repr__(self):
-        return f"VectorField({[str(c) for c in self.components]})"
-
-
-def vf_bracket(v1: VectorField, v2: VectorField) -> VectorField:
-    """Ordinary Lie bracket of vector fields on the chart."""
-    chart = v1.chart
-    comps = []
-    for d1, d2 in zip(v1.jacobian, v2.jacobian):
-        acc = chart.zero
-        for v1j, v2j, d1j, d2j in zip(v1.components, v2.components, d1, d2):
-            acc = acc + v1j * d2j
-            acc = acc - v2j * d1j
-        comps.append(acc)
-    return VectorField(chart, comps)
 
 
 class Algebroid:
@@ -110,8 +55,6 @@ class Algebroid:
         bracket: dict | Sequence,
         frame_labels: Optional[Sequence[str]] = None,
     ):
-        if rank < 1:
-            raise ValueError("rank must be at least 1")
         self.chart = chart
         self.rank = rank
         self.anchor = Table(chart, anchor)
@@ -129,7 +72,7 @@ class Algebroid:
                      for _ in range(self.rank)]
             for (a, b, c), value in bracket.items():
                 value = self.chart.scalar(value)
-                # antisymmetrize: the (a,b) entry wins, (b,a) gets the sign
+                # antisymmetrize: entries add at (a,b) and subtract at (b,a)
                 table[c][a][b] = table[c][a][b] + value
                 table[c][b][a] = table[c][b][a] - value
             bracket = table
@@ -150,12 +93,10 @@ class Algebroid:
     def zero_section(self) -> "Section":
         return Section.of_terms(self, ())
 
-    def anchor_vf(self, a: int) -> VectorField:
-        return self._anchor_vfs[a]
-
     @cached_property
-    def _anchor_vfs(self) -> Tuple[VectorField, ...]:
-        return tuple(VectorField(self.chart, row) for row in self.anchor)
+    def tangent(self) -> "Algebroid":
+        """The tangent algebroid of the chart, where rho(s) lives."""
+        return tangent(self.chart)
 
     def __repr__(self):
         return (f"Algebroid(rank={self.rank}, chart={self.chart.name!r}, "
@@ -228,6 +169,23 @@ class Section:
     def conjugate(self) -> "Section":
         return self.map(Scalar.conjugate)
 
+    @cached_property
+    def anchored(self) -> list:
+        """The nonzero terms of rho(s) over the chart's coordinate fields."""
+        return self.algebroid.anchor.combine(self.terms)
+
+    def derive(self, f) -> Scalar:
+        """Derivation action on a scalar: rho(s)f = sum_i rho(s)^i df/dx^i."""
+        chart = self.chart
+        if f.__class__ is not Scalar or f.chart is not chart:
+            f = chart.scalar(f)
+        out = chart.zero
+        if f.pair is not None and f.is_constant():  # a tree is not normalised
+            return out
+        for i, x in self.anchored:
+            out = out + x * f.diff(chart.coords[i])
+        return out
+
     def is_structurally_zero(self) -> bool:
         return all(c.is_structurally_zero() for _, c in self.terms)
 
@@ -267,20 +225,25 @@ def bilinear_section(accs: Sequence[Scalar], layers: Sequence[Table],
     return Section.of_terms(s1.algebroid, terms)
 
 
-def anchor_push(s: Section) -> VectorField:
-    """Pushforward rho(s) = s^a rho^i_a d/dx^i."""
-    chart = s.chart
-    return VectorField(chart, dense(chart, s.algebroid.anchor.combine(s.terms),
-                                    chart.dim))
+def tangent(chart: Chart) -> Algebroid:
+    """The tangent algebroid (TM, id, Lie bracket) of the chart: its
+    sections are the vector fields, its frame the coordinate fields."""
+    identity = [[chart.one if i == j else chart.zero for j in range(chart.dim)]
+                for i in range(chart.dim)]
+    return Algebroid(chart, chart.dim, identity, {})
+
+
+def anchor_push(s: Section) -> Section:
+    """Pushforward rho(s) = s^a rho^i_a d/dx^i, a section of the tangent
+    algebroid."""
+    return Section.of_terms(s.algebroid.tangent, s.anchored)
 
 
 def derivatives(s1: Section, s2: Section) -> List[Scalar]:
-    """rho(s1)(s2^c) for each c, with no push when s2 is constant."""
+    """rho(s1)(s2^c) for each c."""
     out = [s2.chart.zero] * s2.algebroid.rank
-    if not all(c.pair is not None and c.is_constant() for _, c in s2.terms):
-        X = anchor_push(s1)
-        for k, c in s2.terms:
-            out[k] = X.apply(c)
+    for k, c in s2.terms:
+        out[k] = s1.derive(c)
     return out
 
 
@@ -325,7 +288,7 @@ class Residuals:
     """Indexed residuals grouped by check name, in insertion order.
 
     A residual is anything with ``is_structurally_zero()`` (Scalar,
-    Section, VectorField, EForm).  A check passes when every residual
+    Section, EForm).  A check passes when every residual
     recorded under its name reduces to zero in normal form; a check with
     no residuals passes vacuously.
     """

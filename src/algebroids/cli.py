@@ -221,11 +221,21 @@ def document_to_fixture(doc: AlgebroidDocument) -> Fixture:
                        for v in row])
     cdict = {}
     for k, (a, b, c, expr) in enumerate(doc.bracket_entries):
+        line = doc.lines.get(("bracket", k), 0)
+        what = f"bracket {a + 1} {b + 1} {c + 1}"
         if max(a, b, c) >= rank:
-            raise DocumentError(doc.source, doc.lines.get(("bracket", k), 0),
+            raise DocumentError(doc.source, line,
                                 f"bracket index out of range for rank {rank}")
-        cdict[(a, b, c)] = scal(expr, f"bracket {a + 1} {b + 1} {c + 1}",
-                                ("bracket", k))
+        if a == b:
+            raise DocumentError(doc.source, line,
+                                f"{what}: [e_a, e_a] = 0 takes no entry")
+        # each entry is stored once, at a < b: [e_b, e_a] = -[e_a, e_b]
+        key = (min(a, b), max(a, b), c)
+        if key in cdict:
+            raise DocumentError(doc.source, line,
+                                f"{what}: a second entry for this bracket")
+        value = scal(expr, what, ("bracket", k))
+        cdict[key] = value if a < b else -value
     A = Algebroid(chart, rank, anchor, cdict)
 
     def square(section: str, rows: Optional[List[List[str]]], build):

@@ -157,14 +157,13 @@ def curvature_components(conn: Connection):
     G = conn.gamma
     out = [[[[chart.zero] * m for _ in range(m)] for _ in range(m)]
            for _ in range(m)]
+    frame = A.frame
     for a in range(m):
-        rho_a = A.anchor_vf(a)
         for b in range(a + 1, m):
-            rho_b = A.anchor_vf(b)
             for c in range(m):
                 for d in range(m):
-                    acc = rho_a.apply(G[d][b][c])
-                    acc = acc - rho_b.apply(G[d][a][c])
+                    acc = frame[a].derive(G[d][b][c])
+                    acc = acc - frame[b].derive(G[d][a][c])
                     for e in range(m):
                         acc = add_product(acc, 1, G[e][b][c], G[d][a][e])
                         acc = add_product(acc, -1, G[e][a][c], G[d][b][e])
@@ -185,14 +184,14 @@ def levi_civita(A: Algebroid, g: Metric) -> Connection:
     chart = A.chart
     C, G = A.C, g.matrix
     gamma = [[[chart.zero] * m for _ in range(m)] for _ in range(m)]
-    rho = [A.anchor_vf(x) for x in range(m)]
+    rho = A.frame
     # koszul[b][c][d] = 2 g(nabla_{e_b} e_c, e_d)
     koszul = [[[None] * m for _ in range(m)] for _ in range(m)]
     for b in range(m):
         for c in range(m):
             for d in range(m):
-                inner = (rho[b].apply(G[c][d]) + rho[c].apply(G[b][d])
-                         - rho[d].apply(G[b][c]))
+                inner = (rho[b].derive(G[c][d]) + rho[c].derive(G[b][d])
+                         - rho[d].derive(G[b][c]))
                 # bracket terms of the Koszul identity:
                 # g([e_d,e_b],e_c) + g([e_d,e_c],e_b) + g([e_b,e_c],e_d)
                 for e in range(m):
@@ -223,11 +222,10 @@ def metric_compat_check(conn: Connection, g: Metric) -> Residuals:
     residuals = Residuals()
     frame = A.frame
     for a in range(m):
-        rho_a = A.anchor_vf(a)
         nabla_a = [cov_deriv(conn, frame[a], e) for e in frame]
         for b in range(m):
             for c in range(b, m):
-                res = (rho_a.apply(g.matrix[b][c])
+                res = (frame[a].derive(g.matrix[b][c])
                        - g.value(nabla_a[b], frame[c])
                        - g.value(frame[b], nabla_a[c]))
                 residuals.add("metric_compatible", (a, b, c), res)
@@ -410,7 +408,7 @@ def levi_civita_complex_frame(fx: Fixture) -> Connection:
     h = fx.h
     # sum_b h[a][b] hinv[b][c] = delta_a^c, so hinv[b][c] = g^{bbar c}
     hinv = Table(chart, [row[:m] for row in h[:m]]).inverse()
-    rho = [CA.anchor_vf(mu) for mu in range(two_m)]
+    rho = CA.frame
     C = CA.C
     half = Fraction(1, 2)
 
@@ -431,21 +429,21 @@ def levi_civita_complex_frame(fx: Fixture) -> Connection:
     for d, a, b in product(range(m), repeat=3):
         # Gamma^d_ab, all indices unbarred
         gamma[d][a][b] = family(
-            d, lambda c: rho[a].apply(h[b][c]) + rho[b].apply(h[a][c]),
+            d, lambda c: rho[a].derive(h[b][c]) + rho[b].derive(h[a][c]),
             lambda c, e: ((1, C[e][a][b], h[e][c]),
                           (-1, C[bar(e)][b][bar(c)], h[a][e]),
                           (1, C[bar(e)][bar(c)][a], h[b][e])))
         # Gamma^d_{a bbar}
         gamma[d][a][bar(b)] = family(
-            d, lambda c: (rho[bar(b)].apply(h[a][c])
-                          - rho[bar(c)].apply(h[a][b])),
+            d, lambda c: (rho[bar(b)].derive(h[a][c])
+                          - rho[bar(c)].derive(h[a][b])),
             lambda c, e: ((1, C[e][a][bar(b)], h[e][c]),
                           (-1, C[bar(e)][bar(b)][bar(c)], h[a][e]),
                           (1, C[e][bar(c)][a], h[e][b])))
         # Gamma^d_{abar b}
         gamma[d][bar(a)][b] = family(
-            d, lambda c: (rho[bar(a)].apply(h[b][c])
-                          - rho[bar(c)].apply(h[b][a])),
+            d, lambda c: (rho[bar(a)].derive(h[b][c])
+                          - rho[bar(c)].derive(h[b][a])),
             lambda c, e: ((1, C[e][bar(a)][b], h[e][c]),
                           (-1, C[e][b][bar(c)], h[e][a]),
                           (1, C[bar(e)][bar(c)][bar(a)], h[b][e])))
@@ -529,10 +527,9 @@ def kahler_complex_curvature(connF: Connection,
     checks = Residuals()
     for d in range(m):
         for a in range(m):
-            rho_a = CA.anchor_vf(a)
             for b in range(m):
                 for c in range(m):
-                    disp = rho_a.apply(connF.gamma[bar(d)][bar(b)][bar(c)])
+                    disp = CA.frame[a].derive(connF.gamma[bar(d)][bar(b)][bar(c)])
                     for e in range(m):
                         disp = disp - CA.C[bar(e)][a][bar(b)] * connF.gamma[bar(d)][bar(e)][bar(c)]
                     checks.add("barred_formula", (d, a, b, c),

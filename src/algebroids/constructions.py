@@ -16,7 +16,7 @@ Three factories produce new algebroids from old:
   c the anchor of e_c), an idempotent ambient projector Pi and a lift L
   with rho^T L generically the identity on chart vector fields, the
   restriction has anchor rows rho(Pi e_a) and bracket coefficients
-  C^c_ab = L(vf_bracket(rho_a, rho_b)).
+  C^c_ab = L([rho_a, rho_b]), the Lie bracket of the anchor rows.
 
 The fixture catalog exposes the named examples used throughout the test
 suite, plus the syntax ``prolong(<name>)`` and ``product(<a>,<b>)``.
@@ -34,10 +34,9 @@ from algebroids.algebroid import (
     PreconditionError,
     Residuals,
     Section,
-    VectorField,
     bracket,
+    tangent,
     validate_structure,
-    vf_bracket,
 )
 from algebroids.connections import (
     Connection,
@@ -147,7 +146,7 @@ class Prolongation:
         f = self.base.chart.scalar(f)
         acc = self.chart.zero
         for a in range(self.r):
-            df = self.base.anchor_vf(a).apply(f)
+            df = self.base.frame[a].derive(f)
             acc = acc + self.y[a] * df.on_chart(self.chart)
         return acc
 
@@ -165,7 +164,7 @@ class Prolongation:
         for a, sa in enumerate(s.components):
             acc = self.chart.zero
             for f in range(self.r):
-                term = base.anchor_vf(f).apply(sa)
+                term = base.frame[f].derive(sa)
                 for b, x in s.terms:
                     term = add_product(term, -1, base.C[a][b][f], x)
                 if term.pair is not _ZERO:
@@ -321,11 +320,10 @@ class _ShiftedFrame:
         n = A.rank
         gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
         for mu in range(n):
-            rho = A.anchor_vf(mu)
             for nu in range(n):
                 terms = []
                 for s, q in self.expansion[nu]:
-                    terms.append((rho.apply(q), self.sections[s]))
+                    terms.append((A.frame[mu].derive(q), self.sections[s]))
                     terms += [(p * q, derivs[k][s])
                               for k, p in self.expansion[mu]]
                 for tau, val in enumerate(self._combine(terms)):
@@ -459,7 +457,7 @@ def projector_restriction(chart: Chart, rho, Pi, lift,
     `Algebroid.anchor`), ``Pi`` is rank x rank and must be idempotent,
     ``lift`` is rank x chart.dim and maps chart vector fields back to
     sections.  The restriction has anchor rows rho(Pi e_a) and bracket
-    coefficients C^c_ab = lift(vf_bracket(rho_a, rho_b))^c; the flatness
+    coefficients C^c_ab = lift([rho_a, rho_b])^c; the flatness
     residual (I - Pi)[Pi e_a, Pi e_b] is recorded for every frame pair.
     """
     rank = len(Pi)
@@ -471,12 +469,13 @@ def projector_restriction(chart: Chart, rho, Pi, lift,
     # row a of the anchor is rho(Pi e_a) = sum_c Pi^c_a rho_c; rho has rank
     # rows, so the product knows its width on a chart without coordinates
     anchor = Pi.T @ Table(chart, rho)
-    rho_vfs = [VectorField(chart, row) for row in anchor]
+    T = tangent(chart)
+    rho_vfs = [Section.of_terms(T, t) for t in anchor.terms]
 
     cdict = {}
     brs = {}
     for a, b in combinations(range(rank), 2):
-        br = vf_bracket(rho_vfs[a], rho_vfs[b])
+        br = bracket(rho_vfs[a], rho_vfs[b])
         brs[(a, b)] = br
         for c, acc in lift.apply(br.terms):
             if not acc.is_structurally_zero():
@@ -607,20 +606,17 @@ class Fixture:
 
 
 def _flat_r2() -> Fixture:
-    chart = Chart("flat_r2", ["x1", "x2"])
-    A = Algebroid(chart, 2, [[1, 0], [0, 1]], {})
+    A = tangent(Chart("flat_r2", ["x1", "x2"]))
     J = almost_complex_structure(A, [[0, -1], [1, 0]])
     g = Metric(A, [[1, 0], [0, 1]])
     return Fixture("flat_r2", A, J, g)
 
 
 def _flat_r4() -> Fixture:
-    chart = Chart("flat_r4", ["x1", "x2", "x3", "x4"])
-    eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    A = Algebroid(chart, 4, eye, {})
+    A = tangent(Chart("flat_r4", ["x1", "x2", "x3", "x4"]))
     J = almost_complex_structure(A, [[0, -1, 0, 0], [1, 0, 0, 0],
                                      [0, 0, 0, -1], [0, 0, 1, 0]])
-    g = Metric(A, eye)
+    g = Metric(A, [[int(i == j) for j in range(4)] for i in range(4)])
     return Fixture("flat_r4", A, J, g)
 
 
@@ -642,9 +638,7 @@ def _heis_broken() -> Fixture:
 
 
 def _warped_r4() -> Fixture:
-    chart = Chart("warped_r4", ["x1", "x2", "x3", "x4"])
-    eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    A = Algebroid(chart, 4, eye, {})
+    A = tangent(Chart("warped_r4", ["x1", "x2", "x3", "x4"]))
     J = almost_complex_structure(A, [[0, 1, 0, 0], [-1, 0, 0, 0],
                                      [0, 0, 0, 1], [0, 0, -1, 0]])
     w = "1 + x3^2"
@@ -653,8 +647,7 @@ def _warped_r4() -> Fixture:
 
 
 def _conformal_sphere_chart() -> Fixture:
-    chart = Chart("conformal_sphere_chart", ["x1", "x2"])
-    A = Algebroid(chart, 2, [[1, 0], [0, 1]], {})
+    A = tangent(Chart("conformal_sphere_chart", ["x1", "x2"]))
     J = almost_complex_structure(A, [[0, -1], [1, 0]])
     lam = "4 / (1 + x1^2 + x2^2)^2"
     g = Metric(A, [[lam, 0], [0, lam]])

@@ -192,7 +192,7 @@ def d_E(w: EForm) -> EForm:
         acc = chart.zero
         for i in range(p + 1):
             rest = idx[:i] + idx[i + 1:]
-            term = A.anchor_vf(idx[i]).apply(w[rest])
+            term = A.frame[idx[i]].derive(w[rest])
             acc = acc + (term if i % 2 == 0 else -term)
         for i in range(p + 1):
             for j in range(i + 1, p + 1):

@@ -30,7 +30,6 @@ from algebroids.algebroid import (
     anchor_push,
     bilinear_section,
     bracket,
-    vf_bracket,
 )
 from algebroids.eforms import EForm, d_E
 from algebroids.scalars import (
@@ -520,7 +519,7 @@ def matched_pair_check(fx: Fixture) -> Residuals:
     for a in range(m):
         for b in range(m):
             s, t = f[a], fbar[b]
-            lhs = vf_bracket(anchor_push(s), anchor_push(t))
+            lhs = bracket(anchor_push(s), anchor_push(t))
             # residual of [rho(s), rho(t)] = -rho(nabla_t s) + rho(nabla_s t)
             res = (lhs + anchor_push(nab_ts(t, s))
                    - anchor_push(nab_st(s, t)))

@@ -32,7 +32,6 @@ from algebroids.algebroid import (
     Algebroid,
     Residuals,
     Section,
-    anchor_push,
     bilinear,
 )
 from algebroids.connections import (
@@ -162,10 +161,9 @@ def product_connection(fx: Fixture) -> ProductConnection:
     # (D~ h)(s; s1, s2) with the conjugate-equivariant extension in slot 2:
     # rho(s) h(s1,s2) - h(D~_s s1, s2) - h(s1, D~_{conj s} s2)
     for lam in range(two_m):
-        rho = CA.anchor_vf(lam)
         for mu in range(two_m):
             for nu in range(two_m):
-                acc = rho.apply(h[mu][nu])
+                acc = CA.frame[lam].derive(h[mu][nu])
                 for k in range(two_m):
                     acc = add_product(acc, -1, tilde.gamma[k][lam][mu], h[k][nu])
                     acc = add_product(acc, -1, tilde.gamma[k][F.conj_index(lam)]
@@ -474,10 +472,10 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
     def phi_value(s1: Section, s2: Section) -> Scalar:
         return bilinear(A.chart.zero, phi, s1, s2)
 
-    def dphi(rho, t1: Section, ds_t1: Section, ds: list):
+    def dphi(s: Section, t1: Section, ds_t1: Section, ds: list):
         """c -> (D_s Phi)(t1, e_c) for frame sections (constant
-        components), with rho = rho(s), D_s t1 = ds_t1 and D_s e_c = ds[c]."""
-        return lambda c: (rho.apply(phi_value(t1, frame[c]))
+        components), with D_s t1 = ds_t1 and D_s e_c = ds[c]."""
+        return lambda c: (s.derive(phi_value(t1, frame[c]))
                           - phi_value(ds_t1, frame[c])
                           - phi_value(t1, ds[c]))
 
@@ -497,11 +495,9 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
     Jframe = [J.apply(s) for s in frame]
     # p01 e_a and p01 J e_a, each projected once
     frame01, jframe01 = fx.frame01, [fx.projectors[1].apply(s) for s in Jframe]
-    # D_s e_c and rho(s) for s = e_a and s = J e_a, once per (a, c) and a
+    # D_s e_c for s = e_a and s = J e_a, once per (a, c)
     d_frame = [[cov_deriv(D, s, t) for t in frame] for s in frame]
     d_jframe = [[cov_deriv(D, s, t) for t in frame] for s in Jframe]
-    rho_frame = [anchor_push(s) for s in frame]
-    rho_jframe = [anchor_push(s) for s in Jframe]
     # N(e_b, J e_c) and N(J e_c, e_a), once per pair
     n_ej = [[N.value(s, t) for t in Jframe] for s in frame]
     n_je = [[N.value(t, s) for s in frame] for t in Jframe]
@@ -519,8 +515,8 @@ def identity_suite(fx: Fixture) -> IdentitySuiteReport:
                              nval.components[c], N_FROM_B,
                              alt_re.components[c])
             reb = _re_section(Btab[a][b])
-            dphi_a = dphi(rho_jframe[a], frame[b], d_jframe[a][b], d_jframe[a])
-            dphi_b = dphi(rho_frame[a], Jframe[b],
+            dphi_a = dphi(Jframe[a], frame[b], d_jframe[a][b], d_jframe[a])
+            dphi_b = dphi(frame[a], Jframe[b],
                           cov_deriv(D, frame[a], Jframe[b]), d_frame[a])
             for c in range(mr):
                 s3 = frame[c]

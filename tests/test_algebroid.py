@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from algebroids.algebroid import (
     Algebroid,
     Section,
-    VectorField,
-    anchor_push,
     bracket,
     jacobiator,
+    tangent,
     validate_structure,
-    vf_bracket,
 )
 from algebroids.eforms import EForm, d_E
 from algebroids.scalars import Chart
@@ -51,8 +49,7 @@ def _random_form(draw, A, degree):
 
 @pytest.fixture
 def tangent_r2():
-    chart = Chart("r2", ["x1", "x2"])
-    return Algebroid(chart, 2, [[1, 0], [0, 1]], {})
+    return tangent(Chart("r2", ["x1", "x2"]))
 
 
 def test_bracket_table_antisymmetrized():
@@ -63,13 +60,13 @@ def test_bracket_table_antisymmetrized():
 
 
 def test_vf_bracket_coordinate_fields():
-    chart = Chart("r2", ["x1", "x2"])
-    v1 = VectorField(chart, ["x1", "0"])
-    v2 = VectorField(chart, ["0", "1"])
-    br = vf_bracket(v1, v2)
+    T = tangent(Chart("r2", ["x1", "x2"]))
+    v1 = T.section(["x1", "0"])
+    v2 = T.section(["0", "1"])
+    br = bracket(v1, v2)
     assert all(c.is_structurally_zero() for c in br.components)
-    v3 = VectorField(chart, ["x2", "0"])
-    br = vf_bracket(v2, v3)  # [d/dx2, x2 d/dx1] = d/dx1
+    v3 = T.section(["x2", "0"])
+    br = bracket(v2, v3)  # [d/dx2, x2 d/dx1] = d/dx1
     assert (br.components[0] - 1).is_structurally_zero()
     assert br.components[1].is_structurally_zero()
 
@@ -81,7 +78,7 @@ def test_bracket_leibniz_rule(tangent_r2):
     s2 = A.section(["x1", "1"])
     f = chart.scalar("x1 * x2")
     lhs = bracket(s1, s2.scale(f))
-    rhs = bracket(s1, s2).scale(f) + s2.scale(anchor_push(s1).apply(f))
+    rhs = bracket(s1, s2).scale(f) + s2.scale(s1.derive(f))
     assert (lhs - rhs).is_structurally_zero()
 
 
@@ -96,6 +93,12 @@ def test_validate_tangent_algebroid(tangent_r2):
     rep = validate_structure(tangent_r2)
     assert rep.ok()
     assert rep.failures() == []
+
+
+def test_tangent_of_a_chart_without_coordinates_has_rank_zero():
+    T = tangent(Chart("pt", []))
+    assert T.rank == 0 and T.frame == () and T.zero_section().terms == ()
+    assert validate_structure(T).ok()
 
 
 def test_validate_broken_jacobi():

@@ -280,6 +280,43 @@ def test_restrict_on_a_chart_without_coordinates(tmp_path):
     assert (report["rank"], report["ok"]) == (2, True)
 
 
+# three rank-1 anchors; the bracket entries go on from line 8
+BRACKET_DOC = ("[chart]\ncoords = x1\n[anchor]\nrow = 0\nrow = 0\nrow = 0\n"
+               "[bracket]\n")
+
+
+def _run_on_brackets(tmp_path, entries, command="validate"):
+    doc = tmp_path / "brackets.alg"
+    doc.write_text(BRACKET_DOC + entries)
+    return doc, run_cli([command, str(doc)])
+
+
+def test_a_bracket_entry_with_equal_indices_is_refused(tmp_path):
+    # [e_a, e_a] = 0: an entry for it once vanished without a word
+    doc, (code, out, err) = _run_on_brackets(tmp_path, "1 1 1 = 1\n")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {doc}:8: bracket 1 1 1: ")
+
+
+def test_a_bracket_stated_twice_is_refused(tmp_path):
+    # 2 1 3 = -1 states 1 2 3 = 1 again; the two entries once added up
+    doc, (code, out, err) = _run_on_brackets(tmp_path,
+                                             "1 2 3 = 1\n2 1 3 = -1\n")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {doc}:9: bracket 2 1 3: ")
+    # stated once, with a > b, it is stored at a < b with its sign flipped
+    _, (code, out, _) = _run_on_brackets(tmp_path, "2 1 3 = -1\n", "emit")
+    assert code == 0 and out.endswith("[bracket]\n1 2 3 = 1\n")
+
+
+def test_contradicting_bracket_entries_are_refused(tmp_path):
+    # 2 1 3 = 1 contradicts 1 2 3 = 1; the two entries once cancelled
+    doc, (code, out, err) = _run_on_brackets(tmp_path,
+                                             "1 2 3 = 1\n2 1 3 = 1\n")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {doc}:9: bracket 2 1 3: ")
+
+
 def test_fixtures_list():
     code, out, _ = run_cli(["fixtures", "--list"])
     assert code == 0
